@@ -18,6 +18,7 @@ the estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -126,16 +127,23 @@ class LoadVector:
 # cellwise Legendre helpers
 # ---------------------------------------------------------------------------
 
-def _legendre_1d(xi: np.ndarray, d: int, order: int) -> np.ndarray:
-    """Values of ``P_a^(order)`` for a = 0..d at local coordinates xi."""
+# entries of the process-wide Legendre-table cache
+LEGENDRE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=LEGENDRE_CACHE_SIZE)
+def _legendre_1d(d: int, order: int, xi_bytes: bytes) -> np.ndarray:
+    """Values of ``P_a^(order)`` for a = 0..d at the local coordinates
+    packed in ``xi_bytes`` (float64), shape ``(d+1, n)``, read-only.
+
+    Memoised on the exact bytes, so a hit returns what the evaluation
+    would have computed, bit for bit.
+    """
     eye = np.eye(d + 1)
-    if order:
-        coef = npleg.legder(eye, order, axis=0)
-        if coef.shape[0] == 0:
-            return np.zeros((d + 1, len(xi)))
-    else:
-        coef = eye
-    return npleg.legval(np.asarray(xi, float), coef)
+    coef = npleg.legder(eye, order, axis=0) if order else eye
+    tab = npleg.legval(np.frombuffer(xi_bytes), coef)
+    tab.flags.writeable = False
+    return tab
 
 
 def _local_coords(cell: Cell, xs: np.ndarray, ys: np.ndarray):
@@ -149,8 +157,8 @@ def _legendre_modes(cell: Cell, d: int, xs: np.ndarray, ys: np.ndarray,
                     ax: int = 0, ay: int = 0) -> np.ndarray:
     """Tensor Legendre mode derivatives at paired points, ((d+1)^2, n)."""
     xi, zeta = _local_coords(cell, xs, ys)
-    Px = _legendre_1d(xi, d, ax)
-    Py = _legendre_1d(zeta, d, ay)
+    Px = _legendre_1d(d, ax, xi.tobytes())
+    Py = _legendre_1d(d, ay, zeta.tobytes())
     scale = (2.0 / cell.side) ** (ax + ay)
     return (Px[:, None, :] * Py[None, :, :]).reshape((d + 1) ** 2, -1) * scale
 

@@ -187,7 +187,7 @@ def _make_record(it, cfg, prob, params, p, space, A, U, ind, marked, rng):
         else:
             triple_error = (e_sq + rp.gamma1 * b32 ** 2
                             + rp.gamma2 * b12 ** 2) ** 0.5
-            contraction = nitsche_energy_sq(prob, U, p, rp)
+            contraction = nitsche_energy_sq(prob, U, p, rp, e_sq)
     if cfg.track_inconsistency and prob.grad_laplacian_u is not None:
         incons = inconsistency_sup(prob, space, rp, rng)
     return ConvergenceRecord(
@@ -203,16 +203,20 @@ def _make_record(it, cfg, prob, params, p, space, A, U, ind, marked, rng):
 # ---------------------------------------------------------------------------
 
 def nitsche_energy_sq(prob: Problem, U: SplineFunction, p: Partition,
-                      params: FormParams, quad_n: int | None = None) -> float:
+                      params: FormParams, volume_sq: float,
+                      quad_n: int | None = None) -> float:
     """``a_P(u - U, u - U)`` with the projected Laplacian sampled from
     the exact solution; the boundary traces of the error reduce to
-    ``-U`` and ``-dU/dn`` because the exact solution is clamped."""
+    ``-U`` and ``-dU/dn`` because the exact solution is clamped.
+
+    ``volume_sq`` is the volume term, ``energy_error_sq`` of ``U`` with
+    the same rule, which the caller has already computed."""
     space = U.space
     rp = params.resolved(space.degree)
     n = quad_n if quad_n is not None else rp.quad_n + 2
     d = space.degree - 2
 
-    total = energy_error_sq(prob.laplacian_u, U, n)
+    total = volume_sq
     _, bdry = edges(p)
     proj: dict[Cell, np.ndarray] = {}
     for cell in sorted({e.plus for e in bdry}):

@@ -137,6 +137,7 @@ class Partition:
         if not self.cells:
             raise ValueError("partition needs at least one cell")
         self.max_level = max(c.level for c in self.cells)
+        self._edges: tuple[list[Edge], list[Edge]] | None = None
         if validate:
             self._validate()
 
@@ -382,8 +383,16 @@ def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
 
     At a level interface the edges are the finer cells' facets, each
     owned by the fine cell and the coarse neighbour.  Boundary edges are
-    exactly the facets of active cells on the domain boundary.
+    exactly the facets of active cells on the domain boundary.  The
+    lists are built on the first call and shared by later calls, since
+    the partition is immutable; callers must not modify them.
     """
+    if p._edges is None:
+        p._edges = _facet_edges(p)
+    return p._edges
+
+
+def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
     interior: dict[tuple, Edge] = {}
     boundary: list[Edge] = []
 
@@ -404,13 +413,10 @@ def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
             for nb in nbs:
                 if nb.level > c.level:
                     continue  # finer neighbour registers the half-edges
-                if nb.level == c.level:
-                    fine = c  # same level: canonical via key dedup
-                else:
-                    fine = c  # c is the finer side
+                # c is the finer side or same level (deduplicated by key)
                 plus, minus = sorted(
                     (c, nb), key=lambda q: (q.level, q.i, q.j))
-                e = Edge("interior", axis, fine.level, fixed, lo,
+                e = Edge("interior", axis, c.level, fixed, lo,
                          plus=plus, minus=minus,
                          normal=(1.0, 0.0) if axis == 0 else (0.0, 1.0))
                 interior.setdefault(e.key, e)

@@ -14,6 +14,15 @@ active cell is expressed in the cell's own-level local tensor basis
 through a windowed two-scale (knot insertion) relation, so derivatives
 of any order are plain polynomial derivatives with no numerical
 differentiation anywhere.
+
+The local basis comes from level-independent reference tables.  On span
+``i`` of a level with ``m = 2**l`` spans, the ``r+1`` window functions
+depend only on the span class ``(min(i, r), min(m-1-i, r))``, its
+distance to either boundary, once expressed in the reference coordinate
+``xi = x*m - i``; the k-th derivative then scales by ``m**k``.  Both the
+scaling by ``m`` and the subtraction of ``i`` are exact in floating
+point, so tables are keyed on the exact bytes of ``xi`` and shared, in
+one bounded process-wide cache, by every cell, level and space.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 4
+
+# entries of the process-wide reference-table cache; one entry is one
+# (degree, span class, order, point set) table of at most a few KB
+REFERENCE_TABLE_CACHE_SIZE = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +133,31 @@ def bspline_ders(knots: np.ndarray, degree: int, span: int, x: float,
     return ders
 
 
+def span_class(level: int, span: int, degree: int) -> tuple[int, int]:
+    """Distance of a span to the left and right boundary, capped at the degree.
+
+    Spans of one class carry the same window functions in reference
+    coordinates, at every level.
+    """
+    m = 1 << level
+    return min(span, degree), min(m - 1 - span, degree)
+
+
+@lru_cache(maxsize=REFERENCE_TABLE_CACHE_SIZE)
+def _reference_table(degree: int, a: int, b: int, max_order: int,
+                     xi_bytes: bytes) -> np.ndarray:
+    """Window-function ders ``(max_order+1, r+1, n)`` of span class
+    ``(a, b)`` at the reference points packed in ``xi_bytes``."""
+    # the class's 2r+2 local knots, span [0, 1] in reference units
+    t = np.clip(np.arange(2 * degree + 2, dtype=float) - degree, -a, b + 1)
+    xi = np.frombuffer(xi_bytes)
+    tab = np.empty((max_order + 1, degree + 1, len(xi)))
+    for k, x in enumerate(xi):
+        tab[:, :, k] = bspline_ders(t, degree, degree, float(x), max_order)
+    tab.flags.writeable = False
+    return tab
+
+
 def _insertion_matrix(knots: np.ndarray, degree: int,
                       x: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-knot-insertion coefficient map (old -> new)."""
@@ -168,8 +206,9 @@ class HierarchicalSpace:
     """Hierarchical (truncated) B-spline space over a quadtree partition.
 
     Immutable after construction; evaluation helpers memoise per-cell
-    extraction operators and basis tables, which is transparent to
-    callers and safe for read-only sharing.
+    extraction operators and read basis tables from the process-wide
+    reference cache, which is transparent to callers and safe for
+    read-only sharing.
     """
 
     def __init__(self, partition: Partition, degree: int,
@@ -186,7 +225,6 @@ class HierarchicalSpace:
         for k, (lev, ix, iy) in enumerate(self.active):
             self._by_level.setdefault(lev, {})[(ix, iy)] = k
         self._extraction: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
-        self._uni_cache: dict = {}
 
     # -- selection ------------------------------------------------------
 
@@ -303,17 +341,13 @@ class HierarchicalSpace:
     def _univariate(self, level: int, span: int, xs: np.ndarray,
                     max_order: int) -> np.ndarray:
         """Table ``(max_order+1, r+1, len(xs))`` of window-function ders."""
-        key = (level, span, max_order, xs.tobytes())
-        tab = self._uni_cache.get(key)
-        if tab is not None:
-            return tab
         r = self.degree
-        t = np.asarray(knot_vector(level, r))
-        tab = np.empty((max_order + 1, r + 1, len(xs)))
-        for k, x in enumerate(xs):
-            tab[:, :, k] = bspline_ders(t, r, span + r, float(x), max_order)
-        self._uni_cache[key] = tab
-        return tab
+        m = 1 << level
+        xi = xs * m - span  # exact: power-of-two scaling, Sterbenz subtraction
+        tab = _reference_table(r, *span_class(level, span, r), max_order,
+                               xi.tobytes())
+        scale = float(m) ** np.arange(max_order + 1)
+        return tab * scale[:, None, None]
 
     def local_tables(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                      orders: Sequence[tuple[int, int]],
@@ -636,23 +670,43 @@ def save_solution(fn: SplineFunction, path) -> None:
 
 
 def load_solution(path) -> SplineFunction:
+    """Read a file written by :func:`save_solution`.
+
+    A file that is truncated, has an unparsable or missing field, or
+    carries trailing data raises ``ValueError("malformed solution
+    file: ...")``.
+    """
     with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    it = iter(tokens)
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError("malformed solution file: missing final newline "
+                         "(truncated?)")
+    it = iter(text.split())
+
+    def token(kind=str, what="value"):
+        try:
+            return kind(next(it))
+        except StopIteration:
+            raise ValueError(f"malformed solution file: ended before "
+                             f"{what}") from None
+        except ValueError:
+            raise ValueError(f"malformed solution file: bad {what}") from None
 
     def expect(tag):
-        got = next(it)
+        got = token(what=repr(tag))
         if got != tag:
             raise ValueError(f"malformed solution file: expected {tag!r}, got {got!r}")
-        return next(it)
+        return token(int, tag)
 
-    degree = int(expect("degree"))
-    truncated = bool(int(expect("truncated")))
-    ncells = int(expect("cells"))
-    cells = [Cell(int(next(it)), int(next(it)), int(next(it)))
+    degree = expect("degree")
+    truncated = bool(expect("truncated"))
+    ncells = expect("cells")
+    cells = [Cell(token(int, "cell"), token(int, "cell"), token(int, "cell"))
              for _ in range(ncells)]
-    ncoef = int(expect("coeffs"))
-    coefs = np.array([float(next(it)) for _ in range(ncoef)])
+    ncoef = expect("coeffs")
+    coefs = np.array([token(float, "coefficient") for _ in range(ncoef)])
+    if next(it, None) is not None:
+        raise ValueError("malformed solution file: data after the coefficients")
     space = build_space(Partition(cells), degree, truncated)
     if space.dim != ncoef:
         raise ValueError("coefficient count does not match the space dimension")

@@ -8,7 +8,9 @@ import pytest
 
 from afem.cli import build_parser, load_problem, main
 from afem.driver import CSV_HEADER
-from afem.splines import load_solution
+from afem.mesh import Cell, refine, uniform_partition
+from afem.oracles import random_spline
+from afem.splines import build_space, load_solution, save_solution
 
 
 def run_cli(args):
@@ -92,6 +94,27 @@ class TestEndToEnd:
         code = run_cli(["--load-solution", str(out / "solution.txt")])
         assert code == 0
         assert "degree=2" in capsys.readouterr().out
+
+    def test_truncated_solution_file_exits_two(self, tmp_path, capsys):
+        p = refine(uniform_partition(1), [Cell(1, 0, 0)])
+        fn = random_spline(build_space(p, 2), np.random.default_rng(4))
+        full = tmp_path / "solution.txt"
+        save_solution(fn, full)
+        text = full.read_text()
+        lines = text.splitlines(keepends=True)
+        cells_end = len("".join(lines[:6]))      # inside the cell list
+        coeffs_at = text.index("coeffs")
+        in_coeffs = text.index("\n", coeffs_at) + 5
+        cuts = [0, 3, len(lines[0]), cells_end, cells_end + 2, coeffs_at,
+                in_coeffs, len(text) - 4, len(text) - 1]
+        bad = tmp_path / "cut.txt"
+        for cut in cuts:
+            bad.write_text(text[:cut])
+            with pytest.raises(ValueError, match="malformed solution file"):
+                load_solution(bad)
+            capsys.readouterr()
+            assert run_cli(["--load-solution", str(bad)]) == 2
+            assert "malformed solution file" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -113,6 +113,13 @@ class TestEdges:
         assert len(boundary) == 4
         assert all(e.length == 1.0 for e in boundary)
 
+    def test_built_once_per_partition(self):
+        p = uniform_partition(2)
+        assert edges(p) is edges(p)
+        finer = refine(p, [Cell(2, 1, 1)])
+        assert edges(finer) is not edges(p)
+        assert len(edges(finer)[0]) > len(edges(p)[0])
+
     def test_four_uniform_cells(self):
         interior, boundary = edges(uniform_partition(1))
         assert len(interior) == 4

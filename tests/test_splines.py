@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
+from afem.assembly import _legendre_modes, _local_coords
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import (kraft_selection_bruteforce, random_spline,
                           scipy_univariate_ders)
 from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           build_space, coarse_to_fine, conforming_indices,
                           knot_vector, load_solution, num_functions,
-                          quasi_interpolant, save_solution, two_scale_matrix)
+                          quasi_interpolant, save_solution, span_class,
+                          two_scale_matrix, _reference_table)
+from afem.quadrature import gauss_points_1d
 
 
 def graded_7cell():
@@ -53,6 +57,136 @@ class TestUnivariate:
                                                   float(x), 0)
                     for i in range(len(cf)))
                 assert coarse == pytest.approx(fine, abs=1e-12)
+
+
+def span_points(level: int, span: int) -> np.ndarray:
+    """Points of a span as the code builds them: both endpoints, a cell
+    rule, and edge rules on the halves of the span (the half-edges a
+    finer neighbour gives a coarser cell)."""
+    m = 1 << level
+    lo, hi = span / m, (span + 1) / m
+    mid = (span + 0.5) / m
+    return np.concatenate([[lo, hi], gauss_points_1d(lo, hi, 4)[0],
+                           gauss_points_1d(lo, mid, 3)[0],
+                           gauss_points_1d(mid, hi, 3)[0]])
+
+
+def scipy_span_ders(level: int, degree: int, span: int, idx: int, x: float,
+                    order: int) -> float:
+    """One-sided derivative of the span's polynomial piece via scipy.
+
+    Orders below the degree are continuous at the span's knots; the
+    degree-th derivative is constant on the span and higher ones vanish,
+    so those are taken at the span midpoint.
+    """
+    if order >= degree:
+        x = (span + 0.5) / (1 << level)
+    return scipy_univariate_ders(level, degree, idx, x, order)
+
+
+def span_class_representatives(level: int, degree: int) -> list[int]:
+    m = 1 << level
+    return sorted(set(range(min(m, degree + 1)))
+                  | set(range(max(0, m - degree - 1), m)) | {m // 2})
+
+
+class TestReferenceTables:
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_univariate_matches_scipy_on_every_span_class(self, degree):
+        s = build_space(uniform_partition(0), degree)
+        for level in range(7):
+            m = 1 << level
+            spans = span_class_representatives(level, degree)
+            assert {span_class(level, i, degree) for i in spans} == \
+                {span_class(level, i, degree) for i in range(m)}
+            for span in spans:
+                xs = span_points(level, span)
+                tab = s._univariate(level, span, xs, 4)
+                for k in range(5):
+                    for j in range(degree + 1):
+                        ref = [scipy_span_ders(level, degree, span, span + j,
+                                               float(x), k) for x in xs]
+                        assert np.allclose(tab[k, j], ref, rtol=0.0,
+                                           atol=1e-12 * float(m) ** k), \
+                            (level, span, k, j)
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_basis_on_cell_matches_scipy_tensor_products(self, degree):
+        orders = [(0, 0), (1, 0), (0, 2), (1, 1), (3, 1), (0, 4), (2, 2)]
+        for level in range(4):
+            m = 1 << level
+            s = build_space(uniform_partition(level), degree)
+            spans = span_class_representatives(level, degree)
+            for i, j in zip(spans, spans[::-1]):
+                cell = Cell(level, i, j)
+                xs, ys = span_points(level, i), span_points(level, j)
+                pos, tabs = s.basis_on_cell(cell, xs, ys, orders)
+                ux = {(ix, a): np.array([scipy_span_ders(level, degree, i,
+                                                         ix, x, a)
+                                         for x in xs])
+                      for ix in range(i, i + degree + 1) for a in range(5)}
+                uy = {(iy, a): np.array([scipy_span_ders(level, degree, j,
+                                                         iy, y, a)
+                                         for y in ys])
+                      for iy in range(j, j + degree + 1) for a in range(5)}
+                for (ax, ay), T in tabs.items():
+                    for row, q in enumerate(pos):
+                        _, ix, iy = s.active[q]
+                        assert np.allclose(T[row], ux[ix, ax] * uy[iy, ay],
+                                           rtol=0.0,
+                                           atol=1e-12 * float(m) ** (ax + ay))
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_tables_bit_identical_to_physical_knot_evaluation(self, degree):
+        s = build_space(uniform_partition(0), degree)
+        rng = np.random.default_rng(degree)
+        for level in range(10):
+            m = 1 << level
+            t = np.asarray(knot_vector(level, degree))
+            spans = span_class_representatives(level, degree)
+            for span in spans + rng.integers(0, m, 3).tolist():
+                xs = np.concatenate([span_points(level, span), rng.uniform(
+                    span / m, (span + 1) / m, 4)])
+                tab = s._univariate(level, span, xs, 4)
+                for k, x in enumerate(xs):
+                    direct = bspline_ders(t, degree, span + degree, x, 4)
+                    assert np.array_equal(tab[:, :, k], direct)
+
+    def test_tables_are_shared_across_levels_and_spaces(self):
+        a = build_space(uniform_partition(2), 3)
+        b = build_space(uniform_partition(0), 3)
+        # span 0 has xi equal to the reference nodes at every level
+        tabs = {}
+        for level in (3, 5):
+            xs = gauss_points_1d(0.0, 2.0 ** -level, 5)[0]
+            tabs[level] = a._univariate(level, 0, xs, 2)
+            misses = _reference_table.cache_info().misses
+            assert np.array_equal(b._univariate(level, 0, xs, 2),
+                                  tabs[level])
+            assert _reference_table.cache_info().misses == misses
+        for k in range(3):
+            assert np.array_equal(tabs[3][k] / 8.0 ** k, tabs[5][k] / 32.0 ** k)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_memoised_legendre_modes_are_bit_identical(self, d):
+        def direct(t, order):
+            eye = np.eye(d + 1)
+            coef = npleg.legder(eye, order, axis=0) if order else eye
+            return npleg.legval(t, coef)
+
+        p = refine(graded_7cell(), [Cell(2, 1, 1)])
+        for cell in p:
+            x0, x1, y0, y1 = cell.bounds
+            xs = gauss_points_1d(x0, x1, 5)[0]
+            ys = gauss_points_1d(y0, y1, 5)[0][::-1]
+            xi, zeta = _local_coords(cell, xs, ys)
+            for ax, ay in [(0, 0), (1, 0), (0, 1), (2, 1)]:
+                want = (direct(xi, ax)[:, None, :]
+                        * direct(zeta, ay)[None, :, :]).reshape(
+                            (d + 1) ** 2, -1) * (2.0 / cell.side) ** (ax + ay)
+                for _ in range(2):  # fill, then hit the cache
+                    got = _legendre_modes(cell, d, xs, ys, ax, ay)
+                    assert np.array_equal(got, want)
 
 
 class TestBuildSpace:
