@@ -41,6 +41,7 @@ __all__ = [
     "mesh_norm",
     "triple_norm",
     "inconsistency_apply",
+    "inconsistency_load",
     "energy_norm_sq",
     "energy_error_sq",
     "energy_diff_sq",
@@ -191,7 +192,9 @@ class PiecewisePoly:
     def eval(self, x: float, y: float, ax: int = 0, ay: int = 0,
              cell: Cell | None = None) -> float:
         if cell is None:
-            cell = next(c for c in self.coeffs if c.contains(x, y))
+            cell = next((c for c in self.coeffs if c.contains(x, y)), None)
+            if cell is None:
+                raise KeyError(f"no polynomial stored at ({x}, {y})")
         return float(self.eval_many(np.array([x]), np.array([y]), ax, ay,
                                     cell)[0])
 
@@ -206,11 +209,40 @@ def _leg2poly_matrix(d: int) -> np.ndarray:
 
 
 def _project_values(cell: Cell, d: int, vals: np.ndarray, rule) -> np.ndarray:
-    """Legendre coefficients of the L2 projection of sampled values."""
+    """Legendre coefficients of the L2 projection of sampled values.
+
+    ``vals`` is one field, shape ``(n,)``, or a stack ``(k, n)``; the
+    coefficients have shape ``((d+1)^2,)`` or ``(k, (d+1)^2)``.
+    """
     modes = _legendre_modes(cell, d, rule.points[:, 0], rule.points[:, 1])
     a = np.arange(d + 1)
     norms = np.outer(2 * a + 1, 2 * a + 1).astype(float).ravel() / cell.side ** 2
-    return ((modes * rule.weights) @ vals) * norms
+    return ((modes * rule.weights) @ vals.T).T * norms
+
+
+def _boundary_projections(bdry: list[Edge], d: int, n: int,
+                          sample) -> dict[Cell, np.ndarray]:
+    """Cellwise projection onto degree ``d`` of ``sample(cell, xs, ys)``
+    (one field or a stack) on every cell that owns a boundary edge."""
+    out = {}
+    for cell in sorted({e.plus for e in bdry}):
+        rule = gauss_cell(cell, n)
+        vals = sample(cell, rule.points[:, 0], rule.points[:, 1])
+        out[cell] = _project_values(cell, d, vals, rule)
+    return out
+
+
+def _legendre_traces(coef: np.ndarray, e: Edge, d: int, xs, ys):
+    """Trace and normal-derivative trace ``(Pi v, d_n Pi v)`` on a
+    boundary edge of the cellwise Legendre expansion(s) ``coef``.
+
+    The normal is axis-aligned, so the normal derivative is the sign
+    ``e.normal[e.axis]`` times the normal-axis derivative; the dropped
+    tangential term of ``nx*dx + ny*dy`` is an exact zero.
+    """
+    modes_n = _legendre_modes(e.plus, d, xs, ys, *_edge_orders(e.axis))
+    return (coef @ _legendre_modes(e.plus, d, xs, ys),
+            e.normal[e.axis] * (coef @ modes_n))
 
 
 def project_laplacian(fn: SplineFunction,
@@ -314,60 +346,48 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
     if params.mode == "nitsche":
         _assemble_boundary(s, params, scatter)
 
-    A = coo_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(dim, dim)).tocsr()
-    upper = triu(A, k=0)
-    A = (upper + triu(A, k=1).T).tocsr()
+    A = _symmetric_csr(rows, cols, vals, dim)
     return SystemMatrix(A, tuple(keep)), LoadVector(b, tuple(keep))
 
 
+def _symmetric_csr(rows, cols, vals, dim: int) -> csr_matrix:
+    """Sum COO blocks into CSR and mirror the upper triangle, so the
+    matrix is exactly symmetric whatever the summation order."""
+    A = coo_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(dim, dim)).tocsr()
+    return (triu(A, k=0) + triu(A, k=1).T).tocsr()
+
+
 def _edge_orders(axis: int):
-    """Derivative orders for traces: value, normal derivative."""
+    """Derivative order of the normal-axis derivative on an edge."""
     return (1, 0) if axis == 0 else (0, 1)
+
+
+def _boundary_basis(s: HierarchicalSpace, e: Edge, xs, ys):
+    """Active functions on a boundary edge: positions, traces and
+    normal-derivative traces (sign times the normal-axis derivative)."""
+    order = _edge_orders(e.axis)
+    pos, tabs = s.basis_on_cell(e.plus, xs, ys, [(0, 0), order], grid=False)
+    return pos, tabs[(0, 0)], e.normal[e.axis] * tabs[order]
 
 
 def _assemble_boundary(s: HierarchicalSpace, params: FormParams, scatter):
     n = params.quad_n
     d = s.degree - 2
     _, bdry = edges(s.partition)
-    proj_cache: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
 
-    def projector(cell: Cell):
-        """Legendre coefficients of lap B for every active function."""
-        got = proj_cache.get(cell)
-        if got is not None:
-            return got
-        rule = gauss_cell(cell, n)
-        xs, ys = rule.points[:, 0], rule.points[:, 1]
-        pos, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)], grid=False)
-        lap = tabs[(2, 0)] + tabs[(0, 2)]
-        modes = _legendre_modes(cell, d, xs, ys)
-        a = np.arange(d + 1)
-        norms = np.outer(2 * a + 1, 2 * a + 1).astype(float).ravel() \
-            / cell.side ** 2
-        coef = (lap * rule.weights) @ modes.T * norms  # (k, (d+1)^2)
-        got = (pos, coef)
-        proj_cache[cell] = got
-        return got
+    def lap_basis(cell, xs, ys):
+        _, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)], grid=False)
+        return tabs[(2, 0)] + tabs[(0, 2)]
 
+    # Legendre coefficients of Pi(lap B) for every function B on the cell
+    proj = _boundary_projections(bdry, d, n, lap_basis)
     for e in bdry:
-        cell = e.plus
         rule = gauss_edge(e, n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        nx, ny = e.normal
-        dax, day = _edge_orders(e.axis)
-        pos, tabs = s.basis_on_cell(cell, xs, ys,
-                                    [(0, 0), (dax, day)], grid=False)
-        v = tabs[(0, 0)]
-        vn = (nx + ny) * tabs[(dax, day)]  # one of nx, ny is 0
-        pc_pos, coef = projector(cell)
-        assert pc_pos == pos
-        modes0 = _legendre_modes(cell, d, xs, ys)
-        modesn = (nx * _legendre_modes(cell, d, xs, ys, 1, 0)
-                  + ny * _legendre_modes(cell, d, xs, ys, 0, 1))
-        pvals = coef @ modes0    # traces of Pi(lap B)
-        pnvals = coef @ modesn   # normal derivative traces
+        pos, v, vn = _boundary_basis(s, e, xs, ys)
+        pvals, pnvals = _legendre_traces(proj[e.plus], e, d, xs, ys)
         h = e.length
         block = (
             -((pvals * w) @ vn.T + (vn * w) @ pvals.T)
@@ -384,16 +404,14 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams, scatter):
 
 def _edge_trace(fn, e: Edge, xs, ys, normal: bool) -> np.ndarray:
     """Trace (or normal-derivative trace) values on a boundary edge."""
-    nx, ny = e.normal
+    sign = e.normal[e.axis]
     if isinstance(fn, SplineFunction):
         if normal:
-            return (nx * fn.eval_many(xs, ys, 1, 0, e.plus)
-                    + ny * fn.eval_many(xs, ys, 0, 1, e.plus))
+            return sign * fn.eval_many(xs, ys, *_edge_orders(e.axis), e.plus)
         return fn.eval_many(xs, ys, 0, 0, e.plus)
     if isinstance(fn, AnalyticField):
         if normal:
-            gx, gy = fn.grad(xs, ys)
-            return nx * np.asarray(gx, float) + ny * np.asarray(gy, float)
+            return sign * np.asarray(fn.grad(xs, ys)[e.axis], float)
         return np.asarray(fn.value(xs, ys), float)
     if normal:
         raise TypeError("normal trace of a bare callable is not defined")
@@ -479,55 +497,53 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     _, bdry = edges(s.partition)
     for e in bdry:
         rule = gauss_edge(e, n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        nx, ny = e.normal
-        dax, day = _edge_orders(e.axis)
-        pos, tabs = s.basis_on_cell(e.plus, xs, ys, [(0, 0), (dax, day)],
-                                    grid=False)
-        v = tabs[(0, 0)]
-        vn = (nx + ny) * tabs[(dax, day)]
+        w = rule.weights
+        pos, v, vn = _boundary_basis(s, e, rule.points[:, 0], rule.points[:, 1])
         h = e.length
         scatter(pos, params.gamma1 * h ** -3 * (v * w) @ v.T
                 + params.gamma2 * h ** -1 * (vn * w) @ vn.T)
-    T = coo_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(s.dim, s.dim)).tocsr()
-    upper = triu(T, k=0)
-    return (upper + triu(T, k=1).T).tocsr()
+    return _symmetric_csr(rows, cols, vals, s.dim)
+
+
+def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
+                       quad_n: int | None = None) -> np.ndarray:
+    """Load vector ``g`` of the boundary defect functional of the
+    projected-Laplacian form, ``<defect, v> = g . v`` for v in ``s``.
+
+    ``lap_u(x, y)`` and ``grad_lap_u(x, y) -> (gx, gy)`` are analytic
+    callbacks for the exact solution; the defect is
+    ``int_G ((Pi lap u)_n - (lap u)_n) v - int_G (Pi lap u - lap u) v_n``
+    with the projection taken cellwise on boundary cells from samples.
+    """
+    n = quad_n if quad_n is not None else default_quad_n(s.degree)
+    d = s.degree - 2
+    _, bdry = edges(s.partition)
+    proj = _boundary_projections(
+        bdry, d, n, lambda cell, xs, ys: np.asarray(lap_u(xs, ys), float))
+    g = np.zeros(s.dim)
+    for e in bdry:
+        rule = gauss_edge(e, n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        pos, v, vn = _boundary_basis(s, e, xs, ys)
+        pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
+        lap_v = np.asarray(lap_u(xs, ys), float)
+        lap_n = e.normal[e.axis] * np.asarray(grad_lap_u(xs, ys)[e.axis], float)
+        g[list(pos)] += v @ (w * (pi_n - lap_n)) - vn @ (w * (pi_v - lap_v))
+    return g
 
 
 def inconsistency_apply(lap_u, grad_lap_u, v: SplineFunction, p: Partition,
                         s: HierarchicalSpace,
                         quad_n: int | None = None) -> float:
-    """Boundary defect functional of the projected-Laplacian form.
-
-    ``lap_u(x, y)`` and ``grad_lap_u(x, y) -> (gx, gy)`` are analytic
-    callbacks for the exact solution; returns
-    ``int_G ((Pi lap u)_n - (lap u)_n) v - int_G (Pi lap u - lap u) v_n``
-    with the projection taken cellwise on boundary cells from samples.
-    """
-    n = quad_n if quad_n is not None else default_quad_n(s.degree)
-    _, bdry = edges(p)
-    bcells = sorted({e.plus for e in bdry})
-    pi = project_from_samples(p, lap_u, s.degree - 2, cells=bcells, quad_n=n)
-    total = 0.0
-    for e in bdry:
-        rule = gauss_edge(e, n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        nx, ny = e.normal
-        cell = e.plus
-        pi_v = pi.eval_many(xs, ys, 0, 0, cell)
-        pi_n = (nx * pi.eval_many(xs, ys, 1, 0, cell)
-                + ny * pi.eval_many(xs, ys, 0, 1, cell))
-        lap_v = np.asarray(lap_u(xs, ys), float)
-        gx, gy = grad_lap_u(xs, ys)
-        lap_n = nx * np.asarray(gx, float) + ny * np.asarray(gy, float)
-        vv = v.eval_many(xs, ys, 0, 0, cell)
-        vn = (nx * v.eval_many(xs, ys, 1, 0, cell)
-              + ny * v.eval_many(xs, ys, 0, 1, cell))
-        total += float(w @ ((pi_n - lap_n) * vv))
-        total -= float(w @ ((pi_v - lap_v) * vn))
-    return total
+    """Boundary defect functional ``<defect, v>`` of
+    :func:`inconsistency_load` applied to a spline ``v`` in ``s``."""
+    if p != s.partition:
+        raise ValueError("inconsistency_apply needs p == s.partition")
+    if v.space is not s and (v.space.partition, v.space.degree,
+                             v.space.truncated) != (p, s.degree, s.truncated):
+        raise ValueError("v does not live in the space s")
+    return float(inconsistency_load(lap_u, grad_lap_u, s, quad_n)
+                 @ v.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +569,13 @@ def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
                    quad_n: int | None = None) -> float:
     """``||lap(fine - coarse)||^2`` for splines on nested partitions."""
     n = quad_n if quad_n is not None else default_quad_n(fine.space.degree)
-    coarse_cells = coarse.space.partition
     total = 0.0
     for cell in fine.space.partition:
-        probe = cell
-        while probe not in coarse_cells and probe.level > 0:
-            probe = probe.parent()
-        if probe not in coarse_cells:
-            raise ValueError("partitions are not nested")
+        owner = coarse.space.partition.owner(cell)
         rule = gauss_cell(cell, n)
         xs, ys = rule.points[:, 0], rule.points[:, 1]
         df = fine.eval_batch(xs, ys, [(2, 0), (0, 2)], cell)
-        dc = coarse.eval_batch(xs, ys, [(2, 0), (0, 2)], probe)
+        dc = coarse.eval_batch(xs, ys, [(2, 0), (0, 2)], owner)
         diff = df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]
         total += float(rule.weights @ diff ** 2)
     return total

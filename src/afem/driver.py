@@ -15,10 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
-                       energy_diff_sq, energy_error_sq, mesh_norm,
-                       _legendre_modes, _project_values)
+                       energy_diff_sq, energy_error_sq, inconsistency_load,
+                       mesh_norm, triple_norm_matrix, _boundary_projections,
+                       _edge_orders, _legendre_traces)
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
-from .mesh import Cell, Partition, edges, refine, uniform_partition
+from .mesh import (REFINED, Cell, Partition, edges, refine,
+                   support_extension, uniform_partition)
 from .quadrature import gauss_cell, gauss_edge
 from .solver import SolveOptions, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
@@ -160,6 +162,9 @@ def run(cfg: AfemConfig, prob: Problem,
         coeffs[list(A.positions)] = x
         U = SplineFunction(space, coeffs)
         ind = estimate_all(U, prob.f, p, params.resolved(cfg.degree).quad_n)
+        if not np.isfinite(ind.total_sq):
+            raise ValueError(f"estimator total eta^2 is not finite "
+                             f"({ind.total_sq!r}); check the problem data")
         marked = dorfler_mark(ind, cfg.theta)
         records.append(_make_record(it, cfg, prob, params, p, space, A, U,
                                     ind, marked, rng))
@@ -216,29 +221,23 @@ def nitsche_energy_sq(prob: Problem, U: SplineFunction, p: Partition,
     n = quad_n if quad_n is not None else rp.quad_n + 2
     d = space.degree - 2
 
-    total = volume_sq
     _, bdry = edges(p)
-    proj: dict[Cell, np.ndarray] = {}
-    for cell in sorted({e.plus for e in bdry}):
-        rule = gauss_cell(cell, n)
-        xs, ys = rule.points[:, 0], rule.points[:, 1]
-        lap_e = (np.asarray(prob.laplacian_u(xs, ys), float)
-                 - U.eval_many(xs, ys, 2, 0, cell)
-                 - U.eval_many(xs, ys, 0, 2, cell))
-        proj[cell] = _project_values(cell, d, lap_e, rule)
 
+    def lap_error(cell, xs, ys):
+        lap = U.eval_batch(xs, ys, [(2, 0), (0, 2)], cell)
+        return (np.asarray(prob.laplacian_u(xs, ys), float)
+                - lap[(2, 0)] - lap[(0, 2)])
+
+    proj = _boundary_projections(bdry, d, n, lap_error)
+    total = volume_sq
     for e in bdry:
         rule = gauss_edge(e, n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        nx, ny = e.normal
-        cell = e.plus
-        coef = proj[cell]
-        pi_v = coef @ _legendre_modes(cell, d, xs, ys)
-        pi_n = coef @ (nx * _legendre_modes(cell, d, xs, ys, 1, 0)
-                       + ny * _legendre_modes(cell, d, xs, ys, 0, 1))
-        ev = -U.eval_many(xs, ys, 0, 0, cell)
-        en = -(nx * U.eval_many(xs, ys, 1, 0, cell)
-               + ny * U.eval_many(xs, ys, 0, 1, cell))
+        pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
+        order = _edge_orders(e.axis)
+        tr = U.eval_batch(xs, ys, [(0, 0), order], e.plus)
+        ev = -tr[(0, 0)]
+        en = -(e.normal[e.axis] * tr[order])
         h = e.length
         total += float(w @ (-2.0 * pi_v * en + 2.0 * pi_n * ev
                             + rp.gamma1 * h ** -3 * ev ** 2
@@ -258,52 +257,18 @@ def inconsistency_sup(prob: Problem, space: HierarchicalSpace,
     ``g`` with ``<defect, v> = g . v`` and the mesh-norm Gram gives the
     denominators.
     """
-    from .assembly import _project_values, triple_norm_matrix
-
-    p = space.partition
     rp = params.resolved(space.degree)
-    n = rp.quad_n
-    d = space.degree - 2
-    _, bdry = edges(p)
-
-    proj: dict[Cell, np.ndarray] = {}
-    for cell in sorted({e.plus for e in bdry}):
-        rule = gauss_cell(cell, n)
-        vals = np.asarray(prob.laplacian_u(rule.points[:, 0],
-                                           rule.points[:, 1]), float)
-        proj[cell] = _project_values(cell, d, vals, rule)
-
-    g = np.zeros(space.dim)
-    for e in bdry:
-        rule = gauss_edge(e, n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        nx, ny = e.normal
-        cell = e.plus
-        dax, day = (1, 0) if e.axis == 0 else (0, 1)
-        pos, tabs = space.basis_on_cell(cell, xs, ys,
-                                        [(0, 0), (dax, day)], grid=False)
-        vv = tabs[(0, 0)]
-        vn = (nx + ny) * tabs[(dax, day)]
-        coef = proj[cell]
-        pi_v = coef @ _legendre_modes(cell, d, xs, ys)
-        pi_n = coef @ (nx * _legendre_modes(cell, d, xs, ys, 1, 0)
-                       + ny * _legendre_modes(cell, d, xs, ys, 0, 1))
-        lap_v = np.asarray(prob.laplacian_u(xs, ys), float)
-        gx, gy = prob.grad_laplacian_u(xs, ys)
-        lap_n = nx * np.asarray(gx, float) + ny * np.asarray(gy, float)
-        g[list(pos)] += vv @ (w * (pi_n - lap_n)) - vn @ (w * (pi_v - lap_v))
-
+    g = inconsistency_load(prob.laplacian_u, prob.grad_laplacian_u, space,
+                           rp.quad_n)
     T = triple_norm_matrix(space, rp)
 
     def ratio(c: np.ndarray) -> float:
         den = float(c @ (T @ c)) ** 0.5
         return abs(float(g @ c)) / den if den > 0 else 0.0
 
-    best = 0.0
-    for k in range(space.dim):
-        unit = np.zeros(space.dim)
-        unit[k] = 1.0
-        best = max(best, ratio(unit))
+    # the ratio at the unit vector e_k is exactly |g_k| / sqrt(T_kk)
+    best = max((abs(float(g[k])) / float(t) ** 0.5
+                for k, t in enumerate(T.diagonal()) if t > 0), default=0.0)
     for _ in range(n_random):
         best = max(best, ratio(rng.standard_normal(space.dim)))
     return best
@@ -365,26 +330,11 @@ def pythagoras_check(prob: Problem, coarse: IterationState,
     Uc, Uf = coarse.solution, fine.solution
     n = quad_n if quad_n is not None else Uf.space.degree + 4
 
-    def owner_lookup(part: Partition):
-        def owner(cell: Cell) -> Cell:
-            probe = cell
-            while probe not in part and probe.level > 0:
-                probe = probe.parent()
-            if probe not in part:
-                raise ValueError("iterates are not nested")
-            return probe
-        return owner
-
     # integrate on whichever partition refines the other, so both
     # solutions are cellwise polynomial on every integration cell
-    try:
-        grid = fine.partition
-        own_c, own_f = owner_lookup(coarse.partition), lambda c: c
-        for cell in grid:
-            own_c(cell)
-    except ValueError:
+    grid = fine.partition
+    if any(coarse.partition.classify(c) == REFINED for c in grid):
         grid = coarse.partition
-        own_c, own_f = (lambda c: c), owner_lookup(fine.partition)
 
     lhs = 0.0
     e_coarse = 0.0
@@ -393,8 +343,10 @@ def pythagoras_check(prob: Problem, coarse: IterationState,
         rule = gauss_cell(cell, n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
         lap_u = np.asarray(prob.laplacian_u(xs, ys), float)
-        df = Uf.eval_batch(xs, ys, [(2, 0), (0, 2)], own_f(cell))
-        dc = Uc.eval_batch(xs, ys, [(2, 0), (0, 2)], own_c(cell))
+        df = Uf.eval_batch(xs, ys, [(2, 0), (0, 2)],
+                           fine.partition.owner(cell))
+        dc = Uc.eval_batch(xs, ys, [(2, 0), (0, 2)],
+                           coarse.partition.owner(cell))
         lap_f = df[(2, 0)] + df[(0, 2)]
         lap_c = dc[(2, 0)] + dc[(0, 2)]
         lhs += float(w @ (lap_u - lap_f) ** 2)
@@ -411,8 +363,6 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     estimator; the bounding constants are unknown, so only the raw
     quantities and their ratio are reported."""
     refined = [c for c in coarse.partition if c not in fine.partition]
-    from .mesh import support_extension
-
     region: set[Cell] = set()
     for c in refined:
         region |= support_extension(coarse.partition, coarse.space, c)
@@ -423,17 +373,12 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     for e in bdry:
         rule = gauss_edge(e, rp.quad_n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        nx, ny = e.normal
-        probe = e.plus
-        owner = probe
-        while owner not in coarse.partition and owner.level > 0:
-            owner = owner.parent()
-        dv = (fine.solution.eval_many(xs, ys, 0, 0, probe)
-              - coarse.solution.eval_many(xs, ys, 0, 0, owner))
-        dn = (nx * (fine.solution.eval_many(xs, ys, 1, 0, probe)
-                    - coarse.solution.eval_many(xs, ys, 1, 0, owner))
-              + ny * (fine.solution.eval_many(xs, ys, 0, 1, probe)
-                      - coarse.solution.eval_many(xs, ys, 0, 1, owner)))
+        orders = [(0, 0), _edge_orders(e.axis)]
+        df = fine.solution.eval_batch(xs, ys, orders, e.plus)
+        dc = coarse.solution.eval_batch(xs, ys, orders,
+                                        coarse.partition.owner(e.plus))
+        dv = df[(0, 0)] - dc[(0, 0)]
+        dn = e.normal[e.axis] * (df[orders[1]] - dc[orders[1]])
         lhs_sq += float(w @ (rp.gamma1 * e.length ** -3 * dv ** 2
                              + rp.gamma2 * e.length ** -1 * dn ** 2))
     ratio = lhs_sq / eta_region_sq if eta_region_sq > 0 else float("inf")

@@ -160,14 +160,18 @@ class Partition:
 
     def classify(self, c: Cell) -> str:
         """Relation of an arbitrary dyadic cell to the partition."""
-        if c in self._cell_set:
-            return ACTIVE
-        probe = c
-        while probe.level > 0:
-            probe = probe.parent()
-            if probe in self._cell_set:
-                return INSIDE
-        return REFINED
+        anc = _active_ancestor(self._cell_set, c)
+        if anc is None:
+            return REFINED
+        return ACTIVE if anc is c else INSIDE
+
+    def owner(self, c: Cell) -> Cell:
+        """The active cell that equals or contains the dyadic cell ``c``."""
+        anc = _active_ancestor(self._cell_set, c)
+        if anc is None:
+            raise ValueError(f"{c} is subdivided in the partition: partitions "
+                             "are not nested (not a refinement)")
+        return anc
 
     def find_cell(self, x: float, y: float) -> Cell:
         """Active cell containing the point (half-open convention)."""
@@ -206,63 +210,18 @@ class Partition:
 
     def neighbors_across(self, c: Cell, direction: str) -> list[Cell]:
         """Active cells sharing the given facet of ``c`` (may be empty on G)."""
-        n = 1 << c.level
-        if direction == "left":
-            if c.i == 0:
-                return []
-            probe = Cell(c.level, c.i - 1, c.j)
-        elif direction == "right":
-            if c.i == n - 1:
-                return []
-            probe = Cell(c.level, c.i + 1, c.j)
-        elif direction == "down":
-            if c.j == 0:
-                return []
-            probe = Cell(c.level, c.i, c.j - 1)
-        elif direction == "up":
-            if c.j == n - 1:
-                return []
-            probe = Cell(c.level, c.i, c.j + 1)
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        return self._resolve_neighbor(probe, direction)
-
-    def _resolve_neighbor(self, probe: Cell, direction: str) -> list[Cell]:
-        state = self.classify(probe)
-        if state == ACTIVE:
-            return [probe]
-        if state == INSIDE:
-            anc = probe
-            while anc.level > 0:
-                anc = anc.parent()
-                if anc in self._cell_set:
-                    return [anc]
-            raise RuntimeError("inconsistent partition")
-        # refined: recurse into the two children adjacent to the shared facet
-        kids = probe.children()
-        if direction == "left":       # facet is probe's right side
-            touching = [k for k in kids if k.i == 2 * probe.i + 1]
-        elif direction == "right":
-            touching = [k for k in kids if k.i == 2 * probe.i]
-        elif direction == "down":
-            touching = [k for k in kids if k.j == 2 * probe.j + 1]
-        else:
-            touching = [k for k in kids if k.j == 2 * probe.j]
-        out: list[Cell] = []
-        for k in touching:
-            out.extend(self._resolve_neighbor(k, direction))
-        return out
+        return _neighbors(self._cell_set, c, direction)
 
     # -- invariants ---------------------------------------------------
 
     def _validate(self):
         # disjointness: no cell may have an active strict ancestor
         for c in self.cells:
-            probe = c
-            while probe.level > 0:
-                probe = probe.parent()
-                if probe in self._cell_set:
-                    raise ValueError(f"overlapping cells: {c} inside {probe}")
+            if c.level == 0:
+                continue
+            anc = _active_ancestor(self._cell_set, c.parent())
+            if anc is not None:
+                raise ValueError(f"overlapping cells: {c} inside {anc}")
         # exact cover: dyadic areas sum to 1 (integer arithmetic)
         scale = self.max_level
         total = sum(4 ** (scale - c.level) for c in self.cells)
@@ -270,7 +229,7 @@ class Partition:
             raise ValueError("cells do not cover the unit square")
         # 1-level grading across edges
         for c in self.cells:
-            for direction in ("left", "right", "down", "up"):
+            for direction in _STEPS:
                 for nb in self.neighbors_across(c, direction):
                     if abs(nb.level - c.level) > 1:
                         raise ValueError(
@@ -322,8 +281,8 @@ def refine(p: Partition, marked: Iterable[Cell]) -> Partition:
         active.update(c.children())
         # closure: any active neighbour two levels coarser than the new
         # children must be split as well
-        for direction in ("left", "right", "down", "up"):
-            for nb in _neighbors_in_set(active, c, direction):
+        for direction in _STEPS:
+            for nb in _neighbors(active, c, direction):
                 if nb.level < c.level:
                     split(nb)
 
@@ -333,49 +292,60 @@ def refine(p: Partition, marked: Iterable[Cell]) -> Partition:
     return Partition(active, generation=p.generation + 1)
 
 
-def _neighbors_in_set(active: set[Cell], c: Cell, direction: str) -> list[Cell]:
-    """Active cells adjacent to the facet of ``c`` in a transient cell set."""
+def _active_ancestor(cells, c: Cell) -> Cell | None:
+    """The member of the disjoint cell set ``cells`` that equals or
+    contains ``c``, or ``None`` when ``c`` is subdivided in it."""
+    while c not in cells:
+        if c.level == 0:
+            return None
+        c = c.parent()
+    return c
+
+
+# index steps towards the neighbour across each facet
+_STEPS = {"left": (-1, 0), "right": (1, 0), "down": (0, -1), "up": (0, 1)}
+
+
+def _neighbors(cells, c: Cell, direction: str) -> list[Cell]:
+    """Members of the disjoint cell set ``cells`` that share the given
+    facet of ``c``, in ascending order along the facet.
+
+    The same-level cell across the facet is either covered by one
+    member (its active ancestor) or subdivided, in which case the finer
+    members along the facet are collected depth first.
+    """
+    step = _STEPS.get(direction)
+    if step is None:
+        raise ValueError(f"unknown direction {direction!r}")
+    i, j = c.i + step[0], c.j + step[1]
     n = 1 << c.level
-    if direction == "left":
-        if c.i == 0:
-            return []
-        probe = Cell(c.level, c.i - 1, c.j)
-    elif direction == "right":
-        if c.i == n - 1:
-            return []
-        probe = Cell(c.level, c.i + 1, c.j)
-    elif direction == "down":
-        if c.j == 0:
-            return []
-        probe = Cell(c.level, c.i, c.j - 1)
-    else:
-        if c.j == n - 1:
-            return []
-        probe = Cell(c.level, c.i, c.j + 1)
-
-    def resolve(cell: Cell) -> list[Cell]:
-        if cell in active:
-            return [cell]
-        anc = cell
-        while anc.level > 0:
-            anc = anc.parent()
-            if anc in active:
-                return [anc]
-        kids = cell.children()
-        if direction == "left":
-            touching = [k for k in kids if k.i % 2 == 1]
-        elif direction == "right":
-            touching = [k for k in kids if k.i % 2 == 0]
-        elif direction == "down":
-            touching = [k for k in kids if k.j % 2 == 1]
+    if i < 0 or j < 0 or i == n or j == n:
+        return []
+    probe = Cell(c.level, i, j)
+    if probe in cells:  # the common case, without a call
+        return [probe]
+    anc = _active_ancestor(cells, probe)
+    if anc is not None:
+        return [anc]
+    # subdivided: descend depth first into the children on the side
+    # facing c, pushed so that they pop in ascending order
+    out: list[Cell] = []
+    stack = [probe]
+    while stack:
+        q = stack.pop()
+        if q in cells:
+            out.append(q)
+            continue
+        if q.level > 64:  # a gap in the set would recurse forever
+            raise RuntimeError("cell set does not cover the facet")
+        L, a, b = q.level + 1, 2 * q.i, 2 * q.j
+        if step[0]:
+            a += step[0] < 0
+            stack += (Cell(L, a, b + 1), Cell(L, a, b))
         else:
-            touching = [k for k in kids if k.j % 2 == 0]
-        out: list[Cell] = []
-        for k in touching:
-            out.extend(resolve(k))
-        return out
-
-    return resolve(probe)
+            b += step[1] < 0
+            stack += (Cell(L, a + 1, b), Cell(L, a, b))
+    return out
 
 
 def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:

@@ -55,6 +55,9 @@ def solve_spd(mat, b: np.ndarray, opts: SolveOptions) -> np.ndarray:
     mat = mat.tocsc()
     if mat.shape[0] != mat.shape[1] or mat.shape[0] != len(b):
         raise ValueError("incompatible system dimensions")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries (nan/inf); "
+                         "check the problem data")
 
     if opts.method == "direct":
         # symmetric Jacobi scaling equilibrates the levels of locally
@@ -103,6 +106,8 @@ def solve_spd(mat, b: np.ndarray, opts: SolveOptions) -> np.ndarray:
             raise RuntimeError(f"conjugate gradients failed to converge (info={info})")
         target = opts.tol
 
+    if not np.all(np.isfinite(x)):
+        raise ValueError("solution has non-finite entries (nan/inf)")
     nb = np.linalg.norm(b)
     if nb > 0.0:
         rel = np.linalg.norm(mat @ x - b) / nb

@@ -620,15 +620,7 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
     coarse = fn.space
     if fine.degree != coarse.degree:
         raise ValueError("spaces have different degrees; not nested")
-    coarse_cells = coarse.partition
-    owner: dict[Cell, Cell] = {}
-    for c in fine.partition:
-        probe = c
-        while probe not in coarse_cells and probe.level > 0:
-            probe = probe.parent()
-        if probe not in coarse_cells:
-            raise ValueError("target space is not built on a refinement")
-        owner[c] = probe
+    owner = {c: coarse.partition.owner(c) for c in fine.partition}
 
     n = fine.degree + 3
     rhs = np.zeros(fine.dim)

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from afem.assembly import (AnalyticField, FormParams, assemble,
-                           default_gamma, energy_diff_sq, energy_error_sq,
-                           energy_norm_sq, h2_seminorm_sq,
-                           inconsistency_apply, mesh_norm, project_laplacian,
+from afem.assembly import (AnalyticField, FormParams, PiecewisePoly,
+                           assemble, default_gamma, energy_diff_sq,
+                           energy_error_sq, energy_norm_sq, h2_seminorm_sq,
+                           inconsistency_apply, mesh_norm,
+                           project_from_samples, project_laplacian,
                            triple_norm)
-from afem.mesh import Cell, refine, uniform_partition
+from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import (dense_l2_projection, manufactured_sin2,
                           random_spline, scipy_univariate_ders)
-from afem.quadrature import gauss_cell, gauss_points_1d
+from afem.quadrature import gauss_cell, gauss_edge, gauss_points_1d
 from afem.solver import SolveOptions, solve
 from afem.splines import (SplineFunction, build_space, conforming_indices,
                           quasi_interpolant)
@@ -398,6 +400,57 @@ class TestInconsistency:
         val = inconsistency_apply(prob.laplacian_u, prob.grad_laplacian_u,
                                   v, p, s)
         assert abs(val) > 1e-8
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct_edge_integration(self, r, seed):
+        prob = manufactured_sin2()
+        p = graded_mesh()
+        s = build_space(p, r)
+        v = random_spline(s, np.random.default_rng(seed))
+        got = inconsistency_apply(prob.laplacian_u, prob.grad_laplacian_u,
+                                  v, p, s)
+        # the defect integrated edge by edge with the dense monomial
+        # projection and the full normal nx*d/dx + ny*d/dy
+        n = max(r + 2, 6)
+        _, bdry = edges(p)
+        pi = PiecewisePoly(r - 2, {
+            e.plus: dense_l2_projection(r - 2, e.plus, prob.laplacian_u, n)
+            for e in bdry})
+        want = 0.0
+        for e in bdry:
+            rule = gauss_edge(e, n)
+            xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+            nx, ny = e.normal
+            c = e.plus
+            pi_v = pi.eval_many(xs, ys, 0, 0, c)
+            pi_n = (nx * pi.eval_many(xs, ys, 1, 0, c)
+                    + ny * pi.eval_many(xs, ys, 0, 1, c))
+            gx, gy = prob.grad_laplacian_u(xs, ys)
+            lap_n = nx * gx + ny * gy
+            vn = (nx * v.eval_many(xs, ys, 1, 0, c)
+                  + ny * v.eval_many(xs, ys, 0, 1, c))
+            want += float(w @ ((pi_n - lap_n) * v.eval_many(xs, ys, 0, 0, c)
+                               - (pi_v - prob.laplacian_u(xs, ys)) * vn))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_rejects_foreign_partition(self):
+        prob = manufactured_sin2()
+        s = build_space(uniform_partition(2), 2)
+        v = random_spline(s, np.random.default_rng(1))
+        with pytest.raises(ValueError):
+            inconsistency_apply(prob.laplacian_u, prob.grad_laplacian_u, v,
+                                uniform_partition(3), s)
+
+
+class TestPiecewisePolyEval:
+    def test_point_outside_stored_cells_raises_key_error(self):
+        pi = project_from_samples(uniform_partition(1),
+                                  lambda x, y: x + 2.0 * y, 1,
+                                  cells=[Cell(1, 0, 0)])
+        assert pi.eval(0.25, 0.25) == pytest.approx(0.75, rel=1e-12)
+        with pytest.raises(KeyError, match="0.75"):
+            pi.eval(0.75, 0.75)
 
 
 class TestErrorIntegrals:

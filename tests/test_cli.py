@@ -196,6 +196,18 @@ class TestCustomProblem:
         # no exact solution: error columns empty
         assert rows[1].split(",")[3] == ""
 
+    def test_non_finite_source_exits_two(self, tmp_path, capsys):
+        # sqrt(x - 0.5) is nan on the left half: the load is not finite
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"f": "sqrt(x-0.5)"}))
+        out = tmp_path / "out"
+        code = run_cli(["--problem", str(path), "--max-dofs", "300",
+                        "--out", str(out)])
+        assert code == 2
+        assert "right-hand side has non-finite entries" in \
+            capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
 
 def test_parser_defaults_match_driver_defaults():
     args = build_parser().parse_args([])

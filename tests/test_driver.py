@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from afem.assembly import energy_diff_sq
+import afem.driver
+from afem.assembly import (FormParams, energy_diff_sq, inconsistency_load,
+                           triple_norm_matrix)
 from afem.driver import (AfemConfig, Problem, contraction_ratios,
                          default_c_est, discrete_reliability_probe,
-                         effectivity, pythagoras_check, records_to_csv, run,
-                         run_summary, CSV_HEADER)
+                         effectivity, inconsistency_sup, pythagoras_check,
+                         records_to_csv, run, run_summary, CSV_HEADER)
+from afem.estimator import Indicators
 from afem.mesh import uniform_partition
 from afem.oracles import manufactured_sin2, zero_problem
 from afem.splines import build_space, conforming_indices, SplineFunction
@@ -308,6 +311,35 @@ class TestNitscheRun:
         records = run(cfg, SIN2)
         assert records[0].inconsistency_sup is not None
         assert records[0].inconsistency_sup > 0.0
+
+    def test_inconsistency_sup_closed_form_equals_unit_vector_loop(self):
+        space = build_space(uniform_partition(3), 2)
+        params = FormParams(mode="nitsche").resolved(2)
+        got = inconsistency_sup(SIN2, space, params,
+                                np.random.default_rng(0), n_random=0)
+        # the former O(N^2) loop over unit vectors
+        g = inconsistency_load(SIN2.laplacian_u, SIN2.grad_laplacian_u,
+                               space, params.quad_n)
+        T = triple_norm_matrix(space, params)
+        best = 0.0
+        for k in range(space.dim):
+            unit = np.zeros(space.dim)
+            unit[k] = 1.0
+            den = float(unit @ (T @ unit)) ** 0.5
+            best = max(best, abs(float(g @ unit)) / den if den > 0 else 0.0)
+        assert best > 0.0
+        assert got == best
+
+
+class TestNonFiniteData:
+    def test_non_finite_estimator_total_rejected(self, monkeypatch):
+        def nan_total(*args, **kwargs):
+            return Indicators({}, float("nan"), 0.0)
+
+        monkeypatch.setattr(afem.driver, "estimate_all", nan_total)
+        cfg = AfemConfig(degree=2, initial_levels=2, max_dofs=100)
+        with pytest.raises(ValueError, match="estimator total .* not finite"):
+            run(cfg, SIN2)
 
 
 class TestDiscreteReliabilityProbe:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from afem.mesh import (Cell, Partition, edges, refine, shape_report,
                        support_extension, uniform_partition)
@@ -257,3 +258,81 @@ class TestDump:
         lines = p.dump().strip().splitlines()
         keys = [tuple(map(int, ln.split())) for ln in lines]
         assert keys == sorted(keys)
+
+
+DIRECTIONS = ("left", "right", "down", "up")
+
+# a start level and rounds of marks, each mark an index into the cells
+refine_sequences = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
+             min_size=2, max_size=6))
+
+
+def refined_chain(start, rounds):
+    chain = [uniform_partition(start)]
+    for picks in rounds:
+        p = chain[-1]
+        chain.append(refine(p, [p.cells[k % len(p)] for k in picks]))
+    return chain
+
+
+def contains(outer, inner):
+    ox0, ox1, oy0, oy1 = outer.bounds
+    ix0, ix1, iy0, iy1 = inner.bounds
+    return ox0 <= ix0 and ix1 <= ox1 and oy0 <= iy0 and iy1 <= oy1
+
+
+def adjacency_bruteforce(p):
+    """Facet neighbours per (cell, direction) from exhaustive facet
+    matching in ``oracles.facet_edges_bruteforce``."""
+    nbs = {(c, d): set() for c in p for d in DIRECTIONS}
+    for axis, _, _, _, a, b in facet_edges_bruteforce(p)[0]:
+        if a.bounds[2 * axis + 1] != b.bounds[2 * axis]:
+            a, b = b, a  # now a lies left of (below) b
+        low, high = DIRECTIONS[2 * axis: 2 * axis + 2]
+        nbs[(b, low)].add(a)
+        nbs[(a, high)].add(b)
+    return nbs
+
+
+class TestMeshProperties:
+    """Random mark/refine sequences against brute-force scans."""
+
+    @given(refine_sequences)
+    def test_grading_cover_and_nesting(self, seq):
+        chain = refined_chain(*seq)
+        for coarse, fine in zip(chain, chain[1:]):
+            top = fine.max_level
+            assert sum(4 ** (top - c.level) for c in fine) == 4 ** top
+            for c in fine:
+                assert sum(contains(o, c) for o in coarse) == 1
+                assert not any(contains(o, c) for o in fine if o != c)
+                for d in DIRECTIONS:
+                    for nb in fine.neighbors_across(c, d):
+                        assert abs(nb.level - c.level) <= 1
+
+    @given(refine_sequences)
+    def test_neighbors_match_bruteforce_adjacency(self, seq):
+        p = refined_chain(*seq)[-1]
+        for (c, d), expected in adjacency_bruteforce(p).items():
+            got = p.neighbors_across(c, d)
+            assert len(got) == len(set(got))
+            assert set(got) == expected
+
+    @given(refine_sequences)
+    def test_owner_matches_containment_scan(self, seq):
+        chain = refined_chain(*seq)
+        coarse, fine = chain[0], chain[-1]
+        for c in fine:
+            (expected,) = [o for o in coarse if contains(o, c)]
+            assert coarse.owner(c) == expected
+        for c in coarse:
+            if c not in fine:
+                with pytest.raises(ValueError, match="nested"):
+                    fine.owner(c)
+
+    def test_unknown_direction_rejected(self):
+        p = graded_7cell()
+        with pytest.raises(ValueError, match="direction"):
+            p.neighbors_across(p.cells[0], "diagonal")

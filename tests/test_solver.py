@@ -69,3 +69,10 @@ class TestSolve:
         A = eye(4, format="csc")
         with pytest.raises(ValueError):
             solve(A, np.ones(5))
+
+    def test_non_finite_right_hand_side_rejected(self):
+        A = eye(3, format="csc")
+        for method in ("direct", "cg"):
+            with pytest.raises(ValueError, match="non-finite"):
+                solve(A, np.array([1.0, np.nan, 0.0]),
+                      SolveOptions(method=method))
