@@ -26,7 +26,7 @@ from numpy.polynomial import legendre as npleg
 from scipy.sparse import coo_matrix, csr_matrix, triu
 
 from .mesh import Cell, Edge, Partition, edges
-from .quadrature import gauss_cell, gauss_edge, gauss_points_1d
+from .quadrature import gauss_cell, gauss_edge
 from .splines import HierarchicalSpace, SplineFunction, conforming_indices
 
 __all__ = [
@@ -199,15 +199,6 @@ class PiecewisePoly:
                                     cell)[0])
 
 
-def _leg2poly_matrix(d: int) -> np.ndarray:
-    M = np.zeros((d + 1, d + 1))
-    for a in range(d + 1):
-        e = np.zeros(a + 1)
-        e[a] = 1.0
-        M[: a + 1, a] = npleg.leg2poly(e)
-    return M
-
-
 def _project_values(cell: Cell, d: int, vals: np.ndarray, rule) -> np.ndarray:
     """Legendre coefficients of the L2 projection of sampled values.
 
@@ -220,16 +211,25 @@ def _project_values(cell: Cell, d: int, vals: np.ndarray, rule) -> np.ndarray:
     return ((modes * rule.weights) @ vals.T).T * norms
 
 
-def _boundary_projections(bdry: list[Edge], d: int, n: int,
-                          sample) -> dict[Cell, np.ndarray]:
-    """Cellwise projection onto degree ``d`` of ``sample(cell, xs, ys)``
-    (one field or a stack) on every cell that owns a boundary edge."""
+def _cell_projections(cells, d: int, n: int,
+                      sample) -> dict[Cell, np.ndarray]:
+    """Legendre coefficients of the projection onto degree ``d`` of
+    ``sample(cell, xs, ys)`` (one field or a stack) on each cell."""
     out = {}
-    for cell in sorted({e.plus for e in bdry}):
+    for cell in cells:
         rule = gauss_cell(cell, n)
         vals = sample(cell, rule.points[:, 0], rule.points[:, 1])
         out[cell] = _project_values(cell, d, vals, rule)
     return out
+
+
+def _monomial_poly(d: int, legendre: dict[Cell, np.ndarray]) -> PiecewisePoly:
+    """Cellwise Legendre coefficients as a monomial :class:`PiecewisePoly`."""
+    l2p = np.zeros((d + 1, d + 1))  # column a: monomial coefficients of P_a
+    for a in range(d + 1):
+        l2p[: a + 1, a] = npleg.leg2poly(np.eye(a + 1)[a])
+    return PiecewisePoly(d, {cell: l2p @ a.reshape(d + 1, d + 1) @ l2p.T
+                             for cell, a in legendre.items()})
 
 
 def _legendre_traces(coef: np.ndarray, e: Edge, d: int, xs, ys):
@@ -248,20 +248,15 @@ def _legendre_traces(coef: np.ndarray, e: Edge, d: int, xs, ys):
 def project_laplacian(fn: SplineFunction,
                       quad_n: int | None = None) -> PiecewisePoly:
     """Cellwise L2 projection of ``lap fn`` onto tensor degree r-2."""
-    space = fn.space
-    r = space.degree
-    d = r - 2
+    r = fn.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
-    l2p = _leg2poly_matrix(d)
-    coeffs = {}
-    for cell in space.partition:
-        rule = gauss_cell(cell, n)
-        xs, ys = rule.points[:, 0], rule.points[:, 1]
-        lap = (fn.eval_many(xs, ys, 2, 0, cell)
-               + fn.eval_many(xs, ys, 0, 2, cell))
-        cleg = _project_values(cell, d, lap, rule).reshape(d + 1, d + 1)
-        coeffs[cell] = l2p @ cleg @ l2p.T
-    return PiecewisePoly(d, coeffs)
+
+    def lap(cell, xs, ys):
+        d = fn.eval_batch(xs, ys, [(2, 0), (0, 2)], cell)
+        return d[(2, 0)] + d[(0, 2)]
+
+    return _monomial_poly(r - 2, _cell_projections(fn.space.partition,
+                                                   r - 2, n, lap))
 
 
 def project_from_samples(p: Partition, g, degree: int,
@@ -273,15 +268,9 @@ def project_from_samples(p: Partition, g, degree: int,
     polynomial.
     """
     n = quad_n if quad_n is not None else degree + 4
-    l2p = _leg2poly_matrix(degree)
-    coeffs = {}
-    for cell in (cells if cells is not None else p.cells):
-        rule = gauss_cell(cell, n)
-        vals = np.asarray(g(rule.points[:, 0], rule.points[:, 1]), float)
-        cleg = _project_values(cell, degree, vals, rule).reshape(
-            degree + 1, degree + 1)
-        coeffs[cell] = l2p @ cleg @ l2p.T
-    return PiecewisePoly(degree, coeffs)
+    return _monomial_poly(degree, _cell_projections(
+        cells if cells is not None else p.cells, degree, n,
+        lambda cell, xs, ys: np.asarray(g(xs, ys), float)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +320,12 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
 
     # volume pass: (lap u, lap v) and the load
     for cell in s.partition:
-        x0, x1, y0, y1 = cell.bounds
-        gx, wx = gauss_points_1d(x0, x1, n)
-        gy, wy = gauss_points_1d(y0, y1, n)
-        w = np.outer(wx, wy).ravel()
-        pos, tabs = s.basis_on_cell(cell, gx, gy, [(0, 0), (2, 0), (0, 2)],
-                                    grid=True)
+        rule = gauss_cell(cell, n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        pos, tabs = s.basis_on_cell(cell, xs, ys, [(0, 0), (2, 0), (0, 2)])
         V = tabs[(0, 0)]
         LAP = tabs[(2, 0)] + tabs[(0, 2)]
-        px, py = np.meshgrid(gx, gy, indexing="ij")
-        fvals = np.asarray(f(px.ravel(), py.ravel()), float)
+        fvals = np.asarray(f(xs, ys), float)
         scatter(pos, (LAP * w) @ LAP.T, V @ (w * fvals))
 
     if params.mode == "nitsche":
@@ -368,7 +353,7 @@ def _boundary_basis(s: HierarchicalSpace, e: Edge, xs, ys):
     """Active functions on a boundary edge: positions, traces and
     normal-derivative traces (sign times the normal-axis derivative)."""
     order = _edge_orders(e.axis)
-    pos, tabs = s.basis_on_cell(e.plus, xs, ys, [(0, 0), order], grid=False)
+    pos, tabs = s.basis_on_cell(e.plus, xs, ys, [(0, 0), order])
     return pos, tabs[(0, 0)], e.normal[e.axis] * tabs[order]
 
 
@@ -378,11 +363,11 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams, scatter):
     _, bdry = edges(s.partition)
 
     def lap_basis(cell, xs, ys):
-        _, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)], grid=False)
+        _, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)])
         return tabs[(2, 0)] + tabs[(0, 2)]
 
     # Legendre coefficients of Pi(lap B) for every function B on the cell
-    proj = _boundary_projections(bdry, d, n, lap_basis)
+    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n, lap_basis)
     for e in bdry:
         rule = gauss_edge(e, n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
@@ -490,8 +475,7 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     for cell in s.partition:
         rule = gauss_cell(cell, n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pos, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)],
-                                    grid=False)
+        pos, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)])
         lap = tabs[(2, 0)] + tabs[(0, 2)]
         scatter(pos, (lap * w) @ lap.T)
     _, bdry = edges(s.partition)
@@ -518,8 +502,9 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     n = quad_n if quad_n is not None else default_quad_n(s.degree)
     d = s.degree - 2
     _, bdry = edges(s.partition)
-    proj = _boundary_projections(
-        bdry, d, n, lambda cell, xs, ys: np.asarray(lap_u(xs, ys), float))
+    proj = _cell_projections(
+        sorted({e.plus for e in bdry}), d, n,
+        lambda cell, xs, ys: np.asarray(lap_u(xs, ys), float))
     g = np.zeros(s.dim)
     for e in bdry:
         rule = gauss_edge(e, n)

@@ -10,7 +10,9 @@ naming the offending flag.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -23,21 +25,59 @@ from .solver import NotSPDError, SolveOptions
 from .splines import load_solution, save_solution
 from .oracles import manufactured_bubble, manufactured_sin2, zero_problem
 
-_SAFE_NAMESPACE = {
-    "np": np, "pi": np.pi, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-    "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
-}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+              "abs": np.abs, "log": np.log}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: np.pi}
+
+
+def _function(node: ast.expr):
+    """The whitelisted function a call names, ``sin`` or ``np.sin``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "np":
+        return _FUNCTIONS.get(node.attr)
+    return _FUNCTIONS.get(node.id) if isinstance(node, ast.Name) else None
+
+
+def _compile(node: ast.expr):
+    """``(x, y) -> value`` for an expression built only from numbers,
+    ``x``, ``y``, ``pi``, arithmetic and whitelisted one-argument calls;
+    any other construct raises ``ValueError`` naming it."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # numpy scalar semantics: no unbounded integer arithmetic, and
+        # 1/0 is inf (rejected later as non-finite), not an exception
+        value = np.float64(node.value)
+        return lambda x, y: value
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        a, b = _compile(node.left), _compile(node.right)
+        return lambda x, y: op(a(x, y), b(x, y))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        op, a = _UNARY[type(node.op)], _compile(node.operand)
+        return lambda x, y: op(a(x, y))
+    if isinstance(node, ast.Call) and len(node.args) == 1 \
+            and not node.keywords and (f := _function(node.func)):
+        a = _compile(node.args[0])
+        return lambda x, y: f(a(x, y))
+    raise ValueError(f"{type(node).__name__} {ast.unparse(node)!r} is not "
+                     "allowed in a problem expression")
 
 
 def _expr(text: str):
-    code = compile(text, "<problem-expression>", "eval")
-
-    def fn(x, y):
-        return eval(code, {"__builtins__": {}},
-                    dict(_SAFE_NAMESPACE, x=np.asarray(x, float),
-                         y=np.asarray(y, float)))
-
-    return fn
+    """Vectorised ``f(x, y)`` of a problem expression, checked on load."""
+    if not isinstance(text, str):
+        raise ValueError(f"problem expression must be a string, got {text!r}")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"problem expression {text!r}: {exc.msg}") from None
+    body = _compile(tree.body)
+    return lambda x, y: body(np.asarray(x, float), np.asarray(y, float))
 
 
 def _expr_pair(texts):
@@ -46,9 +86,11 @@ def _expr_pair(texts):
 
 
 def load_problem(name: str) -> Problem:
-    """Resolve a problem name: built-in ``sin2``/``zero`` or a JSON file.
+    """Resolve a problem name: built-in ``sin2``/``bubble``/``zero`` or a
+    JSON file.
 
-    A custom file provides numpy expressions in ``x`` and ``y``::
+    A custom file provides expressions in ``x`` and ``y`` (see
+    :func:`_compile` for what they may contain)::
 
         {"name": "...", "f": "...", "u": "...", "grad_u": ["...", "..."],
          "laplacian_u": "...", "grad_laplacian_u": ["...", "..."]}
@@ -161,7 +203,7 @@ def main(argv=None) -> int:
         prob = load_problem(args.problem)
     except KeyError:
         ap.error(f"--problem: unknown problem {args.problem!r} "
-                 "(expected sin2, zero, or a JSON file path)")
+                 "(expected sin2, bubble, zero, or a JSON file path)")
     except (ValueError, json.JSONDecodeError) as exc:
         ap.error(f"--problem: {exc}")
 

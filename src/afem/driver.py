@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
                        energy_diff_sq, energy_error_sq, inconsistency_load,
-                       mesh_norm, triple_norm_matrix, _boundary_projections,
+                       mesh_norm, triple_norm_matrix, _cell_projections,
                        _edge_orders, _legendre_traces)
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
 from .mesh import (REFINED, Cell, Partition, edges, refine,
@@ -228,7 +228,7 @@ def nitsche_energy_sq(prob: Problem, U: SplineFunction, p: Partition,
         return (np.asarray(prob.laplacian_u(xs, ys), float)
                 - lap[(2, 0)] - lap[(0, 2)])
 
-    proj = _boundary_projections(bdry, d, n, lap_error)
+    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n, lap_error)
     total = volume_sq
     for e in bdry:
         rule = gauss_edge(e, n)

@@ -129,10 +129,8 @@ class ShapeReport:
 class Partition:
     """Immutable graded quadtree partition of the unit square."""
 
-    def __init__(self, cells: Iterable[Cell], generation: int = 0,
-                 validate: bool = True):
+    def __init__(self, cells: Iterable[Cell], validate: bool = True):
         self.cells: tuple[Cell, ...] = tuple(sorted(cells))
-        self.generation = generation
         self._cell_set = frozenset(self.cells)
         if not self.cells:
             raise ValueError("partition needs at least one cell")
@@ -242,12 +240,12 @@ class Partition:
         return "".join(f"{c.level} {c.i} {c.j}\n" for c in self.cells)
 
     @staticmethod
-    def from_dump(text: str, generation: int = 0) -> "Partition":
+    def from_dump(text: str) -> "Partition":
         cells = []
         for line in text.strip().splitlines():
             level, i, j = (int(tok) for tok in line.split())
             cells.append(Cell(level, i, j))
-        return Partition(cells, generation=generation)
+        return Partition(cells)
 
 
 def uniform_partition(levels: int) -> Partition:
@@ -289,7 +287,7 @@ def refine(p: Partition, marked: Iterable[Cell]) -> Partition:
     for m in marked:
         if m in active:  # may already be gone via closure
             split(m)
-    return Partition(active, generation=p.generation + 1)
+    return Partition(active)
 
 
 def _active_ancestor(cells, c: Cell) -> Cell | None:

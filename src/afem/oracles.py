@@ -224,8 +224,7 @@ def gram_matrix(space: HierarchicalSpace,
     for cell in space.partition:
         rule = gauss_cell(cell, n)
         pos, tabs = space.basis_on_cell(cell, rule.points[:, 0],
-                                        rule.points[:, 1], [(0, 0)],
-                                        grid=False)
+                                        rule.points[:, 1], [(0, 0)])
         V = tabs[(0, 0)]
         M[np.ix_(pos, pos)] += (V * rule.weights) @ V.T
     return M

@@ -41,15 +41,24 @@ def gauss_points_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
     return lo + length * x, length * w
 
 
+@lru_cache(maxsize=None)
+def _reference_cell_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss rule on [0, 1]^2, points in x-major order."""
+    x, w = _reference_rule(n)
+    return (np.column_stack([np.repeat(x, n), np.tile(x, n)]),
+            np.outer(w, w).ravel())
+
+
 def gauss_cell(c: Cell, n: int) -> QuadratureRule:
-    """Tensor Gauss rule on a cell, exact for degree <= 2n-1 per direction."""
-    x0, x1, y0, y1 = c.bounds
-    xs, wx = gauss_points_1d(x0, x1, n)
-    ys, wy = gauss_points_1d(y0, y1, n)
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    points = np.column_stack([px.ravel(), py.ravel()])
-    weights = np.outer(wx, wy).ravel()
-    return QuadratureRule(points, weights)
+    """Tensor Gauss rule on a cell, exact for degree <= 2n-1 per direction.
+
+    The reference rule scaled by the side, a power of two, so points and
+    weights are the correctly rounded images of the exact affine map.
+    """
+    points, weights = _reference_cell_rule(n)
+    s = c.side
+    return QuadratureRule(np.array([c.i * s, c.j * s]) + s * points,
+                          s * s * weights)
 
 
 def gauss_edge(e: Edge, n: int) -> QuadratureRule:

@@ -22,7 +22,9 @@ distance to either boundary, once expressed in the reference coordinate
 ``xi = x*m - i``; the k-th derivative then scales by ``m**k``.  Both the
 scaling by ``m`` and the subtraction of ``i`` are exact in floating
 point, so tables are keyed on the exact bytes of ``xi`` and shared, in
-one bounded process-wide cache, by every cell, level and space.
+one bounded process-wide cache, by every cell, level and space.  Points
+are always paired coordinates, as :func:`afem.quadrature.gauss_cell`
+lays them out.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mesh import INSIDE, Cell, Partition
+from .quadrature import gauss_cell
 
 __all__ = [
     "HierarchicalSpace",
@@ -53,7 +56,7 @@ __all__ = [
 MAX_DERIVATIVE_ORDER = 4
 
 # entries of the process-wide reference-table cache; one entry is one
-# (degree, span class, order, point set) table of at most a few KB
+# (degree, span class, point set) table of at most a few KB
 REFERENCE_TABLE_CACHE_SIZE = 2048
 
 
@@ -144,16 +147,21 @@ def span_class(level: int, span: int, degree: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=REFERENCE_TABLE_CACHE_SIZE)
-def _reference_table(degree: int, a: int, b: int, max_order: int,
+def _reference_table(degree: int, a: int, b: int,
                      xi_bytes: bytes) -> np.ndarray:
-    """Window-function ders ``(max_order+1, r+1, n)`` of span class
-    ``(a, b)`` at the reference points packed in ``xi_bytes``."""
+    """Window-function ders ``(MAX_DERIVATIVE_ORDER+1, r+1, n)`` of span
+    class ``(a, b)`` at the reference points packed in ``xi_bytes``.
+
+    ``bspline_ders`` runs once per distinct coordinate; the gathered
+    table is copied to C order, so every product built from it takes
+    the same BLAS path whatever the points.
+    """
     # the class's 2r+2 local knots, span [0, 1] in reference units
     t = np.clip(np.arange(2 * degree + 2, dtype=float) - degree, -a, b + 1)
-    xi = np.frombuffer(xi_bytes)
-    tab = np.empty((max_order + 1, degree + 1, len(xi)))
-    for k, x in enumerate(xi):
-        tab[:, :, k] = bspline_ders(t, degree, degree, float(x), max_order)
+    xi, inv = np.unique(np.frombuffer(xi_bytes), return_inverse=True)
+    ders = np.stack([bspline_ders(t, degree, degree, float(x),
+                                  MAX_DERIVATIVE_ORDER) for x in xi], axis=2)
+    tab = np.ascontiguousarray(ders[:, :, inv])
     tab.flags.writeable = False
     return tab
 
@@ -344,47 +352,35 @@ class HierarchicalSpace:
         r = self.degree
         m = 1 << level
         xi = xs * m - span  # exact: power-of-two scaling, Sterbenz subtraction
-        tab = _reference_table(r, *span_class(level, span, r), max_order,
-                               xi.tobytes())
+        tab = _reference_table(r, *span_class(level, span, r), xi.tobytes())
         scale = float(m) ** np.arange(max_order + 1)
-        return tab * scale[:, None, None]
+        return tab[:max_order + 1] * scale[:, None, None]
 
     def local_tables(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                      orders: Sequence[tuple[int, int]],
-                     grid: bool) -> dict[tuple[int, int], np.ndarray]:
-        """Window-basis derivative tables on a cell.
-
-        With ``grid=True`` the evaluation points are the tensor grid
-        ``xs x ys`` flattened in x-major order; otherwise ``xs`` and
-        ``ys`` are paired coordinates.  Each table has shape
-        ``((r+1)**2, n_points)``.
+                     ) -> dict[tuple[int, int], np.ndarray]:
+        """Window-basis derivative tables on a cell at the paired points
+        ``(xs[k], ys[k])``; each table has shape ``((r+1)**2, len(xs))``.
         """
-        r = self.degree
-        w = r + 1
+        w = self.degree + 1
         max_ax = max(o[0] for o in orders)
         max_ay = max(o[1] for o in orders)
         Dx = self._univariate(cell.level, cell.i, np.asarray(xs, float), max_ax)
         Dy = self._univariate(cell.level, cell.j, np.asarray(ys, float), max_ay)
-        out = {}
-        for ax, ay in orders:
-            if grid:
-                T = np.einsum("ap,bq->abpq", Dx[ax], Dy[ay])
-                out[(ax, ay)] = T.reshape(w * w, len(xs) * len(ys))
-            else:
-                T = Dx[ax][:, None, :] * Dy[ay][None, :, :]
-                out[(ax, ay)] = T.reshape(w * w, len(xs))
-        return out
+        return {(ax, ay): (Dx[ax][:, None, :] * Dy[ay][None, :, :]).reshape(
+                    w * w, len(xs))
+                for ax, ay in orders}
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
-                      orders: Sequence[tuple[int, int]], grid: bool = False,
+                      orders: Sequence[tuple[int, int]],
                       ) -> tuple[tuple[int, ...], dict[tuple[int, int], np.ndarray]]:
-        """Active-function derivative tables on a cell.
+        """Active-function derivative tables on a cell at paired points.
 
         Returns the global positions and, per derivative order, an array
         of shape ``(len(positions), n_points)``.
         """
         pos, C = self.cell_extraction(cell)
-        local = self.local_tables(cell, xs, ys, orders, grid)
+        local = self.local_tables(cell, xs, ys, orders)
         return pos, {o: C @ T for o, T in local.items()}
 
 
@@ -434,8 +430,7 @@ class SplineFunction:
                    orders: Sequence[tuple[int, int]],
                    cell: Cell) -> dict[tuple[int, int], np.ndarray]:
         """Several derivative orders at once; one basis-table pass."""
-        pos, tabs = self.space.basis_on_cell(cell, xs, ys, orders,
-                                             grid=False)
+        pos, tabs = self.space.basis_on_cell(cell, xs, ys, orders)
         c = self.coefficients[list(pos)]
         return {o: c @ T for o, T in tabs.items()}
 
@@ -516,8 +511,6 @@ class DualFunctionalSet:
     """
 
     def __init__(self, space: HierarchicalSpace, quad_n: int | None = None):
-        from .quadrature import gauss_cell  # local import to avoid a cycle
-
         self.space = space
         n = quad_n if quad_n is not None else space.degree + 3
         p = space.partition
@@ -529,9 +522,10 @@ class DualFunctionalSet:
             seen = set()
             per_cell = []
             for c in cells:
+                rule = gauss_cell(c, n)
                 pos, tabs = space.basis_on_cell(
-                    c, *_cell_grid(c, n), orders=[(0, 0)], grid=True)
-                per_cell.append((c, pos, tabs[(0, 0)]))
+                    c, rule.points[:, 0], rule.points[:, 1], [(0, 0)])
+                per_cell.append((rule, pos, tabs[(0, 0)]))
                 for q in pos:
                     if q not in seen:
                         seen.add(q)
@@ -539,9 +533,8 @@ class DualFunctionalSet:
             neighbors.sort()
             where = {q: k for k, q in enumerate(neighbors)}
             M = np.zeros((len(neighbors), len(neighbors)))
-            for c, pos, V in per_cell:
-                w = _cell_weights(c, n, gauss_cell)
-                block = (V * w) @ V.T
+            for rule, pos, V in per_cell:
+                block = (V * rule.weights) @ V.T
                 idx = [where[q] for q in pos]
                 M[np.ix_(idx, idx)] += block
             rhs = np.zeros(len(neighbors))
@@ -549,31 +542,16 @@ class DualFunctionalSet:
             a, *_ = np.linalg.lstsq(M, rhs, rcond=None)
             pts_all = []
             wts_all = []
-            for c, pos, V in per_cell:
-                w = _cell_weights(c, n, gauss_cell)
-                rule = gauss_cell(c, n)
+            for rule, pos, V in per_cell:
                 coef = a[[where[q] for q in pos]]
                 pts_all.append(rule.points)
-                wts_all.append((coef @ V) * w)
+                wts_all.append((coef @ V) * rule.weights)
             duals.append(DualFunctional(np.vstack(pts_all),
                                         np.concatenate(wts_all)))
         self.functionals = tuple(duals)
 
     def apply(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
         return np.array([psi(f) for psi in self.functionals])
-
-
-def _cell_grid(c: Cell, n: int) -> tuple[np.ndarray, np.ndarray]:
-    from .quadrature import gauss_points_1d
-
-    x0, x1, y0, y1 = c.bounds
-    xs, _ = gauss_points_1d(x0, x1, n)
-    ys, _ = gauss_points_1d(y0, y1, n)
-    return xs, ys
-
-
-def _cell_weights(c: Cell, n: int, gauss_cell) -> np.ndarray:
-    return gauss_cell(c, n).weights
 
 
 def quasi_interpolant(s: HierarchicalSpace, f, quad_n: int | None = None,
@@ -614,7 +592,6 @@ def _pointwise_evaluator(fn: SplineFunction):
 
 def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunction:
     """Represent a spline exactly in a space over a refined partition."""
-    from .quadrature import gauss_cell
     from .solver import SolveOptions, solve_spd
 
     coarse = fn.space
@@ -630,7 +607,7 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
     for c in fine.partition:
         rule = gauss_cell(c, n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pos, tabs = fine.basis_on_cell(c, xs, ys, [(0, 0)], grid=False)
+        pos, tabs = fine.basis_on_cell(c, xs, ys, [(0, 0)])
         V = tabs[(0, 0)]
         fvals = fn.eval_many(xs, ys, 0, 0, owner[c])
         rhs[list(pos)] += V @ (w * fvals)

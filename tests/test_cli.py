@@ -209,6 +209,57 @@ class TestCustomProblem:
         assert not (out / "convergence.csv").exists()
 
 
+class TestSafeExpressions:
+    def test_escape_payload_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "escape.json"
+        path.write_text(json.dumps(
+            {"f": "0*x + ().__class__.__base__.__subclasses__().__len__()"}))
+        out = tmp_path / "out"
+        code = run_cli(["--problem", str(path), "--out", str(out)])
+        assert code == 2
+        assert "not allowed in a problem expression" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,construct", [
+        ("x.__class__", "Attribute"),
+        ("np.linalg.norm(x)", "Call"),
+        ("x[0]", "Subscript"),
+        ("(lambda t: t)(x)", "Call"),
+        ("lambda: 0", "Lambda"),
+        ("__import__('os')", "Call"),
+        ("open", "Name"),
+    ])
+    def test_constructs_outside_the_whitelist_are_rejected(self, tmp_path,
+                                                           text, construct):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"f": text}))
+        with pytest.raises(ValueError, match=construct):
+            load_problem(str(path))
+
+    def test_unparsable_expression_exits_two(self, tmp_path):
+        path = tmp_path / "syntax.json"
+        path.write_text(json.dumps({"f": "x +"}))
+        assert run_cli(["--problem", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_whitelist_matches_numpy(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({
+            "f": "-np.sin(pi*x)**2 / 2 + abs(+y) * exp(x) - sqrt(y) * log(1 + x)"
+                 " + cos(3*y)"}))
+        f = load_problem(str(path)).f
+        x = np.linspace(0.1, 0.9, 7)
+        y = x[::-1]
+        want = (-np.sin(np.pi * x) ** 2 / 2 + np.abs(y) * np.exp(x)
+                - np.sqrt(y) * np.log(1 + x) + np.cos(3 * y))
+        assert np.array_equal(f(x, y), want)
+
+    def test_unknown_problem_message_lists_every_builtin(self, capsys):
+        assert run_cli(["--problem", "mystery", "--out", "x"]) == 2
+        err = capsys.readouterr().err
+        for name in ("sin2", "bubble", "zero"):
+            assert name in err
+
+
 def test_parser_defaults_match_driver_defaults():
     args = build_parser().parse_args([])
     assert args.theta == 0.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from afem.mesh import Cell, edges, uniform_partition
-from afem.quadrature import gauss_cell, gauss_edge
+from afem.quadrature import gauss_cell, gauss_edge, gauss_points_1d
 
 
 def integrate_cell(rule, fn):
@@ -56,6 +56,34 @@ class TestCellRules:
                              * (y1 ** (q + 1) - y0 ** (q + 1)) / (q + 1))
                     got = integrate_cell(rule, lambda x, y: x ** p * y ** q)
                     assert got == pytest.approx(exact, rel=1e-13, abs=1e-16)
+
+    def test_bit_identical_to_meshgrid_of_interval_rules(self):
+        def meshgrid_rule(cell, n):
+            x0, x1, y0, y1 = cell.bounds
+            xs, wx = gauss_points_1d(x0, x1, n)
+            ys, wy = gauss_points_1d(y0, y1, n)
+            px, py = np.meshgrid(xs, ys, indexing="ij")
+            return (np.column_stack([px.ravel(), py.ravel()]),
+                    np.outer(wx, wy).ravel())
+
+        rng = np.random.default_rng(1)
+        for lev in range(16):
+            m = 1 << lev
+            idx = sorted({0, m // 2, m - 1} | set(rng.integers(0, m, 6).tolist()))
+            for i, j in zip(idx, idx[::-1]):
+                for n in range(1, 11):
+                    rule = gauss_cell(Cell(lev, i, j), n)
+                    points, weights = meshgrid_rule(Cell(lev, i, j), n)
+                    assert rule.points.tobytes() == points.tobytes()
+                    assert rule.weights.tobytes() == weights.tobytes()
+
+    def test_rules_do_not_share_memory(self):
+        rule = gauss_cell(Cell(2, 1, 3), 4)
+        rule.points[:] = 0.0
+        rule.weights[:] = 0.0
+        again = gauss_cell(Cell(2, 1, 3), 4)
+        assert again.weights.sum() == pytest.approx(1.0 / 16.0, abs=1e-16)
+        assert again.points.min() > 0.0
 
     def test_affine_covariance(self):
         ref = gauss_cell(Cell(0, 0, 0), 4)

@@ -1,7 +1,11 @@
 """Hierarchical spline spaces: selection, evaluation, duals, transfer."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.polynomial import legendre as npleg
 
 from afem.assembly import _legendre_modes, _local_coords
@@ -13,7 +17,7 @@ from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           knot_vector, load_solution, num_functions,
                           quasi_interpolant, save_solution, span_class,
                           two_scale_matrix, _reference_table)
-from afem.quadrature import gauss_points_1d
+from afem.quadrature import gauss_cell, gauss_points_1d
 
 
 def graded_7cell():
@@ -166,6 +170,51 @@ class TestReferenceTables:
             assert _reference_table.cache_info().misses == misses
         for k in range(3):
             assert np.array_equal(tabs[3][k] / 8.0 ** k, tabs[5][k] / 32.0 ** k)
+
+    def test_reference_table_fills_once_per_distinct_coordinate(
+            self, monkeypatch):
+        import afem.splines as splines
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bspline_ders(*args)
+
+        monkeypatch.setattr(splines, "bspline_ders", counting)
+        _reference_table.cache_clear()
+        s = build_space(uniform_partition(3), 3)
+        cell = Cell(3, 1, 6)
+        rule = gauss_cell(cell, 6)
+        s.basis_on_cell(cell, rule.points[:, 0], rule.points[:, 1],
+                        [(0, 0), (2, 0), (0, 2)])
+        assert len(calls) <= 12  # 6 distinct coordinates per axis
+        xi = rule.points[:, 0] * 8 - cell.i
+        tab = _reference_table(3, *span_class(3, cell.i, 3), xi.tobytes())
+        assert tab.shape == (5, 4, 36)
+        assert tab.flags.c_contiguous and not tab.flags.writeable
+        assert len(calls) <= 12  # a hit: the key holds no derivative order
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_basis_on_cell_equals_tensor_grid_product(self, degree):
+        orders = [(0, 0), (2, 0), (0, 2), (1, 1), (4, 0), (2, 2)]
+        p = refine(refine(graded_7cell(), [Cell(2, 1, 1)]), [Cell(3, 3, 3)])
+        s = build_space(p, degree)
+        for cell in p:
+            for n in (4, degree + 3):
+                rule = gauss_cell(cell, n)
+                pos, tabs = s.basis_on_cell(cell, rule.points[:, 0],
+                                            rule.points[:, 1], orders)
+                x0, x1, y0, y1 = cell.bounds
+                Dx = s._univariate(cell.level, cell.i,
+                                   gauss_points_1d(x0, x1, n)[0], 4)
+                Dy = s._univariate(cell.level, cell.j,
+                                   gauss_points_1d(y0, y1, n)[0], 4)
+                _, C = s.cell_extraction(cell)
+                for ax, ay in orders:
+                    T = np.einsum("ap,bq->abpq", Dx[ax], Dy[ay]).reshape(
+                        (degree + 1) ** 2, n * n)
+                    assert np.array_equal(tabs[(ax, ay)], C @ T), (cell, n)
 
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_memoised_legendre_modes_are_bit_identical(self, d):
@@ -509,3 +558,64 @@ class TestSerialization:
         path.write_text("degree 2\nbogus\n")
         with pytest.raises(ValueError):
             load_solution(path)
+
+
+# a start level, rounds of marks (indices into the cells), a degree,
+# truncation, and a seed and decimal exponent for the coefficients
+saved_splines = st.tuples(
+    st.integers(0, 1),
+    st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+             max_size=3),
+    st.integers(2, 4), st.booleans(), st.integers(0, 2 ** 32 - 1),
+    st.integers(-300, 300))
+
+
+def saved_spline(start, rounds, degree, truncated, seed, exponent):
+    p = uniform_partition(start)
+    for picks in rounds:
+        p = refine(p, [p.cells[k % len(p)] for k in picks])
+    s = build_space(p, degree, truncated)
+    rng = np.random.default_rng(seed)
+    return SplineFunction(s, rng.standard_normal(s.dim) * 10.0 ** exponent)
+
+
+def save_and_load(fn, mutate=None):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "solution.txt")
+        save_solution(fn, path)
+        if mutate is not None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(mutate(data))
+        return load_solution(path)
+
+
+class TestSerializationProperties:
+    @given(saved_splines)
+    def test_roundtrip_is_exact(self, case):
+        fn = saved_spline(*case)
+        back = save_and_load(fn)
+        assert back.space.partition == fn.space.partition
+        assert (back.space.degree, back.space.truncated) == \
+            (fn.space.degree, fn.space.truncated)
+        assert back.space.active == fn.space.active
+        assert back.coefficients.tobytes() == fn.coefficients.tobytes()
+
+    @given(saved_splines, st.integers(0, 10 ** 6),
+           st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                    max_size=4),
+           st.booleans())
+    def test_mutated_file_loads_or_raises_value_error(self, case, cut, subs,
+                                                       truncate):
+        def mutate(data):
+            data = bytearray(data)
+            for at, byte in subs:
+                data[at % len(data)] = byte
+            return bytes(data[:cut % len(data)] if truncate else data)
+
+        try:
+            back = save_and_load(saved_spline(*case), mutate)
+        except ValueError:
+            return
+        assert back.coefficients.shape == (back.space.dim,)
