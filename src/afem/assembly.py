@@ -199,13 +199,14 @@ class PiecewisePoly:
                                     cell)[0])
 
 
-def _project_values(cell: Cell, d: int, vals: np.ndarray, rule) -> np.ndarray:
+def _project_values(cell: Cell, d: int, vals: np.ndarray, rule,
+                    modes: np.ndarray) -> np.ndarray:
     """Legendre coefficients of the L2 projection of sampled values.
 
-    ``vals`` is one field, shape ``(n,)``, or a stack ``(k, n)``; the
-    coefficients have shape ``((d+1)^2,)`` or ``(k, (d+1)^2)``.
+    ``vals`` is one field, shape ``(n,)``, or a stack ``(k, n)``, and
+    ``modes`` the cell's :func:`_legendre_modes` at the rule's points;
+    the coefficients have shape ``((d+1)^2,)`` or ``(k, (d+1)^2)``.
     """
-    modes = _legendre_modes(cell, d, rule.points[:, 0], rule.points[:, 1])
     a = np.arange(d + 1)
     norms = np.outer(2 * a + 1, 2 * a + 1).astype(float).ravel() / cell.side ** 2
     return ((modes * rule.weights) @ vals.T).T * norms
@@ -218,8 +219,9 @@ def _cell_projections(cells, d: int, n: int,
     out = {}
     for cell in cells:
         rule = gauss_cell(cell, n)
-        vals = sample(cell, rule.points[:, 0], rule.points[:, 1])
-        out[cell] = _project_values(cell, d, vals, rule)
+        xs, ys = rule.points[:, 0], rule.points[:, 1]
+        out[cell] = _project_values(cell, d, sample(cell, xs, ys), rule,
+                                    _legendre_modes(cell, d, xs, ys))
     return out
 
 

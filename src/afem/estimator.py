@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Cell, Edge, Partition, edges
+from .mesh import Cell, Edge, Partition, cell_edges, edges
 from .quadrature import gauss_cell, gauss_edge
 from .splines import SplineFunction
 from .assembly import (_legendre_modes, _project_values, default_quad_n,
@@ -121,7 +121,7 @@ def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
     vals = np.asarray(f(xs, ys), float)
     d = r - 2
     modes = _legendre_modes(tau, d, xs, ys)
-    cleg = _project_values(tau, d, vals, rule)
+    cleg = _project_values(tau, d, vals, rule, modes)
     resid = vals - cleg @ modes
     return tau.side ** 2 * float(rule.weights @ resid ** 2) ** 0.5
 
@@ -163,13 +163,11 @@ def indicator(U: SplineFunction, f, tau: Cell, p: Partition,
         raise ValueError(f"{tau} is not an active cell")
     r = U.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
-    interior_edges, _ = edges(p)
     j1s = j2s = 0.0
-    for e in interior_edges:
-        if e.plus == tau or e.minus == tau:
-            j1, j2 = _edge_jumps_sq(U, e, n)
-            j1s += 0.5 * j1
-            j2s += 0.5 * j2
+    for e in cell_edges(p, tau):  # the order estimate_all sums them in
+        j1, j2 = _edge_jumps_sq(U, e, n)
+        j1s += 0.5 * j1
+        j2s += 0.5 * j2
     interior = _interior_sq(U, f, tau, n)
     osc = oscillation(f, tau, r, n)
     return CellIndicator(interior + j1s + j2s, interior, j1s, j2s, osc ** 2)

@@ -15,7 +15,7 @@ jump integrals see a single polynomial trace per side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "uniform_partition",
     "refine",
     "edges",
+    "cell_edges",
     "support_extension",
     "shape_report",
 ]
@@ -36,18 +37,27 @@ INSIDE = "inside"        # strictly contained in an active cell
 REFINED = "refined"      # strictly subdivided into finer active cells
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Cell:
-    """Dyadic square cell ``[i, i+1] x [j, j+1]`` scaled by ``2**-level``."""
+    """Dyadic square cell ``[i, i+1] x [j, j+1]`` scaled by ``2**-level``.
+
+    Cells are dictionary keys everywhere, so the hash (that of the
+    ``(level, i, j)`` tuple) is computed once, at construction.
+    """
 
     level: int
     i: int
     j: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = 1 << self.level
         if not (0 <= self.i < n and 0 <= self.j < n):
             raise ValueError(f"cell index {self} outside the unit square")
+        object.__setattr__(self, "_hash", hash((self.level, self.i, self.j)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def side(self) -> float:
@@ -136,6 +146,7 @@ class Partition:
             raise ValueError("partition needs at least one cell")
         self.max_level = max(c.level for c in self.cells)
         self._edges: tuple[list[Edge], list[Edge]] | None = None
+        self._cell_edges: dict[Cell, list[Edge]] | None = None
         if validate:
             self._validate()
 
@@ -360,6 +371,19 @@ def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
     return p._edges
 
 
+def cell_edges(p: Partition, c: Cell) -> list[Edge]:
+    """Interior edges of the active cell ``c`` (as either owner), in the
+    order of :func:`edges`.  The per-cell lists are built on the first
+    call and shared like the edge lists."""
+    if p._cell_edges is None:
+        index: dict[Cell, list[Edge]] = {q: [] for q in p.cells}
+        for e in edges(p)[0]:
+            index[e.plus].append(e)
+            index[e.minus].append(e)
+        p._cell_edges = index
+    return p._cell_edges[c]
+
+
 def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
     interior: dict[tuple, Edge] = {}
     boundary: list[Edge] = []
@@ -394,17 +418,17 @@ def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
 
 
 def support_extension(p: Partition, space_handle, tau: Cell) -> set[Cell]:
-    """Cells met by supports of basis functions whose support meets tau."""
+    """Cells met by supports of basis functions whose support meets tau.
+
+    Those functions are the rows of tau's extraction in the hierarchical
+    space ``space_handle``: the active functions of tau's level and
+    coarser levels whose index window covers tau's ancestor.  A finer
+    active function cannot reach into the coarser active cell tau.
+    """
     if tau not in p:
         raise ValueError(f"{tau} is not an active cell")
-    tx0, tx1, ty0, ty1 = tau.bounds
-    boxes = []
-    for fn in space_handle.active:
-        bx0, bx1, by0, by1 = space_handle.support_box(fn)
-        if bx0 < tx1 and bx1 > tx0 and by0 < ty1 and by1 > ty0:
-            boxes.append((bx0, bx1, by0, by1))
-    if not boxes:
-        return {tau}
+    pos, _ = space_handle.cell_extraction(tau)
+    boxes = [space_handle.support_box(space_handle.active[k]) for k in pos]
     hx0 = min(b[0] for b in boxes)
     hx1 = max(b[1] for b in boxes)
     hy0 = min(b[2] for b in boxes)

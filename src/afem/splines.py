@@ -13,7 +13,8 @@ Evaluation is exact per cell: every active function restricted to an
 active cell is expressed in the cell's own-level local tensor basis
 through a windowed two-scale (knot insertion) relation, so derivatives
 of any order are plain polynomial derivatives with no numerical
-differentiation anywhere.
+differentiation anywhere.  A cell's extraction is built from its
+parent's, so each dyadic ancestor is processed once per space.
 
 The local basis comes from level-independent reference tables.  On span
 ``i`` of a level with ``m = 2**l`` spans, the ``r+1`` window functions
@@ -22,7 +23,8 @@ distance to either boundary, once expressed in the reference coordinate
 ``xi = x*m - i``; the k-th derivative then scales by ``m**k``.  Both the
 scaling by ``m`` and the subtraction of ``i`` are exact in floating
 point, so tables are keyed on the exact bytes of ``xi`` and shared, in
-one bounded process-wide cache, by every cell, level and space.  Points
+one bounded process-wide cache, by every cell, level and space; each
+space memoises the scaled tables on ``(level, span, points)``.  Points
 are always paired coordinates, as :func:`afem.quadrature.gauss_cell`
 lays them out.
 """
@@ -213,10 +215,11 @@ FnIndex = tuple[int, int, int]  # (level, ix, iy)
 class HierarchicalSpace:
     """Hierarchical (truncated) B-spline space over a quadtree partition.
 
-    Immutable after construction; evaluation helpers memoise per-cell
-    extraction operators and read basis tables from the process-wide
-    reference cache, which is transparent to callers and safe for
-    read-only sharing.
+    Immutable after construction; evaluation helpers memoise read-only
+    extraction operators per dyadic cell and scaled basis tables per
+    point set, filled from the process-wide reference cache.  The memos
+    are transparent to callers, safe for read-only sharing, and freed
+    with the space.
     """
 
     def __init__(self, partition: Partition, degree: int,
@@ -232,7 +235,10 @@ class HierarchicalSpace:
         self._by_level: dict[int, dict[tuple[int, int], int]] = {}
         for k, (lev, ix, iy) in enumerate(self.active):
             self._by_level.setdefault(lev, {})[(ix, iy)] = k
+        # extraction of the active cells, and of every dyadic cell built
         self._extraction: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
+        self._carries: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
+        self._tables: dict[tuple[int, int, bytes], np.ndarray] = {}
 
     # -- selection ------------------------------------------------------
 
@@ -294,82 +300,98 @@ class HierarchicalSpace:
     def cell_extraction(self, cell: Cell) -> tuple[tuple[int, ...], np.ndarray]:
         """Active functions on a cell and their local representation.
 
-        Returns global positions ``pos`` and a matrix ``C`` of shape
-        ``(len(pos), (r+1)**2)`` expressing each function, restricted to
-        the cell, in the cell-level local tensor basis.  Local index
-        layout is ``a * (r+1) + b`` for the (a, b) window function.
+        Returns global positions ``pos`` and a read-only matrix ``C`` of
+        shape ``(len(pos), (r+1)**2)`` expressing each function,
+        restricted to the cell, in the cell-level local tensor basis.
+        Local index layout is ``a * (r+1) + b`` for the (a, b) window
+        function.
         """
-        cached = self._extraction.get(cell)
-        if cached is not None:
-            return cached
-        if cell not in self.partition:
-            raise ValueError(f"{cell} is not an active cell")
+        got = self._extraction.get(cell)
+        if got is None:
+            if cell not in self.partition:
+                raise ValueError(f"{cell} is not an active cell")
+            got = self._extraction[cell] = self._extract(cell)
+        return got
+
+    def _extract(self, cell: Cell) -> tuple[tuple[int, ...], np.ndarray]:
+        """Extraction of any dyadic cell, built from its parent's.
+
+        The rows are the active functions of the cell's level and of
+        coarser levels whose window meets the cell, in the cell-level
+        local basis; a child takes its parent's rows through the
+        two-scale block and appends its own level's functions (after
+        truncating the carried rows against them).  Memoised per cell, so
+        every dyadic ancestor is processed once per space.
+        """
+        got = self._carries.get(cell)
+        if got is not None:
+            return got
         r = self.degree
         w = r + 1
-        rows: list[int] = []
-        carry = np.zeros((0, w * w))
-        for m in range(cell.level + 1):
-            anc = cell.ancestor(m)
-            if m > 0:
-                prev = cell.ancestor(m - 1)
-                P = np.asarray(two_scale_matrix(m - 1, r))
-                rx = np.arange(anc.i, anc.i + w)
-                cx = np.arange(prev.i, prev.i + w)
-                ry = np.arange(anc.j, anc.j + w)
-                cy = np.arange(prev.j, prev.j + w)
-                Px = P[np.ix_(rx, cx)]
-                Py = P[np.ix_(ry, cy)]
-                if carry.shape[0]:
-                    carry = carry @ np.kron(Px, Py).T
-            level_map = self._by_level.get(m, {})
-            locals_here: list[tuple[int, int]] = []
-            for a in range(w):
-                for b in range(w):
-                    pos = level_map.get((anc.i + a, anc.j + b))
-                    if pos is not None:
-                        locals_here.append((pos, a * w + b))
-            if self.truncated and carry.shape[0] and locals_here:
-                cols = [lc for _, lc in locals_here]
+        if cell.level:
+            prev = cell.parent()
+            rows, carry = self._extract(prev)
+            if rows:
+                P = two_scale_matrix(cell.level - 1, r)
+                Px = P[cell.i:cell.i + w, prev.i:prev.i + w]
+                Py = P[cell.j:cell.j + w, prev.j:prev.j + w]
+                # np.kron(Px, Py): one rounded product per entry, C order
+                K = (Px[:, None, :, None] * Py[None, :, None, :]).reshape(
+                    w * w, w * w)
+                carry = carry @ K.T
+        else:
+            rows, carry = (), np.zeros((0, w * w))
+        level_map = self._by_level.get(cell.level, {})
+        here = [(pos, a * w + b) for a in range(w) for b in range(w)
+                if (pos := level_map.get((cell.i + a, cell.j + b))) is not None]
+        if here:
+            cols = [lc for _, lc in here]
+            if self.truncated and rows:
                 carry[:, cols] = 0.0
-            if locals_here:
-                unit = np.zeros((len(locals_here), w * w))
-                for k, (_, lc) in enumerate(locals_here):
-                    unit[k, lc] = 1.0
-                carry = np.vstack([carry, unit]) if carry.shape[0] else unit
-                rows.extend(pos for pos, _ in locals_here)
-        result = (tuple(rows), carry)
-        self._extraction[cell] = result
-        return result
-
-    def functions_on_cell(self, cell: Cell) -> tuple[int, ...]:
-        return self.cell_extraction(cell)[0]
+            unit = np.zeros((len(here), w * w))
+            unit[np.arange(len(here)), cols] = 1.0
+            carry = np.vstack([carry, unit]) if rows else unit
+            rows += tuple(pos for pos, _ in here)
+        carry.flags.writeable = False
+        self._carries[cell] = rows, carry
+        return rows, carry
 
     # -- basis tables ------------------------------------------------------
 
     def _univariate(self, level: int, span: int, xs: np.ndarray,
                     max_order: int) -> np.ndarray:
-        """Table ``(max_order+1, r+1, len(xs))`` of window-function ders."""
-        r = self.degree
-        m = 1 << level
-        xi = xs * m - span  # exact: power-of-two scaling, Sterbenz subtraction
-        tab = _reference_table(r, *span_class(level, span, r), xi.tobytes())
-        scale = float(m) ** np.arange(max_order + 1)
-        return tab[:max_order + 1] * scale[:, None, None]
+        """Read-only table ``(max_order+1, r+1, len(xs))`` of window-function
+        ders; every order is memoised per space on ``(level, span, xs)``."""
+        key = (level, span, xs.tobytes())
+        tab = self._tables.get(key)
+        if tab is None:
+            r = self.degree
+            m = 1 << level
+            xi = xs * m - span  # exact: power-of-two scaling, Sterbenz subtraction
+            ref = _reference_table(r, *span_class(level, span, r), xi.tobytes())
+            scale = float(m) ** np.arange(MAX_DERIVATIVE_ORDER + 1)
+            tab = ref * scale[:, None, None]
+            tab.flags.writeable = False
+            self._tables[key] = tab
+        return tab[:max_order + 1]
 
     def local_tables(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                      orders: Sequence[tuple[int, int]],
                      ) -> dict[tuple[int, int], np.ndarray]:
         """Window-basis derivative tables on a cell at the paired points
-        ``(xs[k], ys[k])``; each table has shape ``((r+1)**2, len(xs))``.
+        ``(xs[k], ys[k])``; each table is C-ordered with shape
+        ``((r+1)**2, len(xs))``.  All orders come from one broadcast.
         """
         w = self.degree + 1
-        max_ax = max(o[0] for o in orders)
-        max_ay = max(o[1] for o in orders)
-        Dx = self._univariate(cell.level, cell.i, np.asarray(xs, float), max_ax)
-        Dy = self._univariate(cell.level, cell.j, np.asarray(ys, float), max_ay)
-        return {(ax, ay): (Dx[ax][:, None, :] * Dy[ay][None, :, :]).reshape(
-                    w * w, len(xs))
-                for ax, ay in orders}
+        Dx = self._univariate(cell.level, cell.i, np.asarray(xs, float),
+                              MAX_DERIVATIVE_ORDER)
+        Dy = self._univariate(cell.level, cell.j, np.asarray(ys, float),
+                              MAX_DERIVATIVE_ORDER)
+        ax = [o[0] for o in orders]
+        ay = [o[1] for o in orders]
+        T = (Dx[ax][:, :, None, :] * Dy[ay][:, None, :, :]).reshape(
+            len(orders), w * w, Dx.shape[2])
+        return dict(zip(orders, T))
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -377,11 +399,17 @@ class HierarchicalSpace:
         """Active-function derivative tables on a cell at paired points.
 
         Returns the global positions and, per derivative order, an array
-        of shape ``(len(positions), n_points)``.
+        of shape ``(len(positions), n_points)``.  Orders above the degree
+        in either direction are exact zeros (one shared read-only array),
+        neither tabulated nor multiplied.
         """
         pos, C = self.cell_extraction(cell)
-        local = self.local_tables(cell, xs, ys, orders)
-        return pos, {o: C @ T for o, T in local.items()}
+        live = [o for o in orders if max(o) <= self.degree]
+        local = self.local_tables(cell, xs, ys, live) if live else {}
+        if len(live) < len(orders):
+            zero = np.zeros((len(pos), len(xs)))
+            zero.flags.writeable = False
+        return pos, {o: C @ local[o] if o in local else zero for o in orders}
 
 
 def build_space(p: Partition, r: int, truncated: bool = True) -> HierarchicalSpace:

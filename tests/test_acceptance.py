@@ -58,6 +58,7 @@ def nitsche_20k():
     return records
 
 
+@pytest.mark.slow
 def test_criterion_1_conforming_contraction(conforming_20k):
     with criterion(1, "conforming contraction"):
         records, _ = conforming_20k
@@ -90,6 +91,7 @@ def test_criterion_2_a_priori_rate(r):
         assert abs(slope - (r - 1)) <= 0.15 * (r - 1)
 
 
+@pytest.mark.slow
 def test_criterion_3_reliability_efficiency(conforming_20k):
     with criterion(3, "effectivity window"):
         records, _ = conforming_20k
@@ -99,6 +101,7 @@ def test_criterion_3_reliability_efficiency(conforming_20k):
         assert max(tail) / min(tail) <= 3.0
 
 
+@pytest.mark.slow
 def test_criterion_4_galerkin_orthogonality(conforming_20k):
     with criterion(4, "Galerkin orthogonality residual"):
         _, states = conforming_20k
@@ -109,6 +112,7 @@ def test_criterion_4_galerkin_orthogonality(conforming_20k):
             assert np.abs(r).max() <= 1e-10 * np.linalg.norm(st.load.values)
 
 
+@pytest.mark.slow
 def test_criterion_5_galerkin_pythagoras(conforming_20k):
     with criterion(5, "orthogonality identity between iterates"):
         _, states = conforming_20k
@@ -258,6 +262,7 @@ def test_criterion_9_nitsche_coercivity_and_consistency():
         assert slope >= 1.0
 
 
+@pytest.mark.slow
 def test_criterion_10_nitsche_boundary_control(nitsche_20k):
     with criterion(10, "weak-boundary trace decay"):
         records = nitsche_20k

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from afem.assembly import _legendre_modes
 from afem.estimator import (CellIndicator, Indicators, dorfler_mark,
                             estimate_all, indicator, lipschitz_gap,
                             oscillation)
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import manufactured_sin2, random_spline
-from afem.quadrature import gauss_points_1d
+from afem.quadrature import gauss_cell, gauss_points_1d
 from afem.splines import SplineFunction, build_space, coarse_to_fine
 
 
@@ -187,6 +188,17 @@ class TestEstimateAll:
             assert rec.eta_sq == pytest.approx(ind.records[c].eta_sq,
                                                rel=1e-13)
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_indicator_equals_estimate_all_exactly(self, r):
+        # the cell's own edges are summed in the same key order
+        p = refine(refine(graded_7cell(), [Cell(2, 1, 1)]), [Cell(3, 2, 2)])
+        s = build_space(p, r)
+        U = random_spline(s, np.random.default_rng(12))
+        f = manufactured_sin2().f
+        ind = estimate_all(U, f, p)
+        for c in p:
+            assert indicator(U, f, c, p) == ind.records[c]
+
     def test_dump_format(self):
         p = uniform_partition(1)
         s = build_space(p, 2)
@@ -204,6 +216,23 @@ class TestOscillation:
             <= 1e-13
         # degree r-2 = 1 polynomial for cubic splines
         assert oscillation(lambda x, y: 1 + 2 * x - y, cell, 3) <= 1e-13
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_equals_projection_with_modes_built_twice(self, r):
+        f = manufactured_sin2().f
+        d = r - 2
+        for cell in refine(graded_7cell(), [Cell(2, 1, 1)]):
+            rule = gauss_cell(cell, 6)
+            xs, ys = rule.points[:, 0], rule.points[:, 1]
+            vals = f(xs, ys)
+            a = np.arange(d + 1)
+            norms = np.outer(2 * a + 1, 2 * a + 1).astype(float).ravel() \
+                / cell.side ** 2
+            cleg = ((_legendre_modes(cell, d, xs, ys) * rule.weights)
+                    @ vals.T).T * norms
+            resid = vals - cleg @ _legendre_modes(cell, d, xs, ys)
+            want = cell.side ** 2 * float(rule.weights @ resid ** 2) ** 0.5
+            assert oscillation(f, cell, r, 6) == want
 
     def test_constant_zero(self):
         assert oscillation(lambda x, y: np.ones_like(x), Cell(0, 0, 0), 2) \

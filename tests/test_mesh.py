@@ -1,11 +1,13 @@
 """Quadtree partition, refinement closure and edge structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from afem.mesh import (Cell, Partition, edges, refine, shape_report,
-                       support_extension, uniform_partition)
+from afem.mesh import (Cell, Partition, cell_edges, edges, refine,
+                       shape_report, support_extension, uniform_partition)
 from afem.oracles import facet_edges_bruteforce, support_extension_bruteforce
 from afem.splines import build_space
 
@@ -42,6 +44,26 @@ class TestUniformPartition:
 
     def test_seven_cells_after_one_child_refine(self):
         assert len(graded_7cell()) == 7
+
+
+class TestCell:
+    def test_hash_equality_order_and_repr(self):
+        c = Cell(3, 5, 2)
+        assert hash(c) == hash((3, 5, 2))
+        assert c == Cell(3, 5, 2) and c != Cell(3, 2, 5)
+        assert repr(c) == "Cell(level=3, i=5, j=2)"
+        cells = [Cell(2, 1, 3), Cell(1, 1, 0), Cell(2, 1, 0), Cell(0, 0, 0)]
+        assert sorted(cells) == sorted(cells, key=lambda q: (q.level, q.i,
+                                                             q.j))
+        assert Cell(1, 0, 1) < Cell(1, 1, 0) <= Cell(1, 1, 0)
+
+    def test_slotted_and_frozen(self):
+        c = Cell(1, 1, 1)
+        assert not hasattr(c, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.i = 0
+        with pytest.raises(ValueError, match="outside"):
+            Cell(1, 2, 0)
 
 
 class TestRefine:
@@ -331,6 +353,23 @@ class TestMeshProperties:
             if c not in fine:
                 with pytest.raises(ValueError, match="nested"):
                     fine.owner(c)
+
+    @given(refine_sequences, st.integers(2, 4), st.booleans())
+    def test_support_extension_matches_bruteforce(self, seq, degree,
+                                                  truncated):
+        p = refined_chain(*seq)[-1]
+        s = build_space(p, degree, truncated)
+        for tau in p.cells[:: max(1, len(p) // 8)]:
+            assert support_extension(p, s, tau) == \
+                support_extension_bruteforce(p, s, tau)
+
+    @given(refine_sequences)
+    def test_cell_edges_are_the_owned_interior_edges_in_order(self, seq):
+        p = refined_chain(*seq)[-1]
+        interior, _ = edges(p)
+        for c in p:
+            assert cell_edges(p, c) == [e for e in interior
+                                        if c in (e.plus, e.minus)]
 
     def test_unknown_direction_rejected(self):
         p = graded_7cell()

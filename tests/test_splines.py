@@ -238,6 +238,156 @@ class TestReferenceTables:
                     assert np.array_equal(got, want)
 
 
+# a start level, rounds of marks (indices into the cells), a degree and
+# truncation
+graded_spaces = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+             max_size=3),
+    st.integers(2, 4), st.booleans())
+
+
+def graded_space(start, rounds, degree, truncated):
+    p = uniform_partition(start)
+    for picks in rounds:
+        p = refine(p, [p.cells[k % len(p)] for k in picks])
+    return build_space(p, degree, truncated)
+
+
+def extraction_by_level_loop(s, cell):
+    """Per-cell extraction as one loop over the cell's levels, with
+    ``np.ix_`` blocks of the two-scale matrix and their ``np.kron``."""
+    r = s.degree
+    w = r + 1
+    rows = []
+    carry = np.zeros((0, w * w))
+    for m in range(cell.level + 1):
+        anc = cell.ancestor(m)
+        if m > 0:
+            prev = cell.ancestor(m - 1)
+            P = np.asarray(two_scale_matrix(m - 1, r))
+            Px = P[np.ix_(np.arange(anc.i, anc.i + w),
+                          np.arange(prev.i, prev.i + w))]
+            Py = P[np.ix_(np.arange(anc.j, anc.j + w),
+                          np.arange(prev.j, prev.j + w))]
+            if carry.shape[0]:
+                carry = carry @ np.kron(Px, Py).T
+        level_map = s._by_level.get(m, {})
+        here = [(level_map[(anc.i + a, anc.j + b)], a * w + b)
+                for a in range(w) for b in range(w)
+                if (anc.i + a, anc.j + b) in level_map]
+        if s.truncated and carry.shape[0] and here:
+            carry[:, [lc for _, lc in here]] = 0.0
+        if here:
+            unit = np.zeros((len(here), w * w))
+            for k, (_, lc) in enumerate(here):
+                unit[k, lc] = 1.0
+            carry = np.vstack([carry, unit]) if carry.shape[0] else unit
+            rows.extend(pos for pos, _ in here)
+    return tuple(rows), carry
+
+
+def tables_per_order(s, cell, xs, ys, orders):
+    """Window tables with one scaled univariate table per axis and one
+    outer product per order."""
+    r = s.degree
+    w = r + 1
+
+    def univariate(span, pts, k):
+        m = 1 << cell.level
+        ref = _reference_table(r, *span_class(cell.level, span, r),
+                               (pts * m - span).tobytes())
+        return ref[:k + 1] * (float(m) ** np.arange(k + 1))[:, None, None]
+
+    Dx = univariate(cell.i, xs, max(o[0] for o in orders))
+    Dy = univariate(cell.j, ys, max(o[1] for o in orders))
+    return {(ax, ay): (Dx[ax][:, None, :] * Dy[ay][None, :, :]).reshape(
+                w * w, len(xs))
+            for ax, ay in orders}
+
+
+ALL_ORDERS = [(ax, ay) for ax in range(5) for ay in range(5 - ax)]
+
+
+class TestFastEvaluationPath:
+    """Ancestor-shared extraction, memoised tables and zero orders give
+    the same bits as the per-cell loops they replace."""
+
+    @given(graded_spaces)
+    def test_extraction_equals_per_cell_level_loop(self, case):
+        s = graded_space(*case)
+        for cell in s.partition:
+            pos, C = s.cell_extraction(cell)
+            want_pos, want = extraction_by_level_loop(s, cell)
+            assert pos == want_pos
+            assert np.array_equal(C, want) and C.flags.c_contiguous
+
+    @given(graded_spaces)
+    def test_tables_and_basis_equal_per_order_products(self, case):
+        s = graded_space(*case)
+        r = s.degree
+        for cell in s.partition:
+            rule = gauss_cell(cell, r + 2)
+            xs, ys = rule.points[:, 0], rule.points[:, 1]
+            want = tables_per_order(s, cell, xs, ys, ALL_ORDERS)
+            got = s.local_tables(cell, xs, ys, ALL_ORDERS)
+            assert list(got) == ALL_ORDERS
+            _, C = extraction_by_level_loop(s, cell)
+            pos, basis = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
+            for o in ALL_ORDERS:
+                assert np.array_equal(got[o], want[o]), (cell, o)
+                assert got[o].flags.c_contiguous
+                if max(o) <= r:
+                    assert np.array_equal(basis[o], C @ want[o]), (cell, o)
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_orders_above_degree_are_exact_zeros(self, degree):
+        s = build_space(refine(graded_7cell(), [Cell(2, 1, 1)]), degree)
+        high = [o for o in ALL_ORDERS if max(o) > degree]
+        for cell in s.partition:
+            rule = gauss_cell(cell, 4)
+            xs, ys = rule.points[:, 0], rule.points[:, 1]
+            orders = [(0, 0)] + high
+            pos, tabs = s.basis_on_cell(cell, xs, ys, orders)
+            assert list(tabs) == orders
+            for o in high:
+                assert tabs[o].shape == (len(pos), len(xs))
+                assert not tabs[o].any() and not np.signbit(tabs[o]).any()
+
+    @given(graded_spaces, st.integers(0, 2 ** 32 - 1))
+    def test_mixed_order_eval_batch_equals_single_orders(self, case, seed):
+        s = graded_space(*case)
+        U = random_spline(s, np.random.default_rng(seed))
+        for cell in s.partition.cells[:: max(1, len(s.partition) // 5)]:
+            rule = gauss_cell(cell, 3)
+            xs, ys = rule.points[:, 0], rule.points[:, 1]
+            batch = U.eval_batch(xs, ys, ALL_ORDERS, cell)
+            for o in ALL_ORDERS:
+                assert np.array_equal(batch[o], U.eval_many(xs, ys, *o, cell))
+
+    def test_memoised_tables_and_extraction_are_read_only(self):
+        s = build_space(graded_7cell(), 3)
+        cell = Cell(2, 1, 1)
+        rule = gauss_cell(cell, 5)
+        xs = rule.points[:, 0]
+        tab = s._univariate(cell.level, cell.i, xs, 2)
+        assert tab.shape == (3, 4, 25) and not tab.flags.writeable
+        assert s._univariate(cell.level, cell.i, xs, 4).base is tab.base
+        assert all(not t.flags.writeable for t in s._tables.values())
+        _, C = s.cell_extraction(cell)
+        assert not C.flags.writeable
+        with pytest.raises(ValueError):
+            tab[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
+
+    def test_ancestor_of_active_cells_is_not_extractable(self):
+        s = build_space(graded_7cell(), 2)
+        s.cell_extraction(Cell(2, 0, 0))  # builds the carry of Cell(1, 0, 0)
+        with pytest.raises(ValueError, match="not an active cell"):
+            s.cell_extraction(Cell(1, 0, 0))
+
+
 class TestBuildSpace:
     @pytest.mark.parametrize("L,r", [(0, 2), (1, 2), (2, 2), (2, 3), (1, 4)])
     def test_uniform_dimension(self, L, r):
