@@ -312,11 +312,10 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
         if not np.any(live):
             return
         sub = idx[live]
-        blk = block[np.ix_(live, live)]
         k = len(sub)
         rows.append(np.repeat(sub, k))
-        cols.append(np.tile(sub, k))
-        vals.append(blk.ravel())
+        cols.append(sub[None, :].repeat(k, axis=0).ravel())
+        vals.append(block[live[:, None] & live])
         if load is not None:
             b[sub] += load[live]
 

@@ -77,7 +77,15 @@ def _expr(text: str):
     except SyntaxError as exc:
         raise ValueError(f"problem expression {text!r}: {exc.msg}") from None
     body = _compile(tree.body)
-    return lambda x, y: body(np.asarray(x, float), np.asarray(y, float))
+
+    def f(x, y):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        vals = body(x, y)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        # a constant expression gives a scalar: spread it over the points
+        return vals if np.shape(vals) == shape else np.full(shape, vals)
+
+    return f
 
 
 def _expr_pair(texts):

@@ -142,6 +142,39 @@ class IterationState:
     params: FormParams
 
 
+class _SampleMemo:
+    """``f(xs, ys)`` memoised on the exact bytes of the two point arrays.
+
+    Each cell's rule is the same in assembly, the interior residual and
+    the oscillation, and in every iteration the cell persists, so ``f``
+    is sampled once per cell per run.  Samples are read-only float
+    arrays; :meth:`next_iteration` drops every point set that was not
+    requested since its previous call, so the memo holds about one
+    partition's samples.
+    """
+
+    def __init__(self, f: Callable):
+        self._f = f
+        self._now: dict[tuple[bytes, bytes], np.ndarray] = {}
+        self._before: dict[tuple[bytes, bytes], np.ndarray] = {}
+
+    def __call__(self, xs, ys) -> np.ndarray:
+        xs = np.asarray(xs, float)
+        ys = np.asarray(ys, float)
+        key = (xs.tobytes(), ys.tobytes())
+        vals = self._now.get(key)
+        if vals is None:
+            vals = self._before.pop(key, None)
+            if vals is None:
+                vals = np.array(self._f(xs, ys), dtype=float)
+                vals.flags.writeable = False
+            self._now[key] = vals
+        return vals
+
+    def next_iteration(self) -> None:
+        self._before, self._now = self._now, {}
+
+
 def run(cfg: AfemConfig, prob: Problem,
         on_iteration: Callable[[IterationState], None] | None = None,
         ) -> list[ConvergenceRecord]:
@@ -151,17 +184,21 @@ def run(cfg: AfemConfig, prob: Problem,
     p = uniform_partition(cfg.initial_levels)
     records: list[ConvergenceRecord] = []
     rng = np.random.default_rng(cfg.seed)
+    f = _SampleMemo(prob.f)
+    ind = None
 
     for it in range(cfg.max_iters):
+        f.next_iteration()
         space = build_space(p, cfg.degree, cfg.truncated)
         if it == 0 and space.dim > cfg.max_dofs:
             raise ValueError("max_dofs is below the initial space dimension")
-        A, b = assemble(space, prob.f, params)
+        A, b = assemble(space, f, params)
         x = solve(A, b, cfg.solver)
         coeffs = np.zeros(space.dim)
         coeffs[list(A.positions)] = x
         U = SplineFunction(space, coeffs)
-        ind = estimate_all(U, prob.f, p, params.resolved(cfg.degree).quad_n)
+        ind = estimate_all(U, f, p, params.resolved(cfg.degree).quad_n,
+                           previous=ind)
         if not np.isfinite(ind.total_sq):
             raise ValueError(f"estimator total eta^2 is not finite "
                              f"({ind.total_sq!r}); check the problem data")

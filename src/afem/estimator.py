@@ -127,8 +127,14 @@ def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
 
 
 def estimate_all(U: SplineFunction, f, p: Partition,
-                 quad_n: int | None = None) -> Indicators:
-    """All per-cell indicator records plus totals, deterministic order."""
+                 quad_n: int | None = None,
+                 previous: Indicators | None = None) -> Indicators:
+    """All per-cell indicator records plus totals, deterministic order.
+
+    The oscillation depends only on ``f`` and the cell: a cell recorded
+    in ``previous``, computed with the same ``f``, degree and rule, takes
+    its ``osc_sq`` from there instead of sampling ``f`` again.
+    """
     r = U.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
     interior_edges, _ = edges(p)
@@ -145,14 +151,17 @@ def estimate_all(U: SplineFunction, f, p: Partition,
     records: dict[Cell, CellIndicator] = {}
     total = 0.0
     osc_total = 0.0
+    known = previous.records if previous is not None else {}
     for c in p.cells:
         interior = _interior_sq(U, f, c, n)
-        osc = oscillation(f, c, r, n)
+        rec = known.get(c)
+        osc_sq = (rec.osc_sq if rec is not None
+                  else oscillation(f, c, r, n) ** 2)
         eta_sq = interior + jump1[c] + jump2[c]
         records[c] = CellIndicator(eta_sq, interior, jump1[c], jump2[c],
-                                   osc ** 2)
+                                   osc_sq)
         total += eta_sq
-        osc_total += osc ** 2
+        osc_total += osc_sq
     return Indicators(records, total, osc_total)
 
 

@@ -64,9 +64,8 @@ def gauss_cell(c: Cell, n: int) -> QuadratureRule:
 def gauss_edge(e: Edge, n: int) -> QuadratureRule:
     """Gauss rule along an edge, exact for degree <= 2n-1 along the tangent."""
     ts, wt = gauss_points_1d(e.lo, e.lo + e.length, n)
-    fixed = np.full_like(ts, e.fixed)
-    if e.axis == 0:  # vertical edge, tangent along y
-        points = np.column_stack([fixed, ts])
-    else:            # horizontal edge, tangent along x
-        points = np.column_stack([ts, fixed])
+    points = np.empty((len(ts), 2))
+    # axis 0: vertical edge, tangent along y; axis 1: horizontal, along x
+    points[:, e.axis] = e.fixed
+    points[:, 1 - e.axis] = ts
     return QuadratureRule(points, wt)

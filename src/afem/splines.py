@@ -235,8 +235,10 @@ class HierarchicalSpace:
         self._by_level: dict[int, dict[tuple[int, int], int]] = {}
         for k, (lev, ix, iy) in enumerate(self.active):
             self._by_level.setdefault(lev, {})[(ix, iy)] = k
-        # extraction of the active cells, and of every dyadic cell built
+        # extraction of the active cells (with its positions as an index
+        # array), and of every dyadic cell built
         self._extraction: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
+        self._index: dict[Cell, np.ndarray] = {}
         self._carries: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
         self._tables: dict[tuple[int, int, bytes], np.ndarray] = {}
 
@@ -245,15 +247,6 @@ class HierarchicalSpace:
     def _select_active(self) -> list[FnIndex]:
         p = self.partition
         r = self.degree
-        state_cache: dict[Cell, str] = {}
-
-        def state(c: Cell) -> str:
-            s = state_cache.get(c)
-            if s is None:
-                s = p.classify(c)
-                state_cache[c] = s
-            return s
-
         active: list[FnIndex] = []
         cells_by_level: dict[int, list[Cell]] = {}
         for c in p.cells:
@@ -262,6 +255,8 @@ class HierarchicalSpace:
         for lev in sorted(cells_by_level):
             m = 1 << lev
             n = m + r
+            # classification of the level's window cells, keyed on (i, j)
+            state: dict[tuple[int, int], str] = {}
             candidates: set[tuple[int, int]] = set()
             for c in cells_by_level[lev]:
                 for ix in range(c.i, min(c.i + r, n - 1) + 1):
@@ -271,7 +266,10 @@ class HierarchicalSpace:
                 ok = True
                 for sx in range(max(0, ix - r), min(m - 1, ix) + 1):
                     for sy in range(max(0, iy - r), min(m - 1, iy) + 1):
-                        if state(Cell(lev, sx, sy)) == INSIDE:
+                        st = state.get((sx, sy))
+                        if st is None:
+                            st = state[sx, sy] = p.classify(Cell(lev, sx, sy))
+                        if st == INSIDE:
                             ok = False
                             break
                     if not ok:
@@ -311,6 +309,7 @@ class HierarchicalSpace:
             if cell not in self.partition:
                 raise ValueError(f"{cell} is not an active cell")
             got = self._extraction[cell] = self._extract(cell)
+            self._index[cell] = np.array(got[0], dtype=np.intp)
         return got
 
     def _extract(self, cell: Cell) -> tuple[tuple[int, ...], np.ndarray]:
@@ -380,18 +379,18 @@ class HierarchicalSpace:
                      ) -> dict[tuple[int, int], np.ndarray]:
         """Window-basis derivative tables on a cell at the paired points
         ``(xs[k], ys[k])``; each table is C-ordered with shape
-        ``((r+1)**2, len(xs))``.  All orders come from one broadcast.
+        ``((r+1)**2, len(xs))``: the outer product of one memoised row
+        per axis, one rounded product per entry.
         """
         w = self.degree + 1
         Dx = self._univariate(cell.level, cell.i, np.asarray(xs, float),
                               MAX_DERIVATIVE_ORDER)
         Dy = self._univariate(cell.level, cell.j, np.asarray(ys, float),
                               MAX_DERIVATIVE_ORDER)
-        ax = [o[0] for o in orders]
-        ay = [o[1] for o in orders]
-        T = (Dx[ax][:, :, None, :] * Dy[ay][:, None, :, :]).reshape(
-            len(orders), w * w, Dx.shape[2])
-        return dict(zip(orders, T))
+        # X[a] is Dx[a][:, None, :] and Y[b] is Dy[b][None, :, :]
+        X, Y = Dx[:, :, None, :], Dy[:, None, :, :]
+        shape = (w * w, Dx.shape[2])
+        return {(a, b): (X[a] * Y[b]).reshape(shape) for a, b in orders}
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -458,8 +457,8 @@ class SplineFunction:
                    orders: Sequence[tuple[int, int]],
                    cell: Cell) -> dict[tuple[int, int], np.ndarray]:
         """Several derivative orders at once; one basis-table pass."""
-        pos, tabs = self.space.basis_on_cell(cell, xs, ys, orders)
-        c = self.coefficients[list(pos)]
+        _, tabs = self.space.basis_on_cell(cell, xs, ys, orders)
+        c = self.coefficients[self.space._index[cell]]
         return {o: c @ T for o, T in tabs.items()}
 
     def __call__(self, x: float, y: float) -> float:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from afem.cli import build_parser, load_problem, main
+from afem.cli import _expr, build_parser, load_problem, main
 from afem.driver import CSV_HEADER
 from afem.mesh import Cell, refine, uniform_partition
 from afem.oracles import random_spline
@@ -252,6 +252,28 @@ class TestSafeExpressions:
         want = (-np.sin(np.pi * x) ** 2 / 2 + np.abs(y) * np.exp(x)
                 - np.sqrt(y) * np.log(1 + x) + np.cos(3 * y))
         assert np.array_equal(f(x, y), want)
+
+    @pytest.mark.parametrize("text", ["1", "pi"])
+    def test_constant_source_runs(self, tmp_path, text):
+        # the uniformly loaded clamped plate
+        path = tmp_path / "plate.json"
+        path.write_text(json.dumps({"f": text}))
+        out = tmp_path / "out"
+        code = run_cli(["--problem", str(path), "--max-dofs", "100",
+                        "--max-iters", "2", "--out", str(out)])
+        assert code == 0
+        assert (out / "convergence.csv").exists()
+
+    def test_constant_expression_is_shaped_like_the_points(self):
+        xs = np.linspace(0.1, 0.9, 7)
+        ys = xs[::-1]
+        for text, value in (("1", 1.0), ("pi", np.pi), ("2*pi - 1", 2 * np.pi - 1)):
+            vals = _expr(text)(xs, ys)
+            assert vals.shape == xs.shape
+            assert np.array_equal(vals, np.full(xs.shape, value))
+        assert _expr("1")(xs[:, None], ys[None, :]).shape == (7, 7)
+        assert np.array_equal(_expr("x*0 + 1")(xs, ys), np.ones(7))
+        assert np.array_equal(_expr("y")(xs, ys), ys)
 
     def test_unknown_problem_message_lists_every_builtin(self, capsys):
         assert run_cli(["--problem", "mystery", "--out", "x"]) == 2

@@ -1,5 +1,7 @@
 """Adaptive loop behaviour, convergence bookkeeping and identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from afem.assembly import (FormParams, energy_diff_sq, inconsistency_load,
 from afem.driver import (AfemConfig, Problem, contraction_ratios,
                          default_c_est, discrete_reliability_probe,
                          effectivity, inconsistency_sup, pythagoras_check,
-                         records_to_csv, run, run_summary, CSV_HEADER)
+                         records_to_csv, run, run_summary, CSV_HEADER,
+                         _SampleMemo)
 from afem.estimator import Indicators
 from afem.mesh import uniform_partition
 from afem.oracles import manufactured_sin2, zero_problem
@@ -329,6 +332,89 @@ class TestNitscheRun:
             best = max(best, abs(float(g @ unit)) / den if den > 0 else 0.0)
         assert best > 0.0
         assert got == best
+
+
+def peak_source(x, y, centre=(0.3712, 0.5861), width=1e-4):
+    r2 = (np.asarray(x) - centre[0]) ** 2 + (np.asarray(y) - centre[1]) ** 2
+    return np.exp(-r2 / width) / width
+
+
+class TestSampleMemo:
+    # the configurations of the benchmark workloads (benchmarks/workloads.py)
+    @pytest.mark.parametrize("kw,peak,distinct", [
+        (dict(degree=2, theta=0.5, mode="conforming", max_dofs=250),
+         False, 572),
+        (dict(degree=3, theta=0.5, mode="nitsche", max_dofs=150), False, 184),
+        (dict(degree=2, theta=0.2, mode="conforming", max_dofs=100,
+              max_iters=200), True, 256),
+    ])
+    def test_source_sampled_once_per_distinct_cell(self, kw, peak, distinct):
+        calls = []
+        src = peak_source if peak else SIN2.f
+
+        def counting(x, y):
+            calls.append(1)
+            return src(x, y)
+
+        prob = Problem("peak", counting) if peak else replace(SIN2, f=counting)
+        cells = set()
+        run(AfemConfig(initial_levels=2, **kw), prob,
+            on_iteration=lambda st: cells.update(st.partition))
+        assert len(calls) == len(cells) == distinct
+
+    def test_memo_and_oscillation_reuse_leave_records_unchanged(
+            self, monkeypatch):
+        cfg = AfemConfig(degree=2, theta=0.5, mode="nitsche",
+                         initial_levels=2, max_dofs=200)
+        with_memo = run(cfg, SIN2)
+
+        class PassThrough:
+            def __init__(self, f):
+                self.f = f
+
+            def __call__(self, xs, ys):
+                return self.f(xs, ys)
+
+            def next_iteration(self):
+                pass
+
+        fresh = afem.driver.estimate_all
+        monkeypatch.setattr(afem.driver, "_SampleMemo", PassThrough)
+        monkeypatch.setattr(afem.driver, "estimate_all",
+                            lambda *a, previous=None: fresh(*a))
+        assert repr(run(cfg, SIN2)) == repr(with_memo)
+
+    def test_samples_are_read_only_copies(self):
+        memo = _SampleMemo(lambda x, y: x)
+        xs, ys = np.array([0.25, 0.5]), np.array([0.75, 1.0])
+        vals = memo(xs, ys)
+        assert not vals.flags.writeable and xs.flags.writeable
+        assert not np.shares_memory(vals, xs)
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
+        # the key is the exact bytes, not the array object
+        assert memo(xs.copy(), ys.copy()) is vals
+
+    def test_point_set_unused_for_an_iteration_is_dropped(self):
+        calls = []
+        memo = _SampleMemo(lambda x, y: calls.append(1) or x + y)
+        a = (np.array([0.125, 0.25]), np.array([0.5, 0.5]))
+        b = (np.array([0.75]), np.array([0.25]))
+        memo.next_iteration()
+        first = memo(*a)
+        memo(*b)
+        memo.next_iteration()
+        assert memo(*a) is first          # kept: asked for last iteration
+        memo.next_iteration()             # b unused for a whole iteration
+        assert memo(*a) is first
+        assert len(calls) == 2
+        memo(*b)
+        assert len(calls) == 3
+        memo.next_iteration()
+        memo.next_iteration()             # nothing asked for: all dropped
+        again = memo(*a)
+        assert again is not first and np.array_equal(again, first)
+        assert len(calls) == 4
 
 
 class TestNonFiniteData:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import afem.estimator
 from afem.assembly import _legendre_modes
 from afem.estimator import (CellIndicator, Indicators, dorfler_mark,
                             estimate_all, indicator, lipschitz_gap,
@@ -198,6 +199,31 @@ class TestEstimateAll:
         ind = estimate_all(U, f, p)
         for c in p:
             assert indicator(U, f, c, p) == ind.records[c]
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_previous_oscillation_equals_fresh_one(self, r, monkeypatch):
+        f = manufactured_sin2().f
+        p0 = graded_7cell()
+        prev = estimate_all(random_spline(build_space(p0, r),
+                                          np.random.default_rng(13)), f, p0)
+        p1 = refine(p0, [Cell(2, 1, 1), Cell(1, 1, 1)])
+        U = random_spline(build_space(p1, r), np.random.default_rng(14))
+        new = [c for c in p1 if c not in p0]
+        assert new and len(new) < len(p1)  # some cells persist, some are new
+        want = estimate_all(U, f, p1)
+
+        sampled = []
+        fresh = afem.estimator.oscillation
+        monkeypatch.setattr(afem.estimator, "oscillation",
+                            lambda f, tau, *a: sampled.append(tau)
+                            or fresh(f, tau, *a))
+        got = estimate_all(U, f, p1, previous=prev)
+        assert sampled == new
+        assert list(got.records) == list(want.records)
+        for c in p1:
+            assert got.records[c] == want.records[c], c
+        assert got.total_sq == want.total_sq
+        assert got.osc_total_sq == want.osc_total_sq
 
     def test_dump_format(self):
         p = uniform_partition(1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from afem.mesh import Cell, edges, uniform_partition
+from afem.mesh import Cell, Edge, edges, uniform_partition
 from afem.quadrature import gauss_cell, gauss_edge, gauss_points_1d
 
 
@@ -135,3 +135,27 @@ class TestEdgeRules:
                 assert np.all(rule.points[:, 0] == e.fixed)
             else:
                 assert np.all(rule.points[:, 1] == e.fixed)
+
+    def test_bit_identical_to_column_stack_construction(self):
+        def column_stack_rule(e, n):
+            ts, wt = gauss_points_1d(e.lo, e.lo + e.length, n)
+            fixed = np.full_like(ts, e.fixed)
+            cols = [fixed, ts] if e.axis == 0 else [ts, fixed]
+            return np.column_stack(cols), wt
+
+        rng = np.random.default_rng(2)
+        for lev in range(16):
+            m = 1 << lev
+            idx = sorted({0, m // 2, m - 1} | set(rng.integers(0, m, 4).tolist()))
+            for axis in (0, 1):
+                for k, t in zip(idx, idx[::-1]):
+                    cell = Cell(lev, k, t) if axis == 0 else Cell(lev, t, k)
+                    e = Edge("boundary", axis, lev, k / m, t / m, plus=cell,
+                             minus=None, normal=(-1.0, 0.0) if axis == 0
+                             else (0.0, -1.0))
+                    for n in range(1, 11):
+                        rule = gauss_edge(e, n)
+                        points, weights = column_stack_rule(e, n)
+                        assert rule.points.tobytes() == points.tobytes()
+                        assert rule.points.flags.c_contiguous
+                        assert rule.weights.tobytes() == weights.tobytes()

@@ -306,6 +306,18 @@ def tables_per_order(s, cell, xs, ys, orders):
             for ax, ay in orders}
 
 
+def tables_all_orders_broadcast(s, cell, xs, ys, orders):
+    """Window tables of every order from one fancy-indexed broadcast."""
+    w = s.degree + 1
+    Dx = s._univariate(cell.level, cell.i, xs, 4)
+    Dy = s._univariate(cell.level, cell.j, ys, 4)
+    ax = [o[0] for o in orders]
+    ay = [o[1] for o in orders]
+    T = (Dx[ax][:, :, None, :] * Dy[ay][:, None, :, :]).reshape(
+        len(orders), w * w, len(xs))
+    return dict(zip(orders, T))
+
+
 ALL_ORDERS = [(ax, ay) for ax in range(5) for ay in range(5 - ax)]
 
 
@@ -330,12 +342,15 @@ class TestFastEvaluationPath:
             rule = gauss_cell(cell, r + 2)
             xs, ys = rule.points[:, 0], rule.points[:, 1]
             want = tables_per_order(s, cell, xs, ys, ALL_ORDERS)
+            broadcast = tables_all_orders_broadcast(s, cell, xs, ys,
+                                                    ALL_ORDERS)
             got = s.local_tables(cell, xs, ys, ALL_ORDERS)
             assert list(got) == ALL_ORDERS
             _, C = extraction_by_level_loop(s, cell)
             pos, basis = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
             for o in ALL_ORDERS:
                 assert np.array_equal(got[o], want[o]), (cell, o)
+                assert got[o].tobytes() == broadcast[o].tobytes(), (cell, o)
                 assert got[o].flags.c_contiguous
                 if max(o) <= r:
                     assert np.array_equal(basis[o], C @ want[o]), (cell, o)
@@ -364,6 +379,22 @@ class TestFastEvaluationPath:
             batch = U.eval_batch(xs, ys, ALL_ORDERS, cell)
             for o in ALL_ORDERS:
                 assert np.array_equal(batch[o], U.eval_many(xs, ys, *o, cell))
+
+    @given(graded_spaces, st.integers(0, 2 ** 32 - 1))
+    def test_eval_batch_equals_gathered_coefficient_products(self, case,
+                                                             seed):
+        s = graded_space(*case)
+        U = random_spline(s, np.random.default_rng(seed))
+        for cell in s.partition:
+            rule = gauss_cell(cell, 3)
+            xs, ys = rule.points[:, 0], rule.points[:, 1]
+            batch = U.eval_batch(xs, ys, ALL_ORDERS, cell)
+            pos, tabs = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
+            index = s._index[cell]
+            assert index.dtype == np.intp and tuple(index) == pos
+            c = U.coefficients[list(pos)]
+            for o in ALL_ORDERS:
+                assert batch[o].tobytes() == (c @ tabs[o]).tobytes()
 
     def test_memoised_tables_and_extraction_are_read_only(self):
         s = build_space(graded_7cell(), 3)
