@@ -27,7 +27,8 @@ from scipy.sparse import coo_matrix, csr_matrix, triu
 
 from .mesh import Cell, Edge, Partition, edges
 from .quadrature import gauss_cell, gauss_edge
-from .splines import HierarchicalSpace, SplineFunction, conforming_indices
+from .splines import (HierarchicalSpace, SplineFunction, conforming_indices,
+                      request_blocks)
 
 __all__ = [
     "AnalyticField",
@@ -306,7 +307,7 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
     vals: list[np.ndarray] = []
     b = np.zeros(dim)
 
-    def scatter(pos, block, load=None):
+    def scatter(pos, block):
         idx = imap[list(pos)]
         live = idx >= 0
         if not np.any(live):
@@ -316,24 +317,78 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
         rows.append(np.repeat(sub, k))
         cols.append(sub[None, :].repeat(k, axis=0).ravel())
         vals.append(block[live[:, None] & live])
-        if load is not None:
-            b[sub] += load[live]
 
-    # volume pass: (lap u, lap v) and the load
-    for cell in s.partition:
-        rule = gauss_cell(cell, n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pos, tabs = s.basis_on_cell(cell, xs, ys, [(0, 0), (2, 0), (0, 2)])
-        V = tabs[(0, 0)]
-        LAP = tabs[(2, 0)] + tabs[(0, 2)]
-        fvals = np.asarray(f(xs, ys), float)
-        scatter(pos, (LAP * w) @ LAP.T, V @ (w * fvals))
-
+    _assemble_volume(s, f, n, imap, rows, cols, vals, b)
     if params.mode == "nitsche":
         _assemble_boundary(s, params, scatter)
 
     A = _symmetric_csr(rows, cols, vals, dim)
     return SystemMatrix(A, tuple(keep)), LoadVector(b, tuple(keep))
+
+
+def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
+                     rows: list, cols: list, vals: list, b: np.ndarray):
+    """Volume pass ``(lap u, lap v)`` and the load, in stacked chunks.
+
+    Entries keep the per-cell COO layout and order: each cell's live
+    rows and columns go to ``rows``/``cols`` and its Gram block to its
+    offset in one preallocated value array, so no chunk outlives its
+    products.  The load is added cell by cell in partition order.
+    """
+    cells = s.partition.cells
+    lives, subs, offsets = [], [], [0]
+    for cell in cells:
+        idx = imap[list(s.cell_extraction(cell)[0])]
+        live = idx >= 0
+        sub = idx[live]
+        k = len(sub)
+        rows.append(np.repeat(sub, k))
+        cols.append(sub[None, :].repeat(k, axis=0).ravel())
+        lives.append(live)
+        subs.append(sub)
+        offsets.append(offsets[-1] + k * k)
+    block = np.empty(offsets[-1])
+    loads = [None] * len(cells)
+    for at, W, F, tabs in _cell_chunks(cells, n, s.basis_stacks,
+                                       [(0, 0), (2, 0), (0, 2)], f):
+        LAP = tabs[(2, 0)] + tabs[(0, 2)]
+        gram = (LAP * W[:, None, :]) @ LAP.transpose(0, 2, 1)
+        load = tabs[(0, 0)] @ (W * F)[:, :, None]
+        for j, c in enumerate(at):
+            live = lives[c]
+            block[offsets[c]:offsets[c + 1]] = gram[j][live[:, None] & live]
+            loads[c] = load[j, live, 0]
+    vals.append(block)
+    for sub, load in zip(subs, loads):
+        b[sub] += load
+
+
+def _cell_chunks(cells, n: int, stacks, orders, data):
+    """Stacked evaluation of ``cells`` on their ``n x n`` Gauss rules.
+
+    ``stacks`` is :meth:`HierarchicalSpace.basis_stacks` or
+    :meth:`SplineFunction.value_stacks`; per chunk this yields the
+    cells' numbers in ``cells``, their weights and ``data`` samples
+    ``(B, n*n)``, and the chunk's tables or values.  Rules are built one
+    run of :func:`request_blocks` at a time, and ``data`` is called once
+    per cell on its own points.
+    """
+    for lo, run in request_blocks(cells):
+        rules = [gauss_cell(c, n) for c in run]
+        X = [rule.points[:, 0] for rule in rules]
+        Y = [rule.points[:, 1] for rule in rules]
+        for items, *_, tabs in stacks(run, X, Y, orders):
+            W = np.array([rules[q].weights for q in items])
+            F = np.empty(W.shape)
+            for j, q in enumerate(items):
+                F[j] = data(X[q], Y[q])
+            yield [lo + q for q in items], W, F, tabs
+
+
+def _row_dots(W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``W[q] @ V[q]`` for each row: one BLAS dot per item, as ``w @ v``
+    on one row (a row-wise sum or ``einsum`` would round differently)."""
+    return (W[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
 def _symmetric_csr(rows, cols, vals, dim: int) -> csr_matrix:
@@ -541,13 +596,15 @@ def energy_error_sq(lap_u, fn: SplineFunction,
     """``||lap u - lap fn||^2`` against an analytic Laplacian callback."""
     s = fn.space
     n = quad_n if quad_n is not None else default_quad_n(s.degree) + 2
+    cells = s.partition.cells
+    parts = [0.0] * len(cells)
+    for at, W, L, d in _cell_chunks(cells, n, fn.value_stacks,
+                                    [(2, 0), (0, 2)], lap_u):
+        for c, v in zip(at, _row_dots(W, (L - d[(2, 0)] - d[(0, 2)]) ** 2)):
+            parts[c] = float(v)
     total = 0.0
-    for cell in s.partition:
-        rule = gauss_cell(cell, n)
-        xs, ys = rule.points[:, 0], rule.points[:, 1]
-        d = fn.eval_batch(xs, ys, [(2, 0), (0, 2)], cell)
-        diff = np.asarray(lap_u(xs, ys), float) - d[(2, 0)] - d[(0, 2)]
-        total += float(rule.weights @ diff ** 2)
+    for v in parts:  # partition order, as a per-cell loop sums
+        total += v
     return total
 
 

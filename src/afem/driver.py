@@ -462,11 +462,13 @@ def records_to_csv(records, c_est: float | None = None) -> str:
 
 
 def _loglog_slope(xs, ys) -> float | None:
+    """Least-squares slope of log y against log x; ``None`` unless at
+    least two points remain and their x values differ."""
     pairs = [(x, y) for x, y in zip(xs, ys)
              if x is not None and y is not None and x > 0 and y > 0]
-    if len(pairs) < 2:
-        return None
     lx = np.log([q[0] for q in pairs])
+    if len(pairs) < 2 or np.all(lx == lx[0]):
+        return None
     ly = np.log([q[1] for q in pairs])
     return float(np.polyfit(lx, ly, 1)[0])
 

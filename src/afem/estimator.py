@@ -22,9 +22,9 @@ import numpy as np
 
 from .mesh import Cell, Edge, Partition, cell_edges, edges
 from .quadrature import gauss_cell, gauss_edge
-from .splines import SplineFunction
-from .assembly import (_legendre_modes, _project_values, default_quad_n,
-                       h2_seminorm_sq)
+from .splines import SplineFunction, request_blocks
+from .assembly import (_cell_chunks, _legendre_modes, _project_values,
+                       _row_dots, default_quad_n, h2_seminorm_sq)
 from .mesh import support_extension
 
 __all__ = [
@@ -78,38 +78,48 @@ class MarkedSet:
     achieved_fraction: float
 
 
-def _bilaplacian(U: SplineFunction, xs, ys, cell: Cell) -> np.ndarray:
-    d = U.eval_batch(xs, ys, [(4, 0), (2, 2), (0, 4)], cell)
-    return d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)]
+def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
+                   quad_n: int) -> list[tuple[float, float]]:
+    """(h^3 ||J1||^2, h ||J2||^2) of each interior edge, in order.
+
+    Per normal axis, runs of edges are evaluated in one stacked request
+    list holding the plus owners, then the minus owners, at the edges'
+    points.
+    """
+    out: list[tuple[float, float]] = [(0.0, 0.0)] * len(es)
+    for axis in (0, 1):
+        # the Laplacian and its derivative along the normal axis
+        grad = [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)]
+        orders = [(2, 0), (0, 2)] + grad
+        on_axis = [q for q, e in enumerate(es) if e.axis == axis]
+        for _, run in request_blocks(on_axis):
+            rules = [gauss_edge(es[q], quad_n) for q in run]
+            X = [rule.points[:, 0] for rule in rules]
+            Y = [rule.points[:, 1] for rule in rules]
+            owners = [es[q].plus for q in run] + [es[q].minus for q in run]
+            d = U.eval_stacked(owners, X + X, Y + Y, orders)
+            lap = d[(2, 0)] + d[(0, 2)]
+            dlap = d[grad[0]] + d[grad[1]]
+            B = len(run)
+            W = np.array([rule.weights for rule in rules])
+            s1 = _row_dots(W, (dlap[:B] - dlap[B:]) ** 2)
+            s2 = _row_dots(W, (lap[:B] - lap[B:]) ** 2)
+            for q, a, b in zip(run, s1, s2):
+                h = es[q].length
+                out[q] = (h ** 3 * float(a), h * float(b))
+    return out
 
 
-def _lap_and_normal(U: SplineFunction, xs, ys, cell: Cell,
-                    axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian trace and its derivative along the edge normal axis."""
-    grad_orders = [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)]
-    d = U.eval_batch(xs, ys, [(2, 0), (0, 2)] + grad_orders, cell)
-    lap = d[(2, 0)] + d[(0, 2)]
-    dlap = d[grad_orders[0]] + d[grad_orders[1]]
-    return lap, dlap
-
-
-def _edge_jumps_sq(U: SplineFunction, e: Edge, quad_n: int) -> tuple[float, float]:
-    """(h^3 ||J1||^2, h ||J2||^2) for one interior edge."""
-    rule = gauss_edge(e, quad_n)
-    xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-    lap_p, dlap_p = _lap_and_normal(U, xs, ys, e.plus, e.axis)
-    lap_m, dlap_m = _lap_and_normal(U, xs, ys, e.minus, e.axis)
-    j1 = dlap_p - dlap_m
-    j2 = lap_p - lap_m
-    h = e.length
-    return h ** 3 * float(w @ j1 ** 2), h * float(w @ j2 ** 2)
-
-
-def _interior_sq(U: SplineFunction, f, cell: Cell, quad_n: int) -> float:
-    rule = gauss_cell(cell, quad_n)
-    xs, ys = rule.points[:, 0], rule.points[:, 1]
-    res = np.asarray(f(xs, ys), float) - _bilaplacian(U, xs, ys, cell)
-    return cell.side ** 4 * float(rule.weights @ res ** 2)
+def _interior_sq(U: SplineFunction, f, cells: list[Cell],
+                 quad_n: int) -> list[float]:
+    """``h^4 ||f - lap^2 U||^2`` of each cell, in order."""
+    out = [0.0] * len(cells)
+    for at, W, F, d in _cell_chunks(cells, quad_n, U.value_stacks,
+                                    [(4, 0), (2, 2), (0, 4)], f):
+        res = F - (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])
+        for c, v in zip(at, _row_dots(W, res ** 2)):
+            out[c] = cells[c].side ** 4 * float(v)
+    return out
 
 
 def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
@@ -141,8 +151,8 @@ def estimate_all(U: SplineFunction, f, p: Partition,
 
     jump1 = {c: 0.0 for c in p.cells}
     jump2 = {c: 0.0 for c in p.cells}
-    for e in interior_edges:
-        j1, j2 = _edge_jumps_sq(U, e, n)
+    jumps = _edge_jumps_sq(U, interior_edges, n)
+    for e, (j1, j2) in zip(interior_edges, jumps):
         jump1[e.plus] += 0.5 * j1
         jump1[e.minus] += 0.5 * j1
         jump2[e.plus] += 0.5 * j2
@@ -152,8 +162,7 @@ def estimate_all(U: SplineFunction, f, p: Partition,
     total = 0.0
     osc_total = 0.0
     known = previous.records if previous is not None else {}
-    for c in p.cells:
-        interior = _interior_sq(U, f, c, n)
+    for c, interior in zip(p.cells, _interior_sq(U, f, p.cells, n)):
         rec = known.get(c)
         osc_sq = (rec.osc_sq if rec is not None
                   else oscillation(f, c, r, n) ** 2)
@@ -173,11 +182,11 @@ def indicator(U: SplineFunction, f, tau: Cell, p: Partition,
     r = U.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
     j1s = j2s = 0.0
-    for e in cell_edges(p, tau):  # the order estimate_all sums them in
-        j1, j2 = _edge_jumps_sq(U, e, n)
+    # the order estimate_all sums them in
+    for j1, j2 in _edge_jumps_sq(U, cell_edges(p, tau), n):
         j1s += 0.5 * j1
         j2s += 0.5 * j2
-    interior = _interior_sq(U, f, tau, n)
+    interior, = _interior_sq(U, f, [tau], n)
     osc = oscillation(f, tau, r, n)
     return CellIndicator(interior + j1s + j2s, interior, j1s, j2s, osc ** 2)
 

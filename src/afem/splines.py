@@ -27,6 +27,11 @@ one bounded process-wide cache, by every cell, level and space; each
 space memoises the scaled tables on ``(level, span, points)``.  Points
 are always paired coordinates, as :func:`afem.quadrature.gauss_cell`
 lays them out.
+
+Evaluation is stacked: requests (a cell and its points) are grouped by
+extraction size, and each chunk takes one ``np.matmul`` per order.  That
+runs the same BLAS call per item as a one-cell product, so results do
+not depend on the grouping; widening an operand would change rounding.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "SplineFunction",
     "DualFunctionalSet",
     "build_space",
+    "request_blocks",
     "conforming_indices",
     "quasi_interpolant",
     "coarse_to_fine",
@@ -60,6 +66,12 @@ MAX_DERIVATIVE_ORDER = 4
 # entries of the process-wide reference-table cache; one entry is one
 # (degree, span class, point set) table of at most a few KB
 REFERENCE_TABLE_CACHE_SIZE = 2048
+
+# requests per stacked product: bounds the tables of one chunk (at most
+# 32 * 25 * 64 floats per order) while amortising numpy's per-call cost
+_STACK_ITEMS = 32
+# requests a stacked consumer gathers quadrature points for at once
+_BLOCK_REQUESTS = 4 * _STACK_ITEMS
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +386,67 @@ class HierarchicalSpace:
             self._tables[key] = tab
         return tab[:max_order + 1]
 
+    def _window_rows(self, cells: Sequence[Cell], X, Y, ax: int, ay: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Memoised univariate rows of several cells at their paired
+        points ``(X[q], Y[q])``, stacked per axis: ``(len(cells), ax+1,
+        r+1, n)`` along x and ``(len(cells), ay+1, r+1, n)`` along y."""
+        Dx = _stack([self._univariate(c.level, c.i, np.asarray(x, float), ax)
+                     for c, x in zip(cells, X)])
+        Dy = _stack([self._univariate(c.level, c.j, np.asarray(y, float), ay)
+                     for c, y in zip(cells, Y)])
+        return Dx, Dy
+
     def local_tables(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                      orders: Sequence[tuple[int, int]],
                      ) -> dict[tuple[int, int], np.ndarray]:
-        """Window-basis derivative tables on a cell at the paired points
-        ``(xs[k], ys[k])``; each table is C-ordered with shape
-        ``((r+1)**2, len(xs))``: the outer product of one memoised row
-        per axis, one rounded product per entry.
+        """Window-basis derivative tables on one cell at the paired points
+        ``(xs[k], ys[k])``, each C-ordered with shape ``((r+1)**2,
+        len(xs))``: the one-cell case of the stacked tables."""
+        Dx, Dy = self._window_rows([cell], [xs], [ys],
+                                   max(a for a, _ in orders),
+                                   max(b for _, b in orders))
+        return {o: _window_table(Dx, Dy, *o)[0] for o in orders}
+
+    def basis_stacks(self, cells: Sequence[Cell], X, Y,
+                     orders: Sequence[tuple[int, int]]):
+        """Active-function derivative tables of many cells, stacked.
+
+        Request ``q`` is ``cells[q]`` at the paired points ``(X[q],
+        Y[q])``, ``n`` points each.  Requests are grouped by extraction
+        row count ``k`` (groups in order of first appearance, requests in
+        order) and cut into chunks of at most ``_STACK_ITEMS``.  Per chunk
+        this yields the request numbers, their global positions ``(B, k)``
+        and per order the tables ``(B, k, n)``: each item equals the
+        one-cell product bit for bit.  Orders above the degree are exact
+        zeros (one read-only array per chunk), neither tabulated nor
+        multiplied.
         """
-        w = self.degree + 1
-        Dx = self._univariate(cell.level, cell.i, np.asarray(xs, float),
-                              MAX_DERIVATIVE_ORDER)
-        Dy = self._univariate(cell.level, cell.j, np.asarray(ys, float),
-                              MAX_DERIVATIVE_ORDER)
-        # X[a] is Dx[a][:, None, :] and Y[b] is Dy[b][None, :, :]
-        X, Y = Dx[:, :, None, :], Dy[:, None, :, :]
-        shape = (w * w, Dx.shape[2])
-        return {(a, b): (X[a] * Y[b]).reshape(shape) for a, b in orders}
+        groups: dict[int, list[int]] = {}
+        for q, cell in enumerate(cells):
+            groups.setdefault(len(self.cell_extraction(cell)[0]), []).append(q)
+        r = self.degree
+        live = [o for o in orders if o[0] <= r and o[1] <= r]
+        ax = max((a for a, _ in live), default=0)
+        ay = max((b for _, b in live), default=0)
+        for k, members in groups.items():
+            for lo in range(0, len(members), _STACK_ITEMS):
+                items = members[lo:lo + _STACK_ITEMS]
+                chunk = [cells[q] for q in items]
+                tabs = {}
+                if live:
+                    C = _stack([self._extraction[c][1] for c in chunk])
+                    Dx, Dy = self._window_rows(chunk, [X[q] for q in items],
+                                               [Y[q] for q in items], ax, ay)
+                    # one window table alive at a time
+                    for o in live:
+                        tabs[o] = C @ _window_table(Dx, Dy, *o)
+                if len(live) < len(orders):
+                    zero = np.zeros((len(items), k, len(X[items[0]])))
+                    zero.flags.writeable = False
+                    for o in orders:
+                        tabs.setdefault(o, zero)
+                yield items, _stack([self._index[c] for c in chunk]), tabs
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -398,17 +454,38 @@ class HierarchicalSpace:
         """Active-function derivative tables on a cell at paired points.
 
         Returns the global positions and, per derivative order, an array
-        of shape ``(len(positions), n_points)``.  Orders above the degree
-        in either direction are exact zeros (one shared read-only array),
-        neither tabulated nor multiplied.
+        of shape ``(len(positions), n_points)``: the one-cell case of
+        :meth:`basis_stacks`, with its exact zeros above the degree.
         """
-        pos, C = self.cell_extraction(cell)
-        live = [o for o in orders if max(o) <= self.degree]
-        local = self.local_tables(cell, xs, ys, live) if live else {}
-        if len(live) < len(orders):
-            zero = np.zeros((len(pos), len(xs)))
-            zero.flags.writeable = False
-        return pos, {o: C @ local[o] if o in local else zero for o in orders}
+        (_, _, tabs), = self.basis_stacks([cell], [xs], [ys], orders)
+        return self._extraction[cell][0], {o: T[0] for o, T in tabs.items()}
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shaped C-ordered arrays as one stacked array; a lone array
+    as a view with a leading axis of one, the same layout without a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _window_table(Dx: np.ndarray, Dy: np.ndarray, a: int,
+                  b: int) -> np.ndarray:
+    """Stacked window table of order ``(a, b)``, ``(B, (r+1)**2, n)``,
+    C-ordered: per item the outer product of row ``a`` of ``Dx`` and row
+    ``b`` of ``Dy``, one rounded product per entry."""
+    B, _, w, n = Dx.shape
+    return (Dx[:, a, :, None, :] * Dy[:, b, None, :, :]).reshape(B, w * w, n)
+
+
+def request_blocks(requests: Sequence) -> list[tuple[int, Sequence]]:
+    """``(start, slice)`` of consecutive runs of at most
+    ``_BLOCK_REQUESTS`` requests.
+
+    Stacked consumers build the quadrature points of one run at a time,
+    so what they hold stays bounded by the chunk size, while grouping by
+    extraction size within a run still fills most chunks.
+    """
+    return [(lo, requests[lo:lo + _BLOCK_REQUESTS])
+            for lo in range(0, len(requests), _BLOCK_REQUESTS)]
 
 
 def build_space(p: Partition, r: int, truncated: bool = True) -> HierarchicalSpace:
@@ -456,10 +533,45 @@ class SplineFunction:
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray,
                    orders: Sequence[tuple[int, int]],
                    cell: Cell) -> dict[tuple[int, int], np.ndarray]:
-        """Several derivative orders at once; one basis-table pass."""
+        """Several derivative orders at once on one cell: the stacked
+        product of :meth:`value_stacks` on the one-cell tables."""
         _, tabs = self.space.basis_on_cell(cell, xs, ys, orders)
-        c = self.coefficients[self.space._index[cell]]
-        return {o: c @ T for o, T in tabs.items()}
+        vals = self._stacked_values(self.space._index[cell][None],
+                                    {o: T[None] for o, T in tabs.items()})
+        return {o: v[0] for o, v in vals.items()}
+
+    def value_stacks(self, cells: Sequence[Cell], X, Y,
+                     orders: Sequence[tuple[int, int]]):
+        """Derivative values per chunk of
+        :meth:`HierarchicalSpace.basis_stacks`: yields ``(items, values)``
+        with ``values[order]`` of shape ``(B, n)``."""
+        for items, index, tabs in self.space.basis_stacks(cells, X, Y, orders):
+            yield items, self._stacked_values(index, tabs)
+
+    def _stacked_values(self, index: np.ndarray, tabs: dict,
+                        ) -> dict[tuple[int, int], np.ndarray]:
+        """One stacked product of the gathered coefficients ``(B, 1, k)``
+        with each table ``(B, k, n)``: the same BLAS call per item as
+        ``c @ T`` on one cell.  Orders above the degree are exact zeros."""
+        r = self.space.degree
+        cs = self.coefficients[index][:, None, :]
+        return {o: (cs @ T)[:, 0] if max(o) <= r
+                else np.zeros((T.shape[0], T.shape[2]))
+                for o, T in tabs.items()}
+
+    def eval_stacked(self, cells: Sequence[Cell], X, Y,
+                     orders: Sequence[tuple[int, int]],
+                     ) -> dict[tuple[int, int], np.ndarray]:
+        """Derivative values ``{order: (R, n)}`` of ``R`` requests (cell
+        ``cells[q]`` at the paired points ``(X[q], Y[q])``), in request
+        order; each row equals :meth:`eval_batch` on its cell, bit for bit.
+        """
+        n = len(X[0]) if len(cells) else 0
+        out = {o: np.zeros((len(cells), n)) for o in orders}
+        for items, vals in self.value_stacks(cells, X, Y, orders):
+            for o, v in vals.items():
+                out[o][items] = v
+        return out
 
     def __call__(self, x: float, y: float) -> float:
         return self.eval(x, y)

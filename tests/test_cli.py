@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,22 @@ class TestSafeExpressions:
                         "--max-iters", "2", "--out", str(out)])
         assert code == 0
         assert (out / "convergence.csv").exists()
+
+    def test_slope_of_equal_dofs_is_null_without_warning(self, tmp_path):
+        # two iterations at 4 dofs: no spread in log-dofs, so no slope
+        path = tmp_path / "plate.json"
+        path.write_text(json.dumps({"f": "1"}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["--problem", str(path), "--max-dofs", "100",
+                            "--max-iters", "2", "--out", str(out)])
+        assert code == 0
+        rows = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["4", "4"]
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["slope_eta_vs_dofs"] is None
+        assert summary["slope_energy_vs_dofs"] is None
 
     def test_constant_expression_is_shaped_like_the_points(self):
         xs = np.linspace(0.1, 0.9, 7)
