@@ -131,6 +131,8 @@ class LoadVector:
 
 # entries of the process-wide Legendre-table cache
 LEGENDRE_CACHE_SIZE = 1024
+# derivative orders whose sum is the Laplacian
+_LAP_ORDERS = [(2, 0), (0, 2)]
 
 
 @lru_cache(maxsize=LEGENDRE_CACHE_SIZE)
@@ -213,17 +215,24 @@ def _project_values(cell: Cell, d: int, vals: np.ndarray, rule,
     return ((modes * rule.weights) @ vals.T).T * norms
 
 
-def _cell_projections(cells, d: int, n: int,
-                      sample) -> dict[Cell, np.ndarray]:
-    """Legendre coefficients of the projection onto degree ``d`` of
-    ``sample(cell, xs, ys)`` (one field or a stack) on each cell."""
-    out = {}
-    for cell in cells:
-        rule = gauss_cell(cell, n)
-        xs, ys = rule.points[:, 0], rule.points[:, 1]
-        out[cell] = _project_values(cell, d, sample(cell, xs, ys), rule,
-                                    _legendre_modes(cell, d, xs, ys))
-    return out
+def _cell_projections(cells, d: int, n: int, field, stacks=None, orders=(),
+                      data=None) -> dict[Cell, np.ndarray]:
+    """Legendre coefficients of the projection onto degree ``d`` on each
+    of ``cells``, keyed in the order of ``cells``.
+
+    Per chunk of :func:`_cell_chunks`, ``field(F, *out)`` gives the
+    chunk's stacked fields, ``(B, N)`` or ``(B, k, N)``, from the
+    ``data`` samples ``F`` and what ``stacks`` yields (``out``).
+    """
+    cells = list(cells)
+    coef = [None] * len(cells)
+    for at, rules, _, F, *out in _cell_chunks(cells, n, stacks, orders, data):
+        for c, rule, vals in zip(at, rules, field(F, *out)):
+            cell = cells[c]
+            xs, ys = rule.points[:, 0], rule.points[:, 1]
+            coef[c] = _project_values(cell, d, vals, rule,
+                                      _legendre_modes(cell, d, xs, ys))
+    return dict(zip(cells, coef))
 
 
 def _monomial_poly(d: int, legendre: dict[Cell, np.ndarray]) -> PiecewisePoly:
@@ -253,13 +262,9 @@ def project_laplacian(fn: SplineFunction,
     """Cellwise L2 projection of ``lap fn`` onto tensor degree r-2."""
     r = fn.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
-
-    def lap(cell, xs, ys):
-        d = fn.eval_batch(xs, ys, [(2, 0), (0, 2)], cell)
-        return d[(2, 0)] + d[(0, 2)]
-
-    return _monomial_poly(r - 2, _cell_projections(fn.space.partition,
-                                                   r - 2, n, lap))
+    return _monomial_poly(r - 2, _cell_projections(
+        fn.space.partition.cells, r - 2, n,
+        lambda F, L: L[(2, 0)] + L[(0, 2)], fn.value_stacks, _LAP_ORDERS))
 
 
 def project_from_samples(p: Partition, g, degree: int,
@@ -272,8 +277,8 @@ def project_from_samples(p: Partition, g, degree: int,
     """
     n = quad_n if quad_n is not None else degree + 4
     return _monomial_poly(degree, _cell_projections(
-        cells if cells is not None else p.cells, degree, n,
-        lambda cell, xs, ys: np.asarray(g(xs, ys), float)))
+        cells if cells is not None else p.cells, degree, n, lambda F: F,
+        data=g))
 
 
 # ---------------------------------------------------------------------------
@@ -302,33 +307,33 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
         imap[pos] = k
     dim = len(keep)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    rows, cols, vals = [], [], []
     b = np.zeros(dim)
-
-    def scatter(pos, block):
-        idx = imap[list(pos)]
-        live = idx >= 0
-        if not np.any(live):
-            return
-        sub = idx[live]
-        k = len(sub)
-        rows.append(np.repeat(sub, k))
-        cols.append(sub[None, :].repeat(k, axis=0).ravel())
-        vals.append(block[live[:, None] & live])
-
     _assemble_volume(s, f, n, imap, rows, cols, vals, b)
     if params.mode == "nitsche":
-        _assemble_boundary(s, params, scatter)
+        _assemble_boundary(s, params, imap, rows, cols, vals)
 
     A = _symmetric_csr(rows, cols, vals, dim)
     return SystemMatrix(A, tuple(keep)), LoadVector(b, tuple(keep))
 
 
+def _coo_index(imap: np.ndarray, pos, rows: list, cols: list):
+    """Append the COO rows and columns of the live part (``imap >= 0``)
+    of a block over the active positions ``pos``; returns its mask and
+    system indices."""
+    idx = imap[list(pos)]
+    live = idx >= 0
+    sub = idx[live]
+    k = len(sub)
+    rows.append(np.repeat(sub, k))
+    cols.append(sub[None, :].repeat(k, axis=0).ravel())
+    return live, sub
+
+
 def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
                      rows: list, cols: list, vals: list, b: np.ndarray):
-    """Volume pass ``(lap u, lap v)`` and the load, in stacked chunks.
+    """Volume pass ``(lap u, lap v)`` and, unless ``f`` is ``None``, the
+    load, in stacked chunks.
 
     Entries keep the per-cell COO layout and order: each cell's live
     rows and columns go to ``rows``/``cols`` and its Gram block to its
@@ -338,51 +343,56 @@ def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
     cells = s.partition.cells
     lives, subs, offsets = [], [], [0]
     for cell in cells:
-        idx = imap[list(s.cell_extraction(cell)[0])]
-        live = idx >= 0
-        sub = idx[live]
-        k = len(sub)
-        rows.append(np.repeat(sub, k))
-        cols.append(sub[None, :].repeat(k, axis=0).ravel())
+        live, sub = _coo_index(imap, s.cell_extraction(cell)[0], rows, cols)
         lives.append(live)
         subs.append(sub)
-        offsets.append(offsets[-1] + k * k)
+        offsets.append(offsets[-1] + len(sub) ** 2)
     block = np.empty(offsets[-1])
     loads = [None] * len(cells)
-    for at, W, F, tabs in _cell_chunks(cells, n, s.basis_stacks,
-                                       [(0, 0), (2, 0), (0, 2)], f):
+    for at, _, W, F, _, tabs in _cell_chunks(
+            cells, n, s.basis_stacks, [(0, 0), (2, 0), (0, 2)], f):
         LAP = tabs[(2, 0)] + tabs[(0, 2)]
         gram = (LAP * W[:, None, :]) @ LAP.transpose(0, 2, 1)
-        load = tabs[(0, 0)] @ (W * F)[:, :, None]
+        if f is not None:
+            load = tabs[(0, 0)] @ (W * F)[:, :, None]
         for j, c in enumerate(at):
             live = lives[c]
             block[offsets[c]:offsets[c + 1]] = gram[j][live[:, None] & live]
-            loads[c] = load[j, live, 0]
+            if f is not None:
+                loads[c] = load[j, live, 0]
     vals.append(block)
-    for sub, load in zip(subs, loads):
-        b[sub] += load
+    if f is not None:
+        for sub, load in zip(subs, loads):
+            b[sub] += load
 
 
-def _cell_chunks(cells, n: int, stacks, orders, data):
-    """Stacked evaluation of ``cells`` on their ``n x n`` Gauss rules.
+def _cell_chunks(requests, n: int, stacks, orders, data=None):
+    """Stacked evaluation of cells on their ``n x n`` Gauss rules, or of
+    boundary edges on ``e.plus`` at their :func:`gauss_edge` points.
 
-    ``stacks`` is :meth:`HierarchicalSpace.basis_stacks` or
-    :meth:`SplineFunction.value_stacks`; per chunk this yields the
-    cells' numbers in ``cells``, their weights and ``data`` samples
-    ``(B, n*n)``, and the chunk's tables or values.  Rules are built one
-    run of :func:`request_blocks` at a time, and ``data`` is called once
-    per cell on its own points.
+    ``stacks`` is :meth:`HierarchicalSpace.basis_stacks`,
+    :meth:`SplineFunction.value_stacks` or ``None`` (samples only).  Per
+    chunk this yields the requests' numbers, rules, weights and ``data``
+    samples ``(B, N)`` (or ``None``), then what ``stacks`` yields after
+    the request numbers.  Rules are built one run of
+    :func:`request_blocks` at a time; ``data`` is called once per request.
     """
-    for lo, run in request_blocks(cells):
-        rules = [gauss_cell(c, n) for c in run]
+    for lo, run in request_blocks(requests):
+        rules = [gauss_edge(q, n) if isinstance(q, Edge) else gauss_cell(q, n)
+                 for q in run]
         X = [rule.points[:, 0] for rule in rules]
         Y = [rule.points[:, 1] for rule in rules]
-        for items, *_, tabs in stacks(run, X, Y, orders):
+        cells = [q.plus if isinstance(q, Edge) else q for q in run]
+        for items, *out in (stacks(cells, X, Y, orders) if stacks is not None
+                            else [(range(len(run)),)]):
             W = np.array([rules[q].weights for q in items])
-            F = np.empty(W.shape)
-            for j, q in enumerate(items):
-                F[j] = data(X[q], Y[q])
-            yield [lo + q for q in items], W, F, tabs
+            F = None
+            if data is not None:
+                F = np.empty(W.shape)
+                for j, q in enumerate(items):
+                    F[j] = data(X[q], Y[q])
+            yield ([lo + q for q in items], [rules[q] for q in items], W, F,
+                   *out)
 
 
 def _row_dots(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -405,29 +415,41 @@ def _edge_orders(axis: int):
     return (1, 0) if axis == 0 else (0, 1)
 
 
-def _boundary_basis(s: HierarchicalSpace, e: Edge, xs, ys):
-    """Active functions on a boundary edge: positions, traces and
-    normal-derivative traces (sign times the normal-axis derivative)."""
-    order = _edge_orders(e.axis)
-    pos, tabs = s.basis_on_cell(e.plus, xs, ys, [(0, 0), order])
-    return pos, tabs[(0, 0)], e.normal[e.axis] * tabs[order]
+def _boundary_traces(bdry, n: int, stacks):
+    """``(e, rule, pos, v, vn)`` per boundary edge, in edge order, from
+    the stacked evaluation of one :func:`request_blocks` run at a time.
+
+    ``v`` is the trace and ``vn`` the normal-derivative trace (the sign
+    ``e.normal[e.axis]`` times the normal-axis derivative) on ``e.plus``:
+    of the active basis, ``(k, n)`` at the positions ``pos``, for
+    :meth:`HierarchicalSpace.basis_stacks`; of a spline, ``(n,)`` with
+    ``pos = None``, for :meth:`SplineFunction.value_stacks`.
+    """
+    for _, run in request_blocks(bdry):
+        got = [None] * len(run)
+        for at, rules, _, _, *out in _cell_chunks(
+                run, n, stacks, [(0, 0), (1, 0), (0, 1)]):
+            *index, tabs = out
+            for j, q in enumerate(at):
+                e = run[q]
+                got[q] = (e, rules[j], index[0][j] if index else None,
+                          tabs[(0, 0)][j],
+                          e.normal[e.axis] * tabs[_edge_orders(e.axis)][j])
+        yield from got
 
 
-def _assemble_boundary(s: HierarchicalSpace, params: FormParams, scatter):
+def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
+                       imap: np.ndarray, rows: list, cols: list, vals: list):
+    """Nitsche boundary terms and penalties, scattered edge by edge."""
     n = params.quad_n
     d = s.degree - 2
     _, bdry = edges(s.partition)
-
-    def lap_basis(cell, xs, ys):
-        _, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)])
-        return tabs[(2, 0)] + tabs[(0, 2)]
-
     # Legendre coefficients of Pi(lap B) for every function B on the cell
-    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n, lap_basis)
-    for e in bdry:
-        rule = gauss_edge(e, n)
+    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
+                             lambda F, _, T: T[(2, 0)] + T[(0, 2)],
+                             s.basis_stacks, _LAP_ORDERS)
+    for e, rule, pos, v, vn in _boundary_traces(bdry, n, s.basis_stacks):
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pos, v, vn = _boundary_basis(s, e, xs, ys)
         pvals, pnvals = _legendre_traces(proj[e.plus], e, d, xs, ys)
         h = e.length
         block = (
@@ -436,27 +458,27 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams, scatter):
             + params.gamma1 * h ** -3 * (v * w) @ v.T
             + params.gamma2 * h ** -1 * (vn * w) @ vn.T
         )
-        scatter(pos, block)
+        live, _ = _coo_index(imap, pos, rows, cols)
+        vals.append(block[live[:, None] & live])
 
 
 # ---------------------------------------------------------------------------
 # norms and functionals
 # ---------------------------------------------------------------------------
 
-def _edge_trace(fn, e: Edge, xs, ys, normal: bool) -> np.ndarray:
-    """Trace (or normal-derivative trace) values on a boundary edge."""
-    sign = e.normal[e.axis]
-    if isinstance(fn, SplineFunction):
-        if normal:
-            return sign * fn.eval_many(xs, ys, *_edge_orders(e.axis), e.plus)
-        return fn.eval_many(xs, ys, 0, 0, e.plus)
-    if isinstance(fn, AnalyticField):
-        if normal:
-            return sign * np.asarray(fn.grad(xs, ys)[e.axis], float)
-        return np.asarray(fn.value(xs, ys), float)
-    if normal:
+def _field_trace(fn, e: Edge, n: int, normal: bool):
+    """``(e, rule, trace)`` of an :class:`AnalyticField` or a plain
+    callable on a boundary edge (the normal-derivative trace with
+    ``normal=True``)."""
+    rule = gauss_edge(e, n)
+    xs, ys = rule.points[:, 0], rule.points[:, 1]
+    field = isinstance(fn, AnalyticField)
+    if not normal:
+        return e, rule, np.asarray((fn.value if field else fn)(xs, ys), float)
+    if not field:
         raise TypeError("normal trace of a bare callable is not defined")
-    return np.asarray(fn(xs, ys), float)
+    grad = np.asarray(fn.grad(xs, ys)[e.axis], float)
+    return e, rule, e.normal[e.axis] * grad
 
 
 def mesh_norm(fn, s: float, p: Partition, normal: bool = False,
@@ -470,26 +492,22 @@ def mesh_norm(fn, s: float, p: Partition, normal: bool = False,
     degree = getattr(getattr(fn, "space", None), "degree", 3)
     n = quad_n if quad_n is not None else default_quad_n(degree)
     _, bdry = edges(p)
+    if isinstance(fn, SplineFunction):
+        traces = ((e, rule, vn if normal else v) for e, rule, _, v, vn
+                  in _boundary_traces(bdry, n, fn.value_stacks))
+    else:
+        traces = (_field_trace(fn, e, n, normal) for e in bdry)
     total = 0.0
-    for e in bdry:
-        rule = gauss_edge(e, n)
-        vals = _edge_trace(fn, e, rule.points[:, 0], rule.points[:, 1], normal)
+    for e, rule, vals in traces:
         total += e.length ** (-2.0 * s) * float(rule.weights @ vals ** 2)
     return total ** 0.5
 
 
 def energy_norm_sq(fn: SplineFunction, quad_n: int | None = None) -> float:
     """Squared energy norm ``||lap fn||^2`` (exact quadrature)."""
-    s = fn.space
-    n = quad_n if quad_n is not None else default_quad_n(s.degree)
-    total = 0.0
-    for cell in s.partition:
-        rule = gauss_cell(cell, n)
-        d = fn.eval_batch(rule.points[:, 0], rule.points[:, 1],
-                          [(2, 0), (0, 2)], cell)
-        lap = d[(2, 0)] + d[(0, 2)]
-        total += float(rule.weights @ lap ** 2)
-    return total
+    n = quad_n if quad_n is not None else default_quad_n(fn.space.degree)
+    return _cell_sum(fn.space.partition.cells, n, fn.value_stacks,
+                     _LAP_ORDERS, lambda F, d: (d[(2, 0)] + d[(0, 2)]) ** 2)
 
 
 def triple_norm(fn, p: Partition, params: FormParams,
@@ -501,12 +519,8 @@ def triple_norm(fn, p: Partition, params: FormParams,
     if isinstance(fn, SplineFunction):
         interior = energy_norm_sq(fn, n)
     elif isinstance(fn, AnalyticField):
-        interior = 0.0
-        for cell in p:
-            rule = gauss_cell(cell, n)
-            lap = np.asarray(
-                fn.laplacian(rule.points[:, 0], rule.points[:, 1]), float)
-            interior += float(rule.weights @ lap ** 2)
+        interior = _cell_sum(p.cells, n, None, (), lambda F: F ** 2,
+                             fn.laplacian)
     else:
         raise TypeError("triple_norm needs a SplineFunction or AnalyticField")
     b32 = mesh_norm(fn, 1.5, p, normal=False, quad_n=n)
@@ -521,27 +535,15 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     params = params.resolved(s.degree)
     n = params.quad_n
     rows, cols, vals = [], [], []
-
-    def scatter(pos, block):
-        k = len(pos)
-        rows.append(np.repeat(pos, k))
-        cols.append(np.tile(pos, k))
-        vals.append(block.ravel())
-
-    for cell in s.partition:
-        rule = gauss_cell(cell, n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pos, tabs = s.basis_on_cell(cell, xs, ys, [(2, 0), (0, 2)])
-        lap = tabs[(2, 0)] + tabs[(0, 2)]
-        scatter(pos, (lap * w) @ lap.T)
+    imap = np.arange(s.dim)
+    _assemble_volume(s, None, n, imap, rows, cols, vals, None)
     _, bdry = edges(s.partition)
-    for e in bdry:
-        rule = gauss_edge(e, n)
+    for e, rule, pos, v, vn in _boundary_traces(bdry, n, s.basis_stacks):
         w = rule.weights
-        pos, v, vn = _boundary_basis(s, e, rule.points[:, 0], rule.points[:, 1])
         h = e.length
-        scatter(pos, params.gamma1 * h ** -3 * (v * w) @ v.T
-                + params.gamma2 * h ** -1 * (vn * w) @ vn.T)
+        _coo_index(imap, pos, rows, cols)
+        vals.append((params.gamma1 * h ** -3 * (v * w) @ v.T
+                     + params.gamma2 * h ** -1 * (vn * w) @ vn.T).ravel())
     return _symmetric_csr(rows, cols, vals, s.dim)
 
 
@@ -558,18 +560,15 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     n = quad_n if quad_n is not None else default_quad_n(s.degree)
     d = s.degree - 2
     _, bdry = edges(s.partition)
-    proj = _cell_projections(
-        sorted({e.plus for e in bdry}), d, n,
-        lambda cell, xs, ys: np.asarray(lap_u(xs, ys), float))
+    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
+                             lambda F: F, data=lap_u)
     g = np.zeros(s.dim)
-    for e in bdry:
-        rule = gauss_edge(e, n)
+    for e, rule, pos, v, vn in _boundary_traces(bdry, n, s.basis_stacks):
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pos, v, vn = _boundary_basis(s, e, xs, ys)
         pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
         lap_v = np.asarray(lap_u(xs, ys), float)
         lap_n = e.normal[e.axis] * np.asarray(grad_lap_u(xs, ys)[e.axis], float)
-        g[list(pos)] += v @ (w * (pi_n - lap_n)) - vn @ (w * (pi_v - lap_v))
+        g[pos] += v @ (w * (pi_n - lap_n)) - vn @ (w * (pi_v - lap_v))
     return g
 
 
@@ -591,21 +590,41 @@ def inconsistency_apply(lap_u, grad_lap_u, v: SplineFunction, p: Partition,
 # error integrals
 # ---------------------------------------------------------------------------
 
+def _cell_sum(cells, n: int, stacks, orders, integrand, data=None) -> float:
+    """Sum over ``cells`` of ``w @ integrand(F, *out)`` on their Gauss
+    rules, in the order of ``cells`` as a per-cell loop adds them; the
+    integrand maps a chunk of :func:`_cell_chunks` to ``(B, N)``."""
+    cells = list(cells)
+    parts = [0.0] * len(cells)
+    for at, _, W, F, *out in _cell_chunks(cells, n, stacks, orders, data):
+        for c, v in zip(at, _row_dots(W, integrand(F, *out))):
+            parts[c] = float(v)
+    total = 0.0
+    for v in parts:
+        total += v
+    return total
+
+
+def _owner_values(cells, n: int, fns, orders, data=None):
+    """Per run of ``cells``: the weights, ``data`` samples and, for each
+    spline of ``fns``, :meth:`SplineFunction.eval_stacked` on the active
+    cell of its own partition that equals or contains each cell, at the
+    cell's Gauss points."""
+    for at, rules, W, F in _cell_chunks(cells, n, None, (), data):
+        X = [rule.points[:, 0] for rule in rules]
+        Y = [rule.points[:, 1] for rule in rules]
+        yield W, F, [fn.eval_stacked([fn.space.partition.owner(cells[c])
+                                      for c in at], X, Y, orders)
+                     for fn in fns]
+
+
 def energy_error_sq(lap_u, fn: SplineFunction,
                     quad_n: int | None = None) -> float:
     """``||lap u - lap fn||^2`` against an analytic Laplacian callback."""
-    s = fn.space
-    n = quad_n if quad_n is not None else default_quad_n(s.degree) + 2
-    cells = s.partition.cells
-    parts = [0.0] * len(cells)
-    for at, W, L, d in _cell_chunks(cells, n, fn.value_stacks,
-                                    [(2, 0), (0, 2)], lap_u):
-        for c, v in zip(at, _row_dots(W, (L - d[(2, 0)] - d[(0, 2)]) ** 2)):
-            parts[c] = float(v)
-    total = 0.0
-    for v in parts:  # partition order, as a per-cell loop sums
-        total += v
-    return total
+    n = quad_n if quad_n is not None else default_quad_n(fn.space.degree) + 2
+    return _cell_sum(fn.space.partition.cells, n, fn.value_stacks,
+                     _LAP_ORDERS,
+                     lambda L, d: (L - d[(2, 0)] - d[(0, 2)]) ** 2, lap_u)
 
 
 def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
@@ -613,28 +632,19 @@ def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
     """``||lap(fine - coarse)||^2`` for splines on nested partitions."""
     n = quad_n if quad_n is not None else default_quad_n(fine.space.degree)
     total = 0.0
-    for cell in fine.space.partition:
-        owner = coarse.space.partition.owner(cell)
-        rule = gauss_cell(cell, n)
-        xs, ys = rule.points[:, 0], rule.points[:, 1]
-        df = fine.eval_batch(xs, ys, [(2, 0), (0, 2)], cell)
-        dc = coarse.eval_batch(xs, ys, [(2, 0), (0, 2)], owner)
+    for W, _, (df, dc) in _owner_values(fine.space.partition.cells, n,
+                                        (fine, coarse), _LAP_ORDERS):
         diff = df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]
-        total += float(rule.weights @ diff ** 2)
+        for v in _row_dots(W, diff ** 2):
+            total += float(v)
     return total
 
 
 def h2_seminorm_sq(fn: SplineFunction, cells=None,
                    quad_n: int | None = None) -> float:
     """``int (fxx^2 + 2 fxy^2 + fyy^2)`` over the given cells (default all)."""
-    s = fn.space
-    n = quad_n if quad_n is not None else default_quad_n(s.degree)
-    total = 0.0
-    for cell in (cells if cells is not None else s.partition):
-        rule = gauss_cell(cell, n)
-        d = fn.eval_batch(rule.points[:, 0], rule.points[:, 1],
-                          [(2, 0), (1, 1), (0, 2)], cell)
-        total += float(rule.weights @ (d[(2, 0)] ** 2
-                                       + 2.0 * d[(1, 1)] ** 2
-                                       + d[(0, 2)] ** 2))
-    return total
+    n = quad_n if quad_n is not None else default_quad_n(fn.space.degree)
+    return _cell_sum(cells if cells is not None else fn.space.partition.cells,
+                     n, fn.value_stacks, [(2, 0), (1, 1), (0, 2)],
+                     lambda F, d: (d[(2, 0)] ** 2 + 2.0 * d[(1, 1)] ** 2
+                                   + d[(0, 2)] ** 2))

@@ -9,19 +9,19 @@ orthogonality structure of consecutive iterates.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
                        energy_diff_sq, energy_error_sq, inconsistency_load,
-                       mesh_norm, triple_norm_matrix, _cell_projections,
-                       _edge_orders, _legendre_traces)
+                       mesh_norm, triple_norm_matrix, _boundary_traces,
+                       _cell_projections, _legendre_traces, _LAP_ORDERS,
+                       _owner_values, _row_dots)
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
 from .mesh import (REFINED, Cell, Partition, edges, refine,
                    support_extension, uniform_partition)
-from .quadrature import gauss_cell, gauss_edge
 from .solver import SolveOptions, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
 
@@ -259,22 +259,14 @@ def nitsche_energy_sq(prob: Problem, U: SplineFunction, p: Partition,
     d = space.degree - 2
 
     _, bdry = edges(p)
-
-    def lap_error(cell, xs, ys):
-        lap = U.eval_batch(xs, ys, [(2, 0), (0, 2)], cell)
-        return (np.asarray(prob.laplacian_u(xs, ys), float)
-                - lap[(2, 0)] - lap[(0, 2)])
-
-    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n, lap_error)
+    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
+                             lambda F, L: F - L[(2, 0)] - L[(0, 2)],
+                             U.value_stacks, _LAP_ORDERS, prob.laplacian_u)
     total = volume_sq
-    for e in bdry:
-        rule = gauss_edge(e, n)
+    for e, rule, _, v, vn in _boundary_traces(bdry, n, U.value_stacks):
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
         pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
-        order = _edge_orders(e.axis)
-        tr = U.eval_batch(xs, ys, [(0, 0), order], e.plus)
-        ev = -tr[(0, 0)]
-        en = -(e.normal[e.axis] * tr[order])
+        ev, en = -v, -vn
         h = e.length
         total += float(w @ (-2.0 * pi_v * en + 2.0 * pi_n * ev
                             + rp.gamma1 * h ** -3 * ev ** 2
@@ -373,22 +365,17 @@ def pythagoras_check(prob: Problem, coarse: IterationState,
     if any(coarse.partition.classify(c) == REFINED for c in grid):
         grid = coarse.partition
 
-    lhs = 0.0
-    e_coarse = 0.0
-    diff = 0.0
-    for cell in grid:
-        rule = gauss_cell(cell, n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        lap_u = np.asarray(prob.laplacian_u(xs, ys), float)
-        df = Uf.eval_batch(xs, ys, [(2, 0), (0, 2)],
-                           fine.partition.owner(cell))
-        dc = Uc.eval_batch(xs, ys, [(2, 0), (0, 2)],
-                           coarse.partition.owner(cell))
+    lhs = e_coarse = diff = 0.0
+    for W, lap_u, (df, dc) in _owner_values(grid.cells, n, (Uf, Uc),
+                                            _LAP_ORDERS, prob.laplacian_u):
         lap_f = df[(2, 0)] + df[(0, 2)]
         lap_c = dc[(2, 0)] + dc[(0, 2)]
-        lhs += float(w @ (lap_u - lap_f) ** 2)
-        e_coarse += float(w @ (lap_u - lap_c) ** 2)
-        diff += float(w @ (lap_f - lap_c) ** 2)
+        for a, b, c in zip(_row_dots(W, (lap_u - lap_f) ** 2),
+                           _row_dots(W, (lap_u - lap_c) ** 2),
+                           _row_dots(W, (lap_f - lap_c) ** 2)):
+            lhs += float(a)
+            e_coarse += float(b)
+            diff += float(c)
     rhs = e_coarse - diff
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, gap
@@ -407,15 +394,14 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     rp = fine.params.resolved(fine.space.degree)
     lhs_sq = energy_diff_sq(fine.solution, coarse.solution)
     _, bdry = edges(fine.partition)
-    for e in bdry:
-        rule = gauss_edge(e, rp.quad_n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        orders = [(0, 0), _edge_orders(e.axis)]
-        df = fine.solution.eval_batch(xs, ys, orders, e.plus)
-        dc = coarse.solution.eval_batch(xs, ys, orders,
-                                        coarse.partition.owner(e.plus))
-        dv = df[(0, 0)] - dc[(0, 0)]
-        dn = e.normal[e.axis] * (df[orders[1]] - dc[orders[1]])
+    # the same edges seen from the coarse cells that contain them
+    owned = [replace(e, plus=coarse.partition.owner(e.plus)) for e in bdry]
+    for (e, rule, _, fv, fvn), (*_, cv, cvn) in zip(
+            _boundary_traces(bdry, rp.quad_n, fine.solution.value_stacks),
+            _boundary_traces(owned, rp.quad_n, coarse.solution.value_stacks)):
+        w = rule.weights
+        dv = fv - cv
+        dn = fvn - cvn
         lhs_sq += float(w @ (rp.gamma1 * e.length ** -3 * dv ** 2
                              + rp.gamma2 * e.length ** -1 * dn ** 2))
     ratio = lhs_sq / eta_region_sq if eta_region_sq > 0 else float("inf")

@@ -114,7 +114,7 @@ def _interior_sq(U: SplineFunction, f, cells: list[Cell],
                  quad_n: int) -> list[float]:
     """``h^4 ||f - lap^2 U||^2`` of each cell, in order."""
     out = [0.0] * len(cells)
-    for at, W, F, d in _cell_chunks(cells, quad_n, U.value_stacks,
+    for at, _, W, F, d in _cell_chunks(cells, quad_n, U.value_stacks,
                                     [(4, 0), (2, 2), (0, 4)], f):
         res = F - (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])
         for c, v in zip(at, _row_dots(W, res ** 2)):

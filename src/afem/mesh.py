@@ -68,11 +68,6 @@ class Cell:
         s = self.side
         return (self.i * s, (self.i + 1) * s, self.j * s, (self.j + 1) * s)
 
-    @property
-    def center(self) -> tuple[float, float]:
-        s = self.side
-        return ((self.i + 0.5) * s, (self.j + 0.5) * s)
-
     def children(self) -> tuple["Cell", "Cell", "Cell", "Cell"]:
         L, i, j = self.level + 1, 2 * self.i, 2 * self.j
         return (Cell(L, i, j), Cell(L, i + 1, j),

@@ -397,17 +397,6 @@ class HierarchicalSpace:
                      for c, y in zip(cells, Y)])
         return Dx, Dy
 
-    def local_tables(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
-                     orders: Sequence[tuple[int, int]],
-                     ) -> dict[tuple[int, int], np.ndarray]:
-        """Window-basis derivative tables on one cell at the paired points
-        ``(xs[k], ys[k])``, each C-ordered with shape ``((r+1)**2,
-        len(xs))``: the one-cell case of the stacked tables."""
-        Dx, Dy = self._window_rows([cell], [xs], [ys],
-                                   max(a for a, _ in orders),
-                                   max(b for _, b in orders))
-        return {o: _window_table(Dx, Dy, *o)[0] for o in orders}
-
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
         """Active-function derivative tables of many cells, stacked.
@@ -533,38 +522,33 @@ class SplineFunction:
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray,
                    orders: Sequence[tuple[int, int]],
                    cell: Cell) -> dict[tuple[int, int], np.ndarray]:
-        """Several derivative orders at once on one cell: the stacked
-        product of :meth:`value_stacks` on the one-cell tables."""
-        _, tabs = self.space.basis_on_cell(cell, xs, ys, orders)
-        vals = self._stacked_values(self.space._index[cell][None],
-                                    {o: T[None] for o, T in tabs.items()})
-        return {o: v[0] for o, v in vals.items()}
+        """Several derivative orders at once on one cell: the one-cell
+        case of :meth:`eval_stacked`."""
+        return {o: v[0] for o, v in
+                self.eval_stacked([cell], [xs], [ys], orders).items()}
 
     def value_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
         """Derivative values per chunk of
         :meth:`HierarchicalSpace.basis_stacks`: yields ``(items, values)``
-        with ``values[order]`` of shape ``(B, n)``."""
-        for items, index, tabs in self.space.basis_stacks(cells, X, Y, orders):
-            yield items, self._stacked_values(index, tabs)
-
-    def _stacked_values(self, index: np.ndarray, tabs: dict,
-                        ) -> dict[tuple[int, int], np.ndarray]:
-        """One stacked product of the gathered coefficients ``(B, 1, k)``
-        with each table ``(B, k, n)``: the same BLAS call per item as
-        ``c @ T`` on one cell.  Orders above the degree are exact zeros."""
+        with ``values[order]`` of shape ``(B, n)``, one stacked product of
+        the gathered coefficients ``(B, 1, k)`` with each table ``(B, k,
+        n)``, the same BLAS call per item as ``c @ T`` on one cell.
+        Orders above the degree are exact zeros."""
         r = self.space.degree
-        cs = self.coefficients[index][:, None, :]
-        return {o: (cs @ T)[:, 0] if max(o) <= r
-                else np.zeros((T.shape[0], T.shape[2]))
-                for o, T in tabs.items()}
+        for items, index, tabs in self.space.basis_stacks(cells, X, Y, orders):
+            cs = self.coefficients[index][:, None, :]
+            yield items, {o: (cs @ T)[:, 0] if max(o) <= r
+                          else np.zeros((len(items), T.shape[2]))
+                          for o, T in tabs.items()}
 
     def eval_stacked(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]],
                      ) -> dict[tuple[int, int], np.ndarray]:
         """Derivative values ``{order: (R, n)}`` of ``R`` requests (cell
         ``cells[q]`` at the paired points ``(X[q], Y[q])``), in request
-        order; each row equals :meth:`eval_batch` on its cell, bit for bit.
+        order; each row equals the one-cell product ``c @ T`` on its cell,
+        bit for bit, whatever the stacking.
         """
         n = len(X[0]) if len(cells) else 0
         out = {o: np.zeros((len(cells), n)) for o in orders}
@@ -592,13 +576,6 @@ class SplineFunction:
     def _check_same_space(self, other: "SplineFunction"):
         if other.space is not self.space:
             raise ValueError("spline functions live in different spaces")
-
-
-def evaluate(fn: SplineFunction, x: float, y: float,
-             alpha: tuple[int, int] = (0, 0),
-             cell: Cell | None = None) -> float:
-    """Functional form of :meth:`SplineFunction.eval`."""
-    return fn.eval(x, y, alpha[0], alpha[1], cell)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +784,10 @@ def load_solution(path) -> SplineFunction:
         return token(int, tag)
 
     degree = expect("degree")
-    truncated = bool(expect("truncated"))
+    truncated = expect("truncated")
+    if truncated not in (0, 1):
+        raise ValueError(f"malformed solution file: truncated must be 0 or 1, "
+                         f"got {truncated}")
     ncells = expect("cells")
     cells = [Cell(token(int, "cell"), token(int, "cell"), token(int, "cell"))
              for _ in range(ncells)]
@@ -815,7 +795,12 @@ def load_solution(path) -> SplineFunction:
     coefs = np.array([token(float, "coefficient") for _ in range(ncoef)])
     if next(it, None) is not None:
         raise ValueError("malformed solution file: data after the coefficients")
-    space = build_space(Partition(cells), degree, truncated)
+    # every space of degree r contains the (r+1)^2 bidegree-r polynomials
+    if ncoef < (degree + 1) ** 2:
+        raise ValueError(f"malformed solution file: {ncoef} coefficients "
+                         f"cannot span a degree-{degree} space (at least "
+                         f"{(degree + 1) ** 2} needed)")
+    space = build_space(Partition(cells), degree, bool(truncated))
     if space.dim != ncoef:
         raise ValueError("coefficient count does not match the space dimension")
     return SplineFunction(space, coefs)

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import afem
 from afem.cli import _expr, build_parser, load_problem, main
 from afem.driver import CSV_HEADER
 from afem.mesh import Cell, refine, uniform_partition
@@ -116,6 +119,33 @@ class TestEndToEnd:
             capsys.readouterr()
             assert run_cli(["--load-solution", str(bad)]) == 2
             assert "malformed solution file" in capsys.readouterr().err
+
+    def test_undersized_solution_file_exits_two_quickly(self, tmp_path):
+        """A degree far above what the coefficients can span is rejected
+        before the space is built, which would not finish."""
+        bad = tmp_path / "big.txt"
+        bad.write_text("degree 100000\ntruncated 1\ncells 1\n0 0 0\n"
+                       "coeffs 1\n0.0\n")
+        src = os.path.dirname(os.path.dirname(afem.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "afem.cli", "--load-solution", str(bad)],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert ("1 coefficients cannot span a degree-100000 space"
+                in proc.stderr)
+
+    def test_truncated_flag_other_than_zero_or_one_exits_two(self, tmp_path,
+                                                             capsys):
+        fn = random_spline(build_space(uniform_partition(1), 2),
+                           np.random.default_rng(5))
+        path = tmp_path / "solution.txt"
+        save_solution(fn, path)
+        path.write_text(path.read_text().replace("truncated 1", "truncated 2"))
+        with pytest.raises(ValueError, match="truncated must be 0 or 1"):
+            load_solution(path)
+        assert run_cli(["--load-solution", str(path)]) == 2
+        assert "truncated must be 0 or 1, got 2" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

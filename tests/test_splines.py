@@ -306,18 +306,6 @@ def tables_per_order(s, cell, xs, ys, orders):
             for ax, ay in orders}
 
 
-def tables_all_orders_broadcast(s, cell, xs, ys, orders):
-    """Window tables of every order from one fancy-indexed broadcast."""
-    w = s.degree + 1
-    Dx = s._univariate(cell.level, cell.i, xs, 4)
-    Dy = s._univariate(cell.level, cell.j, ys, 4)
-    ax = [o[0] for o in orders]
-    ay = [o[1] for o in orders]
-    T = (Dx[ax][:, :, None, :] * Dy[ay][:, None, :, :]).reshape(
-        len(orders), w * w, len(xs))
-    return dict(zip(orders, T))
-
-
 ALL_ORDERS = [(ax, ay) for ax in range(5) for ay in range(5 - ax)]
 
 
@@ -342,16 +330,9 @@ class TestFastEvaluationPath:
             rule = gauss_cell(cell, r + 2)
             xs, ys = rule.points[:, 0], rule.points[:, 1]
             want = tables_per_order(s, cell, xs, ys, ALL_ORDERS)
-            broadcast = tables_all_orders_broadcast(s, cell, xs, ys,
-                                                    ALL_ORDERS)
-            got = s.local_tables(cell, xs, ys, ALL_ORDERS)
-            assert list(got) == ALL_ORDERS
             _, C = extraction_by_level_loop(s, cell)
-            pos, basis = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
+            _, basis = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
             for o in ALL_ORDERS:
-                assert np.array_equal(got[o], want[o]), (cell, o)
-                assert got[o].tobytes() == broadcast[o].tobytes(), (cell, o)
-                assert got[o].flags.c_contiguous
                 if max(o) <= r:
                     assert np.array_equal(basis[o], C @ want[o]), (cell, o)
 
@@ -499,14 +480,6 @@ class TestEvaluation:
         fn = SplineFunction(s, np.zeros(s.dim))
         with pytest.raises(ValueError, match="unsupported"):
             fn.eval(0.5, 0.5, 3, 2)
-
-    def test_functional_evaluate_form(self):
-        from afem.splines import evaluate
-
-        s = build_space(uniform_partition(1), 2)
-        fn = random_spline(s, np.random.default_rng(6))
-        assert evaluate(fn, 0.3, 0.4) == fn(0.3, 0.4)
-        assert evaluate(fn, 0.3, 0.4, (1, 1)) == fn.eval(0.3, 0.4, 1, 1)
 
     def test_one_sided_evaluation_at_cell_boundary(self):
         p = uniform_partition(1)

@@ -1,23 +1,37 @@
 """Stacked evaluation: the kernel and its consumers equal the per-cell
 loops bit for bit, and the estimator respects the square's symmetries."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from afem import splines
-from afem.assembly import (FormParams, _assemble_boundary, _symmetric_csr,
-                           assemble, energy_error_sq)
-from afem.estimator import estimate_all
+from afem.assembly import (FormParams, _legendre_modes, _legendre_traces,
+                           _monomial_poly, _project_values, _symmetric_csr,
+                           assemble, default_quad_n, energy_diff_sq,
+                           energy_error_sq, energy_norm_sq, h2_seminorm_sq,
+                           inconsistency_load, mesh_norm,
+                           project_from_samples, project_laplacian,
+                           triple_norm_matrix)
+from afem.driver import (AfemConfig, IterationState, Problem,
+                         discrete_reliability_probe, nitsche_energy_sq,
+                         pythagoras_check, run)
+from afem.estimator import dorfler_mark, estimate_all
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import manufactured_sin2, random_spline
 from afem.quadrature import gauss_cell, gauss_edge
 from afem.solver import solve
-from afem.splines import SplineFunction, build_space, conforming_indices
+from afem.splines import (HierarchicalSpace, SplineFunction, build_space,
+                          conforming_indices)
 from test_splines import (ALL_ORDERS, graded_space, graded_spaces,
                           tables_per_order)
 
 SIN2 = manufactured_sin2()
+PROB = Problem.from_manufactured(SIN2)
+LAP = [(2, 0), (0, 2)]
 
 
 def random_requests(s, rng, copies=2, n=5):
@@ -158,8 +172,30 @@ def estimate_per_cell(U, f, p, n):
     return records, total
 
 
+def normal_order(axis):
+    return (1, 0) if axis == 0 else (0, 1)
+
+
+def boundary_basis(s, e, xs, ys):
+    """Positions, traces and normal-derivative traces on one edge."""
+    order = normal_order(e.axis)
+    pos, tabs = s.basis_on_cell(e.plus, xs, ys, [(0, 0), order])
+    return pos, tabs[(0, 0)], e.normal[e.axis] * tabs[order]
+
+
+def projections_per_cell(cells, d, n, sample):
+    out = {}
+    for cell in cells:
+        rule = gauss_cell(cell, n)
+        xs, ys = rule.points[:, 0], rule.points[:, 1]
+        out[cell] = _project_values(cell, d, sample(cell, xs, ys), rule,
+                                    _legendre_modes(cell, d, xs, ys))
+    return out
+
+
 def assemble_per_cell(s, f, params):
-    """Volume blocks scattered cell by cell, then the boundary pass."""
+    """Volume blocks scattered cell by cell, then the boundary edge by
+    edge."""
     params = params.resolved(s.degree)
     n = params.quad_n
     keep = (conforming_indices(s) if params.mode == "conforming"
@@ -190,7 +226,25 @@ def assemble_per_cell(s, f, params):
         scatter(pos, (lap * w) @ lap.T,
                 tabs[(0, 0)] @ (w * np.asarray(f(xs, ys), float)))
     if params.mode == "nitsche":
-        _assemble_boundary(s, params, scatter)
+        d = s.degree - 2
+        bdry = edges(s.partition)[1]
+
+        def lap_basis(cell, xs, ys):
+            _, tabs = s.basis_on_cell(cell, xs, ys, LAP)
+            return tabs[(2, 0)] + tabs[(0, 2)]
+
+        proj = projections_per_cell(sorted({e.plus for e in bdry}), d, n,
+                                    lap_basis)
+        for e in bdry:
+            rule = gauss_edge(e, n)
+            xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+            pos, v, vn = boundary_basis(s, e, xs, ys)
+            pvals, pnvals = _legendre_traces(proj[e.plus], e, d, xs, ys)
+            h = e.length
+            scatter(pos, (-((pvals * w) @ vn.T + (vn * w) @ pvals.T)
+                          + ((pnvals * w) @ v.T + (v * w) @ pnvals.T)
+                          + params.gamma1 * h ** -3 * (v * w) @ v.T
+                          + params.gamma2 * h ** -1 * (vn * w) @ vn.T))
     return _symmetric_csr(rows, cols, vals, len(keep)), b
 
 
@@ -203,6 +257,201 @@ def energy_error_per_cell(lap_u, U, n):
         diff = np.asarray(lap_u(xs, ys), float) - d[(2, 0)] - d[(0, 2)]
         total += float(rule.weights @ diff ** 2)
     return total
+
+
+def mesh_norm_per_edge(U, sexp, normal, n):
+    total = 0.0
+    for e in edges(U.space.partition)[1]:
+        rule = gauss_edge(e, n)
+        xs, ys = rule.points[:, 0], rule.points[:, 1]
+        if normal:
+            vals = e.normal[e.axis] * U.eval_many(
+                xs, ys, *normal_order(e.axis), e.plus)
+        else:
+            vals = U.eval_many(xs, ys, 0, 0, e.plus)
+        total += e.length ** (-2.0 * sexp) * float(rule.weights @ vals ** 2)
+    return total ** 0.5
+
+
+def triple_norm_matrix_per_cell(s, params):
+    params = params.resolved(s.degree)
+    n = params.quad_n
+    rows, cols, vals = [], [], []
+
+    def scatter(pos, block):
+        k = len(pos)
+        rows.append(np.repeat(pos, k))
+        cols.append(np.tile(pos, k))
+        vals.append(block.ravel())
+
+    for cell in s.partition:
+        rule = gauss_cell(cell, n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        pos, tabs = s.basis_on_cell(cell, xs, ys, LAP)
+        lap = tabs[(2, 0)] + tabs[(0, 2)]
+        scatter(pos, (lap * w) @ lap.T)
+    for e in edges(s.partition)[1]:
+        rule = gauss_edge(e, n)
+        w = rule.weights
+        pos, v, vn = boundary_basis(s, e, rule.points[:, 0],
+                                    rule.points[:, 1])
+        h = e.length
+        scatter(pos, params.gamma1 * h ** -3 * (v * w) @ v.T
+                + params.gamma2 * h ** -1 * (vn * w) @ vn.T)
+    return _symmetric_csr(rows, cols, vals, s.dim)
+
+
+def inconsistency_load_per_edge(lap_u, grad_lap_u, s, n):
+    d = s.degree - 2
+    bdry = edges(s.partition)[1]
+    proj = projections_per_cell(
+        sorted({e.plus for e in bdry}), d, n,
+        lambda cell, xs, ys: np.asarray(lap_u(xs, ys), float))
+    g = np.zeros(s.dim)
+    for e in bdry:
+        rule = gauss_edge(e, n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        pos, v, vn = boundary_basis(s, e, xs, ys)
+        pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
+        lap_v = np.asarray(lap_u(xs, ys), float)
+        lap_n = e.normal[e.axis] * np.asarray(grad_lap_u(xs, ys)[e.axis],
+                                              float)
+        g[list(pos)] += v @ (w * (pi_n - lap_n)) - vn @ (w * (pi_v - lap_v))
+    return g
+
+
+def nitsche_energy_per_edge(prob, U, rp, volume_sq, n):
+    d = U.space.degree - 2
+    bdry = edges(U.space.partition)[1]
+
+    def lap_error(cell, xs, ys):
+        lap = U.eval_batch(xs, ys, LAP, cell)
+        return (np.asarray(prob.laplacian_u(xs, ys), float)
+                - lap[(2, 0)] - lap[(0, 2)])
+
+    proj = projections_per_cell(sorted({e.plus for e in bdry}), d, n,
+                                lap_error)
+    total = volume_sq
+    for e in bdry:
+        rule = gauss_edge(e, n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
+        order = normal_order(e.axis)
+        tr = U.eval_batch(xs, ys, [(0, 0), order], e.plus)
+        ev = -tr[(0, 0)]
+        en = -(e.normal[e.axis] * tr[order])
+        h = e.length
+        total += float(w @ (-2.0 * pi_v * en + 2.0 * pi_n * ev
+                            + rp.gamma1 * h ** -3 * ev ** 2
+                            + rp.gamma2 * h ** -1 * en ** 2))
+    return total
+
+
+def project_laplacian_per_cell(U, n):
+    r = U.space.degree
+
+    def lap(cell, xs, ys):
+        d = U.eval_batch(xs, ys, LAP, cell)
+        return d[(2, 0)] + d[(0, 2)]
+
+    return _monomial_poly(r - 2, projections_per_cell(U.space.partition,
+                                                      r - 2, n, lap))
+
+
+def energy_norm_per_cell(U, n):
+    total = 0.0
+    for cell in U.space.partition:
+        rule = gauss_cell(cell, n)
+        d = U.eval_batch(rule.points[:, 0], rule.points[:, 1], LAP, cell)
+        lap = d[(2, 0)] + d[(0, 2)]
+        total += float(rule.weights @ lap ** 2)
+    return total
+
+
+def h2_seminorm_per_cell(U, cells, n):
+    total = 0.0
+    for cell in cells:
+        rule = gauss_cell(cell, n)
+        d = U.eval_batch(rule.points[:, 0], rule.points[:, 1],
+                         [(2, 0), (1, 1), (0, 2)], cell)
+        total += float(rule.weights @ (d[(2, 0)] ** 2 + 2.0 * d[(1, 1)] ** 2
+                                       + d[(0, 2)] ** 2))
+    return total
+
+
+def energy_diff_per_cell(fine, coarse, n):
+    total = 0.0
+    for cell in fine.space.partition:
+        owner = coarse.space.partition.owner(cell)
+        rule = gauss_cell(cell, n)
+        xs, ys = rule.points[:, 0], rule.points[:, 1]
+        df = fine.eval_batch(xs, ys, LAP, cell)
+        dc = coarse.eval_batch(xs, ys, LAP, owner)
+        diff = df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]
+        total += float(rule.weights @ diff ** 2)
+    return total
+
+
+def pythagoras_per_cell(lap_u, Uc, Uf, grid, n):
+    lhs = e_coarse = diff = 0.0
+    for cell in grid:
+        rule = gauss_cell(cell, n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        lap = np.asarray(lap_u(xs, ys), float)
+        df = Uf.eval_batch(xs, ys, LAP, Uf.space.partition.owner(cell))
+        dc = Uc.eval_batch(xs, ys, LAP, Uc.space.partition.owner(cell))
+        lap_f = df[(2, 0)] + df[(0, 2)]
+        lap_c = dc[(2, 0)] + dc[(0, 2)]
+        lhs += float(w @ (lap - lap_f) ** 2)
+        e_coarse += float(w @ (lap - lap_c) ** 2)
+        diff += float(w @ (lap_f - lap_c) ** 2)
+    return lhs, e_coarse - diff
+
+
+def solution_jump_per_edge(fine, coarse, rp):
+    """Volume term, then the boundary penalties added edge by edge."""
+    total = energy_diff_per_cell(fine, coarse,
+                                 default_quad_n(fine.space.degree))
+    for e in edges(fine.space.partition)[1]:
+        rule = gauss_edge(e, rp.quad_n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        orders = [(0, 0), normal_order(e.axis)]
+        df = fine.eval_batch(xs, ys, orders, e.plus)
+        dc = coarse.eval_batch(xs, ys, orders,
+                               coarse.space.partition.owner(e.plus))
+        dv = df[(0, 0)] - dc[(0, 0)]
+        dn = e.normal[e.axis] * (df[orders[1]] - dc[orders[1]])
+        total += float(w @ (rp.gamma1 * e.length ** -3 * dv ** 2
+                            + rp.gamma2 * e.length ** -1 * dn ** 2))
+    return total
+
+
+def same_poly(got, want):
+    """Equal cellwise polynomials with the cells in the same order (a
+    point on a shared side is evaluated on the first cell listed)."""
+    assert list(got.coeffs) == list(want.coeffs)
+    for c, a in got.coeffs.items():
+        assert a.tobytes() == want.coeffs[c].tobytes(), c
+
+
+def same_csr(got, want):
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+def nested_pair(degree, truncated):
+    """A graded space, a space on a refinement of it, and a random spline
+    on each."""
+    p = refine(uniform_partition(2), [Cell(2, 1, 1), Cell(2, 3, 0)])
+    p = refine(p, [Cell(3, 2, 2), Cell(3, 7, 1), Cell(3, 6, 0)])
+    fine_p = refine(p, p.cells[::4])
+    rng = np.random.default_rng(10 * degree + truncated)
+    coarse = random_spline(build_space(p, degree, truncated), rng)
+    fine = random_spline(build_space(fine_p, degree, truncated), rng)
+    return coarse, fine
+
+
+SPACES = [(r, t) for r in (2, 3, 4) for t in (True, False)]
 
 
 class TestConsumers:
@@ -239,6 +488,116 @@ class TestConsumers:
         n = s.degree + 4
         assert (energy_error_sq(SIN2.laplacian_u, U, n)
                 == energy_error_per_cell(SIN2.laplacian_u, U, n))
+
+
+@pytest.mark.parametrize("degree,truncated", SPACES)
+class TestPortedConsumers:
+    """Every boundary term, norm, projection and iterate comparison equals
+    the per-cell (per-edge) loop it replaces, bit for bit."""
+
+    def test_boundary_terms(self, degree, truncated):
+        U, _ = nested_pair(degree, truncated)
+        s = U.space
+        rp = FormParams("nitsche").resolved(degree)
+        n = rp.quad_n
+        for sexp, normal in ((1.5, False), (0.5, True)):
+            assert (mesh_norm(U, sexp, s.partition, normal, n)
+                    == mesh_norm_per_edge(U, sexp, normal, n))
+        A, b = assemble(s, SIN2.f, FormParams("nitsche"))
+        want_A, want_b = assemble_per_cell(s, SIN2.f, FormParams("nitsche"))
+        same_csr(A.matrix, want_A)
+        assert b.values.tobytes() == want_b.tobytes()
+        same_csr(triple_norm_matrix(s, rp),
+                 triple_norm_matrix_per_cell(s, rp))
+        # sin2 has a zero normal derivative of lap u on the boundary
+        lap = lambda x, y: np.exp(x) * np.cos(3.0 * y)
+        grad = lambda x, y: (lap(x, y), -3.0 * np.exp(x) * np.sin(3.0 * y))
+        got = inconsistency_load(lap, grad, s, n)
+        assert got.tobytes() == inconsistency_load_per_edge(lap, grad, s,
+                                                            n).tobytes()
+        # small penalties, so the projection terms show in the last bits
+        weak = FormParams("nitsche", 1e-3, 1e-3).resolved(degree)
+        assert (nitsche_energy_sq(PROB, U, s.partition, weak, 0.375)
+                == nitsche_energy_per_edge(PROB, U, weak, 0.375, n + 2))
+
+    def test_projections_and_norms(self, degree, truncated):
+        U, _ = nested_pair(degree, truncated)
+        p = U.space.partition
+        n = degree + 3
+        same_poly(project_laplacian(U, n), project_laplacian_per_cell(U, n))
+        cells = p.cells[::-3]
+        same_poly(project_from_samples(p, SIN2.f, degree - 1, cells, n),
+                  _monomial_poly(degree - 1, projections_per_cell(
+                      cells, degree - 1, n,
+                      lambda cell, xs, ys: np.asarray(SIN2.f(xs, ys),
+                                                      float))))
+        assert energy_norm_sq(U, n) == energy_norm_per_cell(U, n)
+        assert h2_seminorm_sq(U, quad_n=n) == h2_seminorm_per_cell(U, p, n)
+        assert (h2_seminorm_sq(U, cells, n)
+                == h2_seminorm_per_cell(U, cells, n))
+
+    def test_iterate_comparisons(self, degree, truncated):
+        coarse, fine = nested_pair(degree, truncated)
+        n = degree + 2
+        for m in (n, n + 2):
+            assert (energy_diff_sq(fine, coarse, m)
+                    == energy_diff_per_cell(fine, coarse, m))
+        states = []
+        for U in (coarse, fine):
+            p = U.space.partition
+            ind = estimate_all(U, SIN2.f, p, n)
+            states.append(IterationState(
+                p, U.space, U, ind, dorfler_mark(ind, 0.5), None, None,
+                FormParams("conforming")))
+        for a, b in (states, states[::-1]):  # either way, on the fine grid
+            lhs, rhs, _ = pythagoras_check(PROB, a, b, n)
+            assert (lhs, rhs) == pythagoras_per_cell(
+                SIN2.laplacian_u, a.solution, b.solution,
+                fine.space.partition, n)
+        rp = FormParams("conforming").resolved(degree)
+        got = discrete_reliability_probe(*states)["solution_jump_sq"]
+        assert got == solution_jump_per_edge(fine, coarse, rp)
+
+
+def _benchmark_workloads():
+    """The benchmark's workload definitions, loaded from its directory."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+RUNS = [*WORKLOADS.NAMES, "sin2-nitsche-track"]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_run_makes_no_one_cell_calls(name, monkeypatch):
+    """The adaptive loop evaluates only through the stacked kernel."""
+    if name == "sin2-nitsche-track":
+        cfg, prob = AfemConfig(degree=2, mode="nitsche", max_dofs=150,
+                               track_inconsistency=True), PROB
+    else:
+        cfg, prob = WORKLOADS.build(name, 0)
+    calls = {"basis_on_cell": 0, "eval_batch": 0}
+
+    def counted(cls, method):
+        original = getattr(cls, method)
+
+        def wrapper(*args, **kwargs):
+            calls[method] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    counted(HierarchicalSpace, "basis_on_cell")
+    counted(SplineFunction, "eval_batch")
+    records = run(cfg, prob)
+    assert len(records) > 1
+    if cfg.track_inconsistency:
+        assert all(r.inconsistency_sup is not None for r in records)
+    assert calls == {"basis_on_cell": 0, "eval_batch": 0}
 
 
 # ---------------------------------------------------------------------------
