@@ -11,12 +11,18 @@ the mesh so that edge-adjacent active cells differ by at most one level
 (1-level grading).  Edges at a level interface are the finer side's
 facets; a coarse neighbour's facet is represented by two half-edges so
 jump integrals see a single polynomial trace per side.
+
+``Cell`` is the public value type; the work on a partition (validation,
+neighbours, edges, refinement, point location) runs on integer arrays
+of its levels, indices and Z-order keys, built once per partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "Cell",
@@ -35,6 +41,9 @@ __all__ = [
 ACTIVE = "active"        # the cell itself is active
 INSIDE = "inside"        # strictly contained in an active cell
 REFINED = "refined"      # strictly subdivided into finer active cells
+
+# Z-order keys of two interleaved level-31 indices fill 62 bits of int64
+MAX_LEVEL = 31
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -132,14 +141,35 @@ class ShapeReport:
 
 
 class Partition:
-    """Immutable graded quadtree partition of the unit square."""
+    """Immutable graded quadtree partition of the unit square.
+
+    Besides the sorted ``cells``, a partition holds their levels and
+    indices as integer arrays in the same order, and the cells' Z-order
+    (Morton) keys on its finest grid, sorted.  A cell of level ``l``
+    covers the key interval ``[key, key + 4**(max_level - l))``, so the
+    active cell containing any dyadic cell is one ``searchsorted`` away.
+    """
 
     def __init__(self, cells: Iterable[Cell], validate: bool = True):
-        self.cells: tuple[Cell, ...] = tuple(sorted(cells))
-        self._cell_set = frozenset(self.cells)
-        if not self.cells:
+        cells = list(cells)
+        if not cells:
             raise ValueError("partition needs at least one cell")
-        self.max_level = max(c.level for c in self.cells)
+        level = np.array([c.level for c in cells], dtype=np.int64)
+        self.max_level = int(level.max())
+        if self.max_level > MAX_LEVEL:
+            raise ValueError(f"cell level {self.max_level} exceeds the "
+                             f"supported maximum {MAX_LEVEL}")
+        i = np.array([c.i for c in cells], dtype=np.int64)
+        j = np.array([c.j for c in cells], dtype=np.int64)
+        order = np.lexsort((j, i, level))
+        self.cells: tuple[Cell, ...] = tuple(cells[k] for k in order.tolist())
+        self._level, self._i, self._j = level[order], i[order], j[order]
+        self._position = {c: k for k, c in enumerate(self.cells)}
+        shift = self.max_level - self._level
+        key = _morton(self._i << shift, self._j << shift)
+        self._zorder = np.lexsort((self._level, key))
+        self._zkey = key[self._zorder]
+        self._table: np.ndarray | None = None
         self._edges: tuple[list[Edge], list[Edge]] | None = None
         self._cell_edges: dict[Cell, list[Edge]] | None = None
         if validate:
@@ -154,7 +184,7 @@ class Partition:
         return iter(self.cells)
 
     def __contains__(self, c: Cell) -> bool:
-        return c in self._cell_set
+        return c in self._position
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.cells == other.cells
@@ -162,82 +192,109 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self.cells)
 
+    def _locate(self, i, j):
+        """Positions in ``cells`` of the active cells containing the
+        finest-grid cells ``(max_level, i, j)``; ints or arrays."""
+        at = np.searchsorted(self._zkey, _morton(i, j), side="right") - 1
+        return self._zorder[at]
+
+    def _containing(self, c: Cell) -> int:
+        """Position of the active cell that contains the first
+        finest-grid cell of the dyadic cell ``c``: ``c`` itself, its
+        active ancestor, or a finer cell when ``c`` is subdivided."""
+        s = self.max_level - c.level
+        return int(self._locate(c.i << s, c.j << s) if s >= 0
+                   else self._locate(c.i >> -s, c.j >> -s))
+
     def classify(self, c: Cell) -> str:
         """Relation of an arbitrary dyadic cell to the partition."""
-        anc = _active_ancestor(self._cell_set, c)
-        if anc is None:
-            return REFINED
-        return ACTIVE if anc is c else INSIDE
+        lev = self._level[self._containing(c)]
+        return ACTIVE if lev == c.level else INSIDE if lev < c.level \
+            else REFINED
 
     def owner(self, c: Cell) -> Cell:
         """The active cell that equals or contains the dyadic cell ``c``."""
-        anc = _active_ancestor(self._cell_set, c)
-        if anc is None:
+        k = self._containing(c)
+        if self._level[k] > c.level:
             raise ValueError(f"{c} is subdivided in the partition: partitions "
                              "are not nested (not a refinement)")
-        return anc
+        return self.cells[k]
 
     def find_cell(self, x: float, y: float) -> Cell:
         """Active cell containing the point (half-open convention)."""
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise ValueError(f"point ({x}, {y}) outside the unit square")
-        c = Cell(0, 0, 0)
-        while c not in self._cell_set:
-            if c.level > self.max_level:
-                raise RuntimeError("point location failed; broken partition")
-            half = c.side / 2.0
-            x0, _, y0, _ = c.bounds
-            ci = 2 * c.i + (1 if x >= x0 + half else 0)
-            cj = 2 * c.j + (1 if y >= y0 + half else 0)
-            n = 1 << (c.level + 1)
-            c = Cell(c.level + 1, min(ci, n - 1), min(cj, n - 1))
-        return c
+        n = 1 << self.max_level
+        return self.cells[int(self._locate(min(int(x * n), n - 1),
+                                           min(int(y * n), n - 1)))]
 
     def cells_in_box(self, x0: float, x1: float, y0: float, y1: float) -> list[Cell]:
         """Active cells whose interior overlaps the open box (sorted)."""
-        found: list[Cell] = []
-
-        def descend(c: Cell):
-            cx0, cx1, cy0, cy1 = c.bounds
-            if cx1 <= x0 or cx0 >= x1 or cy1 <= y0 or cy0 >= y1:
-                return
-            state = self.classify(c)
-            if state == ACTIVE:
-                found.append(c)
-            elif state == REFINED:
-                for ch in c.children():
-                    descend(ch)
-            # INSIDE cannot occur when descending from the root
-
-        descend(Cell(0, 0, 0))
-        return sorted(found)
+        side = np.ldexp(1.0, -self._level)
+        i, j = self._i, self._j
+        hit = ((i + 1) * side > x0) & (i * side < x1) \
+            & ((j + 1) * side > y0) & (j * side < y1)
+        return [self.cells[k] for k in np.flatnonzero(hit).tolist()]
 
     def neighbors_across(self, c: Cell, direction: str) -> list[Cell]:
-        """Active cells sharing the given facet of ``c`` (may be empty on G)."""
-        return _neighbors(self._cell_set, c, direction)
+        """Active cells sharing the given facet of the active cell ``c``,
+        in ascending order along the facet (empty on the boundary)."""
+        d = _DIRECTIONS.get(direction)
+        if d is None:
+            raise ValueError(f"unknown direction {direction!r}")
+        k = self._position.get(c)
+        if k is None:
+            raise ValueError(f"{c} is not an active cell")
+        nb = self._neighbours()
+        if nb[k, d] != -2:
+            return [self.cells[nb[k, d]]] if nb[k, d] >= 0 else []
+        # finer cells: those that see c across their opposite facet
+        f = np.flatnonzero(nb[:, d ^ 1] == k)
+        along = (self._j if d < 2 else self._i)[f] \
+            << (self.max_level - self._level[f])
+        return [self.cells[q] for q in f[np.argsort(along)].tolist()]
+
+    def _neighbours(self) -> np.ndarray:
+        """The partition's neighbour table, built once: ``nb[k, d]`` is
+        the position of the active cell across facet ``d`` (left, right,
+        down, up) of cell ``k`` when that cell is as coarse as ``k`` or
+        coarser, ``-1`` on the domain boundary and ``-2`` when the other
+        side is subdivided (the finer cells there see ``k`` as theirs)."""
+        if self._table is None:
+            L = np.repeat(self._level[:, None], 4, axis=1)
+            pi, pj = self._i[:, None] + _STEPS[0], self._j[:, None] + _STEPS[1]
+            ok = (pi >= 0) & (pj >= 0) & (pi < 1 << L) & (pj < 1 << L)
+            s = self.max_level - L[ok]
+            k = self._locate(pi[ok] << s, pj[ok] << s)
+            nb = np.full(L.shape, -1, dtype=np.int64)
+            nb[ok] = np.where(self._level[k] <= L[ok], k, -2)
+            self._table = nb
+        return self._table
 
     # -- invariants ---------------------------------------------------
 
     def _validate(self):
-        # disjointness: no cell may have an active strict ancestor
-        for c in self.cells:
-            if c.level == 0:
-                continue
-            anc = _active_ancestor(self._cell_set, c.parent())
-            if anc is not None:
-                raise ValueError(f"overlapping cells: {c} inside {anc}")
+        top, L = self.max_level, self._level
+        # disjointness: dyadic key intervals nest or are disjoint, so an
+        # overlap shows as a key inside its predecessor's interval
+        end = self._zkey + (1 << 2 * (top - L[self._zorder]))
+        bad = np.flatnonzero(end[:-1] > self._zkey[1:])
+        if bad.size:
+            a, b = self._zorder[bad[0]], self._zorder[bad[0] + 1]
+            raise ValueError(f"overlapping cells: {self.cells[b]} inside "
+                             f"{self.cells[a]}")
         # exact cover: dyadic areas sum to 1 (integer arithmetic)
-        scale = self.max_level
-        total = sum(4 ** (scale - c.level) for c in self.cells)
-        if total != 4 ** scale:
+        total = sum(n << 2 * (top - lev)
+                    for lev, n in enumerate(np.bincount(L).tolist()))
+        if total != 1 << 2 * top:
             raise ValueError("cells do not cover the unit square")
-        # 1-level grading across edges
-        for c in self.cells:
-            for direction in _STEPS:
-                for nb in self.neighbors_across(c, direction):
-                    if abs(nb.level - c.level) > 1:
-                        raise ValueError(
-                            f"grading violated between {c} and {nb}")
+        # 1-level grading, from the finer side of each facet
+        nb = self._neighbours()
+        bad = np.argwhere((nb >= 0) & (L[:, None] - L[nb] > 1))
+        if bad.size:
+            k, d = bad[0]
+            raise ValueError(f"grading violated between "
+                             f"{self.cells[nb[k, d]]} and {self.cells[k]}")
 
     # -- plain-text dump ---------------------------------------------
 
@@ -259,17 +316,18 @@ def uniform_partition(levels: int) -> Partition:
     if levels < 0:
         raise ValueError("levels must be non-negative")
     n = 1 << levels
-    return Partition(
-        (Cell(levels, i, j) for i in range(n) for j in range(n)),
-        validate=False,
-    )
+    return Partition((Cell(levels, i, j) for i in range(n) for j in range(n)),
+                     validate=False)
 
 
 def refine(p: Partition, marked: Iterable[Cell]) -> Partition:
     """Replace marked cells by their children and restore 1-level grading.
 
     Raises if a marked cell is not active (stale marking).  An empty
-    marked set returns ``p`` unchanged.
+    marked set returns ``p`` unchanged.  The closure sweeps the levels
+    from the finest down: a split cell's coarser neighbours would face
+    its children across two levels, so they are split as well, which
+    may in turn split their own coarser neighbours.
     """
     marked = sorted(set(marked))
     if not marked:
@@ -277,79 +335,40 @@ def refine(p: Partition, marked: Iterable[Cell]) -> Partition:
     for m in marked:
         if m not in p:
             raise ValueError(f"stale marking: {m} is not an active cell")
-
-    active = set(p.cells)
-
-    def split(c: Cell):
-        active.remove(c)
-        active.update(c.children())
-        # closure: any active neighbour two levels coarser than the new
-        # children must be split as well
-        for direction in _STEPS:
-            for nb in _neighbors(active, c, direction):
-                if nb.level < c.level:
-                    split(nb)
-
-    for m in marked:
-        if m in active:  # may already be gone via closure
-            split(m)
-    return Partition(active)
+    nb = p._neighbours()
+    L = p._level
+    split = np.zeros(len(p), dtype=bool)
+    split[[p._position[m] for m in marked]] = True
+    for lev in range(p.max_level, 0, -1):
+        q = nb[split & (L == lev)].ravel()
+        q = q[q >= 0]
+        split[q[L[q] < lev]] = True
+    return Partition([q for c, s in zip(p.cells, split.tolist())
+                      for q in (c.children() if s else (c,))])
 
 
-def _active_ancestor(cells, c: Cell) -> Cell | None:
-    """The member of the disjoint cell set ``cells`` that equals or
-    contains ``c``, or ``None`` when ``c`` is subdivided in it."""
-    while c not in cells:
-        if c.level == 0:
-            return None
-        c = c.parent()
-    return c
+# Z-order interleaving of two coordinates below 2**32, for ints or arrays
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+           (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+           (1, 0x5555555555555555))
 
 
-# index steps towards the neighbour across each facet
-_STEPS = {"left": (-1, 0), "right": (1, 0), "down": (0, -1), "up": (0, 1)}
+def _morton(i, j):
+    """Z-order key of the finest-grid cell ``(i, j)``: the bits of ``i``
+    and ``j`` interleaved."""
+    for s, mask in _SPREAD:
+        i = (i | (i << s)) & mask
+        j = (j | (j << s)) & mask
+    return i | (j << 1)
 
 
-def _neighbors(cells, c: Cell, direction: str) -> list[Cell]:
-    """Members of the disjoint cell set ``cells`` that share the given
-    facet of ``c``, in ascending order along the facet.
-
-    The same-level cell across the facet is either covered by one
-    member (its active ancestor) or subdivided, in which case the finer
-    members along the facet are collected depth first.
-    """
-    step = _STEPS.get(direction)
-    if step is None:
-        raise ValueError(f"unknown direction {direction!r}")
-    i, j = c.i + step[0], c.j + step[1]
-    n = 1 << c.level
-    if i < 0 or j < 0 or i == n or j == n:
-        return []
-    probe = Cell(c.level, i, j)
-    if probe in cells:  # the common case, without a call
-        return [probe]
-    anc = _active_ancestor(cells, probe)
-    if anc is not None:
-        return [anc]
-    # subdivided: descend depth first into the children on the side
-    # facing c, pushed so that they pop in ascending order
-    out: list[Cell] = []
-    stack = [probe]
-    while stack:
-        q = stack.pop()
-        if q in cells:
-            out.append(q)
-            continue
-        if q.level > 64:  # a gap in the set would recurse forever
-            raise RuntimeError("cell set does not cover the facet")
-        L, a, b = q.level + 1, 2 * q.i, 2 * q.j
-        if step[0]:
-            a += step[0] < 0
-            stack += (Cell(L, a, b + 1), Cell(L, a, b))
-        else:
-            b += step[1] < 0
-            stack += (Cell(L, a + 1, b), Cell(L, a, b))
-    return out
+_DIRECTIONS = {"left": 0, "right": 1, "down": 2, "up": 3}
+# index steps (along x, then along y) towards the neighbour across each
+# facet, in that order
+_STEPS = np.array([[-1, 1, 0, 0], [0, 0, -1, 1]])
+# outward normal of each facet; an interior edge carries that of the
+# right or upper facet
+_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 
 
 def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
@@ -380,36 +399,33 @@ def cell_edges(p: Partition, c: Cell) -> list[Edge]:
 
 
 def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
-    interior: dict[tuple, Edge] = {}
+    """Edges from the neighbour table, sorted by :attr:`Edge.key`: one
+    per boundary facet, per facet with a coarser neighbour and per right
+    or upper facet with a same-level one (finer cells own the rest)."""
+    nb = p._neighbours()
+    L, I, J = p._level, p._i, p._j
+    k, d = np.nonzero(nb != -2)
+    q = nb[k, d]
+    lq = L[q]  # q = -1 reads a level that the test below ignores
+    own = (q == -1) | (lq < L[k]) | ((lq == L[k]) & (d % 2 == 1))
+    k, d, q = k[own], d[own], q[own]
+    axis = d // 2
+    lev = L[k]
+    fixed = np.where(axis == 0, I[k], J[k]) + d % 2
+    lo = np.where(axis == 0, J[k], I[k])
+    o = np.lexsort((lo, fixed, lev, axis))
+    cells = p.cells
+    interior: list[Edge] = []
     boundary: list[Edge] = []
-
-    for c in p.cells:
-        x0, x1, y0, y1 = c.bounds
-        facets = (
-            ("left", 0, x0, y0, (-1.0, 0.0)),
-            ("right", 0, x1, y0, (1.0, 0.0)),
-            ("down", 1, y0, x0, (0.0, -1.0)),
-            ("up", 1, y1, x0, (0.0, 1.0)),
-        )
-        for direction, axis, fixed, lo, outward in facets:
-            nbs = p.neighbors_across(c, direction)
-            if not nbs:
-                boundary.append(Edge("boundary", axis, c.level, fixed, lo,
-                                     plus=c, minus=None, normal=outward))
-                continue
-            for nb in nbs:
-                if nb.level > c.level:
-                    continue  # finer neighbour registers the half-edges
-                # c is the finer side or same level (deduplicated by key)
-                plus, minus = sorted(
-                    (c, nb), key=lambda q: (q.level, q.i, q.j))
-                e = Edge("interior", axis, c.level, fixed, lo,
-                         plus=plus, minus=minus,
-                         normal=(1.0, 0.0) if axis == 0 else (0.0, 1.0))
-                interior.setdefault(e.key, e)
-
-    return sorted(interior.values(), key=lambda e: e.key), \
-        sorted(boundary, key=lambda e: e.key)
+    for a, b, f, ax, lv, x, t in zip(*(v[o].tolist() for v in (
+            k, q, d, axis, lev, np.ldexp(fixed, -lev), np.ldexp(lo, -lev)))):
+        if b < 0:
+            boundary.append(Edge("boundary", ax, lv, x, t, cells[a], None,
+                                 _NORMALS[f]))
+        else:
+            interior.append(Edge("interior", ax, lv, x, t, cells[min(a, b)],
+                                 cells[max(a, b)], _NORMALS[2 * ax + 1]))
+    return interior, boundary
 
 
 def support_extension(p: Partition, space_handle, tau: Cell) -> set[Cell]:
@@ -442,32 +458,16 @@ def support_extension(p: Partition, space_handle, tau: Cell) -> set[Cell]:
 def shape_report(p: Partition, space_handle) -> ShapeReport:
     """Exact regularity maxima over all cells of the partition."""
     interior, bdry = edges(p)
-    by_cell: dict[Cell, list[Edge]] = {c: [] for c in p.cells}
-    for e in interior:
-        by_cell[e.plus].append(e)
-        by_cell[e.minus].append(e)
-    for e in bdry:
-        by_cell[e.plus].append(e)
-
-    max_edge_ratio = 0.0
+    max_edge_ratio = max(c.side / e.length for e in interior + bdry
+                         for c in (e.plus, e.minus) if c is not None)
     max_ext = 0.0
     max_overlap = 0
     for c in p.cells:
-        for e in by_cell[c]:
-            max_edge_ratio = max(max_edge_ratio, c.side / e.length)
         ext = support_extension(p, space_handle, c)
         max_overlap = max(max_overlap, len(ext))
-        corners = []
-        for q in ext:
-            qx0, qx1, qy0, qy1 = q.bounds
-            corners.extend(((qx0, qy0), (qx0, qy1), (qx1, qy0), (qx1, qy1)))
-        diam = 0.0
-        for a in range(len(corners)):
-            xa, ya = corners[a]
-            for b in range(a + 1, len(corners)):
-                xb, yb = corners[b]
-                d2 = (xa - xb) ** 2 + (ya - yb) ** 2
-                if d2 > diam:
-                    diam = d2
-        max_ext = max(max_ext, diam ** 0.5 / c.side)
+        b = np.array([q.bounds for q in ext])
+        corners = np.stack([b[:, [0, 0, 1, 1]], b[:, [2, 3, 2, 3]]], axis=2)
+        corners = corners.reshape(-1, 2)
+        diam = ((corners[:, None] - corners[None]) ** 2).sum(axis=2).max()
+        max_ext = max(max_ext, float(diam) ** 0.5 / c.side)
     return ShapeReport(max_edge_ratio, max_ext, max_overlap)

@@ -12,6 +12,7 @@ where the contract explicitly concerns coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Callable
 
@@ -35,6 +36,7 @@ __all__ = [
     "facet_edges_bruteforce",
     "support_extension_bruteforce",
     "scipy_univariate_ders",
+    "exact_two_scale_matrix",
 ]
 
 
@@ -246,6 +248,30 @@ def scipy_univariate_ders(level: int, degree: int, idx: int, x: float,
     c = np.zeros(num_functions(level, degree))
     c[idx] = 1.0
     return float(BSpline(t, c, degree)(x, nu=order))
+
+
+def exact_two_scale_matrix(level: int, degree: int) -> np.ndarray:
+    """Two-scale matrix by exact midpoint insertion into the whole knot
+    vector (Boehm's algorithm in rationals), each entry rounded once."""
+    p, m = degree, 1 << level
+    t = [Fraction(min(max(k - p, 0), m), m) for k in range(m + 2 * p + 1)]
+    rows = [[Fraction(i == c) for c in range(m + p)] for i in range(m + p)]
+    for s in range(m):
+        x = Fraction(2 * s + 1, 2 * m)
+        k = max(q for q in range(len(t)) if t[q] <= x)
+        new = []
+        for i in range(len(rows) + 1):
+            if i <= k - p:
+                new.append(rows[i])
+            elif i <= k:
+                a = (x - t[i]) / (t[i + p] - t[i])
+                new.append([a * u + (1 - a) * v
+                            for u, v in zip(rows[i], rows[i - 1])])
+            else:
+                new.append(rows[i - 1])
+        rows = new
+        t.insert(k + 1, x)
+    return np.array([[float(v) for v in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ truncated against finer active functions, which restores the partition
 of unity.
 
 Evaluation is exact per cell: every active function restricted to an
-active cell is expressed in the cell's own-level local tensor basis
-through a windowed two-scale (knot insertion) relation, so derivatives
-of any order are plain polynomial derivatives with no numerical
-differentiation anywhere.  A cell's extraction is built from its
-parent's, so each dyadic ancestor is processed once per space.
+active cell is expressed in the cell's own-level local tensor basis, so
+derivatives are plain polynomial derivatives.  A cell's extraction is
+its parent's times the two-scale blocks of the parent's span classes
+(exact knot insertion, the same at every level), so each dyadic
+ancestor is processed once per space.
 
 The local basis comes from level-independent reference tables.  On span
 ``i`` of a level with ``m = 2**l`` spans, the ``r+1`` window functions
@@ -38,11 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import INSIDE, Cell, Partition
+from .mesh import Cell, Partition
 from .quadrature import gauss_cell
 
 __all__ = [
@@ -151,11 +152,9 @@ def bspline_ders(knots: np.ndarray, degree: int, span: int, x: float,
 
 
 def span_class(level: int, span: int, degree: int) -> tuple[int, int]:
-    """Distance of a span to the left and right boundary, capped at the degree.
-
-    Spans of one class carry the same window functions in reference
-    coordinates, at every level.
-    """
+    """Distance of a span to the left and right boundary, capped at the
+    degree: spans of one class carry the same window functions in
+    reference coordinates, at every level."""
     m = 1 << level
     return min(span, degree), min(m - 1 - span, degree)
 
@@ -180,39 +179,50 @@ def _reference_table(degree: int, a: int, b: int,
     return tab
 
 
-def _insertion_matrix(knots: np.ndarray, degree: int,
-                      x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-knot-insertion coefficient map (old -> new)."""
-    p = degree
-    n = len(knots) - p - 1
-    k = int(np.searchsorted(knots, x, side="right")) - 1
-    A = np.zeros((n + 1, n))
-    for i in range(n + 1):
-        if i <= k - p:
-            A[i, i] = 1.0
-        elif i <= k:
-            alpha = (x - knots[i]) / (knots[i + p] - knots[i])
-            A[i, i] = alpha
-            A[i, i - 1] = 1.0 - alpha
-        else:
-            A[i, i - 1] = 1.0
-    return A, np.insert(knots, k + 1, x)
+@lru_cache(maxsize=None)
+def _two_scale_block(degree: int, a: int, b: int, parity: int) -> np.ndarray:
+    """Two-scale block of a span of class ``(a, b)`` and a child of
+    ``parity``: row ``q``, column ``c`` hold the coefficient of the
+    child's ``q``-th window function in the span's ``c``-th one.
+
+    It is the same at every level.  The entries come from exact knot
+    insertion: the blossom of each coarse window function at the fine
+    function's interior knots, by de Boor's algorithm in integers (knots
+    in half units, each step scaled by the lcm of its denominators), so
+    each entry is rounded once, by the final integer division.
+    """
+    r = degree
+    t = [2 * min(max(k - r, -a), b + 1) for k in range(2 * r + 2)]
+    fa, fb = min(2 * a + parity, r), min(2 * b + 1 - parity, r)
+    tau = [min(max(k - r, -fa), fb + 1) + parity for k in range(2 * r + 2)]
+    rows = []
+    for q in range(r + 1):
+        d = [[int(l == c) for c in range(r + 1)] for l in range(r + 1)]
+        scale = 1
+        for k, u in enumerate(tau[q + 1:q + r + 1], start=1):
+            step = lcm(*(t[l + r + 1 - k] - t[l] for l in range(k, r + 1)))
+            for l in range(r, k - 1, -1):
+                lo, hi = t[l], t[l + r + 1 - k]
+                d[l] = [((hi - u) * y + (u - lo) * z) * (step // (hi - lo))
+                        for y, z in zip(d[l - 1], d[l])]
+            scale *= step
+        rows.append([v / scale for v in d[r]])
+    rows = np.array(rows)
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=None)
 def two_scale_matrix(level: int, degree: int) -> np.ndarray:
-    """Coefficient map from level ``level`` to ``level + 1``.
-
-    Column ``i`` holds the fine-level coefficients of the coarse
-    function ``i``, obtained by inserting the midpoint knots.
-    """
-    t = np.asarray(knot_vector(level, degree))
-    m = 1 << level
-    new = (2 * np.arange(m) + 1) / (2 * m)
-    P = np.eye(num_functions(level, degree))
-    for x in new:
-        A, t = _insertion_matrix(t, degree, x)
-        P = A @ P
+    """Coefficient map from level ``level`` to ``level + 1``: column
+    ``i`` holds the fine-level coefficients of the coarse function ``i``
+    (midpoint knot insertion), assembled from the span-class blocks."""
+    w = degree + 1
+    P = np.zeros((num_functions(level + 1, degree),
+                  num_functions(level, degree)))
+    for c in range(2 << level):  # the child spans, each in span c // 2
+        P[c:c + w, c // 2:c // 2 + w] = _two_scale_block(
+            degree, *span_class(level, c // 2, degree), c % 2)
     P.flags.writeable = False
     return P
 
@@ -241,54 +251,43 @@ class HierarchicalSpace:
         self.partition = partition
         self.degree = degree
         self.truncated = truncated
+        # positions of the active functions, per level on (ix, iy)
+        self._by_level: dict[int, dict[tuple[int, int], int]] = {}
         self.active: tuple[FnIndex, ...] = tuple(self._select_active())
         self.position: dict[FnIndex, int] = {
             fn: k for k, fn in enumerate(self.active)}
-        self._by_level: dict[int, dict[tuple[int, int], int]] = {}
-        for k, (lev, ix, iy) in enumerate(self.active):
-            self._by_level.setdefault(lev, {})[(ix, iy)] = k
         # extraction of the active cells (with its positions as an index
         # array), and of every dyadic cell built
         self._extraction: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
         self._index: dict[Cell, np.ndarray] = {}
-        self._carries: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
+        self._carries: dict[tuple[int, int, int],
+                            tuple[tuple[int, ...], np.ndarray]] = {}
         self._tables: dict[tuple[int, int, bytes], np.ndarray] = {}
 
     # -- selection ------------------------------------------------------
 
     def _select_active(self) -> list[FnIndex]:
-        p = self.partition
-        r = self.degree
+        """The classical selection, level by level on the partition's
+        arrays: a function of level ``l`` is a candidate when an active
+        cell of level ``l`` lies in its support, and active when no cell
+        of its support lies strictly inside a coarser active cell."""
+        p, r = self.partition, self.degree
+        w = np.arange(r + 1)
         active: list[FnIndex] = []
-        cells_by_level: dict[int, list[Cell]] = {}
-        for c in p.cells:
-            cells_by_level.setdefault(c.level, []).append(c)
-
-        for lev in sorted(cells_by_level):
-            m = 1 << lev
-            n = m + r
-            # classification of the level's window cells, keyed on (i, j)
-            state: dict[tuple[int, int], str] = {}
-            candidates: set[tuple[int, int]] = set()
-            for c in cells_by_level[lev]:
-                for ix in range(c.i, min(c.i + r, n - 1) + 1):
-                    for iy in range(c.j, min(c.j + r, n - 1) + 1):
-                        candidates.add((ix, iy))
-            for ix, iy in sorted(candidates):
-                ok = True
-                for sx in range(max(0, ix - r), min(m - 1, ix) + 1):
-                    for sy in range(max(0, iy - r), min(m - 1, iy) + 1):
-                        st = state.get((sx, sy))
-                        if st is None:
-                            st = state[sx, sy] = p.classify(Cell(lev, sx, sy))
-                        if st == INSIDE:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    active.append((lev, ix, iy))
-        active.sort()
+        for lev in np.unique(p._level).tolist():
+            at = p._level == lev
+            m, n, s = 1 << lev, (1 << lev) + r, p.max_level - lev
+            keys = np.unique(((p._i[at, None] + w) * n)[:, :, None]
+                             + (p._j[at, None] + w)[:, None, :])
+            ix, iy = keys // n, keys % n
+            # support cells, clipped to the square (repeats are harmless)
+            sx = np.clip(ix[:, None] - w, 0, m - 1)[:, :, None] << s
+            sy = np.clip(iy[:, None] - w, 0, m - 1)[:, None, :] << s
+            ok = ~(p._level[p._locate(sx, sy)] < lev).any(axis=(1, 2))
+            fns = list(zip(ix[ok].tolist(), iy[ok].tolist()))
+            self._by_level[lev] = {f: len(active) + k
+                                   for k, f in enumerate(fns)}
+            active += [(lev, *f) for f in fns]
         return active
 
     # -- basic queries ---------------------------------------------------
@@ -320,41 +319,45 @@ class HierarchicalSpace:
         if got is None:
             if cell not in self.partition:
                 raise ValueError(f"{cell} is not an active cell")
-            got = self._extraction[cell] = self._extract(cell)
+            got = self._extraction[cell] = self._extract(
+                cell.level, cell.i, cell.j)
             self._index[cell] = np.array(got[0], dtype=np.intp)
         return got
 
-    def _extract(self, cell: Cell) -> tuple[tuple[int, ...], np.ndarray]:
-        """Extraction of any dyadic cell, built from its parent's.
+    def _extract(self, level: int, i: int, j: int,
+                 ) -> tuple[tuple[int, ...], np.ndarray]:
+        """Extraction of any dyadic cell ``(level, i, j)``, built from its
+        parent's.
 
         The rows are the active functions of the cell's level and of
         coarser levels whose window meets the cell, in the cell-level
         local basis; a child takes its parent's rows through the
-        two-scale block and appends its own level's functions (after
-        truncating the carried rows against them).  Memoised per cell, so
-        every dyadic ancestor is processed once per space.
+        two-scale blocks of its span classes and appends its own level's
+        functions (after truncating the carried rows against them).
+        Memoised per cell, so every dyadic ancestor is processed once per
+        space.
         """
-        got = self._carries.get(cell)
+        got = self._carries.get((level, i, j))
         if got is not None:
             return got
         r = self.degree
         w = r + 1
-        if cell.level:
-            prev = cell.parent()
-            rows, carry = self._extract(prev)
+        if level:
+            rows, carry = self._extract(level - 1, i >> 1, j >> 1)
             if rows:
-                P = two_scale_matrix(cell.level - 1, r)
-                Px = P[cell.i:cell.i + w, prev.i:prev.i + w]
-                Py = P[cell.j:cell.j + w, prev.j:prev.j + w]
+                Px = _two_scale_block(r, *span_class(level - 1, i >> 1, r),
+                                      i & 1)
+                Py = _two_scale_block(r, *span_class(level - 1, j >> 1, r),
+                                      j & 1)
                 # np.kron(Px, Py): one rounded product per entry, C order
                 K = (Px[:, None, :, None] * Py[None, :, None, :]).reshape(
                     w * w, w * w)
                 carry = carry @ K.T
         else:
             rows, carry = (), np.zeros((0, w * w))
-        level_map = self._by_level.get(cell.level, {})
+        level_map = self._by_level.get(level, {})
         here = [(pos, a * w + b) for a in range(w) for b in range(w)
-                if (pos := level_map.get((cell.i + a, cell.j + b))) is not None]
+                if (pos := level_map.get((i + a, j + b))) is not None]
         if here:
             cols = [lc for _, lc in here]
             if self.truncated and rows:
@@ -364,7 +367,7 @@ class HierarchicalSpace:
             carry = np.vstack([carry, unit]) if rows else unit
             rows += tuple(pos for pos, _ in here)
         carry.flags.writeable = False
-        self._carries[cell] = rows, carry
+        self._carries[level, i, j] = rows, carry
         return rows, carry
 
     # -- basis tables ------------------------------------------------------
@@ -629,41 +632,35 @@ class DualFunctionalSet:
     def __init__(self, space: HierarchicalSpace, quad_n: int | None = None):
         self.space = space
         n = quad_n if quad_n is not None else space.degree + 3
-        p = space.partition
+        boxes = [space.partition.cells_in_box(*space.support_box(fn))
+                 for fn in space.active]
+        # every cell of any support box, evaluated once through the stacks
+        cells = sorted(set().union(*boxes))
+        rules = [gauss_cell(c, n) for c in cells]
+        per_cell = {}
+        for items, _, tabs in space.basis_stacks(
+                cells, [r.points[:, 0] for r in rules],
+                [r.points[:, 1] for r in rules], [(0, 0)]):
+            for q, V in zip(items, tabs[(0, 0)]):
+                per_cell[cells[q]] = (rules[q], space.cell_extraction(
+                    cells[q])[0], V)
         duals: list[DualFunctional] = []
-        for lam_pos, fn in enumerate(space.active):
-            box = space.support_box(fn)
-            cells = p.cells_in_box(*box)
-            neighbors: list[int] = []
-            seen = set()
-            per_cell = []
-            for c in cells:
-                rule = gauss_cell(c, n)
-                pos, tabs = space.basis_on_cell(
-                    c, rule.points[:, 0], rule.points[:, 1], [(0, 0)])
-                per_cell.append((rule, pos, tabs[(0, 0)]))
-                for q in pos:
-                    if q not in seen:
-                        seen.add(q)
-                        neighbors.append(q)
-            neighbors.sort()
+        for lam_pos, box in enumerate(boxes):
+            per_box = [per_cell[c] for c in box]
+            neighbors = sorted({q for _, pos, _ in per_box for q in pos})
             where = {q: k for k, q in enumerate(neighbors)}
             M = np.zeros((len(neighbors), len(neighbors)))
-            for rule, pos, V in per_cell:
+            for rule, pos, V in per_box:
                 block = (V * rule.weights) @ V.T
                 idx = [where[q] for q in pos]
                 M[np.ix_(idx, idx)] += block
             rhs = np.zeros(len(neighbors))
             rhs[where[lam_pos]] = 1.0
             a, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-            pts_all = []
-            wts_all = []
-            for rule, pos, V in per_cell:
-                coef = a[[where[q] for q in pos]]
-                pts_all.append(rule.points)
-                wts_all.append((coef @ V) * rule.weights)
-            duals.append(DualFunctional(np.vstack(pts_all),
-                                        np.concatenate(wts_all)))
+            duals.append(DualFunctional(
+                np.vstack([rule.points for rule, _, _ in per_box]),
+                np.concatenate([(a[[where[q] for q in pos]] @ V) * rule.weights
+                                for rule, pos, V in per_box])))
         self.functionals = tuple(duals)
 
     def apply(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
@@ -688,16 +685,14 @@ def quasi_interpolant(s: HierarchicalSpace, f, quad_n: int | None = None,
 
 
 def _pointwise_evaluator(fn: SplineFunction):
-    part = fn.space.partition
-
+    """Values at points, each on the active cell that contains it: one
+    stacked request per point."""
     def g(xs, ys):
         xs = np.atleast_1d(np.asarray(xs, float))
         ys = np.atleast_1d(np.asarray(ys, float))
-        out = np.empty_like(xs)
-        for k in range(len(xs)):
-            out[k] = fn.eval(xs[k], ys[k],
-                             cell=part.find_cell(xs[k], ys[k]))
-        return out
+        cells = [fn.space.partition.find_cell(x, y) for x, y in zip(xs, ys)]
+        return fn.eval_stacked(cells, xs[:, None], ys[:, None],
+                               [(0, 0)])[(0, 0)][:, 0]
 
     return g
 

@@ -147,6 +147,25 @@ class TestEndToEnd:
         assert run_cli(["--load-solution", str(path)]) == 2
         assert "truncated must be 0 or 1, got 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cells,cause", [
+        ("0 0 0\n1 0 0\n1 1 0\n1 0 1\n1 1 1\n",
+         "overlapping cells: Cell(level=1, i=0, j=0) inside "
+         "Cell(level=0, i=0, j=0)"),
+        ("1 0 0\n1 1 0\n1 0 1\n", "cells do not cover the unit square"),
+        ("1 0 0\n1 0 1\n1 1 1\n2 2 0\n2 3 0\n2 3 1\n"
+         "3 4 2\n3 5 2\n3 4 3\n3 5 3\n",
+         "grading violated between Cell(level=1, i=0, j=0) and "
+         "Cell(level=3, i=4, j=2)"),
+    ])
+    def test_invalid_partition_in_solution_file_exits_two(
+            self, tmp_path, capsys, cells, cause):
+        path = tmp_path / "solution.txt"
+        n = cells.count("\n")
+        path.write_text(f"degree 2\ntruncated 1\ncells {n}\n{cells}"
+                        "coeffs 9\n" + "0.0\n" * 9)
+        assert run_cli(["--load-solution", str(path)]) == 2
+        assert cause in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = BASE + ["--max-dofs", "400"]

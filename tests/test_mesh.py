@@ -1,15 +1,22 @@
 """Quadtree partition, refinement closure and edge structure."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from afem.mesh import (Cell, Partition, cell_edges, edges, refine,
+from afem.driver import run
+from afem.mesh import (Cell, Edge, Partition, cell_edges, edges, refine,
                        shape_report, support_extension, uniform_partition)
-from afem.oracles import facet_edges_bruteforce, support_extension_bruteforce
+from afem.oracles import (facet_edges_bruteforce, kraft_selection_bruteforce,
+                          support_extension_bruteforce)
 from afem.splines import build_space
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import workloads  # noqa: E402
 
 
 def graded_7cell():
@@ -282,6 +289,47 @@ class TestDump:
         assert keys == sorted(keys)
 
 
+class TestRejections:
+    """Invalid cell sets are refused with a message naming the cause."""
+
+    def test_overlapping_cells(self):
+        cells = [Cell(0, 0, 0), *Cell(0, 0, 0).children()]
+        with pytest.raises(ValueError, match=r"overlapping cells: "
+                           r"Cell\(level=1, i=0, j=0\) inside "
+                           r"Cell\(level=0, i=0, j=0\)"):
+            Partition(cells)
+
+    def test_duplicate_cells_overlap(self):
+        # a duplicate and a gap of the same area sum to the unit square
+        a, b, c, _ = Cell(0, 0, 0).children()
+        with pytest.raises(ValueError, match="overlapping cells"):
+            Partition([a, a, b, c])
+
+    def test_gap(self):
+        with pytest.raises(ValueError,
+                           match="cells do not cover the unit square"):
+            Partition(Cell(0, 0, 0).children()[:3])
+
+    def test_grading_violation(self):
+        p = refine(refine(uniform_partition(1), [Cell(1, 1, 0)]),
+                   [Cell(2, 2, 1)])
+        # the closure split Cell(1, 0, 0); leave it whole
+        cells = [c for c in p if c.ancestor(1) != Cell(1, 0, 0)]
+        with pytest.raises(ValueError, match=r"grading violated between "
+                           r"Cell\(level=1, i=0, j=0\) and "
+                           r"Cell\(level=3, i=4, j=2\)"):
+            Partition(cells + [Cell(1, 0, 0)])
+
+    def test_level_above_key_width(self):
+        deep = [Cell(32, 0, 0)]
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            Partition(deep)
+
+    def test_unvalidated_partition_skips_the_checks(self):
+        cells = [Cell(0, 0, 0), *Cell(0, 0, 0).children()]
+        assert len(Partition(cells, validate=False)) == 5
+
+
 DIRECTIONS = ("left", "right", "down", "up")
 
 # a start level and rounds of marks, each mark an index into the cells
@@ -375,3 +423,195 @@ class TestMeshProperties:
         p = graded_7cell()
         with pytest.raises(ValueError, match="direction"):
             p.neighbors_across(p.cells[0], "diagonal")
+
+
+# -- the Cell-walk mesh code that the integer arrays replaced -----------
+
+STEPS = {"left": (-1, 0), "right": (1, 0), "down": (0, -1), "up": (0, 1)}
+
+
+def walk_ancestor(cells, c):
+    """The member of the disjoint set ``cells`` equal to or containing
+    ``c`` by a parent walk, or None when ``c`` is subdivided."""
+    while c not in cells:
+        if c.level == 0:
+            return None
+        c = c.parent()
+    return c
+
+
+def walk_neighbors(cells, c, direction):
+    """Members of ``cells`` across one facet of ``c``, ascending along
+    it: the same-level probe's ancestor, or the finer cells depth first."""
+    step = STEPS[direction]
+    i, j = c.i + step[0], c.j + step[1]
+    if i < 0 or j < 0 or i == 1 << c.level or j == 1 << c.level:
+        return []
+    probe = Cell(c.level, i, j)
+    anc = walk_ancestor(cells, probe)
+    if anc is not None:
+        return [anc]
+    out, stack = [], [probe]
+    while stack:
+        q = stack.pop()
+        if q in cells:
+            out.append(q)
+            continue
+        L, a, b = q.level + 1, 2 * q.i, 2 * q.j
+        if step[0]:
+            a += step[0] < 0
+            stack += (Cell(L, a, b + 1), Cell(L, a, b))
+        else:
+            b += step[1] < 0
+            stack += (Cell(L, a + 1, b), Cell(L, a, b))
+    return out
+
+
+def walk_edges(p):
+    """Edge lists from per-facet neighbour walks, deduplicated by key."""
+    cells = set(p.cells)
+    interior, boundary = {}, []
+    for c in p.cells:
+        x0, x1, y0, y1 = c.bounds
+        for direction, axis, fixed, lo, outward in (
+                ("left", 0, x0, y0, (-1.0, 0.0)),
+                ("right", 0, x1, y0, (1.0, 0.0)),
+                ("down", 1, y0, x0, (0.0, -1.0)),
+                ("up", 1, y1, x0, (0.0, 1.0))):
+            nbs = walk_neighbors(cells, c, direction)
+            if not nbs:
+                boundary.append(Edge("boundary", axis, c.level, fixed, lo,
+                                     plus=c, minus=None, normal=outward))
+            for nb in nbs:
+                if nb.level <= c.level:
+                    plus, minus = sorted((c, nb))
+                    e = Edge("interior", axis, c.level, fixed, lo,
+                             plus=plus, minus=minus,
+                             normal=(1.0, 0.0) if axis == 0 else (0.0, 1.0))
+                    interior.setdefault(e.key, e)
+    return (sorted(interior.values(), key=lambda e: e.key),
+            sorted(boundary, key=lambda e: e.key))
+
+
+def walk_refine(p, marked):
+    """Recursive closure on a transient cell set."""
+    active = set(p.cells)
+
+    def split(c):
+        active.remove(c)
+        active.update(c.children())
+        for direction in STEPS:
+            for nb in walk_neighbors(active, c, direction):
+                if nb.level < c.level:
+                    split(nb)
+
+    for m in sorted(set(marked)):
+        if m in active:
+            split(m)
+    return sorted(active)
+
+
+def walk_classify(cells, c):
+    anc = walk_ancestor(cells, c)
+    return "refined" if anc is None else "active" if anc == c else "inside"
+
+
+def walk_select(p, r):
+    """Active functions by classifying each window cell by a parent walk."""
+    cells = set(p.cells)
+    active = []
+    for lev in sorted({c.level for c in p.cells}):
+        m = 1 << lev
+        candidates = {(ix, iy) for c in p.cells if c.level == lev
+                      for ix in range(c.i, c.i + r + 1)
+                      for iy in range(c.j, c.j + r + 1)}
+        for ix, iy in sorted(candidates):
+            if all(walk_classify(cells, Cell(lev, sx, sy)) != "inside"
+                   for sx in range(max(0, ix - r), min(m - 1, ix) + 1)
+                   for sy in range(max(0, iy - r), min(m - 1, iy) + 1)):
+                active.append((lev, ix, iy))
+    return active
+
+
+def probe_cells(p):
+    """Active cells, their ancestors and children, and two levels below
+    the finest: every relation a dyadic cell can have to ``p``."""
+    out = set()
+    for c in p.cells:
+        out.update(c.ancestor(lev) for lev in range(c.level + 1))
+        out.update(c.children())
+        out.update(ch.children()[3] for ch in c.children())
+    return sorted(out)
+
+
+class TestArraysEqualCellWalks:
+    """The array-backed mesh gives exactly what the Cell walks gave."""
+
+    @given(refine_sequences)
+    def test_edges_and_cell_edges(self, seq):
+        for p in refined_chain(*seq):
+            interior, boundary = edges(p)
+            want_int, want_bd = walk_edges(p)
+            assert interior == want_int and boundary == want_bd
+            for e in interior + boundary:
+                assert type(e.level) is int and type(e.fixed) is float
+                assert e.plus is p.cells[p.cells.index(e.plus)]
+            for c in p:
+                assert cell_edges(p, c) == [e for e in want_int
+                                            if c in (e.plus, e.minus)]
+            oracle_int, oracle_bd = facet_edges_bruteforce(p)
+            assert sorted((*e.key, e.plus, e.minus) for e in interior) \
+                == sorted(oracle_int)
+            assert [(*e.key, e.plus) for e in boundary] == oracle_bd
+
+    @given(refine_sequences)
+    def test_refine(self, seq):
+        start, rounds = seq
+        p = uniform_partition(start)
+        for picks in rounds:
+            marked = [p.cells[k % len(p)] for k in picks]
+            fine = refine(p, marked)
+            assert list(fine.cells) == walk_refine(p, marked)
+            p = fine
+
+    @given(refine_sequences)
+    def test_classify_and_owner(self, seq):
+        p = refined_chain(*seq)[-1]
+        cells = set(p.cells)
+        for c in probe_cells(p):
+            state = walk_classify(cells, c)
+            assert p.classify(c) == state
+            if state == "refined":
+                with pytest.raises(ValueError, match="nested"):
+                    p.owner(c)
+            else:
+                assert p.owner(c) == walk_ancestor(cells, c)
+
+    @given(refine_sequences, st.integers(2, 4))
+    def test_select_active(self, seq, degree):
+        p = refined_chain(*seq)[-1]
+        active = list(build_space(p, degree).active)
+        assert active == walk_select(p, degree)
+        assert active == kraft_selection_bruteforce(p, degree)
+        assert all(type(v) is int for fn in active for v in fn)
+
+
+class TestCellChurn:
+    """``Cell`` objects are built for partitions, not for mesh work."""
+
+    @pytest.mark.parametrize("name", workloads.NAMES)
+    def test_constructions_per_run(self, name, monkeypatch):
+        built = []
+        post = Cell.__post_init__
+
+        def counting(self):
+            built.append(None)
+            post(self)
+
+        cfg, prob = workloads.build(name, 0)
+        sizes = []
+        monkeypatch.setattr(Cell, "__post_init__", counting)
+        run(cfg, prob, on_iteration=lambda state: sizes.append(
+            len(state.partition)))
+        monkeypatch.setattr(Cell, "__post_init__", post)
+        assert len(built) <= 3 * sum(sizes)

@@ -10,13 +10,14 @@ from numpy.polynomial import legendre as npleg
 
 from afem.assembly import _legendre_modes, _local_coords
 from afem.mesh import Cell, edges, refine, uniform_partition
-from afem.oracles import (kraft_selection_bruteforce, random_spline,
-                          scipy_univariate_ders)
+from afem.oracles import (exact_two_scale_matrix, kraft_selection_bruteforce,
+                          random_spline, scipy_univariate_ders)
 from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           build_space, coarse_to_fine, conforming_indices,
                           knot_vector, load_solution, num_functions,
                           quasi_interpolant, save_solution, span_class,
-                          two_scale_matrix, _reference_table)
+                          two_scale_matrix, _reference_table,
+                          _two_scale_block)
 from afem.quadrature import gauss_cell, gauss_points_1d
 
 
@@ -61,6 +62,72 @@ class TestUnivariate:
                                                   float(x), 0)
                     for i in range(len(cf)))
                 assert coarse == pytest.approx(fine, abs=1e-12)
+
+
+def dense_two_scale_loop(level, degree):
+    """The two-scale matrix as one dense single-knot insertion matrix per
+    midpoint, multiplied up in floating point."""
+    t = np.asarray(knot_vector(level, degree))
+    m = 1 << level
+    P = np.eye(num_functions(level, degree))
+    for x in (2 * np.arange(m) + 1) / (2 * m):
+        n = len(t) - degree - 1
+        k = int(np.searchsorted(t, x, side="right")) - 1
+        A = np.zeros((n + 1, n))
+        for i in range(n + 1):
+            if i <= k - degree:
+                A[i, i] = 1.0
+            elif i <= k:
+                alpha = (x - t[i]) / (t[i + degree] - t[i])
+                A[i, i] = alpha
+                A[i, i - 1] = 1.0 - alpha
+            else:
+                A[i, i - 1] = 1.0
+        P = A @ P
+        t = np.insert(t, k + 1, x)
+    return P
+
+
+class TestTwoScaleBlocks:
+    """Span-class blocks against exact and dense constructions."""
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_matrix_equals_exact_oracle(self, degree):
+        for level in range(6):
+            P = two_scale_matrix(level, degree)
+            assert np.array_equal(P, exact_two_scale_matrix(level, degree))
+            assert not P.flags.writeable
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_exactly_centrosymmetric(self, degree):
+        for level in range(7):
+            P = two_scale_matrix(level, degree)
+            assert np.array_equal(P, P[::-1, ::-1])
+        r = degree
+        for a in range(r + 1):
+            for b in range(r + 1):
+                for parity in (0, 1):
+                    assert np.array_equal(
+                        _two_scale_block(r, a, b, parity),
+                        _two_scale_block(r, b, a, 1 - parity)[::-1, ::-1])
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_bit_identical_to_dense_loop_for_dyadic_degrees(self, degree):
+        for level in range(8):
+            assert np.array_equal(two_scale_matrix(level, degree),
+                                  dense_two_scale_loop(level, degree))
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_blocks_are_the_matrix_windows(self, degree):
+        w = degree + 1
+        for level in range(5):
+            P = two_scale_matrix(level, degree)
+            for child in range(2 << level):
+                s = child // 2
+                assert np.array_equal(
+                    P[child:child + w, s:s + w],
+                    _two_scale_block(degree, *span_class(level, s, degree),
+                                     child % 2))
 
 
 def span_points(level: int, span: int) -> np.ndarray:
@@ -581,6 +648,61 @@ class TestConformingIndices:
                                 abs(fn.eval(x, y, 1, 0)),
                                 abs(fn.eval(x, y, 0, 1)))
             assert worst > 1e-8
+
+
+def duals_per_pair(space, n):
+    """Dual functionals with the basis evaluated once per (function,
+    cell of its support box) pair: ``[(points, weights)]``."""
+    p = space.partition
+    out = []
+    for lam_pos, fn in enumerate(space.active):
+        per_cell = []
+        neighbors = set()
+        for c in p.cells_in_box(*space.support_box(fn)):
+            rule = gauss_cell(c, n)
+            pos, tabs = space.basis_on_cell(
+                c, rule.points[:, 0], rule.points[:, 1], [(0, 0)])
+            per_cell.append((rule, pos, tabs[(0, 0)]))
+            neighbors.update(pos)
+        where = {q: k for k, q in enumerate(sorted(neighbors))}
+        M = np.zeros((len(where), len(where)))
+        for rule, pos, V in per_cell:
+            idx = [where[q] for q in pos]
+            M[np.ix_(idx, idx)] += (V * rule.weights) @ V.T
+        rhs = np.zeros(len(where))
+        rhs[where[lam_pos]] = 1.0
+        a, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        out.append((np.vstack([rule.points for rule, _, _ in per_cell]),
+                    np.concatenate([(a[[where[q] for q in pos]] @ V)
+                                    * rule.weights
+                                    for rule, pos, V in per_cell])))
+    return out
+
+
+class TestDualFunctionalsStacked:
+    @given(graded_spaces)
+    def test_equal_to_per_pair_loop(self, case):
+        s = graded_space(*case)
+        n = s.degree + 3
+        duals = DualFunctionalSet(s)
+        want = duals_per_pair(s, n)
+        assert len(duals.functionals) == len(want)
+        for psi, (pts, wts) in zip(duals.functionals, want):
+            assert np.array_equal(psi.points, pts)
+            assert np.array_equal(psi.weights, wts)
+
+    def test_each_cell_evaluated_once(self, monkeypatch):
+        s = build_space(uniform_partition(3), 3)
+        seen = []
+        stacks = s.basis_stacks
+
+        def counting(cells, *args):
+            seen.extend(cells)
+            return stacks(cells, *args)
+
+        monkeypatch.setattr(s, "basis_stacks", counting)
+        DualFunctionalSet(s)
+        assert sorted(seen) == list(s.partition.cells)
 
 
 class TestQuasiInterpolant:
