@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -26,9 +28,9 @@ from numpy.polynomial import legendre as npleg
 from scipy.sparse import coo_matrix, csr_matrix, triu
 
 from .mesh import Cell, Edge, Partition, edges
-from .quadrature import gauss_cell, gauss_edge
-from .splines import (HierarchicalSpace, SplineFunction, conforming_indices,
-                      request_blocks)
+from .quadrature import _on_points, gauss_cell, gauss_edge
+from .splines import (_BLOCK_REQUESTS, HierarchicalSpace, SplineFunction,
+                      conforming_indices)
 
 __all__ = [
     "AnalyticField",
@@ -368,23 +370,24 @@ def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
 
 def _cell_chunks(requests, n: int, stacks, orders, data=None):
     """Stacked evaluation of cells on their ``n x n`` Gauss rules, or of
-    boundary edges on ``e.plus`` at their :func:`gauss_edge` points.
+    edges on ``e.plus`` at their :func:`gauss_edge` points.
 
     ``stacks`` is :meth:`HierarchicalSpace.basis_stacks`,
     :meth:`SplineFunction.value_stacks` or ``None`` (samples only).  Per
     chunk this yields the requests' numbers, rules, weights and ``data``
     samples ``(B, N)`` (or ``None``), then what ``stacks`` yields after
-    the request numbers.  Rules are built one run of
-    :func:`request_blocks` at a time; ``data`` is called once per request.
+    the request numbers.  Requests are all cells or all edges; rules are
+    built for ``_BLOCK_REQUESTS`` of them at a time, which bounds what a
+    pass holds; ``data`` is called once per request.
     """
-    for lo, run in request_blocks(requests):
-        rules = [gauss_edge(q, n) if isinstance(q, Edge) else gauss_cell(q, n)
-                 for q in run]
+    for lo in range(0, len(requests), _BLOCK_REQUESTS):
+        run = requests[lo:lo + _BLOCK_REQUESTS]
+        edge = isinstance(run[0], Edge)
+        rules = [(gauss_edge if edge else gauss_cell)(q, n) for q in run]
         X = [rule.points[:, 0] for rule in rules]
         Y = [rule.points[:, 1] for rule in rules]
-        cells = [q.plus if isinstance(q, Edge) else q for q in run]
-        for items, *out in (stacks(cells, X, Y, orders) if stacks is not None
-                            else [(range(len(run)),)]):
+        for items, *out in ([(range(len(run)),)] if stacks is None else stacks(
+                [q.plus for q in run] if edge else run, X, Y, orders)):
             W = np.array([rules[q].weights for q in items])
             F = None
             if data is not None:
@@ -416,8 +419,7 @@ def _edge_orders(axis: int):
 
 
 def _boundary_traces(bdry, n: int, stacks):
-    """``(e, rule, pos, v, vn)`` per boundary edge, in edge order, from
-    the stacked evaluation of one :func:`request_blocks` run at a time.
+    """``(e, rule, pos, v, vn)`` per boundary edge, in edge order.
 
     ``v`` is the trace and ``vn`` the normal-derivative trace (the sign
     ``e.normal[e.axis]`` times the normal-axis derivative) on ``e.plus``:
@@ -425,17 +427,18 @@ def _boundary_traces(bdry, n: int, stacks):
     :meth:`HierarchicalSpace.basis_stacks`; of a spline, ``(n,)`` with
     ``pos = None``, for :meth:`SplineFunction.value_stacks`.
     """
-    for _, run in request_blocks(bdry):
-        got = [None] * len(run)
-        for at, rules, _, _, *out in _cell_chunks(
-                run, n, stacks, [(0, 0), (1, 0), (0, 1)]):
-            *index, tabs = out
-            for j, q in enumerate(at):
-                e = run[q]
-                got[q] = (e, rules[j], index[0][j] if index else None,
-                          tabs[(0, 0)][j],
-                          e.normal[e.axis] * tabs[_edge_orders(e.axis)][j])
-        yield from got
+    got, done = {}, 0
+    for at, rules, _, _, *out in _cell_chunks(
+            bdry, n, stacks, [(0, 0), (1, 0), (0, 1)]):
+        *index, tabs = out
+        for j, q in enumerate(at):
+            e = bdry[q]
+            got[q] = (e, rules[j], index[0][j] if index else None,
+                      tabs[(0, 0)][j],
+                      e.normal[e.axis] * tabs[_edge_orders(e.axis)][j])
+        while done in got:  # a run's chunks complete it in edge order
+            yield got.pop(done)
+            done += 1
 
 
 def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
@@ -466,19 +469,36 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
 # norms and functionals
 # ---------------------------------------------------------------------------
 
-def _field_trace(fn, e: Edge, n: int, normal: bool):
-    """``(e, rule, trace)`` of an :class:`AnalyticField` or a plain
-    callable on a boundary edge (the normal-derivative trace with
-    ``normal=True``)."""
+def _field_traces(fn: AnalyticField, e: Edge, n: int):
+    """``(e, rule, (trace, normal trace))`` of a field on a boundary edge;
+    without a gradient the normal trace is ``None``."""
     rule = gauss_edge(e, n)
     xs, ys = rule.points[:, 0], rule.points[:, 1]
-    field = isinstance(fn, AnalyticField)
-    if not normal:
-        return e, rule, np.asarray((fn.value if field else fn)(xs, ys), float)
-    if not field:
-        raise TypeError("normal trace of a bare callable is not defined")
-    grad = np.asarray(fn.grad(xs, ys)[e.axis], float)
-    return e, rule, e.normal[e.axis] * grad
+    vn = (None if fn.grad is None
+          else e.normal[e.axis] * _on_points(fn.grad(xs, ys)[e.axis], xs))
+    return e, rule, (_on_points(fn.value(xs, ys), xs), vn)
+
+
+def _mesh_norms(fn, p: Partition, n: int,
+                norms=((1.5, False), (0.5, True))) -> list[float]:
+    """:func:`mesh_norm` for each ``(s, normal)`` of ``norms`` (by default
+    the two of :func:`triple_norm`), from one pass over the boundary
+    edges; each sum runs in edge order."""
+    _, bdry = edges(p)
+    if isinstance(fn, SplineFunction):
+        traces = ((e, rule, (v, vn)) for e, rule, _, v, vn
+                  in _boundary_traces(bdry, n, fn.value_stacks))
+    else:
+        field = fn if isinstance(fn, AnalyticField) else AnalyticField(fn)
+        traces = (_field_traces(field, e, n) for e in bdry)
+    totals = [0.0] * len(norms)
+    for e, rule, vals in traces:
+        for k, (s, normal) in enumerate(norms):
+            if vals[normal] is None:
+                raise TypeError("a normal trace needs a gradient")
+            totals[k] += (e.length ** (-2.0 * s)
+                          * float(rule.weights @ vals[normal] ** 2))
+    return [total ** 0.5 for total in totals]
 
 
 def mesh_norm(fn, s: float, p: Partition, normal: bool = False,
@@ -491,16 +511,7 @@ def mesh_norm(fn, s: float, p: Partition, normal: bool = False,
     """
     degree = getattr(getattr(fn, "space", None), "degree", 3)
     n = quad_n if quad_n is not None else default_quad_n(degree)
-    _, bdry = edges(p)
-    if isinstance(fn, SplineFunction):
-        traces = ((e, rule, vn if normal else v) for e, rule, _, v, vn
-                  in _boundary_traces(bdry, n, fn.value_stacks))
-    else:
-        traces = (_field_trace(fn, e, n, normal) for e in bdry)
-    total = 0.0
-    for e, rule, vals in traces:
-        total += e.length ** (-2.0 * s) * float(rule.weights @ vals ** 2)
-    return total ** 0.5
+    return _mesh_norms(fn, p, n, [(s, normal)])[0]
 
 
 def energy_norm_sq(fn: SplineFunction, quad_n: int | None = None) -> float:
@@ -523,8 +534,7 @@ def triple_norm(fn, p: Partition, params: FormParams,
                              fn.laplacian)
     else:
         raise TypeError("triple_norm needs a SplineFunction or AnalyticField")
-    b32 = mesh_norm(fn, 1.5, p, normal=False, quad_n=n)
-    b12 = mesh_norm(fn, 0.5, p, normal=True, quad_n=n)
+    b32, b12 = _mesh_norms(fn, p, n)
     return (interior + params.gamma1 * b32 ** 2
             + params.gamma2 * b12 ** 2) ** 0.5
 
@@ -605,17 +615,24 @@ def _cell_sum(cells, n: int, stacks, orders, integrand, data=None) -> float:
     return total
 
 
-def _owner_values(cells, n: int, fns, orders, data=None):
-    """Per run of ``cells``: the weights, ``data`` samples and, for each
-    spline of ``fns``, :meth:`SplineFunction.eval_stacked` on the active
-    cell of its own partition that equals or contains each cell, at the
-    cell's Gauss points."""
-    for at, rules, W, F in _cell_chunks(cells, n, None, (), data):
+def _owner_values(requests, n: int, evals, orders, data=None):
+    """Per run of ``requests`` (cells or edges, as for
+    :func:`_cell_chunks`): the request numbers, weights, ``data`` samples
+    and, for each ``(fn, cell_of)`` of ``evals``, ``fn`` evaluated with
+    :meth:`SplineFunction.eval_stacked` on the cells ``cell_of(request)``
+    at the requests' rule points."""
+    for at, rules, W, F in _cell_chunks(requests, n, None, (), data):
+        B, values = len(at), []
         X = [rule.points[:, 0] for rule in rules]
         Y = [rule.points[:, 1] for rule in rules]
-        yield W, F, [fn.eval_stacked([fn.space.partition.owner(cells[c])
-                                      for c in at], X, Y, orders)
-                     for fn in fns]
+        # consecutive entries of one spline share one stacked evaluation
+        for fn, group in groupby(evals, key=itemgetter(0)):
+            maps = [cell_of for _, cell_of in group]
+            d = fn.eval_stacked([m(requests[q]) for m in maps for q in at],
+                                X * len(maps), Y * len(maps), orders)
+            values += [{o: v[k * B:(k + 1) * B] for o, v in d.items()}
+                       for k in range(len(maps))]
+        yield at, W, F, values
 
 
 def energy_error_sq(lap_u, fn: SplineFunction,
@@ -632,8 +649,10 @@ def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
     """``||lap(fine - coarse)||^2`` for splines on nested partitions."""
     n = quad_n if quad_n is not None else default_quad_n(fine.space.degree)
     total = 0.0
-    for W, _, (df, dc) in _owner_values(fine.space.partition.cells, n,
-                                        (fine, coarse), _LAP_ORDERS):
+    for _, W, _, (df, dc) in _owner_values(
+            fine.space.partition.cells, n,
+            [(fn, fn.space.partition.owner) for fn in (fine, coarse)],
+            _LAP_ORDERS):
         diff = df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]
         for v in _row_dots(W, diff ** 2):
             total += float(v)

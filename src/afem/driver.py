@@ -9,19 +9,21 @@ orthogonality structure of consecutive iterates.
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
                        energy_diff_sq, energy_error_sq, inconsistency_load,
-                       mesh_norm, triple_norm_matrix, _boundary_traces,
-                       _cell_projections, _legendre_traces, _LAP_ORDERS,
-                       _owner_values, _row_dots)
+                       triple_norm_matrix, _boundary_traces,
+                       _cell_projections, _edge_orders, _legendre_traces,
+                       _LAP_ORDERS, _mesh_norms, _owner_values, _row_dots)
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
 from .mesh import (REFINED, Cell, Partition, edges, refine,
                    support_extension, uniform_partition)
+from .quadrature import _on_points
 from .solver import SolveOptions, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
 
@@ -166,7 +168,7 @@ class _SampleMemo:
         if vals is None:
             vals = self._before.pop(key, None)
             if vals is None:
-                vals = np.array(self._f(xs, ys), dtype=float)
+                vals = _on_points(self._f(xs, ys), xs)
                 vals.flags.writeable = False
             self._now[key] = vals
         return vals
@@ -217,10 +219,8 @@ def run(cfg: AfemConfig, prob: Problem,
 
 def _make_record(it, cfg, prob, params, p, space, A, U, ind, marked, rng):
     rp = params.resolved(cfg.degree)
-    b32 = mesh_norm(U, 1.5, p, quad_n=rp.quad_n)
-    b12 = mesh_norm(U, 0.5, p, normal=True, quad_n=rp.quad_n)
-    energy_error = triple_error = contraction = None
-    incons = None
+    b32, b12 = _mesh_norms(U, p, rp.quad_n)
+    energy_error = triple_error = contraction = incons = None
     if prob.has_exact:
         e_sq = energy_error_sq(prob.laplacian_u, U, rp.quad_n + 2)
         energy_error = e_sq ** 0.5
@@ -366,8 +366,9 @@ def pythagoras_check(prob: Problem, coarse: IterationState,
         grid = coarse.partition
 
     lhs = e_coarse = diff = 0.0
-    for W, lap_u, (df, dc) in _owner_values(grid.cells, n, (Uf, Uc),
-                                            _LAP_ORDERS, prob.laplacian_u):
+    for _, W, lap_u, (df, dc) in _owner_values(
+            grid.cells, n, [(U, U.space.partition.owner) for U in (Uf, Uc)],
+            _LAP_ORDERS, prob.laplacian_u):
         lap_f = df[(2, 0)] + df[(0, 2)]
         lap_c = dc[(2, 0)] + dc[(0, 2)]
         for a, b, c in zip(_row_dots(W, (lap_u - lap_f) ** 2),
@@ -394,16 +395,18 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     rp = fine.params.resolved(fine.space.degree)
     lhs_sq = energy_diff_sq(fine.solution, coarse.solution)
     _, bdry = edges(fine.partition)
-    # the same edges seen from the coarse cells that contain them
-    owned = [replace(e, plus=coarse.partition.owner(e.plus)) for e in bdry]
-    for (e, rule, _, fv, fvn), (*_, cv, cvn) in zip(
-            _boundary_traces(bdry, rp.quad_n, fine.solution.value_stacks),
-            _boundary_traces(owned, rp.quad_n, coarse.solution.value_stacks)):
-        w = rule.weights
-        dv = fv - cv
-        dn = fvn - cvn
-        lhs_sq += float(w @ (rp.gamma1 * e.length ** -3 * dv ** 2
-                             + rp.gamma2 * e.length ** -1 * dn ** 2))
+    # the fine iterate on each edge's cell, the coarse one on its owner
+    sides = [(fine.solution, attrgetter("plus")),
+             (coarse.solution, lambda e: coarse.partition.owner(e.plus))]
+    for at, W, _, (df, dc) in _owner_values(bdry, rp.quad_n, sides,
+                                            [(0, 0), (1, 0), (0, 1)]):
+        for j, q in enumerate(at):
+            e = bdry[q]
+            o = _edge_orders(e.axis)
+            dv = df[(0, 0)][j] - dc[(0, 0)][j]
+            dn = df[o][j] - dc[o][j]  # the normal's sign squares away
+            lhs_sq += float(W[j] @ (rp.gamma1 * e.length ** -3 * dv ** 2
+                                    + rp.gamma2 * e.length ** -1 * dn ** 2))
     ratio = lhs_sq / eta_region_sq if eta_region_sq > 0 else float("inf")
     return {"solution_jump_sq": lhs_sq, "eta_region_sq": eta_region_sq,
             "ratio": ratio}

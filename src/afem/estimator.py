@@ -17,14 +17,16 @@ cell of lower key; the convention is irrelevant after squaring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .mesh import Cell, Edge, Partition, cell_edges, edges
-from .quadrature import gauss_cell, gauss_edge
-from .splines import SplineFunction, request_blocks
-from .assembly import (_cell_chunks, _legendre_modes, _project_values,
-                       _row_dots, default_quad_n, h2_seminorm_sq)
+from .quadrature import _on_points, gauss_cell
+from .splines import SplineFunction
+from .assembly import (_cell_chunks, _legendre_modes, _owner_values,
+                       _project_values, _row_dots, default_quad_n,
+                       h2_seminorm_sq)
 from .mesh import support_extension
 
 __all__ = [
@@ -82,31 +84,23 @@ def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
                    quad_n: int) -> list[tuple[float, float]]:
     """(h^3 ||J1||^2, h ||J2||^2) of each interior edge, in order.
 
-    Per normal axis, runs of edges are evaluated in one stacked request
-    list holding the plus owners, then the minus owners, at the edges'
-    points.
+    Per normal axis, the edges' plus and minus owners are evaluated at
+    the edges' points through :func:`_owner_values`.
     """
     out: list[tuple[float, float]] = [(0.0, 0.0)] * len(es)
+    sides = [(U, attrgetter("plus")), (U, attrgetter("minus"))]
+    lap = [(2, 0), (0, 2)]
     for axis in (0, 1):
-        # the Laplacian and its derivative along the normal axis
+        # the terms of the Laplacian's derivative along the normal axis
         grad = [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)]
-        orders = [(2, 0), (0, 2)] + grad
         on_axis = [q for q, e in enumerate(es) if e.axis == axis]
-        for _, run in request_blocks(on_axis):
-            rules = [gauss_edge(es[q], quad_n) for q in run]
-            X = [rule.points[:, 0] for rule in rules]
-            Y = [rule.points[:, 1] for rule in rules]
-            owners = [es[q].plus for q in run] + [es[q].minus for q in run]
-            d = U.eval_stacked(owners, X + X, Y + Y, orders)
-            lap = d[(2, 0)] + d[(0, 2)]
-            dlap = d[grad[0]] + d[grad[1]]
-            B = len(run)
-            W = np.array([rule.weights for rule in rules])
-            s1 = _row_dots(W, (dlap[:B] - dlap[B:]) ** 2)
-            s2 = _row_dots(W, (lap[:B] - lap[B:]) ** 2)
-            for q, a, b in zip(run, s1, s2):
-                h = es[q].length
-                out[q] = (h ** 3 * float(a), h * float(b))
+        for at, W, _, (dp, dm) in _owner_values(
+                [es[q] for q in on_axis], quad_n, sides, lap + grad):
+            s1, s2 = (_row_dots(W, ((dp[u] + dp[v]) - (dm[u] + dm[v])) ** 2)
+                      for u, v in (grad, lap))
+            for q, a, b in zip(at, s1, s2):
+                h = es[on_axis[q]].length
+                out[on_axis[q]] = (h ** 3 * float(a), h * float(b))
     return out
 
 
@@ -128,7 +122,7 @@ def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
     n = quad_n if quad_n is not None else default_quad_n(r)
     rule = gauss_cell(tau, n)
     xs, ys = rule.points[:, 0], rule.points[:, 1]
-    vals = np.asarray(f(xs, ys), float)
+    vals = _on_points(f(xs, ys), xs)
     d = r - 2
     modes = _legendre_modes(tau, d, xs, ys)
     cleg = _project_values(tau, d, vals, rule, modes)
@@ -151,12 +145,11 @@ def estimate_all(U: SplineFunction, f, p: Partition,
 
     jump1 = {c: 0.0 for c in p.cells}
     jump2 = {c: 0.0 for c in p.cells}
-    jumps = _edge_jumps_sq(U, interior_edges, n)
-    for e, (j1, j2) in zip(interior_edges, jumps):
-        jump1[e.plus] += 0.5 * j1
-        jump1[e.minus] += 0.5 * j1
-        jump2[e.plus] += 0.5 * j2
-        jump2[e.minus] += 0.5 * j2
+    for e, (j1, j2) in zip(interior_edges,
+                           _edge_jumps_sq(U, interior_edges, n)):
+        for c in (e.plus, e.minus):
+            jump1[c] += 0.5 * j1
+            jump2[c] += 0.5 * j2
 
     records: dict[Cell, CellIndicator] = {}
     total = 0.0

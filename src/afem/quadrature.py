@@ -69,3 +69,9 @@ def gauss_edge(e: Edge, n: int) -> QuadratureRule:
     points[:, e.axis] = e.fixed
     points[:, 1 - e.axis] = ts
     return QuadratureRule(points, wt)
+
+
+def _on_points(vals, xs) -> np.ndarray:
+    """Samples of a user callable as a float array shaped like ``xs``: a
+    scalar is spread over the points, a shape that cannot be raises."""
+    return np.array(np.broadcast_to(vals, np.shape(xs)), dtype=float)

@@ -42,16 +42,17 @@ from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .mesh import Cell, Partition
-from .quadrature import gauss_cell
+from .quadrature import _on_points, gauss_cell
+from .solver import SolveOptions, solve_spd
 
 __all__ = [
     "HierarchicalSpace",
     "SplineFunction",
     "DualFunctionalSet",
     "build_space",
-    "request_blocks",
     "conforming_indices",
     "quasi_interpolant",
     "coarse_to_fine",
@@ -254,8 +255,6 @@ class HierarchicalSpace:
         # positions of the active functions, per level on (ix, iy)
         self._by_level: dict[int, dict[tuple[int, int], int]] = {}
         self.active: tuple[FnIndex, ...] = tuple(self._select_active())
-        self.position: dict[FnIndex, int] = {
-            fn: k for k, fn in enumerate(self.active)}
         # extraction of the active cells (with its positions as an index
         # array), and of every dyadic cell built
         self._extraction: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
@@ -389,17 +388,6 @@ class HierarchicalSpace:
             self._tables[key] = tab
         return tab[:max_order + 1]
 
-    def _window_rows(self, cells: Sequence[Cell], X, Y, ax: int, ay: int,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Memoised univariate rows of several cells at their paired
-        points ``(X[q], Y[q])``, stacked per axis: ``(len(cells), ax+1,
-        r+1, n)`` along x and ``(len(cells), ay+1, r+1, n)`` along y."""
-        Dx = _stack([self._univariate(c.level, c.i, np.asarray(x, float), ax)
-                     for c, x in zip(cells, X)])
-        Dy = _stack([self._univariate(c.level, c.j, np.asarray(y, float), ay)
-                     for c, y in zip(cells, Y)])
-        return Dx, Dy
-
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
         """Active-function derivative tables of many cells, stacked.
@@ -428,8 +416,11 @@ class HierarchicalSpace:
                 tabs = {}
                 if live:
                     C = _stack([self._extraction[c][1] for c in chunk])
-                    Dx, Dy = self._window_rows(chunk, [X[q] for q in items],
-                                               [Y[q] for q in items], ax, ay)
+                    # the memoised univariate rows, stacked per axis
+                    Dx = _stack([self._univariate(c.level, c.i, np.asarray(
+                        X[q], float), ax) for c, q in zip(chunk, items)])
+                    Dy = _stack([self._univariate(c.level, c.j, np.asarray(
+                        Y[q], float), ay) for c, q in zip(chunk, items)])
                     # one window table alive at a time
                     for o in live:
                         tabs[o] = C @ _window_table(Dx, Dy, *o)
@@ -466,18 +457,6 @@ def _window_table(Dx: np.ndarray, Dy: np.ndarray, a: int,
     ``b`` of ``Dy``, one rounded product per entry."""
     B, _, w, n = Dx.shape
     return (Dx[:, a, :, None, :] * Dy[:, b, None, :, :]).reshape(B, w * w, n)
-
-
-def request_blocks(requests: Sequence) -> list[tuple[int, Sequence]]:
-    """``(start, slice)`` of consecutive runs of at most
-    ``_BLOCK_REQUESTS`` requests.
-
-    Stacked consumers build the quadrature points of one run at a time,
-    so what they hold stays bounded by the chunk size, while grouping by
-    extraction size within a run still fills most chunks.
-    """
-    return [(lo, requests[lo:lo + _BLOCK_REQUESTS])
-            for lo in range(0, len(requests), _BLOCK_REQUESTS)]
 
 
 def build_space(p: Partition, r: int, truncated: bool = True) -> HierarchicalSpace:
@@ -616,8 +595,21 @@ class DualFunctional:
     weights: np.ndarray  # (n,)
 
     def __call__(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-        vals = np.asarray(f(self.points[:, 0], self.points[:, 1]), dtype=float)
-        return float(self.weights @ vals)
+        xs = self.points[:, 0]
+        return float(self.weights @ _on_points(f(xs, self.points[:, 1]), xs))
+
+
+def _basis_on_rules(space: HierarchicalSpace, cells: Sequence[Cell], n: int):
+    """``(rule, positions, values, Gram block)`` of the active basis on
+    each of ``cells`` at its ``n x n`` Gauss rule, through the stacks."""
+    rules = [gauss_cell(c, n) for c in cells]
+    out = [None] * len(cells)
+    for items, index, tabs in space.basis_stacks(
+            cells, [r.points[:, 0] for r in rules],
+            [r.points[:, 1] for r in rules], [(0, 0)]):
+        for q, pos, V in zip(items, index, tabs[(0, 0)]):
+            out[q] = rules[q], pos, V, (V * rules[q].weights) @ V.T
+    return out
 
 
 class DualFunctionalSet:
@@ -636,31 +628,23 @@ class DualFunctionalSet:
                  for fn in space.active]
         # every cell of any support box, evaluated once through the stacks
         cells = sorted(set().union(*boxes))
-        rules = [gauss_cell(c, n) for c in cells]
-        per_cell = {}
-        for items, _, tabs in space.basis_stacks(
-                cells, [r.points[:, 0] for r in rules],
-                [r.points[:, 1] for r in rules], [(0, 0)]):
-            for q, V in zip(items, tabs[(0, 0)]):
-                per_cell[cells[q]] = (rules[q], space.cell_extraction(
-                    cells[q])[0], V)
+        per_cell = dict(zip(cells, _basis_on_rules(space, cells, n)))
         duals: list[DualFunctional] = []
         for lam_pos, box in enumerate(boxes):
             per_box = [per_cell[c] for c in box]
-            neighbors = sorted({q for _, pos, _ in per_box for q in pos})
+            neighbors = sorted({q for _, pos, _, _ in per_box for q in pos})
             where = {q: k for k, q in enumerate(neighbors)}
             M = np.zeros((len(neighbors), len(neighbors)))
-            for rule, pos, V in per_box:
-                block = (V * rule.weights) @ V.T
+            for _, pos, _, block in per_box:
                 idx = [where[q] for q in pos]
                 M[np.ix_(idx, idx)] += block
             rhs = np.zeros(len(neighbors))
             rhs[where[lam_pos]] = 1.0
             a, *_ = np.linalg.lstsq(M, rhs, rcond=None)
             duals.append(DualFunctional(
-                np.vstack([rule.points for rule, _, _ in per_box]),
+                np.vstack([rule.points for rule, *_ in per_box]),
                 np.concatenate([(a[[where[q] for q in pos]] @ V) * rule.weights
-                                for rule, pos, V in per_box])))
+                                for rule, pos, V, _ in per_box])))
         self.functionals = tuple(duals)
 
     def apply(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
@@ -702,34 +686,27 @@ def _pointwise_evaluator(fn: SplineFunction):
 # ---------------------------------------------------------------------------
 
 def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunction:
-    """Represent a spline exactly in a space over a refined partition."""
-    from .solver import SolveOptions, solve_spd
-
+    """Represent a spline exactly in a space over a refined partition:
+    its L2 projection, with ``fn`` on the coarse cells that contain the
+    fine ones, Gram blocks and loads scattered in partition order."""
     coarse = fn.space
     if fine.degree != coarse.degree:
         raise ValueError("spaces have different degrees; not nested")
-    owner = {c: coarse.partition.owner(c) for c in fine.partition}
-
-    n = fine.degree + 3
+    cells = fine.partition.cells
+    parts = _basis_on_rules(fine, cells, fine.degree + 3)
+    fvals = fn.eval_stacked([coarse.partition.owner(c) for c in cells],
+                            [rule.points[:, 0] for rule, *_ in parts],
+                            [rule.points[:, 1] for rule, *_ in parts],
+                            [(0, 0)])[(0, 0)]
     rhs = np.zeros(fine.dim)
-    from scipy.sparse import coo_matrix
-
     rows, cols, vals = [], [], []
-    for c in fine.partition:
-        rule = gauss_cell(c, n)
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pos, tabs = fine.basis_on_cell(c, xs, ys, [(0, 0)])
-        V = tabs[(0, 0)]
-        fvals = fn.eval_many(xs, ys, 0, 0, owner[c])
-        rhs[list(pos)] += V @ (w * fvals)
-        block = (V * w) @ V.T
-        k = len(pos)
-        rows.extend(np.repeat(pos, k))
-        cols.extend(np.tile(pos, k))
+    for (rule, pos, V, block), f in zip(parts, fvals):
+        rhs[pos] += V @ (rule.weights * f)
+        rows.extend(np.repeat(pos, len(pos)))
+        cols.extend(np.tile(pos, len(pos)))
         vals.extend(block.ravel())
     M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
-    x = solve_spd(M, rhs, SolveOptions())
-    return SplineFunction(fine, x)
+    return SplineFunction(fine, solve_spd(M, rhs, SolveOptions()))
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,23 @@ class TestMeshNorms:
         assert mesh_norm(one, 1.5, p) ** 2 == pytest.approx(32.0, abs=1e-11)
 
 
+    def test_scalar_valued_fields_equal_their_spread_arrays(self):
+        p = uniform_partition(1)
+        spread = lambda x, y: np.full_like(x, 0.5)
+        assert (mesh_norm(lambda x, y: 0.5, 1.5, p)
+                == mesh_norm(spread, 1.5, p))
+        field = AnalyticField(lambda x, y: 0.5, lambda x, y: (1.0, -2.0))
+        full = AnalyticField(spread, lambda x, y: (np.full_like(x, 1.0),
+                                                   np.full_like(x, -2.0)))
+        for normal in (False, True):
+            assert (mesh_norm(field, 0.5, p, normal)
+                    == mesh_norm(full, 0.5, p, normal))
+        with pytest.raises(ValueError):
+            mesh_norm(lambda x, y: np.ones((2, 2)), 1.5, p)
+        with pytest.raises(TypeError, match="gradient"):
+            mesh_norm(spread, 0.5, p, normal=True)
+
+
 class TestTripleNorm:
     def test_zero_function(self):
         p = uniform_partition(1)

@@ -428,6 +428,22 @@ class TestNonFiniteData:
             run(cfg, SIN2)
 
 
+class TestScalarData:
+    def test_scalar_source_runs_as_its_spread_array(self):
+        cfg = AfemConfig(max_dofs=50)
+        got = run(cfg, Problem("c", lambda x, y: 1.0))
+        want = run(cfg, Problem("c", lambda x, y: np.full_like(x, 1.0)))
+        assert len(got) > 1
+        assert repr(got) == repr(want)
+
+    def test_memo_spreads_a_scalar_and_rejects_a_wrong_shape(self):
+        xs, ys = np.array([0.25, 0.5]), np.array([0.75, 1.0])
+        vals = _SampleMemo(lambda x, y: 2)(xs, ys)
+        assert vals.dtype == float and np.array_equal(vals, [2.0, 2.0])
+        with pytest.raises(ValueError):
+            _SampleMemo(lambda x, y: np.ones(3))(xs, ys)
+
+
 class TestDiscreteReliabilityProbe:
     def test_probe_reports_finite_quantities(self, short_nitsche_run):
         _, _, states = short_nitsche_run

@@ -260,6 +260,14 @@ class TestOscillation:
             want = cell.side ** 2 * float(rule.weights @ resid ** 2) ** 0.5
             assert oscillation(f, cell, r, 6) == want
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_scalar_source_equals_its_spread_array(self, r):
+        cell = Cell(2, 1, 3)
+        assert oscillation(lambda x, y: 2.5, cell, r) == oscillation(
+            lambda x, y: np.full_like(x, 2.5), cell, r)
+        with pytest.raises(ValueError):
+            oscillation(lambda x, y: np.ones(2), cell, r)
+
     def test_constant_zero(self):
         assert oscillation(lambda x, y: np.ones_like(x), Cell(0, 0, 0), 2) \
             == pytest.approx(0.0, abs=1e-14)

@@ -718,6 +718,13 @@ class TestQuasiInterpolant:
         out = quasi_interpolant(s, lambda x, y: np.ones_like(x))
         assert np.max(np.abs(out.coefficients - 1.0)) <= 1e-11
 
+    def test_scalar_valued_callable_equals_its_spread_array(self):
+        s = build_space(graded_7cell(), 2)
+        duals = DualFunctionalSet(s)
+        got = quasi_interpolant(s, lambda x, y: 1.0, duals=duals)
+        want = quasi_interpolant(s, lambda x, y: np.ones_like(x), duals=duals)
+        assert np.array_equal(got.coefficients, want.coefficients)
+
     def test_idempotent_on_basis(self):
         s = build_space(uniform_partition(1), 2)
         duals = DualFunctionalSet(s)

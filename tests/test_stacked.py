@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from afem import splines
+from scipy.sparse import coo_matrix
+
+from afem import assembly, estimator, splines
 from afem.assembly import (FormParams, _legendre_modes, _legendre_traces,
                            _monomial_poly, _project_values, _symmetric_csr,
                            assemble, default_quad_n, energy_diff_sq,
@@ -23,9 +25,9 @@ from afem.estimator import dorfler_mark, estimate_all
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import manufactured_sin2, random_spline
 from afem.quadrature import gauss_cell, gauss_edge
-from afem.solver import solve
+from afem.solver import SolveOptions, solve, solve_spd
 from afem.splines import (HierarchicalSpace, SplineFunction, build_space,
-                          conforming_indices)
+                          coarse_to_fine, conforming_indices)
 from test_splines import (ALL_ORDERS, graded_space, graded_spaces,
                           tables_per_order)
 
@@ -426,6 +428,39 @@ def solution_jump_per_edge(fine, coarse, rp):
     return total
 
 
+def coarse_to_fine_per_cell(fn, fine):
+    """The L2 transfer with one rule, one basis table and one evaluation
+    of ``fn`` per fine cell, scattered cell by cell."""
+    n = fine.degree + 3
+    rhs = np.zeros(fine.dim)
+    rows, cols, vals = [], [], []
+    for c in fine.partition:
+        rule = gauss_cell(c, n)
+        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        pos, tabs = fine.basis_on_cell(c, xs, ys, [(0, 0)])
+        V = tabs[(0, 0)]
+        fvals = fn.eval_many(xs, ys, 0, 0, fn.space.partition.owner(c))
+        rhs[list(pos)] += V @ (w * fvals)
+        block = (V * w) @ V.T
+        k = len(pos)
+        rows.extend(np.repeat(pos, k))
+        cols.extend(np.tile(pos, k))
+        vals.extend(block.ravel())
+    M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
+    return solve_spd(M, rhs, SolveOptions())
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    """Count the calls of ``owner.name`` in ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def same_poly(got, want):
     """Equal cellwise polynomials with the cells in the same order (a
     point on a shared side is evaluated on the first cell listed)."""
@@ -558,6 +593,17 @@ class TestPortedConsumers:
         got = discrete_reliability_probe(*states)["solution_jump_sq"]
         assert got == solution_jump_per_edge(fine, coarse, rp)
 
+    def test_coarse_to_fine(self, degree, truncated, monkeypatch):
+        coarse, fine = nested_pair(degree, truncated)
+        want = [coarse_to_fine_per_cell(coarse, s)
+                for s in (fine.space, coarse.space)]
+        calls = {"basis_on_cell": 0, "eval_batch": 0}
+        count_calls(monkeypatch, HierarchicalSpace, "basis_on_cell", calls)
+        count_calls(monkeypatch, SplineFunction, "eval_batch", calls)
+        for s, w in zip((fine.space, coarse.space), want):
+            assert np.array_equal(coarse_to_fine(coarse, s).coefficients, w)
+        assert calls == {"basis_on_cell": 0, "eval_batch": 0}
+
 
 def _benchmark_workloads():
     """The benchmark's workload definitions, loaded from its directory."""
@@ -598,6 +644,30 @@ def test_run_makes_no_one_cell_calls(name, monkeypatch):
     if cfg.track_inconsistency:
         assert all(r.inconsistency_sup is not None for r in records)
     assert calls == {"basis_on_cell": 0, "eval_batch": 0}
+
+
+@pytest.mark.parametrize("name,count", [("sin2-conf-r2", 2366),
+                                        ("sin2-nitsche-r3", 1359),
+                                        ("peak-conf-r2", 2584)])
+def test_run_builds_each_edge_rule_once_per_pass(name, count, monkeypatch):
+    """Per iteration: one rule per interior edge for the jumps and one per
+    boundary edge for the two boundary norms of the record; Nitsche adds
+    one for the boundary assembly and one for the error's boundary
+    terms."""
+    calls = {}
+    for module in (assembly, estimator):
+        if hasattr(module, "gauss_edge"):
+            count_calls(monkeypatch, module, "gauss_edge", calls)
+    cfg, prob = WORKLOADS.build(name, 0)
+    passes = 3 if cfg.mode == "nitsche" else 1
+    want = []
+
+    def on_iteration(state):
+        interior, bdry = edges(state.partition)
+        want.append(len(interior) + passes * len(bdry))
+
+    run(cfg, prob, on_iteration)
+    assert calls["gauss_edge"] == sum(want) == count
 
 
 # ---------------------------------------------------------------------------
