@@ -101,11 +101,13 @@ class Problem:
         one = np.ones_like(t)
         for xs, ys, nx, ny in ((zero, t, -1.0, 0.0), (one, t, 1.0, 0.0),
                                (t, zero, 0.0, -1.0), (t, one, 0.0, 1.0)):
-            if np.max(np.abs(self.u(xs, ys))) > tol:
+            # written so that a nan sample fails too
+            if not np.all(np.abs(self.u(xs, ys)) <= tol):
                 raise ValueError("exact solution does not vanish on the boundary")
             if self.grad_u is not None:
                 gx, gy = self.grad_u(xs, ys)
-                if np.max(np.abs(nx * np.asarray(gx) + ny * np.asarray(gy))) > tol:
+                if not np.all(np.abs(nx * np.asarray(gx)
+                                     + ny * np.asarray(gy)) <= tol):
                     raise ValueError(
                         "exact normal derivative does not vanish on the boundary")
 
@@ -232,6 +234,15 @@ def _make_record(it, cfg, prob, params, p, space, A, U, ind, marked, rng):
             contraction = nitsche_energy_sq(prob, U, p, rp, e_sq)
     if cfg.track_inconsistency and prob.grad_laplacian_u is not None:
         incons = inconsistency_sup(prob, space, rp, rng)
+    for what, value, entry in (
+            ("energy error", energy_error, "'laplacian_u'"),
+            ("triple-norm error", triple_error, "'laplacian_u'"),
+            ("contraction quantity", contraction, "'laplacian_u'"),
+            ("inconsistency sup", incons,
+             "'laplacian_u' or 'grad_laplacian_u'")):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{what} is not finite ({value!r}); check the "
+                             f"exact-solution entry {entry}")
     return ConvergenceRecord(
         iter=it, n_cells=len(p), n_dofs=A.dimension,
         energy_error=energy_error, triple_error=triple_error,
@@ -289,6 +300,8 @@ def inconsistency_sup(prob: Problem, space: HierarchicalSpace,
     rp = params.resolved(space.degree)
     g = inconsistency_load(prob.laplacian_u, prob.grad_laplacian_u, space,
                            rp.quad_n)
+    if not np.all(np.isfinite(g)):
+        return float("nan")  # max() below would skip a nan ratio
     T = triple_norm_matrix(space, rp)
 
     def ratio(c: np.ndarray) -> float:

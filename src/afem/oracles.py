@@ -17,7 +17,6 @@ from math import comb
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .mesh import Cell, Partition
 from .quadrature import gauss_cell
@@ -243,7 +242,12 @@ def random_spline(space: HierarchicalSpace, rng: np.random.Generator,
 
 def scipy_univariate_ders(level: int, degree: int, idx: int, x: float,
                           order: int) -> float:
-    """Derivative of one univariate basis function via scipy's evaluator."""
+    """Derivative of one univariate basis function via scipy's evaluator.
+
+    ``scipy.interpolate`` is imported on call: it loads most of scipy,
+    and nothing but this oracle needs it."""
+    from scipy.interpolate import BSpline
+
     t = np.asarray(knot_vector(level, degree))
     c = np.zeros(num_functions(level, degree))
     c[idx] = 1.0

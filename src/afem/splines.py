@@ -94,7 +94,7 @@ def num_functions(level: int, degree: int) -> int:
     return (1 << level) + degree
 
 
-def bspline_ders(knots: np.ndarray, degree: int, span: int, x: float,
+def bspline_ders(knots: np.ndarray, degree: int, span: int, x,
                  n_ders: int) -> np.ndarray:
     """Nonzero B-splines and derivatives at ``x`` on a knot span.
 
@@ -103,13 +103,18 @@ def bspline_ders(knots: np.ndarray, degree: int, span: int, x: float,
     ``d[k, j]`` the k-th derivative of function ``span - degree + j``.
     Values are those of the span's polynomial piece, i.e. one-sided at
     span endpoints.  Orders beyond the degree are zero.
+
+    ``x`` may be an array of points on the span: its shape is appended
+    to the result's, and each point takes the scalar call's sequence of
+    rounded operations, so both give the same bits.
     """
+    x = np.asarray(x, dtype=float)
     p = degree
     nd = min(n_ders, p)
-    ndu = np.empty((p + 1, p + 1))
+    ndu = np.empty((p + 1, p + 1) + x.shape)
     ndu[0, 0] = 1.0
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    left = np.empty((p + 1,) + x.shape)
+    right = np.empty((p + 1,) + x.shape)
     for j in range(1, p + 1):
         left[j] = x - knots[span + 1 - j]
         right[j] = knots[span + j] - x
@@ -121,9 +126,9 @@ def bspline_ders(knots: np.ndarray, degree: int, span: int, x: float,
             saved = left[j - rr] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((n_ders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    ders = np.zeros((n_ders + 1, p + 1) + x.shape)
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1) + x.shape)
     for rr in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -147,7 +152,7 @@ def bspline_ders(knots: np.ndarray, degree: int, span: int, x: float,
 
     fac = float(p)
     for k in range(1, nd + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
     return ders
 
@@ -166,15 +171,14 @@ def _reference_table(degree: int, a: int, b: int,
     """Window-function ders ``(MAX_DERIVATIVE_ORDER+1, r+1, n)`` of span
     class ``(a, b)`` at the reference points packed in ``xi_bytes``.
 
-    ``bspline_ders`` runs once per distinct coordinate; the gathered
-    table is copied to C order, so every product built from it takes
-    the same BLAS path whatever the points.
+    One array pass of ``bspline_ders`` over the distinct coordinates
+    fills it; the gathered table is copied to C order, so every product
+    built from it takes the same BLAS path whatever the points.
     """
     # the class's 2r+2 local knots, span [0, 1] in reference units
     t = np.clip(np.arange(2 * degree + 2, dtype=float) - degree, -a, b + 1)
     xi, inv = np.unique(np.frombuffer(xi_bytes), return_inverse=True)
-    ders = np.stack([bspline_ders(t, degree, degree, float(x),
-                                  MAX_DERIVATIVE_ORDER) for x in xi], axis=2)
+    ders = bspline_ders(t, degree, degree, xi, MAX_DERIVATIVE_ORDER)
     tab = np.ascontiguousarray(ders[:, :, inv])
     tab.flags.writeable = False
     return tab

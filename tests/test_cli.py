@@ -258,6 +258,27 @@ class TestCustomProblem:
             capsys.readouterr().err
         assert not (out / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        # nan on the left boundary, and a log of negatives inside
+        ({"f": "1", "u": "sqrt(x-0.5)*0", "grad_u": ["0", "0"],
+          "laplacian_u": "log(x-0.5)", "grad_laplacian_u": ["0", "0"]},
+         "exact solution does not vanish on the boundary"),
+        ({"f": "1", "u": "0", "laplacian_u": "log(x-0.5)"},
+         "energy error is not finite (nan); check the exact-solution entry "
+         "'laplacian_u'"),
+    ], ids=["nan-boundary", "nan-laplacian"])
+    def test_non_finite_exact_solution_exits_two(self, tmp_path, capsys,
+                                                 spec, message):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        with np.errstate(invalid="ignore"):
+            code = run_cli(["--problem", str(path), "--max-dofs", "100",
+                            "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
 
 class TestSafeExpressions:
     def test_escape_payload_exits_two(self, tmp_path, capsys):

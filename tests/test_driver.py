@@ -427,6 +427,52 @@ class TestNonFiniteData:
         with pytest.raises(ValueError, match="estimator total .* not finite"):
             run(cfg, SIN2)
 
+    @staticmethod
+    def nan_left_half(x, y):
+        with np.errstate(invalid="ignore"):
+            return np.log(np.asarray(x, float) - 0.5) + 0.0 * y
+
+    @pytest.mark.parametrize("mode", ["conforming", "nitsche"])
+    def test_non_finite_laplacian_rejected(self, mode):
+        prob = replace(SIN2, laplacian_u=self.nan_left_half)
+        cfg = AfemConfig(degree=2, mode=mode, max_dofs=60)
+        with pytest.raises(ValueError, match="energy error is not finite "
+                           r"\(nan\); check the exact-solution entry "
+                           "'laplacian_u'"):
+            run(cfg, prob)
+
+    def test_non_finite_laplacian_gradient_rejected(self):
+        def nan_pair(x, y):
+            return self.nan_left_half(x, y), self.nan_left_half(y, x)
+
+        prob = replace(SIN2, grad_laplacian_u=nan_pair)
+        cfg = AfemConfig(degree=2, mode="nitsche", max_dofs=60,
+                         track_inconsistency=True)
+        with pytest.raises(ValueError, match="inconsistency sup is not "
+                           "finite .*'grad_laplacian_u'"):
+            run(cfg, prob)
+
+    def test_inconsistency_sup_of_a_non_finite_defect_is_nan(self):
+        # max() over the ratios would skip a nan that is not the first
+        def late_nan(x, y):
+            x = np.asarray(x, float)
+            return np.where(x > 0.9, np.nan, 0.0), np.zeros_like(x)
+
+        prob = replace(SIN2, grad_laplacian_u=late_nan)
+        space = build_space(uniform_partition(2), 2)
+        params = FormParams("nitsche")
+        assert np.isnan(inconsistency_sup(prob, space, params,
+                                          np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("entry", ["u", "grad_u"])
+    def test_nan_boundary_sample_fails_validation(self, entry):
+        nan = lambda x, y: np.full_like(np.asarray(x, float), np.nan)
+        bad = {"u": nan, "grad_u": lambda x, y: (nan(x, y), nan(x, y))}
+        prob = replace(SIN2, **{entry: bad[entry]})
+        with pytest.raises(ValueError, match="does not vanish on the "
+                           "boundary"):
+            prob.validate_boundary()
+
 
 class TestScalarData:
     def test_scalar_source_runs_as_its_spread_array(self):
