@@ -80,7 +80,9 @@ def _expr(text: str):
 
     def f(x, y):
         x, y = np.asarray(x, float), np.asarray(y, float)
-        vals = body(x, y)
+        # a nan or inf value is rejected downstream with afem's message
+        with np.errstate(all="ignore"):
+            vals = body(x, y)
         shape = np.broadcast_shapes(x.shape, y.shape)
         # a constant expression gives a scalar: spread it over the points
         return vals if np.shape(vals) == shape else np.full(shape, vals)

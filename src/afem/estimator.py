@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import Cell, Edge, Partition, cell_edges, edges
+from .mesh import Cell, Edge, Partition, edges
 from .quadrature import _on_points, gauss_cell
 from .splines import SplineFunction
 from .assembly import (_cell_chunks, _legendre_modes, _owner_values,
@@ -41,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CellIndicator:
+class CellIndicator(NamedTuple):
     eta_sq: float
     interior_sq: float
     jump1_sq: float
@@ -175,8 +175,9 @@ def indicator(U: SplineFunction, f, tau: Cell, p: Partition,
     r = U.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
     j1s = j2s = 0.0
-    # the order estimate_all sums them in
-    for j1, j2 in _edge_jumps_sq(U, cell_edges(p, tau), n):
+    # tau's interior edges, in the order estimate_all sums them in
+    own = [e for e in edges(p)[0] if tau in (e.plus, e.minus)]
+    for j1, j2 in _edge_jumps_sq(U, own, n):
         j1s += 0.5 * j1
         j2s += 0.5 * j2
     interior, = _interior_sq(U, f, [tau], n)

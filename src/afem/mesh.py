@@ -19,8 +19,9 @@ of its levels, indices and Z-order keys, built once per partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "uniform_partition",
     "refine",
     "edges",
-    "cell_edges",
     "support_extension",
     "shape_report",
 ]
@@ -46,27 +46,21 @@ REFINED = "refined"      # strictly subdivided into finer active cells
 MAX_LEVEL = 31
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Cell:
+class Cell(namedtuple("Cell", "level i j")):
     """Dyadic square cell ``[i, i+1] x [j, j+1]`` scaled by ``2**-level``.
 
-    Cells are dictionary keys everywhere, so the hash (that of the
-    ``(level, i, j)`` tuple) is computed once, at construction.
+    A cell is the tuple ``(level, i, j)``: it hashes, compares and sorts
+    as that tuple, so it serves directly as a memo key.
     """
 
-    level: int
-    i: int
-    j: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = 1 << self.level
-        if not (0 <= self.i < n and 0 <= self.j < n):
-            raise ValueError(f"cell index {self} outside the unit square")
-        object.__setattr__(self, "_hash", hash((self.level, self.i, self.j)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, level: int, i: int, j: int):
+        c = tuple.__new__(cls, (level, i, j))
+        n = 1 << level
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"cell index {c} outside the unit square")
+        return c
 
     @property
     def side(self) -> float:
@@ -99,8 +93,7 @@ class Cell:
         return x0 <= x <= x1 and y0 <= y <= y1
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Axis-aligned facet segment of an active cell.
 
     ``axis`` is the direction of the normal (0: vertical edge, normal
@@ -154,13 +147,11 @@ class Partition:
         cells = list(cells)
         if not cells:
             raise ValueError("partition needs at least one cell")
-        level = np.array([c.level for c in cells], dtype=np.int64)
+        level, i, j = np.array(cells, dtype=np.int64).T
         self.max_level = int(level.max())
         if self.max_level > MAX_LEVEL:
             raise ValueError(f"cell level {self.max_level} exceeds the "
                              f"supported maximum {MAX_LEVEL}")
-        i = np.array([c.i for c in cells], dtype=np.int64)
-        j = np.array([c.j for c in cells], dtype=np.int64)
         order = np.lexsort((j, i, level))
         self.cells: tuple[Cell, ...] = tuple(cells[k] for k in order.tolist())
         self._level, self._i, self._j = level[order], i[order], j[order]
@@ -171,7 +162,6 @@ class Partition:
         self._zkey = key[self._zorder]
         self._table: np.ndarray | None = None
         self._edges: tuple[list[Edge], list[Edge]] | None = None
-        self._cell_edges: dict[Cell, list[Edge]] | None = None
         if validate:
             self._validate()
 
@@ -383,19 +373,6 @@ def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
     if p._edges is None:
         p._edges = _facet_edges(p)
     return p._edges
-
-
-def cell_edges(p: Partition, c: Cell) -> list[Edge]:
-    """Interior edges of the active cell ``c`` (as either owner), in the
-    order of :func:`edges`.  The per-cell lists are built on the first
-    call and shared like the edge lists."""
-    if p._cell_edges is None:
-        index: dict[Cell, list[Edge]] = {q: [] for q in p.cells}
-        for e in edges(p)[0]:
-            index[e.plus].append(e)
-            index[e.minus].append(e)
-        p._cell_edges = index
-    return p._cell_edges[c]
 
 
 def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:

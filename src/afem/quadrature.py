@@ -9,16 +9,15 @@ cell or edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import Cell, Edge
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Points and positive weights; weights sum to the domain measure."""
 
     points: np.ndarray   # (n, 2) coordinates in the unit square

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, issparse
+from scipy.sparse import csc_matrix, diags, issparse
 from scipy.sparse.linalg import cg, splu
 
 __all__ = ["SolveOptions", "NotSPDError", "solve", "solve_spd"]
@@ -59,18 +59,17 @@ def solve_spd(mat, b: np.ndarray, opts: SolveOptions) -> np.ndarray:
         raise ValueError("right-hand side has non-finite entries (nan/inf); "
                          "check the problem data")
 
+    d = mat.diagonal()
+    if np.any(d <= 0.0):
+        idx = int(np.argmin(d))
+        what = "pivot" if opts.method == "direct" else "diagonal"
+        raise NotSPDError(
+            f"non-positive {what} {d[idx]:.3e} at index {idx}; "
+            "matrix is not SPD (for Nitsche systems, increase gamma)")
     if opts.method == "direct":
         # symmetric Jacobi scaling equilibrates the levels of locally
         # refined fourth-order systems (raw kappa ~ h^-4) before the
         # factorization; refinement passes then polish the residual
-        d = mat.diagonal()
-        if np.any(d <= 0.0):
-            idx = int(np.argmin(d))
-            raise NotSPDError(
-                f"non-positive pivot {d[idx]:.3e} at index {idx}; "
-                "matrix is not SPD (for Nitsche systems, increase gamma)")
-        from scipy.sparse import diags
-
         sq = np.sqrt(d)
         S = diags(1.0 / sq)
         scaled = (S @ mat @ S).tocsc()
@@ -91,14 +90,6 @@ def solve_spd(mat, b: np.ndarray, opts: SolveOptions) -> np.ndarray:
                 break
             x = x + (lu.solve(resid / sq)) / sq
     else:
-        d = mat.diagonal()
-        if np.any(d <= 0.0):
-            idx = int(np.argmin(d))
-            raise NotSPDError(
-                f"non-positive diagonal {d[idx]:.3e} at index {idx}; "
-                "matrix is not SPD (for Nitsche systems, increase gamma)")
-        from scipy.sparse import diags
-
         M = diags(1.0 / d)
         x, info = cg(mat, b, rtol=opts.tol, atol=0.0, maxiter=opts.max_iter,
                      M=M)

@@ -259,12 +259,10 @@ class HierarchicalSpace:
         # positions of the active functions, per level on (ix, iy)
         self._by_level: dict[int, dict[tuple[int, int], int]] = {}
         self.active: tuple[FnIndex, ...] = tuple(self._select_active())
-        # extraction of the active cells (with its positions as an index
-        # array), and of every dyadic cell built
-        self._extraction: dict[Cell, tuple[tuple[int, ...], np.ndarray]] = {}
-        self._index: dict[Cell, np.ndarray] = {}
-        self._carries: dict[tuple[int, int, int],
-                            tuple[tuple[int, ...], np.ndarray]] = {}
+        # extraction of every dyadic cell built, keyed on (level, i, j),
+        # with its positions also as an index array
+        self._carries: dict[tuple[int, int, int], tuple[
+            tuple[int, ...], np.ndarray, np.ndarray]] = {}
         self._tables: dict[tuple[int, int, bytes], np.ndarray] = {}
 
     # -- selection ------------------------------------------------------
@@ -318,27 +316,22 @@ class HierarchicalSpace:
         Local index layout is ``a * (r+1) + b`` for the (a, b) window
         function.
         """
-        got = self._extraction.get(cell)
-        if got is None:
-            if cell not in self.partition:
-                raise ValueError(f"{cell} is not an active cell")
-            got = self._extraction[cell] = self._extract(
-                cell.level, cell.i, cell.j)
-            self._index[cell] = np.array(got[0], dtype=np.intp)
-        return got
+        if cell not in self.partition:
+            raise ValueError(f"{cell} is not an active cell")
+        return self._extract(*cell)[:2]
 
     def _extract(self, level: int, i: int, j: int,
-                 ) -> tuple[tuple[int, ...], np.ndarray]:
+                 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         """Extraction of any dyadic cell ``(level, i, j)``, built from its
         parent's.
 
         The rows are the active functions of the cell's level and of
         coarser levels whose window meets the cell, in the cell-level
-        local basis; a child takes its parent's rows through the
-        two-scale blocks of its span classes and appends its own level's
-        functions (after truncating the carried rows against them).
-        Memoised per cell, so every dyadic ancestor is processed once per
-        space.
+        local basis, and the rows as an index array; a child takes its
+        parent's rows through the two-scale blocks of its span classes and
+        appends its own level's functions (after truncating the carried
+        rows against them).  Memoised per cell, so every dyadic ancestor
+        is processed once per space.
         """
         got = self._carries.get((level, i, j))
         if got is not None:
@@ -346,7 +339,7 @@ class HierarchicalSpace:
         r = self.degree
         w = r + 1
         if level:
-            rows, carry = self._extract(level - 1, i >> 1, j >> 1)
+            rows, carry, _ = self._extract(level - 1, i >> 1, j >> 1)
             if rows:
                 Px = _two_scale_block(r, *span_class(level - 1, i >> 1, r),
                                       i & 1)
@@ -369,9 +362,10 @@ class HierarchicalSpace:
             unit[np.arange(len(here)), cols] = 1.0
             carry = np.vstack([carry, unit]) if rows else unit
             rows += tuple(pos for pos, _ in here)
-        carry.flags.writeable = False
-        self._carries[level, i, j] = rows, carry
-        return rows, carry
+        index = np.array(rows, dtype=np.intp)
+        carry.flags.writeable = index.flags.writeable = False
+        got = self._carries[level, i, j] = rows, carry, index
+        return got
 
     # -- basis tables ------------------------------------------------------
 
@@ -419,7 +413,7 @@ class HierarchicalSpace:
                 chunk = [cells[q] for q in items]
                 tabs = {}
                 if live:
-                    C = _stack([self._extraction[c][1] for c in chunk])
+                    C = _stack([self._carries[c][1] for c in chunk])
                     # the memoised univariate rows, stacked per axis
                     Dx = _stack([self._univariate(c.level, c.i, np.asarray(
                         X[q], float), ax) for c, q in zip(chunk, items)])
@@ -433,7 +427,7 @@ class HierarchicalSpace:
                     zero.flags.writeable = False
                     for o in orders:
                         tabs.setdefault(o, zero)
-                yield items, _stack([self._index[c] for c in chunk]), tabs
+                yield items, _stack([self._carries[c][2] for c in chunk]), tabs
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -445,7 +439,7 @@ class HierarchicalSpace:
         :meth:`basis_stacks`, with its exact zeros above the degree.
         """
         (_, _, tabs), = self.basis_stacks([cell], [xs], [ys], orders)
-        return self._extraction[cell][0], {o: T[0] for o, T in tabs.items()}
+        return self._carries[cell][0], {o: T[0] for o, T in tabs.items()}
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:

@@ -258,6 +258,20 @@ class TestCustomProblem:
             capsys.readouterr().err
         assert not (out / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("text", ["sqrt(x-0.5)", "log(x-0.5)"])
+    def test_nan_expression_gives_only_afems_message(self, tmp_path, capsys,
+                                                      text):
+        # numpy's own RuntimeWarning would be an exception here
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"f": text}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["--problem", str(path), "--max-dofs", "100",
+                            "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("afem: ")
+
     @pytest.mark.parametrize("spec, message", [
         # nan on the left boundary, and a log of negatives inside
         ({"f": "1", "u": "sqrt(x-0.5)*0", "grad_u": ["0", "0"],

@@ -461,7 +461,7 @@ class TestFastEvaluationPath:
             xs, ys = rule.points[:, 0], rule.points[:, 1]
             batch = U.eval_batch(xs, ys, ALL_ORDERS, cell)
             pos, tabs = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
-            index = s._index[cell]
+            index = s._carries[cell][2]
             assert index.dtype == np.intp and tuple(index) == pos
             c = U.coefficients[list(pos)]
             for o in ALL_ORDERS:
@@ -478,10 +478,14 @@ class TestFastEvaluationPath:
         assert all(not t.flags.writeable for t in s._tables.values())
         _, C = s.cell_extraction(cell)
         assert not C.flags.writeable
+        (_, index, _), = s.basis_stacks([cell], [xs], [rule.points[:, 1]],
+                                        [(0, 0)])
         with pytest.raises(ValueError):
             tab[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             C[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
 
     def test_ancestor_of_active_cells_is_not_extractable(self):
         s = build_space(graded_7cell(), 2)

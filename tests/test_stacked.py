@@ -55,8 +55,7 @@ def keep_first_row(s, cells):
         pos, C = s.cell_extraction(c)
         one = C[:1].copy()
         one.flags.writeable = False
-        s._extraction[c] = (pos[:1], one)
-        s._index[c] = s._index[c][:1].copy()
+        s._carries[c] = (pos[:1], one, s._carries[c][2][:1].copy())
 
 
 def check_stacks(s, U, cells, X, Y, orders):
