@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -91,6 +89,10 @@ class FormParams:
     def __post_init__(self):
         if self.mode not in ("conforming", "nitsche"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("gamma1", "gamma2"):
+            g = getattr(self, name)
+            if g is not None and not np.isfinite(g):
+                raise ValueError(f"{name} must be finite, got {g!r}")
 
     def resolved(self, r: int) -> "FormParams":
         g1 = self.gamma1 if self.gamma1 is not None else default_gamma(r)
@@ -217,24 +219,28 @@ def _project_values(cell: Cell, d: int, vals: np.ndarray, rule,
     return ((modes * rule.weights) @ vals.T).T * norms
 
 
-def _cell_projections(cells, d: int, n: int, field, stacks=None, orders=(),
+def _cell_projections(cells, d: int, n: int, field,
                       data=None) -> dict[Cell, np.ndarray]:
     """Legendre coefficients of the projection onto degree ``d`` on each
     of ``cells``, keyed in the order of ``cells``.
 
-    Per chunk of :func:`_cell_chunks`, ``field(F, *out)`` gives the
-    chunk's stacked fields, ``(B, N)`` or ``(B, k, N)``, from the
-    ``data`` samples ``F`` and what ``stacks`` yields (``out``).
+    Per run of :func:`_requests`, ``field(run, X, Y, F)`` gives the
+    run's fields in request order, ``(R, N)`` or one ``(k, N)`` stack
+    per request, from the ``data`` samples ``F``.
     """
-    cells = list(cells)
-    coef = [None] * len(cells)
-    for at, rules, _, F, *out in _cell_chunks(cells, n, stacks, orders, data):
-        for c, rule, vals in zip(at, rules, field(F, *out)):
-            cell = cells[c]
-            xs, ys = rule.points[:, 0], rule.points[:, 1]
-            coef[c] = _project_values(cell, d, vals, rule,
-                                      _legendre_modes(cell, d, xs, ys))
-    return dict(zip(cells, coef))
+    coef = {}
+    for _, run, rules, X, Y, _, F in _requests(list(cells), n, data):
+        fields = field(run, X, Y, F)
+        for cell, rule, x, y, vals in zip(run, rules, X, Y, fields):
+            coef[cell] = _project_values(cell, d, vals, rule,
+                                         _legendre_modes(cell, d, x, y))
+    return coef
+
+
+def _spline_field(fn: SplineFunction, orders, expr):
+    """``field(run, X, Y, F)`` of :func:`_requests` consumers: ``expr(F,
+    values)`` of ``fn``'s derivative values on the run's cells."""
+    return lambda run, X, Y, F: expr(F, fn.eval_stacked(run, X, Y, orders))
 
 
 def _monomial_poly(d: int, legendre: dict[Cell, np.ndarray]) -> PiecewisePoly:
@@ -265,8 +271,8 @@ def project_laplacian(fn: SplineFunction,
     r = fn.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
     return _monomial_poly(r - 2, _cell_projections(
-        fn.space.partition.cells, r - 2, n,
-        lambda F, L: L[(2, 0)] + L[(0, 2)], fn.value_stacks, _LAP_ORDERS))
+        fn.space.partition.cells, r - 2, n, _spline_field(
+            fn, _LAP_ORDERS, lambda F, L: L[(2, 0)] + L[(0, 2)])))
 
 
 def project_from_samples(p: Partition, g, degree: int,
@@ -279,8 +285,8 @@ def project_from_samples(p: Partition, g, degree: int,
     """
     n = quad_n if quad_n is not None else degree + 4
     return _monomial_poly(degree, _cell_projections(
-        cells if cells is not None else p.cells, degree, n, lambda F: F,
-        data=g))
+        cells if cells is not None else p.cells, degree, n,
+        lambda run, X, Y, F: F, g))
 
 
 # ---------------------------------------------------------------------------
@@ -351,51 +357,47 @@ def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
         offsets.append(offsets[-1] + len(sub) ** 2)
     block = np.empty(offsets[-1])
     loads = [None] * len(cells)
-    for at, _, W, F, _, tabs in _cell_chunks(
-            cells, n, s.basis_stacks, [(0, 0), (2, 0), (0, 2)], f):
-        LAP = tabs[(2, 0)] + tabs[(0, 2)]
-        gram = (LAP * W[:, None, :]) @ LAP.transpose(0, 2, 1)
-        if f is not None:
-            load = tabs[(0, 0)] @ (W * F)[:, :, None]
-        for j, c in enumerate(at):
-            live = lives[c]
-            block[offsets[c]:offsets[c + 1]] = gram[j][live[:, None] & live]
+    for lo, run, _, X, Y, W, F in _requests(cells, n, f):
+        for items, _, tabs in s.basis_stacks(run, X, Y,
+                                             [(0, 0), (2, 0), (0, 2)]):
+            LAP = tabs[(2, 0)] + tabs[(0, 2)]
+            gram = (LAP * W[items][:, None, :]) @ LAP.transpose(0, 2, 1)
             if f is not None:
-                loads[c] = load[j, live, 0]
+                load = tabs[(0, 0)] @ (W[items] * F[items])[:, :, None]
+            for j, c in enumerate(lo + q for q in items):
+                live = lives[c]
+                mask = live[:, None] & live
+                block[offsets[c]:offsets[c + 1]] = gram[j][mask]
+                if f is not None:
+                    loads[c] = load[j, live, 0]
     vals.append(block)
     if f is not None:
         for sub, load in zip(subs, loads):
             b[sub] += load
 
 
-def _cell_chunks(requests, n: int, stacks, orders, data=None):
-    """Stacked evaluation of cells on their ``n x n`` Gauss rules, or of
-    edges on ``e.plus`` at their :func:`gauss_edge` points.
+def _requests(requests, n: int, data=None):
+    """The rules of one pass over ``requests``, all cells or all edges,
+    in runs of ``_BLOCK_REQUESTS``, which bounds what a pass holds.
 
-    ``stacks`` is :meth:`HierarchicalSpace.basis_stacks`,
-    :meth:`SplineFunction.value_stacks` or ``None`` (samples only).  Per
-    chunk this yields the requests' numbers, rules, weights and ``data``
-    samples ``(B, N)`` (or ``None``), then what ``stacks`` yields after
-    the request numbers.  Requests are all cells or all edges; rules are
-    built for ``_BLOCK_REQUESTS`` of them at a time, which bounds what a
-    pass holds; ``data`` is called once per request.
+    Per run this yields its offset, the run, the rules (``n x n`` Gauss
+    rules of cells, :func:`gauss_edge` rules of edges), the points ``X``
+    and ``Y`` as lists, and the weights and ``data`` samples (or
+    ``None``) as ``(R, N)`` arrays; ``data`` is called once per request.
     """
     for lo in range(0, len(requests), _BLOCK_REQUESTS):
         run = requests[lo:lo + _BLOCK_REQUESTS]
-        edge = isinstance(run[0], Edge)
-        rules = [(gauss_edge if edge else gauss_cell)(q, n) for q in run]
-        X = [rule.points[:, 0] for rule in rules]
-        Y = [rule.points[:, 1] for rule in rules]
-        for items, *out in ([(range(len(run)),)] if stacks is None else stacks(
-                [q.plus for q in run] if edge else run, X, Y, orders)):
-            W = np.array([rules[q].weights for q in items])
-            F = None
-            if data is not None:
-                F = np.empty(W.shape)
-                for j, q in enumerate(items):
-                    F[j] = data(X[q], Y[q])
-            yield ([lo + q for q in items], [rules[q] for q in items], W, F,
-                   *out)
+        rule = gauss_edge if isinstance(run[0], Edge) else gauss_cell
+        rules = [rule(q, n) for q in run]
+        X = [r.points[:, 0] for r in rules]
+        Y = [r.points[:, 1] for r in rules]
+        W = np.array([r.weights for r in rules])
+        F = None
+        if data is not None:
+            F = np.empty(W.shape)
+            for j, (x, y) in enumerate(zip(X, Y)):
+                F[j] = data(x, y)
+        yield lo, run, rules, X, Y, W, F
 
 
 def _row_dots(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -418,27 +420,31 @@ def _edge_orders(axis: int):
     return (1, 0) if axis == 0 else (0, 1)
 
 
-def _boundary_traces(bdry, n: int, stacks):
-    """``(e, rule, pos, v, vn)`` per boundary edge, in edge order.
+def _boundary_traces(s: HierarchicalSpace, bdry, n: int):
+    """``(e, rule, pos, v, vn)`` per boundary edge, in edge order: the
+    trace ``v`` and normal-derivative trace ``vn`` (the sign
+    ``e.normal[e.axis]`` times the normal-axis derivative) on ``e.plus``
+    of the active basis, ``(k, n)`` at the positions ``pos``."""
+    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
+        got = [None] * len(run)
+        for items, index, tabs in s.basis_stacks(
+                [e.plus for e in run], X, Y, [(0, 0), (1, 0), (0, 1)]):
+            for j, q in enumerate(items):
+                e = run[q]
+                got[q] = (e, rules[q], index[j], tabs[(0, 0)][j],
+                          e.normal[e.axis] * tabs[_edge_orders(e.axis)][j])
+        yield from got
 
-    ``v`` is the trace and ``vn`` the normal-derivative trace (the sign
-    ``e.normal[e.axis]`` times the normal-axis derivative) on ``e.plus``:
-    of the active basis, ``(k, n)`` at the positions ``pos``, for
-    :meth:`HierarchicalSpace.basis_stacks`; of a spline, ``(n,)`` with
-    ``pos = None``, for :meth:`SplineFunction.value_stacks`.
-    """
-    got, done = {}, 0
-    for at, rules, _, _, *out in _cell_chunks(
-            bdry, n, stacks, [(0, 0), (1, 0), (0, 1)]):
-        *index, tabs = out
-        for j, q in enumerate(at):
-            e = bdry[q]
-            got[q] = (e, rules[j], index[0][j] if index else None,
-                      tabs[(0, 0)][j],
-                      e.normal[e.axis] * tabs[_edge_orders(e.axis)][j])
-        while done in got:  # a run's chunks complete it in edge order
-            yield got.pop(done)
-            done += 1
+
+def _spline_traces(fn: SplineFunction, bdry, n: int):
+    """``(e, rule, v, vn)`` of a spline per boundary edge, in edge order,
+    as :func:`_boundary_traces` gives them for the basis."""
+    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
+        d = fn.eval_stacked([e.plus for e in run], X, Y,
+                            [(0, 0), (1, 0), (0, 1)])
+        for q, e in enumerate(run):
+            yield (e, rules[q], d[(0, 0)][q],
+                   e.normal[e.axis] * d[_edge_orders(e.axis)][q])
 
 
 def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
@@ -447,22 +453,30 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
     n = params.quad_n
     d = s.degree - 2
     _, bdry = edges(s.partition)
+
+    def laplacians(run, X, Y, F):
+        out = [None] * len(run)
+        for items, _, T in s.basis_stacks(run, X, Y, _LAP_ORDERS):
+            for q, lap in zip(items, T[(2, 0)] + T[(0, 2)]):
+                out[q] = lap
+        return out
+
     # Legendre coefficients of Pi(lap B) for every function B on the cell
-    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
-                             lambda F, _, T: T[(2, 0)] + T[(0, 2)],
-                             s.basis_stacks, _LAP_ORDERS)
-    for e, rule, pos, v, vn in _boundary_traces(bdry, n, s.basis_stacks):
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-        pvals, pnvals = _legendre_traces(proj[e.plus], e, d, xs, ys)
-        h = e.length
-        block = (
-            -((pvals * w) @ vn.T + (vn * w) @ pvals.T)
-            + ((pnvals * w) @ v.T + (v * w) @ pnvals.T)
-            + params.gamma1 * h ** -3 * (v * w) @ v.T
-            + params.gamma2 * h ** -1 * (vn * w) @ vn.T
-        )
-        live, _ = _coo_index(imap, pos, rows, cols)
-        vals.append(block[live[:, None] & live])
+    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n, laplacians)
+    # an overflowed penalty leaves nan entries, which solve_spd reports
+    with np.errstate(invalid="ignore"):
+        for e, rule, pos, v, vn in _boundary_traces(s, bdry, n):
+            xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+            pvals, pnvals = _legendre_traces(proj[e.plus], e, d, xs, ys)
+            h = e.length
+            block = (
+                -((pvals * w) @ vn.T + (vn * w) @ pvals.T)
+                + ((pnvals * w) @ v.T + (v * w) @ pnvals.T)
+                + params.gamma1 * h ** -3 * (v * w) @ v.T
+                + params.gamma2 * h ** -1 * (vn * w) @ vn.T
+            )
+            live, _ = _coo_index(imap, pos, rows, cols)
+            vals.append(block[live[:, None] & live])
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +500,8 @@ def _mesh_norms(fn, p: Partition, n: int,
     edges; each sum runs in edge order."""
     _, bdry = edges(p)
     if isinstance(fn, SplineFunction):
-        traces = ((e, rule, (v, vn)) for e, rule, _, v, vn
-                  in _boundary_traces(bdry, n, fn.value_stacks))
+        traces = ((e, rule, (v, vn))
+                  for e, rule, v, vn in _spline_traces(fn, bdry, n))
     else:
         field = fn if isinstance(fn, AnalyticField) else AnalyticField(fn)
         traces = (_field_traces(field, e, n) for e in bdry)
@@ -517,8 +531,8 @@ def mesh_norm(fn, s: float, p: Partition, normal: bool = False,
 def energy_norm_sq(fn: SplineFunction, quad_n: int | None = None) -> float:
     """Squared energy norm ``||lap fn||^2`` (exact quadrature)."""
     n = quad_n if quad_n is not None else default_quad_n(fn.space.degree)
-    return _cell_sum(fn.space.partition.cells, n, fn.value_stacks,
-                     _LAP_ORDERS, lambda F, d: (d[(2, 0)] + d[(0, 2)]) ** 2)
+    return _cell_sum(fn.space.partition.cells, n, _spline_field(
+        fn, _LAP_ORDERS, lambda F, d: (d[(2, 0)] + d[(0, 2)]) ** 2))
 
 
 def triple_norm(fn, p: Partition, params: FormParams,
@@ -530,7 +544,7 @@ def triple_norm(fn, p: Partition, params: FormParams,
     if isinstance(fn, SplineFunction):
         interior = energy_norm_sq(fn, n)
     elif isinstance(fn, AnalyticField):
-        interior = _cell_sum(p.cells, n, None, (), lambda F: F ** 2,
+        interior = _cell_sum(p.cells, n, lambda run, X, Y, F: F ** 2,
                              fn.laplacian)
     else:
         raise TypeError("triple_norm needs a SplineFunction or AnalyticField")
@@ -548,7 +562,7 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     imap = np.arange(s.dim)
     _assemble_volume(s, None, n, imap, rows, cols, vals, None)
     _, bdry = edges(s.partition)
-    for e, rule, pos, v, vn in _boundary_traces(bdry, n, s.basis_stacks):
+    for e, rule, pos, v, vn in _boundary_traces(s, bdry, n):
         w = rule.weights
         h = e.length
         _coo_index(imap, pos, rows, cols)
@@ -571,9 +585,9 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     d = s.degree - 2
     _, bdry = edges(s.partition)
     proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
-                             lambda F: F, data=lap_u)
+                             lambda run, X, Y, F: F, lap_u)
     g = np.zeros(s.dim)
-    for e, rule, pos, v, vn in _boundary_traces(bdry, n, s.basis_stacks):
+    for e, rule, pos, v, vn in _boundary_traces(s, bdry, n):
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
         pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
         lap_v = np.asarray(lap_u(xs, ys), float)
@@ -600,59 +614,35 @@ def inconsistency_apply(lap_u, grad_lap_u, v: SplineFunction, p: Partition,
 # error integrals
 # ---------------------------------------------------------------------------
 
-def _cell_sum(cells, n: int, stacks, orders, integrand, data=None) -> float:
-    """Sum over ``cells`` of ``w @ integrand(F, *out)`` on their Gauss
-    rules, in the order of ``cells`` as a per-cell loop adds them; the
-    integrand maps a chunk of :func:`_cell_chunks` to ``(B, N)``."""
-    cells = list(cells)
-    parts = [0.0] * len(cells)
-    for at, _, W, F, *out in _cell_chunks(cells, n, stacks, orders, data):
-        for c, v in zip(at, _row_dots(W, integrand(F, *out))):
-            parts[c] = float(v)
+def _cell_sum(cells, n: int, integrand, data=None) -> float:
+    """Sum over ``cells`` of ``w @ integrand(run, X, Y, F)`` on their
+    Gauss rules, in the order of ``cells`` as a per-cell loop adds them;
+    the integrand maps a run of :func:`_requests` to ``(R, N)``."""
     total = 0.0
-    for v in parts:
-        total += v
+    for _, run, _, X, Y, W, F in _requests(list(cells), n, data):
+        for v in _row_dots(W, integrand(run, X, Y, F)):
+            total += float(v)
     return total
-
-
-def _owner_values(requests, n: int, evals, orders, data=None):
-    """Per run of ``requests`` (cells or edges, as for
-    :func:`_cell_chunks`): the request numbers, weights, ``data`` samples
-    and, for each ``(fn, cell_of)`` of ``evals``, ``fn`` evaluated with
-    :meth:`SplineFunction.eval_stacked` on the cells ``cell_of(request)``
-    at the requests' rule points."""
-    for at, rules, W, F in _cell_chunks(requests, n, None, (), data):
-        B, values = len(at), []
-        X = [rule.points[:, 0] for rule in rules]
-        Y = [rule.points[:, 1] for rule in rules]
-        # consecutive entries of one spline share one stacked evaluation
-        for fn, group in groupby(evals, key=itemgetter(0)):
-            maps = [cell_of for _, cell_of in group]
-            d = fn.eval_stacked([m(requests[q]) for m in maps for q in at],
-                                X * len(maps), Y * len(maps), orders)
-            values += [{o: v[k * B:(k + 1) * B] for o, v in d.items()}
-                       for k in range(len(maps))]
-        yield at, W, F, values
 
 
 def energy_error_sq(lap_u, fn: SplineFunction,
                     quad_n: int | None = None) -> float:
     """``||lap u - lap fn||^2`` against an analytic Laplacian callback."""
     n = quad_n if quad_n is not None else default_quad_n(fn.space.degree) + 2
-    return _cell_sum(fn.space.partition.cells, n, fn.value_stacks,
-                     _LAP_ORDERS,
-                     lambda L, d: (L - d[(2, 0)] - d[(0, 2)]) ** 2, lap_u)
+    return _cell_sum(fn.space.partition.cells, n, _spline_field(
+        fn, _LAP_ORDERS, lambda L, d: (L - d[(2, 0)] - d[(0, 2)]) ** 2), lap_u)
 
 
 def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
                    quad_n: int | None = None) -> float:
     """``||lap(fine - coarse)||^2`` for splines on nested partitions."""
     n = quad_n if quad_n is not None else default_quad_n(fine.space.degree)
+    cells = fine.space.partition.cells
+    owners = coarse.space.partition.owners(cells)
     total = 0.0
-    for _, W, _, (df, dc) in _owner_values(
-            fine.space.partition.cells, n,
-            [(fn, fn.space.partition.owner) for fn in (fine, coarse)],
-            _LAP_ORDERS):
+    for lo, run, _, X, Y, W, _ in _requests(cells, n):
+        df = fine.eval_stacked(run, X, Y, _LAP_ORDERS)
+        dc = coarse.eval_stacked(owners[lo:lo + len(run)], X, Y, _LAP_ORDERS)
         diff = df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]
         for v in _row_dots(W, diff ** 2):
             total += float(v)
@@ -663,7 +653,8 @@ def h2_seminorm_sq(fn: SplineFunction, cells=None,
                    quad_n: int | None = None) -> float:
     """``int (fxx^2 + 2 fxy^2 + fyy^2)`` over the given cells (default all)."""
     n = quad_n if quad_n is not None else default_quad_n(fn.space.degree)
-    return _cell_sum(cells if cells is not None else fn.space.partition.cells,
-                     n, fn.value_stacks, [(2, 0), (1, 1), (0, 2)],
-                     lambda F, d: (d[(2, 0)] ** 2 + 2.0 * d[(1, 1)] ** 2
-                                   + d[(0, 2)] ** 2))
+    return _cell_sum(
+        cells if cells is not None else fn.space.partition.cells, n,
+        _spline_field(fn, [(2, 0), (1, 1), (0, 2)],
+                      lambda F, d: (d[(2, 0)] ** 2 + 2.0 * d[(1, 1)] ** 2
+                                    + d[(0, 2)] ** 2)))

@@ -204,8 +204,8 @@ def main(argv=None) -> int:
     if args.max_iters < 1:
         ap.error("--max-iters must be at least 1")
     for flag, val in (("--gamma1", args.gamma1), ("--gamma2", args.gamma2)):
-        if val is not None and val <= 0.0:
-            ap.error(f"{flag} must be positive")
+        if val is not None and not 0.0 < val < float("inf"):
+            ap.error(f"{flag} must be positive and finite, got {val}")
     if args.quad_n is not None and args.quad_n < 1:
         ap.error("--quad-n must be at least 1")
 

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import io
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
                        energy_diff_sq, energy_error_sq, inconsistency_load,
-                       triple_norm_matrix, _boundary_traces,
-                       _cell_projections, _edge_orders, _legendre_traces,
-                       _LAP_ORDERS, _mesh_norms, _owner_values, _row_dots)
+                       triple_norm_matrix, _cell_projections, _edge_orders,
+                       _legendre_traces, _LAP_ORDERS, _mesh_norms, _requests,
+                       _row_dots, _spline_field, _spline_traces)
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
-from .mesh import (REFINED, Cell, Partition, edges, refine,
-                   support_extension, uniform_partition)
+from .mesh import (Cell, Partition, edges, refine, support_extension,
+                   uniform_partition)
 from .quadrature import _on_points
 from .solver import SolveOptions, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
@@ -271,10 +270,11 @@ def nitsche_energy_sq(prob: Problem, U: SplineFunction, p: Partition,
 
     _, bdry = edges(p)
     proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
-                             lambda F, L: F - L[(2, 0)] - L[(0, 2)],
-                             U.value_stacks, _LAP_ORDERS, prob.laplacian_u)
+                             _spline_field(U, _LAP_ORDERS, lambda F, L:
+                                           F - L[(2, 0)] - L[(0, 2)]),
+                             prob.laplacian_u)
     total = volume_sq
-    for e, rule, _, v, vn in _boundary_traces(bdry, n, U.value_stacks):
+    for e, rule, v, vn in _spline_traces(U, bdry, n):
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
         pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
         ev, en = -v, -vn
@@ -373,15 +373,16 @@ def pythagoras_check(prob: Problem, coarse: IterationState,
     n = quad_n if quad_n is not None else Uf.space.degree + 4
 
     # integrate on whichever partition refines the other, so both
-    # solutions are cellwise polynomial on every integration cell
-    grid = fine.partition
-    if any(coarse.partition.classify(c) == REFINED for c in grid):
-        grid = coarse.partition
+    # solutions are cellwise polynomial on every integration cell: a
+    # refinement has more cells, and owners raises when neither is one
+    grid = max(fine.partition, coarse.partition, key=len)
 
+    owners = [U.space.partition.owners(grid.cells) for U in (Uf, Uc)]
     lhs = e_coarse = diff = 0.0
-    for _, W, lap_u, (df, dc) in _owner_values(
-            grid.cells, n, [(U, U.space.partition.owner) for U in (Uf, Uc)],
-            _LAP_ORDERS, prob.laplacian_u):
+    for lo, run, _, X, Y, W, lap_u in _requests(grid.cells, n,
+                                                prob.laplacian_u):
+        df, dc = (U.eval_stacked(own[lo:lo + len(run)], X, Y, _LAP_ORDERS)
+                  for U, own in zip((Uf, Uc), owners))
         lap_f = df[(2, 0)] + df[(0, 2)]
         lap_c = dc[(2, 0)] + dc[(0, 2)]
         for a, b, c in zip(_row_dots(W, (lap_u - lap_f) ** 2),
@@ -409,12 +410,14 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     lhs_sq = energy_diff_sq(fine.solution, coarse.solution)
     _, bdry = edges(fine.partition)
     # the fine iterate on each edge's cell, the coarse one on its owner
-    sides = [(fine.solution, attrgetter("plus")),
-             (coarse.solution, lambda e: coarse.partition.owner(e.plus))]
-    for at, W, _, (df, dc) in _owner_values(bdry, rp.quad_n, sides,
-                                            [(0, 0), (1, 0), (0, 1)]):
-        for j, q in enumerate(at):
-            e = bdry[q]
+    plus = [e.plus for e in bdry]
+    owners = coarse.partition.owners(plus)
+    orders = [(0, 0), (1, 0), (0, 1)]
+    for lo, run, _, X, Y, W, _ in _requests(bdry, rp.quad_n):
+        hi = lo + len(run)
+        df = fine.solution.eval_stacked(plus[lo:hi], X, Y, orders)
+        dc = coarse.solution.eval_stacked(owners[lo:hi], X, Y, orders)
+        for j, e in enumerate(run):
             o = _edge_orders(e.axis)
             dv = df[(0, 0)][j] - dc[(0, 0)][j]
             dn = df[o][j] - dc[o][j]  # the normal's sign squares away

@@ -17,7 +17,6 @@ cell of lower key; the convention is irrelevant after squaring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -25,9 +24,8 @@ import numpy as np
 from .mesh import Cell, Edge, Partition, edges
 from .quadrature import _on_points, gauss_cell
 from .splines import SplineFunction
-from .assembly import (_cell_chunks, _legendre_modes, _owner_values,
-                       _project_values, _row_dots, default_quad_n,
-                       h2_seminorm_sq)
+from .assembly import (_legendre_modes, _project_values, _requests,
+                       _row_dots, default_quad_n, h2_seminorm_sq)
 from .mesh import support_extension
 
 __all__ = [
@@ -84,35 +82,38 @@ def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
                    quad_n: int) -> list[tuple[float, float]]:
     """(h^3 ||J1||^2, h ||J2||^2) of each interior edge, in order.
 
-    Per normal axis, the edges' plus and minus owners are evaluated at
-    the edges' points through :func:`_owner_values`.
+    Per normal axis and run of edges, both sides of the edges are
+    evaluated at the edges' points in one stacked call: the plus owners
+    in the first half of the rows, the minus owners in the second.
     """
     out: list[tuple[float, float]] = [(0.0, 0.0)] * len(es)
-    sides = [(U, attrgetter("plus")), (U, attrgetter("minus"))]
     lap = [(2, 0), (0, 2)]
     for axis in (0, 1):
         # the terms of the Laplacian's derivative along the normal axis
         grad = [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)]
         on_axis = [q for q, e in enumerate(es) if e.axis == axis]
-        for at, W, _, (dp, dm) in _owner_values(
-                [es[q] for q in on_axis], quad_n, sides, lap + grad):
-            s1, s2 = (_row_dots(W, ((dp[u] + dp[v]) - (dm[u] + dm[v])) ** 2)
+        for lo, run, _, X, Y, W, _ in _requests([es[q] for q in on_axis],
+                                                quad_n):
+            B = len(run)
+            d = U.eval_stacked([e.plus for e in run] + [e.minus for e in run],
+                               X + X, Y + Y, lap + grad)
+            s1, s2 = (_row_dots(W, ((d[u][:B] + d[v][:B])
+                                    - (d[u][B:] + d[v][B:])) ** 2)
                       for u, v in (grad, lap))
-            for q, a, b in zip(at, s1, s2):
-                h = es[on_axis[q]].length
-                out[on_axis[q]] = (h ** 3 * float(a), h * float(b))
+            for q, e, a, b in zip(on_axis[lo:], run, s1, s2):
+                out[q] = (e.length ** 3 * float(a), e.length * float(b))
     return out
 
 
 def _interior_sq(U: SplineFunction, f, cells: list[Cell],
                  quad_n: int) -> list[float]:
     """``h^4 ||f - lap^2 U||^2`` of each cell, in order."""
-    out = [0.0] * len(cells)
-    for at, _, W, F, d in _cell_chunks(cells, quad_n, U.value_stacks,
-                                    [(4, 0), (2, 2), (0, 4)], f):
+    out = []
+    for _, run, _, X, Y, W, F in _requests(cells, quad_n, f):
+        d = U.eval_stacked(run, X, Y, [(4, 0), (2, 2), (0, 4)])
         res = F - (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])
-        for c, v in zip(at, _row_dots(W, res ** 2)):
-            out[c] = cells[c].side ** 4 * float(v)
+        out += [c.side ** 4 * float(v)
+                for c, v in zip(run, _row_dots(W, res ** 2))]
     return out
 
 

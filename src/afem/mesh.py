@@ -188,27 +188,36 @@ class Partition:
         at = np.searchsorted(self._zkey, _morton(i, j), side="right") - 1
         return self._zorder[at]
 
-    def _containing(self, c: Cell) -> int:
-        """Position of the active cell that contains the first
-        finest-grid cell of the dyadic cell ``c``: ``c`` itself, its
-        active ancestor, or a finer cell when ``c`` is subdivided."""
-        s = self.max_level - c.level
-        return int(self._locate(c.i << s, c.j << s) if s >= 0
-                   else self._locate(c.i >> -s, c.j >> -s))
+    def _containing(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Levels of the dyadic ``cells`` and positions of the active
+        cells that contain their first finest-grid cells: each cell
+        itself, its active ancestor, or a finer cell when it is
+        subdivided."""
+        level, i, j = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+        up = np.maximum(self.max_level - level, 0)
+        down = np.maximum(level - self.max_level, 0)
+        return level, self._locate((i << up) >> down, (j << up) >> down)
 
     def classify(self, c: Cell) -> str:
         """Relation of an arbitrary dyadic cell to the partition."""
-        lev = self._level[self._containing(c)]
+        lev = self._level[self._containing([c])[1][0]]
         return ACTIVE if lev == c.level else INSIDE if lev < c.level \
             else REFINED
 
+    def owners(self, cells) -> list[Cell]:
+        """The active cells that equal or contain each of the dyadic
+        ``cells``, from one array lookup."""
+        level, k = self._containing(cells)
+        bad = np.flatnonzero(self._level[k] > level)
+        if bad.size:
+            raise ValueError(f"{cells[bad[0]]} is subdivided in the "
+                             "partition: partitions are not nested (not a "
+                             "refinement)")
+        return [self.cells[q] for q in k.tolist()]
+
     def owner(self, c: Cell) -> Cell:
         """The active cell that equals or contains the dyadic cell ``c``."""
-        k = self._containing(c)
-        if self._level[k] > c.level:
-            raise ValueError(f"{c} is subdivided in the partition: partitions "
-                             "are not nested (not a refinement)")
-        return self.cells[k]
+        return self.owners([c])[0]
 
     def find_cell(self, x: float, y: float) -> Cell:
         """Active cell containing the point (half-open convention)."""
@@ -225,24 +234,6 @@ class Partition:
         hit = ((i + 1) * side > x0) & (i * side < x1) \
             & ((j + 1) * side > y0) & (j * side < y1)
         return [self.cells[k] for k in np.flatnonzero(hit).tolist()]
-
-    def neighbors_across(self, c: Cell, direction: str) -> list[Cell]:
-        """Active cells sharing the given facet of the active cell ``c``,
-        in ascending order along the facet (empty on the boundary)."""
-        d = _DIRECTIONS.get(direction)
-        if d is None:
-            raise ValueError(f"unknown direction {direction!r}")
-        k = self._position.get(c)
-        if k is None:
-            raise ValueError(f"{c} is not an active cell")
-        nb = self._neighbours()
-        if nb[k, d] != -2:
-            return [self.cells[nb[k, d]]] if nb[k, d] >= 0 else []
-        # finer cells: those that see c across their opposite facet
-        f = np.flatnonzero(nb[:, d ^ 1] == k)
-        along = (self._j if d < 2 else self._i)[f] \
-            << (self.max_level - self._level[f])
-        return [self.cells[q] for q in f[np.argsort(along)].tolist()]
 
     def _neighbours(self) -> np.ndarray:
         """The partition's neighbour table, built once: ``nb[k, d]`` is
@@ -352,9 +343,8 @@ def _morton(i, j):
     return i | (j << 1)
 
 
-_DIRECTIONS = {"left": 0, "right": 1, "down": 2, "up": 3}
 # index steps (along x, then along y) towards the neighbour across each
-# facet, in that order
+# facet: left, right, down, up
 _STEPS = np.array([[-1, 1, 0, 0], [0, 0, -1, 1]])
 # outward normal of each facet; an interior edge carries that of the
 # right or upper facet

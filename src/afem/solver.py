@@ -55,6 +55,10 @@ def solve_spd(mat, b: np.ndarray, opts: SolveOptions) -> np.ndarray:
     mat = mat.tocsc()
     if mat.shape[0] != mat.shape[1] or mat.shape[0] != len(b):
         raise ValueError("incompatible system dimensions")
+    if not np.all(np.isfinite(mat.data)):
+        raise ValueError("matrix has non-finite entries (nan/inf); for "
+                         "Nitsche systems, gamma1 * h^-3 or gamma2 * h^-1 "
+                         "overflows")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries (nan/inf); "
                          "check the problem data")

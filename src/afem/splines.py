@@ -400,9 +400,12 @@ class HierarchicalSpace:
         zeros (one read-only array per chunk), neither tabulated nor
         multiplied.
         """
-        groups: dict[int, list[int]] = {}
+        got, groups = [], {}
         for q, cell in enumerate(cells):
-            groups.setdefault(len(self.cell_extraction(cell)[0]), []).append(q)
+            if cell not in self.partition:
+                raise ValueError(f"{cell} is not an active cell")
+            got.append(self._extract(*cell))
+            groups.setdefault(len(got[q][0]), []).append(q)
         r = self.degree
         live = [o for o in orders if o[0] <= r and o[1] <= r]
         ax = max((a for a, _ in live), default=0)
@@ -413,7 +416,7 @@ class HierarchicalSpace:
                 chunk = [cells[q] for q in items]
                 tabs = {}
                 if live:
-                    C = _stack([self._carries[c][1] for c in chunk])
+                    C = _stack([got[q][1] for q in items])
                     # the memoised univariate rows, stacked per axis
                     Dx = _stack([self._univariate(c.level, c.i, np.asarray(
                         X[q], float), ax) for c, q in zip(chunk, items)])
@@ -427,7 +430,7 @@ class HierarchicalSpace:
                     zero.flags.writeable = False
                     for o in orders:
                         tabs.setdefault(o, zero)
-                yield items, _stack([self._carries[c][2] for c in chunk]), tabs
+                yield items, _stack([got[q][2] for q in items]), tabs
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -507,34 +510,25 @@ class SplineFunction:
         return {o: v[0] for o, v in
                 self.eval_stacked([cell], [xs], [ys], orders).items()}
 
-    def value_stacks(self, cells: Sequence[Cell], X, Y,
-                     orders: Sequence[tuple[int, int]]):
-        """Derivative values per chunk of
-        :meth:`HierarchicalSpace.basis_stacks`: yields ``(items, values)``
-        with ``values[order]`` of shape ``(B, n)``, one stacked product of
-        the gathered coefficients ``(B, 1, k)`` with each table ``(B, k,
-        n)``, the same BLAS call per item as ``c @ T`` on one cell.
-        Orders above the degree are exact zeros."""
-        r = self.space.degree
-        for items, index, tabs in self.space.basis_stacks(cells, X, Y, orders):
-            cs = self.coefficients[index][:, None, :]
-            yield items, {o: (cs @ T)[:, 0] if max(o) <= r
-                          else np.zeros((len(items), T.shape[2]))
-                          for o, T in tabs.items()}
-
     def eval_stacked(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]],
                      ) -> dict[tuple[int, int], np.ndarray]:
         """Derivative values ``{order: (R, n)}`` of ``R`` requests (cell
         ``cells[q]`` at the paired points ``(X[q], Y[q])``), in request
-        order; each row equals the one-cell product ``c @ T`` on its cell,
-        bit for bit, whatever the stacking.
+        order.  Per chunk of :meth:`HierarchicalSpace.basis_stacks` and
+        order, one stacked product of the gathered coefficients ``(B, 1,
+        k)`` with the tables ``(B, k, n)``: the same BLAS call per item as
+        the one-cell product ``c @ T``, so each row equals it bit for bit,
+        whatever the stacking.  Orders above the degree are exact zeros.
         """
         n = len(X[0]) if len(cells) else 0
         out = {o: np.zeros((len(cells), n)) for o in orders}
-        for items, vals in self.value_stacks(cells, X, Y, orders):
-            for o, v in vals.items():
-                out[o][items] = v
+        r = self.space.degree
+        for items, index, tabs in self.space.basis_stacks(cells, X, Y, orders):
+            cs = self.coefficients[index][:, None, :]
+            for o, T in tabs.items():
+                if max(o) <= r:
+                    out[o][items] = (cs @ T)[:, 0]
         return out
 
     def __call__(self, x: float, y: float) -> float:
@@ -692,7 +686,7 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
         raise ValueError("spaces have different degrees; not nested")
     cells = fine.partition.cells
     parts = _basis_on_rules(fine, cells, fine.degree + 3)
-    fvals = fn.eval_stacked([coarse.partition.owner(c) for c in cells],
+    fvals = fn.eval_stacked(coarse.partition.owners(cells),
                             [rule.points[:, 0] for rule, *_ in parts],
                             [rule.points[:, 1] for rule, *_ in parts],
                             [(0, 0)])[(0, 0)]

@@ -549,3 +549,10 @@ def test_form_params_validation():
         FormParams(mode="weird")
     with pytest.raises(ValueError):
         FormParams(mode="nitsche", gamma1=-1.0).resolved(2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["gamma1", "gamma2"])
+def test_form_params_reject_non_finite_gamma(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FormParams("nitsche", **{name: bad})

@@ -59,6 +59,27 @@ class TestValidation:
         assert code == 2
         assert "gamma1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--gamma1", "--gamma2"])
+    def test_non_finite_gamma_exits_two(self, flag, value, tmp_path, capsys):
+        code = run_cli(BASE + ["--mode", "nitsche", flag, value,
+                               "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("solver", ["direct", "cg"])
+    @pytest.mark.parametrize("flag", ["--gamma1", "--gamma2"])
+    def test_overflowing_penalty_exits_two(self, flag, solver, tmp_path,
+                                           capsys):
+        """A finite gamma whose penalty ``gamma * h^-k`` overflows."""
+        code = run_cli(BASE + ["--mode", "nitsche", "--max-dofs", "60",
+                               "--solver", solver, flag, "1e308",
+                               "--out", str(tmp_path)])
+        assert code == 2
+        assert "matrix has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
 
 class TestEndToEnd:
     def test_run_produces_csv_and_manifest(self, tmp_path, capsys):

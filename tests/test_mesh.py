@@ -1,5 +1,6 @@
 """Quadtree partition, refinement closure and edge structure."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -105,12 +106,8 @@ class TestRefine:
         # neighbours to split as well
         p = graded_7cell()
         p2 = refine(p, [Cell(2, 1, 1)])
-        levels = {}
-        for c in p2:
-            for direction in ("left", "right", "down", "up"):
-                for nb in p2.neighbors_across(c, direction):
-                    assert abs(nb.level - c.level) <= 1
-                    levels[c] = True
+        for e in edges(p2)[0]:
+            assert abs(e.plus.level - e.minus.level) <= 1
         # brute-force adjacency scan over all pairs
         for a in p2:
             ax0, ax1, ay0, ay1 = a.bounds
@@ -389,17 +386,18 @@ class TestMeshProperties:
             for c in fine:
                 assert sum(contains(o, c) for o in coarse) == 1
                 assert not any(contains(o, c) for o in fine if o != c)
-                for d in DIRECTIONS:
-                    for nb in fine.neighbors_across(c, d):
-                        assert abs(nb.level - c.level) <= 1
+            for e in edges(fine)[0]:
+                assert abs(e.plus.level - e.minus.level) <= 1
 
     @given(refine_sequences)
     def test_neighbors_match_bruteforce_adjacency(self, seq):
+        """The interior edges' owner pairs, plus the lower key, are
+        exactly the facet-adjacent pairs of the brute-force scan."""
         p = refined_chain(*seq)[-1]
-        for (c, d), expected in adjacency_bruteforce(p).items():
-            got = p.neighbors_across(c, d)
-            assert len(got) == len(set(got))
-            assert set(got) == expected
+        adjacent = {tuple(sorted((c, nb)))
+                    for (c, _), nbs in adjacency_bruteforce(p).items()
+                    for nb in nbs}
+        assert {(e.plus, e.minus) for e in edges(p)[0]} == adjacent
 
     @given(refine_sequences)
     def test_owner_matches_containment_scan(self, seq):
@@ -413,6 +411,19 @@ class TestMeshProperties:
                 with pytest.raises(ValueError, match="nested"):
                     fine.owner(c)
 
+    @given(refine_sequences)
+    def test_owners_match_containment_scan(self, seq):
+        chain = refined_chain(*seq)
+        coarse, fine = chain[0], chain[-1]
+        assert coarse.owners(fine.cells) == [
+            next(o for o in coarse if contains(o, c)) for c in fine]
+        assert coarse.owners([]) == fine.owners(()) == []
+        subdivided = [c for c in coarse if c not in fine]
+        if subdivided:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{subdivided[0]} is subdivided in the partition")):
+                fine.owners(list(fine.cells[:3]) + subdivided)
+
     @given(refine_sequences, st.integers(2, 4), st.booleans())
     def test_support_extension_matches_bruteforce(self, seq, degree,
                                                   truncated):
@@ -421,11 +432,6 @@ class TestMeshProperties:
         for tau in p.cells[:: max(1, len(p) // 8)]:
             assert support_extension(p, s, tau) == \
                 support_extension_bruteforce(p, s, tau)
-
-    def test_unknown_direction_rejected(self):
-        p = graded_7cell()
-        with pytest.raises(ValueError, match="direction"):
-            p.neighbors_across(p.cells[0], "diagonal")
 
 
 # -- the Cell-walk mesh code that the integer arrays replaced -----------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_matrix, eye, random as sparse_random
 
-from afem.solver import NotSPDError, SolveOptions, solve
+from afem.solver import NotSPDError, SolveOptions, solve, solve_spd
 
 
 class TestSolve:
@@ -69,6 +69,13 @@ class TestSolve:
         A = eye(4, format="csc")
         with pytest.raises(ValueError):
             solve(A, np.ones(5))
+
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    def test_non_finite_matrix_rejected(self, method):
+        A = np.eye(3)
+        A[1, 2] = A[2, 1] = np.inf
+        with pytest.raises(ValueError, match="matrix has non-finite"):
+            solve_spd(csc_matrix(A), np.ones(3), SolveOptions(method=method))
 
     def test_non_finite_right_hand_side_rejected(self):
         A = eye(3, format="csc")

@@ -669,6 +669,33 @@ def test_run_builds_each_edge_rule_once_per_pass(name, count, monkeypatch):
     assert calls["gauss_edge"] == sum(want) == count
 
 
+@pytest.mark.parametrize("name,count", [("sin2-conf-r2", 3791),
+                                        ("sin2-nitsche-r3", 1783),
+                                        ("peak-conf-r2", 2474)])
+def test_run_builds_each_cell_rule_once_per_pass(name, count, monkeypatch):
+    """Per iteration: one rule per cell for the volume assembly, the
+    interior residual and, with an exact solution, the energy error; one
+    per new cell for its oscillation; Nitsche adds one per boundary cell
+    for each of the two projected Laplacians."""
+    calls = {}
+    for module in (assembly, estimator, splines):
+        count_calls(monkeypatch, module, "gauss_cell", calls)
+    cfg, prob = WORKLOADS.build(name, 0)
+    passes = 3 if prob.has_exact else 2
+    want, before = [], set()
+
+    def on_iteration(state):
+        cells = set(state.partition.cells)
+        want.append(passes * len(cells) + len(cells - before))
+        if cfg.mode == "nitsche":
+            want[-1] += 2 * len({e.plus for e in edges(state.partition)[1]})
+        before.clear()
+        before.update(cells)
+
+    run(cfg, prob, on_iteration)
+    assert calls["gauss_cell"] == sum(want) == count
+
+
 # ---------------------------------------------------------------------------
 # D4 equivariance of the indicators
 # ---------------------------------------------------------------------------
