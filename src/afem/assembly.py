@@ -26,9 +26,8 @@ from numpy.polynomial import legendre as npleg
 from scipy.sparse import coo_matrix, csr_matrix, triu
 
 from .mesh import Cell, Edge, Partition, edges
-from .quadrature import _on_points, gauss_cell, gauss_edge
-from .splines import (_BLOCK_REQUESTS, HierarchicalSpace, SplineFunction,
-                      conforming_indices)
+from .quadrature import _cell_sum, _on_points, _requests
+from .splines import HierarchicalSpace, SplineFunction, conforming_indices
 
 __all__ = [
     "AnalyticField",
@@ -376,36 +375,6 @@ def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
             b[sub] += load
 
 
-def _requests(requests, n: int, data=None):
-    """The rules of one pass over ``requests``, all cells or all edges,
-    in runs of ``_BLOCK_REQUESTS``, which bounds what a pass holds.
-
-    Per run this yields its offset, the run, the rules (``n x n`` Gauss
-    rules of cells, :func:`gauss_edge` rules of edges), the points ``X``
-    and ``Y`` as lists, and the weights and ``data`` samples (or
-    ``None``) as ``(R, N)`` arrays; ``data`` is called once per request.
-    """
-    for lo in range(0, len(requests), _BLOCK_REQUESTS):
-        run = requests[lo:lo + _BLOCK_REQUESTS]
-        rule = gauss_edge if isinstance(run[0], Edge) else gauss_cell
-        rules = [rule(q, n) for q in run]
-        X = [r.points[:, 0] for r in rules]
-        Y = [r.points[:, 1] for r in rules]
-        W = np.array([r.weights for r in rules])
-        F = None
-        if data is not None:
-            F = np.empty(W.shape)
-            for j, (x, y) in enumerate(zip(X, Y)):
-                F[j] = data(x, y)
-        yield lo, run, rules, X, Y, W, F
-
-
-def _row_dots(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``W[q] @ V[q]`` for each row: one BLAS dot per item, as ``w @ v``
-    on one row (a row-wise sum or ``einsum`` would round differently)."""
-    return (W[:, None, :] @ V[:, :, None])[:, 0, 0]
-
-
 def _symmetric_csr(rows, cols, vals, dim: int) -> csr_matrix:
     """Sum COO blocks into CSR and mirror the upper triangle, so the
     matrix is exactly symmetric whatever the summation order."""
@@ -420,15 +389,18 @@ def _edge_orders(axis: int):
     return (1, 0) if axis == 0 else (0, 1)
 
 
-def _boundary_traces(s: HierarchicalSpace, bdry, n: int):
+def _boundary_traces(s: HierarchicalSpace, bdry, n: int, cells=None):
     """``(e, rule, pos, v, vn)`` per boundary edge, in edge order: the
     trace ``v`` and normal-derivative trace ``vn`` (the sign
-    ``e.normal[e.axis]`` times the normal-axis derivative) on ``e.plus``
-    of the active basis, ``(k, n)`` at the positions ``pos``."""
-    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
+    ``e.normal[e.axis]`` times the normal-axis derivative) of the active
+    basis on ``cells[q]`` (by default ``e.plus``), ``(k, n)`` at the
+    positions ``pos``."""
+    for lo, run, rules, X, Y, _, _ in _requests(bdry, n):
         got = [None] * len(run)
+        on = ([e.plus for e in run] if cells is None
+              else cells[lo:lo + len(run)])
         for items, index, tabs in s.basis_stacks(
-                [e.plus for e in run], X, Y, [(0, 0), (1, 0), (0, 1)]):
+                on, X, Y, [(0, 0), (1, 0), (0, 1)]):
             for j, q in enumerate(items):
                 e = run[q]
                 got[q] = (e, rules[q], index[j], tabs[(0, 0)][j],
@@ -436,15 +408,13 @@ def _boundary_traces(s: HierarchicalSpace, bdry, n: int):
         yield from got
 
 
-def _spline_traces(fn: SplineFunction, bdry, n: int):
-    """``(e, rule, v, vn)`` of a spline per boundary edge, in edge order,
-    as :func:`_boundary_traces` gives them for the basis."""
-    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
-        d = fn.eval_stacked([e.plus for e in run], X, Y,
-                            [(0, 0), (1, 0), (0, 1)])
-        for q, e in enumerate(run):
-            yield (e, rules[q], d[(0, 0)][q],
-                   e.normal[e.axis] * d[_edge_orders(e.axis)][q])
+def _spline_traces(fn: SplineFunction, bdry, n: int, cells=None):
+    """``(e, rule, v, vn)`` of a spline per boundary edge, in edge order:
+    the basis traces of :func:`_boundary_traces` times the coefficients,
+    the per-item product ``eval_stacked`` takes (the sign is exact)."""
+    for e, rule, pos, v, vn in _boundary_traces(fn.space, bdry, n, cells):
+        c = fn.coefficients[pos]
+        yield e, rule, c @ v, c @ vn
 
 
 def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
@@ -483,14 +453,14 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
 # norms and functionals
 # ---------------------------------------------------------------------------
 
-def _field_traces(fn: AnalyticField, e: Edge, n: int):
-    """``(e, rule, (trace, normal trace))`` of a field on a boundary edge;
-    without a gradient the normal trace is ``None``."""
-    rule = gauss_edge(e, n)
-    xs, ys = rule.points[:, 0], rule.points[:, 1]
-    vn = (None if fn.grad is None
-          else e.normal[e.axis] * _on_points(fn.grad(xs, ys)[e.axis], xs))
-    return e, rule, (_on_points(fn.value(xs, ys), xs), vn)
+def _field_traces(fn: AnalyticField, bdry, n: int):
+    """``(e, rule, v, vn)`` of a field per boundary edge, in edge order,
+    as :func:`_spline_traces`; without a gradient ``vn`` is ``None``."""
+    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
+        for e, rule, xs, ys in zip(run, rules, X, Y):
+            vn = (None if fn.grad is None else
+                  e.normal[e.axis] * _on_points(fn.grad(xs, ys)[e.axis], xs))
+            yield e, rule, _on_points(fn.value(xs, ys), xs), vn
 
 
 def _mesh_norms(fn, p: Partition, n: int,
@@ -500,13 +470,12 @@ def _mesh_norms(fn, p: Partition, n: int,
     edges; each sum runs in edge order."""
     _, bdry = edges(p)
     if isinstance(fn, SplineFunction):
-        traces = ((e, rule, (v, vn))
-                  for e, rule, v, vn in _spline_traces(fn, bdry, n))
+        traces = _spline_traces(fn, bdry, n)
     else:
         field = fn if isinstance(fn, AnalyticField) else AnalyticField(fn)
-        traces = (_field_traces(field, e, n) for e in bdry)
+        traces = _field_traces(field, bdry, n)
     totals = [0.0] * len(norms)
-    for e, rule, vals in traces:
+    for e, rule, *vals in traces:
         for k, (s, normal) in enumerate(norms):
             if vals[normal] is None:
                 raise TypeError("a normal trace needs a gradient")
@@ -614,17 +583,6 @@ def inconsistency_apply(lap_u, grad_lap_u, v: SplineFunction, p: Partition,
 # error integrals
 # ---------------------------------------------------------------------------
 
-def _cell_sum(cells, n: int, integrand, data=None) -> float:
-    """Sum over ``cells`` of ``w @ integrand(run, X, Y, F)`` on their
-    Gauss rules, in the order of ``cells`` as a per-cell loop adds them;
-    the integrand maps a run of :func:`_requests` to ``(R, N)``."""
-    total = 0.0
-    for _, run, _, X, Y, W, F in _requests(list(cells), n, data):
-        for v in _row_dots(W, integrand(run, X, Y, F)):
-            total += float(v)
-    return total
-
-
 def energy_error_sq(lap_u, fn: SplineFunction,
                     quad_n: int | None = None) -> float:
     """``||lap u - lap fn||^2`` against an analytic Laplacian callback."""
@@ -637,16 +595,15 @@ def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
                    quad_n: int | None = None) -> float:
     """``||lap(fine - coarse)||^2`` for splines on nested partitions."""
     n = quad_n if quad_n is not None else default_quad_n(fine.space.degree)
-    cells = fine.space.partition.cells
-    owners = coarse.space.partition.owners(cells)
-    total = 0.0
-    for lo, run, _, X, Y, W, _ in _requests(cells, n):
+
+    def diff_sq(run, X, Y, F):
+        # coarse on the owners of the run's cells; keep a + b - c - d
         df = fine.eval_stacked(run, X, Y, _LAP_ORDERS)
-        dc = coarse.eval_stacked(owners[lo:lo + len(run)], X, Y, _LAP_ORDERS)
-        diff = df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]
-        for v in _row_dots(W, diff ** 2):
-            total += float(v)
-    return total
+        dc = coarse.eval_stacked(coarse.space.partition.owners(run), X, Y,
+                                 _LAP_ORDERS)
+        return (df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]) ** 2
+
+    return _cell_sum(fine.space.partition.cells, n, diff_sq)
 
 
 def h2_seminorm_sq(fn: SplineFunction, cells=None,

@@ -109,11 +109,11 @@ def load_problem(name: str) -> Problem:
     entries.
     """
     if name == "sin2":
-        return Problem.from_manufactured(manufactured_sin2())
+        return manufactured_sin2()
     if name == "zero":
-        return Problem.from_manufactured(zero_problem())
+        return zero_problem()
     if name == "bubble":
-        return Problem.from_manufactured(manufactured_bubble())
+        return manufactured_bubble()
     if not os.path.exists(name):
         raise KeyError(name)
     with open(name, encoding="utf-8") as fh:
@@ -217,20 +217,19 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         ap.error(f"--problem: {exc}")
 
-    cfg = AfemConfig(
-        degree=args.degree, theta=args.theta, mode=args.mode,
-        gamma1=args.gamma1, gamma2=args.gamma2,
-        initial_levels=args.initial_levels, max_dofs=args.max_dofs,
-        max_iters=args.max_iters, quad_n=args.quad_n,
-        solver=SolveOptions(method=args.solver),
-    )
-
     final = {}
 
     def keep_last(state):
         final["state"] = state
 
     try:
+        cfg = AfemConfig(
+            degree=args.degree, theta=args.theta, mode=args.mode,
+            gamma1=args.gamma1, gamma2=args.gamma2,
+            initial_levels=args.initial_levels, max_dofs=args.max_dofs,
+            max_iters=args.max_iters, quad_n=args.quad_n,
+            solver=SolveOptions(method=args.solver),
+        )
         records = run(cfg, prob, on_iteration=keep_last)
     except NotSPDError as exc:
         print(f"afem: {exc}", file=sys.stderr)

@@ -16,13 +16,13 @@ import numpy as np
 
 from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
                        energy_diff_sq, energy_error_sq, inconsistency_load,
-                       triple_norm_matrix, _cell_projections, _edge_orders,
-                       _legendre_traces, _LAP_ORDERS, _mesh_norms, _requests,
-                       _row_dots, _spline_field, _spline_traces)
+                       triple_norm_matrix, _cell_projections,
+                       _legendre_traces, _LAP_ORDERS, _mesh_norms,
+                       _spline_field, _spline_traces)
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
-from .mesh import (Cell, Partition, edges, refine, support_extension,
-                   uniform_partition)
-from .quadrature import _on_points
+from .mesh import (MAX_LEVEL, Cell, Partition, edges, refine,
+                   support_extension, uniform_partition)
+from .quadrature import _on_points, _requests, _row_dots
 from .solver import SolveOptions, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
 
@@ -65,8 +65,11 @@ class AfemConfig:
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.initial_levels < 0:
-            raise ValueError("initial_levels must be non-negative")
+        if not 0 <= self.initial_levels <= MAX_LEVEL:
+            raise ValueError(f"initial_levels must lie in [0, {MAX_LEVEL}]")
+        # the dimension of the uniform space the loop starts from
+        if (2 ** self.initial_levels + self.degree) ** 2 > self.max_dofs:
+            raise ValueError("max_dofs is below the initial space dimension")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.mode not in ("conforming", "nitsche"):
@@ -193,8 +196,6 @@ def run(cfg: AfemConfig, prob: Problem,
     for it in range(cfg.max_iters):
         f.next_iteration()
         space = build_space(p, cfg.degree, cfg.truncated)
-        if it == 0 and space.dim > cfg.max_dofs:
-            raise ValueError("max_dofs is below the initial space dimension")
         A, b = assemble(space, f, params)
         x = solve(A, b, cfg.solver)
         coeffs = np.zeros(space.dim)
@@ -410,19 +411,15 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     lhs_sq = energy_diff_sq(fine.solution, coarse.solution)
     _, bdry = edges(fine.partition)
     # the fine iterate on each edge's cell, the coarse one on its owner
-    plus = [e.plus for e in bdry]
-    owners = coarse.partition.owners(plus)
-    orders = [(0, 0), (1, 0), (0, 1)]
-    for lo, run, _, X, Y, W, _ in _requests(bdry, rp.quad_n):
-        hi = lo + len(run)
-        df = fine.solution.eval_stacked(plus[lo:hi], X, Y, orders)
-        dc = coarse.solution.eval_stacked(owners[lo:hi], X, Y, orders)
-        for j, e in enumerate(run):
-            o = _edge_orders(e.axis)
-            dv = df[(0, 0)][j] - dc[(0, 0)][j]
-            dn = df[o][j] - dc[o][j]  # the normal's sign squares away
-            lhs_sq += float(W[j] @ (rp.gamma1 * e.length ** -3 * dv ** 2
-                                    + rp.gamma2 * e.length ** -1 * dn ** 2))
+    owners = coarse.partition.owners([e.plus for e in bdry])
+    for (e, rule, vf, nf), (_, _, vc, nc) in zip(
+            _spline_traces(fine.solution, bdry, rp.quad_n),
+            _spline_traces(coarse.solution, bdry, rp.quad_n, owners)):
+        dv = vf - vc
+        dn = nf - nc  # both carry the normal's sign, exactly
+        h = e.length
+        lhs_sq += float(rule.weights @ (rp.gamma1 * h ** -3 * dv ** 2
+                                        + rp.gamma2 * h ** -1 * dn ** 2))
     ratio = lhs_sq / eta_region_sq if eta_region_sq > 0 else float("inf")
     return {"solution_jump_sq": lhs_sq, "eta_region_sq": eta_region_sq,
             "ratio": ratio}

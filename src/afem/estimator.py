@@ -22,10 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .mesh import Cell, Edge, Partition, edges
-from .quadrature import _on_points, gauss_cell
+from .quadrature import (_cell_integrals, _on_points, _requests, _row_dots,
+                         gauss_cell)
 from .splines import SplineFunction
-from .assembly import (_legendre_modes, _project_values, _requests,
-                       _row_dots, default_quad_n, h2_seminorm_sq)
+from .assembly import (_legendre_modes, _project_values, _spline_field,
+                       default_quad_n, h2_seminorm_sq)
 from .mesh import support_extension
 
 __all__ = [
@@ -108,13 +109,11 @@ def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
 def _interior_sq(U: SplineFunction, f, cells: list[Cell],
                  quad_n: int) -> list[float]:
     """``h^4 ||f - lap^2 U||^2`` of each cell, in order."""
-    out = []
-    for _, run, _, X, Y, W, F in _requests(cells, quad_n, f):
-        d = U.eval_stacked(run, X, Y, [(4, 0), (2, 2), (0, 4)])
-        res = F - (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])
-        out += [c.side ** 4 * float(v)
-                for c, v in zip(run, _row_dots(W, res ** 2))]
-    return out
+    residual_sq = _spline_field(U, [(4, 0), (2, 2), (0, 4)], lambda F, d: (
+        F - (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])) ** 2)
+    return [c.side ** 4 * v
+            for c, v in zip(cells, _cell_integrals(cells, quad_n,
+                                                   residual_sq, f))]
 
 
 def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:

@@ -18,13 +18,13 @@ from typing import Callable
 
 import numpy as np
 
+from .driver import Problem
 from .mesh import Cell, Partition
 from .quadrature import gauss_cell
 from .splines import (HierarchicalSpace, SplineFunction, knot_vector,
                       num_functions)
 
 __all__ = [
-    "ManufacturedProblem",
     "manufactured_sin2",
     "fd_check",
     "dense_l2_projection",
@@ -39,19 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ManufacturedProblem:
-    """Closed-form clamped-plate solution with all derivative callbacks."""
-
-    name: str
-    u: Callable
-    grad_u: Callable            # -> (ux, uy)
-    laplacian_u: Callable
-    grad_laplacian_u: Callable  # -> (gx, gy)
-    f: Callable                 # = lap^2 u
-
-
-def manufactured_sin2() -> ManufacturedProblem:
+def manufactured_sin2() -> Problem:
     """u(x, y) = sin(pi x)^2 sin(pi y)^2; clamped on the unit square."""
     pi = np.pi
 
@@ -70,7 +58,7 @@ def manufactured_sin2() -> ManufacturedProblem:
     def s4(t):
         return -8 * pi ** 4 * np.cos(2 * pi * t)
 
-    return ManufacturedProblem(
+    return Problem(
         name="sin2",
         u=lambda x, y: s(x) * s(y),
         grad_u=lambda x, y: (s1(x) * s(y), s(x) * s1(y)),
@@ -81,14 +69,14 @@ def manufactured_sin2() -> ManufacturedProblem:
     )
 
 
-def zero_problem() -> ManufacturedProblem:
+def zero_problem() -> Problem:
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     zero2 = lambda x, y: (np.zeros_like(np.asarray(x, float)),
                           np.zeros_like(np.asarray(x, float)))
-    return ManufacturedProblem("zero", zero, zero2, zero, zero2, zero)
+    return Problem("zero", zero, zero, zero2, zero, zero2)
 
 
-def manufactured_bubble() -> ManufacturedProblem:
+def manufactured_bubble() -> Problem:
     """u(x, y) = 256 x^2 (1-x)^2 y^2 (1-y)^2; clamped polynomial bubble.
 
     Lies in every tensor spline space of degree at least 4, so the
@@ -107,7 +95,7 @@ def manufactured_bubble() -> ManufacturedProblem:
         return -12.0 + 24.0 * t
 
     c = 256.0
-    return ManufacturedProblem(
+    return Problem(
         name="bubble",
         u=lambda x, y: c * p(x) * p(y),
         grad_u=lambda x, y: (c * p1(x) * p(y), c * p(x) * p1(y)),

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from .mesh import Cell, Partition
-from .quadrature import _on_points, gauss_cell
+from .quadrature import _on_points, _requests
 from .solver import SolveOptions, solve_spd
 
 __all__ = [
@@ -72,8 +72,6 @@ REFERENCE_TABLE_CACHE_SIZE = 2048
 # requests per stacked product: bounds the tables of one chunk (at most
 # 32 * 25 * 64 floats per order) while amortising numpy's per-call cost
 _STACK_ITEMS = 32
-# requests a stacked consumer gathers quadrature points for at once
-_BLOCK_REQUESTS = 4 * _STACK_ITEMS
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +592,11 @@ class DualFunctional:
 def _basis_on_rules(space: HierarchicalSpace, cells: Sequence[Cell], n: int):
     """``(rule, positions, values, Gram block)`` of the active basis on
     each of ``cells`` at its ``n x n`` Gauss rule, through the stacks."""
-    rules = [gauss_cell(c, n) for c in cells]
     out = [None] * len(cells)
-    for items, index, tabs in space.basis_stacks(
-            cells, [r.points[:, 0] for r in rules],
-            [r.points[:, 1] for r in rules], [(0, 0)]):
-        for q, pos, V in zip(items, index, tabs[(0, 0)]):
-            out[q] = rules[q], pos, V, (V * rules[q].weights) @ V.T
+    for lo, run, rules, X, Y, _, _ in _requests(cells, n):
+        for items, index, tabs in space.basis_stacks(run, X, Y, [(0, 0)]):
+            for q, pos, V in zip(items, index, tabs[(0, 0)]):
+                out[lo + q] = rules[q], pos, V, (V * rules[q].weights) @ V.T
     return out
 
 

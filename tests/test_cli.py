@@ -80,6 +80,22 @@ class TestValidation:
         assert "matrix has non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "convergence.csv").exists()
 
+    def test_initial_mesh_over_max_dofs_exits_two_unbuilt(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        """Level 9 is 262,144 cells: the config rejects it before any
+        partition is built."""
+        def unbuilt(levels):
+            raise AssertionError(f"built a level-{levels} partition")
+
+        monkeypatch.setattr("afem.driver.uniform_partition", unbuilt)
+        code = run_cli(BASE + ["--initial-levels", "9", "--max-dofs", "100",
+                               "--out", str(tmp_path)])
+        assert code == 2
+        assert ("max_dofs is below the initial space dimension"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "convergence.csv").exists()
+
 
 class TestEndToEnd:
     def test_run_produces_csv_and_manifest(self, tmp_path, capsys):

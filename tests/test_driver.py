@@ -88,10 +88,13 @@ class TestRunBasics:
             run(cfg, SIN2)
 
     def test_max_dofs_below_initial_space_raises(self):
-        cfg = AfemConfig(degree=2, theta=0.5, mode="nitsche",
-                         initial_levels=2, max_dofs=5)
         with pytest.raises(ValueError, match="max_dofs"):
-            run(cfg, SIN2)
+            AfemConfig(degree=2, theta=0.5, mode="nitsche",
+                       initial_levels=2, max_dofs=5)
+
+    def test_initial_levels_above_max_level_raises(self):
+        with pytest.raises(ValueError, match="initial_levels"):
+            AfemConfig(initial_levels=32)
 
     def test_boundary_compatibility_validated(self):
         bad = Problem(name="bad", f=lambda x, y: np.ones_like(x),

@@ -1,14 +1,17 @@
 """Import contract: ``afem`` loads no scipy module that scipy.sparse does
-not load by itself.
+not load by itself, and no module of ``afem`` imports a name it never
+uses.
 
 Each check runs in a fresh interpreter, because this process has long
 since imported whatever the other tests needed.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import afem
 
@@ -57,3 +60,40 @@ def test_afem_loads_no_scipy_beyond_sparse():
     from afem.splines import knot_vector
     c = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     assert out["value"] == float(BSpline(knot_vector(2, 3), c, 3)(0.3, nu=1))
+
+
+def unused_imports(path) -> list[str]:
+    """Names a module imports at module level and never uses; a name in
+    ``__all__`` counts as used."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    return [name for name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    src = Path(afem.__file__).parent
+    unused = {path.name: names for path in sorted(src.glob("*.py"))
+              if (names := unused_imports(path))}
+    assert unused == {}
+
+
+def test_unused_import_check_sees_leftovers(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import numpy as np\n"
+                    "from .quadrature import _row_dots, gauss_edge, sqrt\n"
+                    "__all__ = ['gauss_edge']\n"
+                    "x = sqrt(np.ones(2))\n")
+    assert unused_imports(path) == ["_row_dots"]

@@ -2,6 +2,7 @@
 loops bit for bit, and the estimator respects the square's symmetries."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import given, strategies as st
 
 from scipy.sparse import coo_matrix
 
-from afem import assembly, estimator, splines
+from afem import estimator, quadrature, splines
 from afem.assembly import (FormParams, _legendre_modes, _legendre_traces,
-                           _monomial_poly, _project_values, _symmetric_csr,
+                           _monomial_poly, _project_values, _spline_traces,
+                           _symmetric_csr,
                            assemble, default_quad_n, energy_diff_sq,
                            energy_error_sq, energy_norm_sq, h2_seminorm_sq,
                            inconsistency_load, mesh_norm,
@@ -592,6 +594,31 @@ class TestPortedConsumers:
         got = discrete_reliability_probe(*states)["solution_jump_sq"]
         assert got == solution_jump_per_edge(fine, coarse, rp)
 
+    def test_spline_traces_are_stacked_values(self, degree, truncated):
+        """Spline traces from the basis traces equal the stacked values
+        with the normal's sign, on each edge's cell and, given ``cells``,
+        on its owner in the coarser iterate."""
+        coarse, fine = nested_pair(degree, truncated)
+        n = degree + 2
+        bdry = edges(fine.space.partition)[1]
+        plus = [e.plus for e in bdry]
+        owners = coarse.space.partition.owners(plus)
+        assert owners != plus
+        rules = [gauss_edge(e, n) for e in bdry]
+        X = [r.points[:, 0] for r in rules]
+        Y = [r.points[:, 1] for r in rules]
+        for U, cells, traces in (
+                (fine, plus, _spline_traces(fine, bdry, n)),
+                (coarse, owners, _spline_traces(coarse, bdry, n, owners))):
+            d = U.eval_stacked(cells, X, Y, [(0, 0), (1, 0), (0, 1)])
+            got = list(traces)
+            assert [e for e, *_ in got] == bdry
+            for q, (e, rule, v, vn) in enumerate(got):
+                assert np.array_equal(rule.points, rules[q].points)
+                assert np.array_equal(v, d[(0, 0)][q])
+                assert np.array_equal(
+                    vn, e.normal[e.axis] * d[normal_order(e.axis)][q])
+
     def test_coarse_to_fine(self, degree, truncated, monkeypatch):
         coarse, fine = nested_pair(degree, truncated)
         want = [coarse_to_fine_per_cell(coarse, s)
@@ -602,6 +629,18 @@ class TestPortedConsumers:
         for s, w in zip((fine.space, coarse.space), want):
             assert np.array_equal(coarse_to_fine(coarse, s).coefficients, w)
         assert calls == {"basis_on_cell": 0, "eval_batch": 0}
+
+
+def test_energy_diff_of_swapped_iterates_names_first_subdivided_cell():
+    """The coarse spline is evaluated on the owners of each run of fine
+    cells; on swapped iterates the error names the first coarse cell
+    that the other partition subdivides, as one lookup over all would."""
+    coarse, fine = nested_pair(2, True)
+    fine_p = fine.space.partition
+    first = next(c for c in coarse.space.partition if c not in fine_p)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(first))} is "
+                                         "subdivided in the partition"):
+        energy_diff_sq(coarse, fine)
 
 
 def _benchmark_workloads():
@@ -654,9 +693,7 @@ def test_run_builds_each_edge_rule_once_per_pass(name, count, monkeypatch):
     one for the boundary assembly and one for the error's boundary
     terms."""
     calls = {}
-    for module in (assembly, estimator):
-        if hasattr(module, "gauss_edge"):
-            count_calls(monkeypatch, module, "gauss_edge", calls)
+    count_calls(monkeypatch, quadrature, "gauss_edge", calls)
     cfg, prob = WORKLOADS.build(name, 0)
     passes = 3 if cfg.mode == "nitsche" else 1
     want = []
@@ -678,7 +715,7 @@ def test_run_builds_each_cell_rule_once_per_pass(name, count, monkeypatch):
     per new cell for its oscillation; Nitsche adds one per boundary cell
     for each of the two projected Laplacians."""
     calls = {}
-    for module in (assembly, estimator, splines):
+    for module in (quadrature, estimator):
         count_calls(monkeypatch, module, "gauss_cell", calls)
     cfg, prob = WORKLOADS.build(name, 0)
     passes = 3 if prob.has_exact else 2

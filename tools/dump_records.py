@@ -5,11 +5,13 @@
 For ten configurations -- the three benchmark workloads at seeds 0 and 1
 and four extra ``sin2`` runs -- this prints the ``repr`` of every
 ``ConvergenceRecord`` from ``afem.driver.run``.  On every iterate of the
-four extra runs it also prints the analysis helpers: the comparisons of
-consecutive iterates, the boundary mesh norms of a spline, of an
-``AnalyticField`` and of a plain callable, the energy and seminorms, the
-weak-boundary error energy, the projected Laplacian and the boundary
-defect load.  Arrays are printed as the SHA-256 of their bytes.
+four extra runs it also prints the per-cell indicators and the marked
+cells, and the analysis helpers: the comparisons of consecutive iterates,
+the boundary mesh norms of a spline, of an ``AnalyticField`` and of a
+plain callable, the energy and seminorms, the weak-boundary error
+energy, the projected Laplacian and the boundary defect load.  Arrays
+are printed as the SHA-256 of their bytes, the indicators as that of
+``Indicators.dump()`` and the marked cells as that of their ``repr``.
 
 Two trees print the same file exactly when the refactor kept every bit,
 so compare the outputs with ``cmp`` (README, "Install and test").  The
@@ -54,6 +56,10 @@ def digest(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def helpers(states) -> list[tuple[str, object]]:
     """The analysis helpers on each iterate and each consecutive pair."""
     out = []
@@ -64,6 +70,8 @@ def helpers(states) -> list[tuple[str, object]]:
         e_sq = energy_error_sq(SIN2.laplacian_u, U, rp.quad_n + 2)
         proj = project_laplacian(U)
         out += [
+            (f"{k} indicators", text_digest(st.indicators.dump())),
+            (f"{k} marked", text_digest(repr(st.marked.cells))),
             (f"{k} energy_error_sq", e_sq),
             (f"{k} energy_norm_sq", energy_norm_sq(U)),
             (f"{k} h2_seminorm_sq", h2_seminorm_sq(U)),
