@@ -389,18 +389,15 @@ def _edge_orders(axis: int):
     return (1, 0) if axis == 0 else (0, 1)
 
 
-def _boundary_traces(s: HierarchicalSpace, bdry, n: int, cells=None):
+def _boundary_traces(s: HierarchicalSpace, bdry, n: int):
     """``(e, rule, pos, v, vn)`` per boundary edge, in edge order: the
     trace ``v`` and normal-derivative trace ``vn`` (the sign
     ``e.normal[e.axis]`` times the normal-axis derivative) of the active
-    basis on ``cells[q]`` (by default ``e.plus``), ``(k, n)`` at the
-    positions ``pos``."""
-    for lo, run, rules, X, Y, _, _ in _requests(bdry, n):
+    basis on ``e.plus``, ``(k, n)`` at the positions ``pos``."""
+    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
         got = [None] * len(run)
-        on = ([e.plus for e in run] if cells is None
-              else cells[lo:lo + len(run)])
         for items, index, tabs in s.basis_stacks(
-                on, X, Y, [(0, 0), (1, 0), (0, 1)]):
+                [e.plus for e in run], X, Y, [(0, 0), (1, 0), (0, 1)]):
             for j, q in enumerate(items):
                 e = run[q]
                 got[q] = (e, rules[q], index[j], tabs[(0, 0)][j],
@@ -408,11 +405,11 @@ def _boundary_traces(s: HierarchicalSpace, bdry, n: int, cells=None):
         yield from got
 
 
-def _spline_traces(fn: SplineFunction, bdry, n: int, cells=None):
+def _spline_traces(fn: SplineFunction, bdry, n: int):
     """``(e, rule, v, vn)`` of a spline per boundary edge, in edge order:
     the basis traces of :func:`_boundary_traces` times the coefficients,
     the per-item product ``eval_stacked`` takes (the sign is exact)."""
-    for e, rule, pos, v, vn in _boundary_traces(fn.space, bdry, n, cells):
+    for e, rule, pos, v, vn in _boundary_traces(fn.space, bdry, n):
         c = fn.coefficients[pos]
         yield e, rule, c @ v, c @ vn
 
@@ -565,17 +562,11 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     return g
 
 
-def inconsistency_apply(lap_u, grad_lap_u, v: SplineFunction, p: Partition,
-                        s: HierarchicalSpace,
+def inconsistency_apply(lap_u, grad_lap_u, v: SplineFunction,
                         quad_n: int | None = None) -> float:
     """Boundary defect functional ``<defect, v>`` of
-    :func:`inconsistency_load` applied to a spline ``v`` in ``s``."""
-    if p != s.partition:
-        raise ValueError("inconsistency_apply needs p == s.partition")
-    if v.space is not s and (v.space.partition, v.space.degree,
-                             v.space.truncated) != (p, s.degree, s.truncated):
-        raise ValueError("v does not live in the space s")
-    return float(inconsistency_load(lap_u, grad_lap_u, s, quad_n)
+    :func:`inconsistency_load` applied to a spline ``v`` in its space."""
+    return float(inconsistency_load(lap_u, grad_lap_u, v.space, quad_n)
                  @ v.coefficients)
 
 

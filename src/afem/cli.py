@@ -90,8 +90,20 @@ def _expr(text: str):
     return f
 
 
-def _expr_pair(texts):
-    fx, fy = _expr(texts[0]), _expr(texts[1])
+def _entry(spec: dict, key: str, gradient: bool = False):
+    """Entry ``key`` of a problem file as a callable (``None`` if absent)."""
+    if key not in spec:
+        return None
+    text = spec[key]
+    if gradient and not (isinstance(text, list) and len(text) == 2):
+        raise ValueError(f"{key!r} must be a list of two expressions, "
+                         f"got {text!r}")
+    try:
+        if not gradient:
+            return _expr(text)
+        fx, fy = _expr(text[0]), _expr(text[1])
+    except ValueError as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
     return lambda x, y: (fx(x, y), fy(x, y))
 
 
@@ -118,17 +130,16 @@ def load_problem(name: str) -> Problem:
         raise KeyError(name)
     with open(name, encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"problem file {name!r} is not a JSON object")
     if "f" not in spec:
         raise ValueError(f"custom problem file {name!r} lacks an 'f' entry")
     return Problem(
         name=spec.get("name", os.path.basename(name)),
-        f=_expr(spec["f"]),
-        u=_expr(spec["u"]) if "u" in spec else None,
-        grad_u=_expr_pair(spec["grad_u"]) if "grad_u" in spec else None,
-        laplacian_u=(_expr(spec["laplacian_u"])
-                     if "laplacian_u" in spec else None),
-        grad_laplacian_u=(_expr_pair(spec["grad_laplacian_u"])
-                          if "grad_laplacian_u" in spec else None),
+        f=_entry(spec, "f"), u=_entry(spec, "u"),
+        grad_u=_entry(spec, "grad_u", gradient=True),
+        laplacian_u=_entry(spec, "laplacian_u"),
+        grad_laplacian_u=_entry(spec, "grad_laplacian_u", gradient=True),
     )
 
 
@@ -230,15 +241,19 @@ def main(argv=None) -> int:
             max_iters=args.max_iters, quad_n=args.quad_n,
             solver=SolveOptions(method=args.solver),
         )
-        records = run(cfg, prob, on_iteration=keep_last)
-    except NotSPDError as exc:
-        print(f"afem: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"afem: {exc}", file=sys.stderr)
         return 2
+    try:  # before the run, so an unusable --out does not cost one
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        ap.error(f"--out: cannot make {args.out!r}: {exc.strerror or exc}")
+    try:
+        records = run(cfg, prob, on_iteration=keep_last)
+    except (NotSPDError, ValueError) as exc:
+        print(f"afem: {exc}", file=sys.stderr)
+        return 2
 
-    os.makedirs(args.out, exist_ok=True)
     outputs = {}
 
     csv_path = os.path.join(args.out, "convergence.csv")

@@ -21,13 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import Cell, Edge, Partition, edges
+from .mesh import Cell, Edge, edges, support_extension
 from .quadrature import (_cell_integrals, _on_points, _requests, _row_dots,
                          gauss_cell)
 from .splines import SplineFunction
 from .assembly import (_legendre_modes, _project_values, _spline_field,
                        default_quad_n, h2_seminorm_sq)
-from .mesh import support_extension
 
 __all__ = [
     "CellIndicator",
@@ -130,8 +129,7 @@ def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
     return tau.side ** 2 * float(rule.weights @ resid ** 2) ** 0.5
 
 
-def estimate_all(U: SplineFunction, f, p: Partition,
-                 quad_n: int | None = None,
+def estimate_all(U: SplineFunction, f, quad_n: int | None = None,
                  previous: Indicators | None = None) -> Indicators:
     """All per-cell indicator records plus totals, deterministic order.
 
@@ -139,6 +137,7 @@ def estimate_all(U: SplineFunction, f, p: Partition,
     in ``previous``, computed with the same ``f``, degree and rule, takes
     its ``osc_sq`` from there instead of sampling ``f`` again.
     """
+    p = U.space.partition
     r = U.space.degree
     n = quad_n if quad_n is not None else default_quad_n(r)
     interior_edges, _ = edges(p)
@@ -167,9 +166,10 @@ def estimate_all(U: SplineFunction, f, p: Partition,
     return Indicators(records, total, osc_total)
 
 
-def indicator(U: SplineFunction, f, tau: Cell, p: Partition,
+def indicator(U: SplineFunction, f, tau: Cell,
               quad_n: int | None = None) -> CellIndicator:
     """Indicator record of a single cell (edge terms split half/half)."""
+    p = U.space.partition
     if tau not in p:
         raise ValueError(f"{tau} is not an active cell")
     r = U.space.degree
@@ -211,8 +211,7 @@ def dorfler_mark(ind: Indicators, theta: float) -> MarkedSet:
 
 
 def lipschitz_gap(V: SplineFunction, W: SplineFunction, tau: Cell,
-                  p: Partition, quad_n: int | None = None,
-                  ) -> tuple[float, float]:
+                  quad_n: int | None = None) -> tuple[float, float]:
     """Per-cell indicator gap and the seminorm that should control it.
 
     Returns ``(|eta(V,tau) - eta(W,tau)|, |V - W|_{H2(omega_tau)})``
@@ -222,10 +221,8 @@ def lipschitz_gap(V: SplineFunction, W: SplineFunction, tau: Cell,
     if V.space is not W.space:
         raise ValueError("V and W must live in the same space")
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
-    rec_v = indicator(V, zero, tau, p, quad_n)
-    rec_w = indicator(W, zero, tau, p, quad_n)
+    rec_v = indicator(V, zero, tau, quad_n)
+    rec_w = indicator(W, zero, tau, quad_n)
     gap = abs(rec_v.eta_sq ** 0.5 - rec_w.eta_sq ** 0.5)
-    omega = support_extension(p, V.space, tau)
-    diff = V - W
-    bound_arg = h2_seminorm_sq(diff, sorted(omega), quad_n) ** 0.5
-    return gap, bound_arg
+    omega = sorted(support_extension(V.space, tau))
+    return gap, h2_seminorm_sq(V - W, omega, quad_n) ** 0.5

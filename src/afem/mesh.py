@@ -395,7 +395,7 @@ def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
     return interior, boundary
 
 
-def support_extension(p: Partition, space_handle, tau: Cell) -> set[Cell]:
+def support_extension(space_handle, tau: Cell) -> set[Cell]:
     """Cells met by supports of basis functions whose support meets tau.
 
     Those functions are the rows of tau's extraction in the hierarchical
@@ -403,7 +403,7 @@ def support_extension(p: Partition, space_handle, tau: Cell) -> set[Cell]:
     coarser levels whose index window covers tau's ancestor.  A finer
     active function cannot reach into the coarser active cell tau.
     """
-    if tau not in p:
+    if tau not in space_handle.partition:
         raise ValueError(f"{tau} is not an active cell")
     pos, _ = space_handle.cell_extraction(tau)
     boxes = [space_handle.support_box(space_handle.active[k]) for k in pos]
@@ -412,7 +412,7 @@ def support_extension(p: Partition, space_handle, tau: Cell) -> set[Cell]:
     hy0 = min(b[2] for b in boxes)
     hy1 = max(b[3] for b in boxes)
     out: set[Cell] = set()
-    for c in p.cells_in_box(hx0, hx1, hy0, hy1):
+    for c in space_handle.partition.cells_in_box(hx0, hx1, hy0, hy1):
         cx0, cx1, cy0, cy1 = c.bounds
         for bx0, bx1, by0, by1 in boxes:
             if bx0 < cx1 and bx1 > cx0 and by0 < cy1 and by1 > cy0:
@@ -422,15 +422,15 @@ def support_extension(p: Partition, space_handle, tau: Cell) -> set[Cell]:
     return out
 
 
-def shape_report(p: Partition, space_handle) -> ShapeReport:
-    """Exact regularity maxima over all cells of the partition."""
-    interior, bdry = edges(p)
+def shape_report(space_handle) -> ShapeReport:
+    """Exact regularity maxima over all cells of the space's partition."""
+    interior, bdry = edges(space_handle.partition)
     max_edge_ratio = max(c.side / e.length for e in interior + bdry
                          for c in (e.plus, e.minus) if c is not None)
     max_ext = 0.0
     max_overlap = 0
-    for c in p.cells:
-        ext = support_extension(p, space_handle, c)
+    for c in space_handle.partition.cells:
+        ext = support_extension(space_handle, c)
         max_overlap = max(max_overlap, len(ext))
         b = np.array([q.bounds for q in ext])
         corners = np.stack([b[:, [0, 0, 1, 1]], b[:, [2, 3, 2, 3]]], axis=2)

@@ -131,13 +131,13 @@ def test_criterion_6_estimator_reduction():
                 p = refine(p, [p.cells[int(picks[0])]])
             s = build_space(p, 2)
             V = random_spline(s, rng)
-            ind = estimate_all(V, SIN2.f, p)
+            ind = estimate_all(V, SIN2.f)
             k = int(rng.integers(1, len(p) + 1))
             picks = rng.choice(len(p.cells), size=k, replace=False)
             marked = [p.cells[i] for i in picks]
             p2 = refine(p, marked)
             V2 = coarse_to_fine(V, build_space(p2, 2))
-            ind2 = estimate_all(V2, SIN2.f, p2)
+            ind2 = estimate_all(V2, SIN2.f)
             assert ind2.total_sq <= (ind.total_sq
                                      - 0.5 * ind.restricted_sq(marked)
                                      + 1e-10 * max(1.0, ind.total_sq))
@@ -155,7 +155,7 @@ def test_criterion_7_estimator_lipschitz():
                 V = random_spline(s, rng)
                 W = random_spline(s, rng)
                 tau = list(p)[int(rng.integers(len(p)))]
-                gap, bound = lipschitz_gap(V, W, tau, p)
+                gap, bound = lipschitz_gap(V, W, tau)
                 if bound > 1e-12:
                     worst = max(worst, gap / bound)
             maxima.append(worst)
@@ -247,7 +247,7 @@ def test_criterion_9_nitsche_coercivity_and_consistency():
             coeffs[k] = rng.standard_normal()
         v = SplineFunction(s, coeffs)
         val = inconsistency_apply(SIN2.laplacian_u, SIN2.grad_laplacian_u,
-                                  v, p, s)
+                                  v)
         assert abs(val) <= 1e-12
         # surrogate dual norm decays with order >= 1 on uniform levels
         sups = []

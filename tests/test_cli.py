@@ -96,6 +96,41 @@ class TestValidation:
                 in capsys.readouterr().err)
         assert not (tmp_path / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("name", ["file", "file/sub"])
+    def test_out_naming_a_file_exits_two_before_the_run(self, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        name):
+        def unrun(*args, **kwargs):
+            raise AssertionError("ran the loop")
+
+        monkeypatch.setattr("afem.cli.run", unrun)
+        (tmp_path / "file").write_text("")
+        code = run_cli(["--max-dofs", "40", "--max-iters", "1",
+                        "--out", str(tmp_path / name)])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,entry", [
+        ("f1", "JSON object"),
+        (5, "JSON object"),
+        ({"f": "1", "u": "0", "grad_u": ["0"]}, "'grad_u'"),
+        ({"f": "1", "grad_laplacian_u": 7}, "'grad_laplacian_u'"),
+        ({"f": "1", "u": "0", "grad_u": "00"}, "'grad_u'"),
+        ({"f": "1", "u": "0", "grad_u": ["0", "0", "x"],
+          "laplacian_u": "0"}, "'grad_u'"),
+        ({"f": "1", "u": "0", "laplacian_u": ["0"]}, "'laplacian_u'"),
+    ])
+    def test_malformed_problem_file_exits_two_naming_the_entry(
+            self, tmp_path, capsys, spec, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = run_cli(["--problem", str(path), "--max-dofs", "40",
+                        "--max-iters", "1", "--out", str(out)])
+        assert code == 2
+        assert entry in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
 
 class TestEndToEnd:
     def test_run_produces_csv_and_manifest(self, tmp_path, capsys):

@@ -55,7 +55,7 @@ class TestIndicatorComponents:
         U = random_spline(s, np.random.default_rng(2))
         cell = Cell(0, 0, 0)
         fval = 3.25
-        rec = indicator(U, lambda x, y: fval * np.ones_like(x), cell, p)
+        rec = indicator(U, lambda x, y: fval * np.ones_like(x), cell)
         lap2 = 2 * U.eval(0.3, 0.7, 2, 2, cell=cell)
         assert rec.interior_sq == pytest.approx((fval - lap2) ** 2, rel=1e-11)
         assert rec.jump1_sq == 0.0 and rec.jump2_sq == 0.0
@@ -66,7 +66,7 @@ class TestIndicatorComponents:
         p = uniform_partition(2)
         s = build_space(p, 4)
         U = random_spline(s, np.random.default_rng(3))
-        ind = estimate_all(U, manufactured_sin2().f, p)
+        ind = estimate_all(U, manufactured_sin2().f)
         scale = max(r.eta_sq for r in ind.records.values())
         for rec in ind.records.values():
             assert rec.jump1_sq <= 1e-20 * max(scale, 1.0)
@@ -79,7 +79,7 @@ class TestIndicatorComponents:
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(4))
         f = lambda x, y: 2.0 + x + y * x ** 2
-        ind = estimate_all(U, f, p)
+        ind = estimate_all(U, f)
         interior_edges, _ = edges(p)
 
         for c, rec in ind.records.items():
@@ -128,8 +128,8 @@ class TestIndicatorComponents:
         p = graded_7cell()
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(5))
-        ind = estimate_all(U, lambda x, y: np.zeros_like(x), p)
-        flipped = estimate_all((-1.0) * U, lambda x, y: np.zeros_like(x), p)
+        ind = estimate_all(U, lambda x, y: np.zeros_like(x))
+        flipped = estimate_all((-1.0) * U, lambda x, y: np.zeros_like(x))
         for c in p:
             assert ind.records[c].jump1_sq == pytest.approx(
                 flipped.records[c].jump1_sq, rel=1e-12)
@@ -140,14 +140,14 @@ class TestEstimateAll:
         p = uniform_partition(1)
         s = build_space(p, 2)
         U = SplineFunction(s, np.zeros(s.dim))
-        ind = estimate_all(U, lambda x, y: np.zeros_like(x), p)
+        ind = estimate_all(U, lambda x, y: np.zeros_like(x))
         assert ind.total_sq == 0.0
 
     def test_single_cell_total_equals_record(self):
         p = uniform_partition(0)
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(6))
-        ind = estimate_all(U, manufactured_sin2().f, p)
+        ind = estimate_all(U, manufactured_sin2().f)
         assert ind.total_sq == pytest.approx(
             ind.records[Cell(0, 0, 0)].eta_sq, rel=1e-15)
 
@@ -155,7 +155,7 @@ class TestEstimateAll:
         p = refine(graded_7cell(), [Cell(2, 1, 0)])
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(7))
-        ind = estimate_all(U, manufactured_sin2().f, p)
+        ind = estimate_all(U, manufactured_sin2().f)
         assert sum(r.eta_sq for r in ind.records.values()) == pytest.approx(
             ind.total_sq, rel=1e-14)
 
@@ -163,7 +163,7 @@ class TestEstimateAll:
         p = graded_7cell()
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(8))
-        ind = estimate_all(U, manufactured_sin2().f, p)
+        ind = estimate_all(U, manufactured_sin2().f)
         subset = list(p)[:3]
         assert ind.restricted_sq(subset) == pytest.approx(
             sum(ind.records[c].eta_sq for c in subset), rel=1e-15)
@@ -173,8 +173,8 @@ class TestEstimateAll:
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(9))
         f = manufactured_sin2().f
-        ind1 = estimate_all(U, f, p)
-        ind10 = estimate_all(10.0 * U, lambda x, y: 10.0 * f(x, y), p)
+        ind1 = estimate_all(U, f)
+        ind10 = estimate_all(10.0 * U, lambda x, y: 10.0 * f(x, y))
         assert ind10.total_sq == pytest.approx(100.0 * ind1.total_sq,
                                                rel=1e-12)
 
@@ -183,9 +183,9 @@ class TestEstimateAll:
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(10))
         f = manufactured_sin2().f
-        ind = estimate_all(U, f, p)
+        ind = estimate_all(U, f)
         for c in p:
-            rec = indicator(U, f, c, p)
+            rec = indicator(U, f, c)
             assert rec.eta_sq == pytest.approx(ind.records[c].eta_sq,
                                                rel=1e-13)
 
@@ -196,28 +196,28 @@ class TestEstimateAll:
         s = build_space(p, r)
         U = random_spline(s, np.random.default_rng(12))
         f = manufactured_sin2().f
-        ind = estimate_all(U, f, p)
+        ind = estimate_all(U, f)
         for c in p:
-            assert indicator(U, f, c, p) == ind.records[c]
+            assert indicator(U, f, c) == ind.records[c]
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_previous_oscillation_equals_fresh_one(self, r, monkeypatch):
         f = manufactured_sin2().f
         p0 = graded_7cell()
         prev = estimate_all(random_spline(build_space(p0, r),
-                                          np.random.default_rng(13)), f, p0)
+                                          np.random.default_rng(13)), f)
         p1 = refine(p0, [Cell(2, 1, 1), Cell(1, 1, 1)])
         U = random_spline(build_space(p1, r), np.random.default_rng(14))
         new = [c for c in p1 if c not in p0]
         assert new and len(new) < len(p1)  # some cells persist, some are new
-        want = estimate_all(U, f, p1)
+        want = estimate_all(U, f)
 
         sampled = []
         fresh = afem.estimator.oscillation
         monkeypatch.setattr(afem.estimator, "oscillation",
                             lambda f, tau, *a: sampled.append(tau)
                             or fresh(f, tau, *a))
-        got = estimate_all(U, f, p1, previous=prev)
+        got = estimate_all(U, f, previous=prev)
         assert sampled == new
         assert list(got.records) == list(want.records)
         for c in p1:
@@ -229,7 +229,7 @@ class TestEstimateAll:
         p = uniform_partition(1)
         s = build_space(p, 2)
         U = random_spline(s, np.random.default_rng(11))
-        ind = estimate_all(U, manufactured_sin2().f, p)
+        ind = estimate_all(U, manufactured_sin2().f)
         lines = ind.dump().strip().splitlines()
         assert len(lines) == 4
         assert len(lines[0].split()) == 8
@@ -341,13 +341,13 @@ class TestEstimatorReduction:
         s = build_space(p, 2)
         V = random_spline(s, rng)
         f = manufactured_sin2().f
-        ind = estimate_all(V, f, p)
+        ind = estimate_all(V, f)
         k = int(rng.integers(1, len(p) + 1))
         picks = rng.choice(len(p.cells), size=k, replace=False)
         marked = [p.cells[i] for i in picks]
         p2 = refine(p, marked)
         V2 = coarse_to_fine(V, build_space(p2, 2))
-        ind2 = estimate_all(V2, f, p2)
+        ind2 = estimate_all(V2, f)
         lhs = ind2.total_sq
         rhs = ind.total_sq - 0.5 * ind.restricted_sq(marked)
         assert lhs <= rhs + 1e-10 * max(1.0, ind.total_sq)
@@ -358,11 +358,11 @@ class TestEstimatorReduction:
         s = build_space(p, 2)
         V = random_spline(s, rng)
         f = manufactured_sin2().f
-        ind = estimate_all(V, f, p)
+        ind = estimate_all(V, f)
         marked = [list(p)[0]]
         p2 = refine(p, marked)
         V2 = coarse_to_fine(V, build_space(p2, 2))
-        ind2 = estimate_all(V2, f, p2)
+        ind2 = estimate_all(V2, f)
         for c in p2:
             if c in ind.records:
                 assert ind2.records[c].eta_sq <= \
@@ -374,7 +374,7 @@ class TestLipschitz:
         p = graded_7cell()
         s = build_space(p, 2)
         V = random_spline(s, np.random.default_rng(13))
-        gap, bound = lipschitz_gap(V, V, list(p)[0], p)
+        gap, bound = lipschitz_gap(V, V, list(p)[0])
         assert gap == 0.0
         assert bound <= 1e-12
 
@@ -385,7 +385,7 @@ class TestLipschitz:
         V = random_spline(s, rng)
         tau = Cell(3, 0, 0)
         from afem.mesh import support_extension
-        omega = support_extension(p, s, tau)
+        omega = support_extension(s, tau)
         far = np.zeros(s.dim)
         for k, fn in enumerate(s.active):
             bx0, bx1, by0, by1 = s.support_box(fn)
@@ -393,7 +393,7 @@ class TestLipschitz:
                 far[k] = rng.standard_normal()
         assert np.any(far != 0.0)
         W = V + SplineFunction(s, far)
-        gap, _ = lipschitz_gap(V, W, tau, p)
+        gap, _ = lipschitz_gap(V, W, tau)
         assert gap <= 1e-12
 
     def test_ratio_bounded_across_mesh_levels(self):
@@ -408,7 +408,7 @@ class TestLipschitz:
                 V = random_spline(s, rng)
                 W = random_spline(s, rng)
                 tau = list(p)[int(rng.integers(len(p)))]
-                gap, bound = lipschitz_gap(V, W, tau, p)
+                gap, bound = lipschitz_gap(V, W, tau)
                 if bound > 1e-12:
                     worst = max(worst, gap / bound)
             ratios.append(worst)

@@ -1,14 +1,18 @@
 """Import contract: ``afem`` loads no scipy module that scipy.sparse does
-not load by itself, and no module of ``afem`` imports a name it never
-uses.
+not load by itself, no module of ``afem`` imports a name it never uses,
+no public function takes a partition beside a spline or space that
+already fixes it, and the declared SciPy floor has what ``afem`` calls.
 
 Each check runs in a fresh interpreter, because this process has long
 since imported whatever the other tests needed.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +101,37 @@ def test_unused_import_check_sees_leftovers(tmp_path):
                     "__all__ = ['gauss_edge']\n"
                     "x = sqrt(np.ones(2))\n")
     assert unused_imports(path) == ["_row_dots"]
+
+
+def partition_beside_spline(module) -> list[str]:
+    """Functions of ``module.__all__`` with a parameter annotated
+    ``Partition`` and one annotated ``SplineFunction`` or
+    ``HierarchicalSpace``, which already fixes the partition."""
+    found = []
+    for name in module.__all__:
+        fn = getattr(module, name)
+        if not inspect.isfunction(fn):
+            continue
+        names = [set(re.findall(r"\w+", str(q.annotation)))
+                 for q in inspect.signature(fn).parameters.values()]
+        if any("Partition" in n for n in names) and any(
+                n & {"SplineFunction", "HierarchicalSpace"} for n in names):
+            found.append(name)
+    return found
+
+
+def test_no_function_takes_a_partition_beside_its_spline():
+    flagged = {name: found for name in ("estimator", "assembly", "driver",
+                                        "mesh", "splines")
+               if (found := partition_beside_spline(
+                   importlib.import_module(f"afem.{name}")))}
+    assert flagged == {}
+
+
+def test_scipy_floor_has_cg_rtol():
+    """``solver.solve_spd`` calls ``cg(..., rtol=...)``, a keyword that
+    replaced ``tol`` in SciPy 1.12."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"scipy>=(\d+)\.(\d+)', text)
+    assert floor is not None
+    assert (int(floor[1]), int(floor[2])) >= (1, 12)

@@ -213,20 +213,20 @@ class TestSupportExtension:
     def test_single_cell(self):
         p = uniform_partition(0)
         s = build_space(p, 2)
-        assert support_extension(p, s, p.cells[0]) == {p.cells[0]}
+        assert support_extension(s, p.cells[0]) == {p.cells[0]}
 
     def test_uniform_interior_cell_matches_bruteforce(self):
         p = uniform_partition(3)
         s = build_space(p, 2)
         tau = Cell(3, 4, 4)
-        got = support_extension(p, s, tau)
+        got = support_extension(s, tau)
         assert got == support_extension_bruteforce(p, s, tau)
 
     def test_corner_cell_smaller_than_interior(self):
         p = uniform_partition(3)
         s = build_space(p, 2)
-        interior = support_extension(p, s, Cell(3, 4, 4))
-        corner = support_extension(p, s, Cell(3, 0, 0))
+        interior = support_extension(s, Cell(3, 4, 4))
+        corner = support_extension(s, Cell(3, 0, 0))
         assert corner == support_extension_bruteforce(p, s, Cell(3, 0, 0))
         assert len(corner) < len(interior)
 
@@ -234,7 +234,7 @@ class TestSupportExtension:
         p = uniform_partition(1)
         s = build_space(p, 2)
         with pytest.raises(ValueError):
-            support_extension(p, s, Cell(0, 0, 0))
+            support_extension(s, Cell(0, 0, 0))
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_graded_matches_bruteforce(self, seed):
@@ -242,28 +242,28 @@ class TestSupportExtension:
         p = random_refined(rng)
         s = build_space(p, 2)
         for tau in p.cells[:: max(1, len(p.cells) // 6)]:
-            assert support_extension(p, s, tau) == \
+            assert support_extension(s, tau) == \
                 support_extension_bruteforce(p, s, tau)
 
 
 class TestShapeReport:
     def test_uniform_edge_ratio_is_one(self):
         p = uniform_partition(2)
-        rep = shape_report(p, build_space(p, 2))
+        rep = shape_report(build_space(p, 2))
         assert rep.max_edge_ratio == 1.0
 
     def test_graded_edge_ratio_at_most_two(self):
         rng = np.random.default_rng(21)
         for _ in range(4):
             p = random_refined(rng)
-            rep = shape_report(p, build_space(p, 2))
+            rep = shape_report(build_space(p, 2))
             assert rep.max_edge_ratio <= 2.0
 
     def test_overlap_matches_bruteforce_and_bounded(self):
         rng = np.random.default_rng(22)
         p = random_refined(rng, rounds=5, max_marks=3)
         s = build_space(p, 2)
-        rep = shape_report(p, s)
+        rep = shape_report(s)
         brute = max(len(support_extension_bruteforce(p, s, tau))
                     for tau in p.cells)
         assert rep.max_overlap_count == brute
@@ -276,8 +276,8 @@ class TestShapeReport:
     def test_stable_under_no_refinement(self):
         p = graded_7cell()
         s = build_space(p, 2)
-        a = shape_report(p, s)
-        b = shape_report(p, s)
+        a = shape_report(s)
+        b = shape_report(s)
         assert a == b
 
 
@@ -430,7 +430,7 @@ class TestMeshProperties:
         p = refined_chain(*seq)[-1]
         s = build_space(p, degree, truncated)
         for tau in p.cells[:: max(1, len(p) // 8)]:
-            assert support_extension(p, s, tau) == \
+            assert support_extension(s, tau) == \
                 support_extension_bruteforce(p, s, tau)
 
 

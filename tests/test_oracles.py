@@ -198,7 +198,7 @@ class TestGlobalDualBasis:
                 num = float(rule.weights @ fn.eval_many(
                     rule.points[:, 0], rule.points[:, 1], 0, 0, cell) ** 2)
                 den = 0.0
-                for q in support_extension(p, s, cell):
+                for q in support_extension(s, cell):
                     rq = gauss_cell(q, 6)
                     den += float(rq.weights @ f(rq.points[:, 0],
                                                 rq.points[:, 1]) ** 2)

@@ -487,6 +487,18 @@ def nested_pair(degree, truncated):
     return coarse, fine
 
 
+def iteration_states(splines, n):
+    """A conforming :class:`IterationState` of each spline, with its
+    indicators on an ``n``-point rule."""
+    states = []
+    for U in splines:
+        ind = estimate_all(U, SIN2.f, n)
+        states.append(IterationState(
+            U.space.partition, U.space, U, ind, dorfler_mark(ind, 0.5),
+            None, None, FormParams("conforming")))
+    return states
+
+
 SPACES = [(r, t) for r in (2, 3, 4) for t in (True, False)]
 
 
@@ -496,7 +508,7 @@ class TestConsumers:
         s = graded_space(*case)
         U = random_spline(s, np.random.default_rng(seed))
         n = s.degree + 2
-        ind = estimate_all(U, SIN2.f, s.partition, n)
+        ind = estimate_all(U, SIN2.f, n)
         records, total = estimate_per_cell(U, SIN2.f, s.partition, n)
         assert list(ind.records) == list(records)
         for c, rec in ind.records.items():
@@ -553,7 +565,7 @@ class TestPortedConsumers:
                                                             n).tobytes()
         # small penalties, so the projection terms show in the last bits
         weak = FormParams("nitsche", 1e-3, 1e-3).resolved(degree)
-        assert (nitsche_energy_sq(PROB, U, s.partition, weak, 0.375)
+        assert (nitsche_energy_sq(PROB, U, weak, 0.375)
                 == nitsche_energy_per_edge(PROB, U, weak, 0.375, n + 2))
 
     def test_projections_and_norms(self, degree, truncated):
@@ -578,13 +590,7 @@ class TestPortedConsumers:
         for m in (n, n + 2):
             assert (energy_diff_sq(fine, coarse, m)
                     == energy_diff_per_cell(fine, coarse, m))
-        states = []
-        for U in (coarse, fine):
-            p = U.space.partition
-            ind = estimate_all(U, SIN2.f, p, n)
-            states.append(IterationState(
-                p, U.space, U, ind, dorfler_mark(ind, 0.5), None, None,
-                FormParams("conforming")))
+        states = iteration_states((coarse, fine), n)
         for a, b in (states, states[::-1]):  # either way, on the fine grid
             lhs, rhs, _ = pythagoras_check(PROB, a, b, n)
             assert (lhs, rhs) == pythagoras_per_cell(
@@ -594,30 +600,34 @@ class TestPortedConsumers:
         got = discrete_reliability_probe(*states)["solution_jump_sq"]
         assert got == solution_jump_per_edge(fine, coarse, rp)
 
+    def test_probe_builds_each_edge_rule_once(self, degree, truncated,
+                                              monkeypatch):
+        """One boundary pass evaluates both iterates."""
+        coarse, fine = nested_pair(degree, truncated)
+        states = iteration_states((coarse, fine), degree + 2)
+        calls = {}
+        count_calls(monkeypatch, quadrature, "gauss_edge", calls)
+        discrete_reliability_probe(*states)
+        assert calls["gauss_edge"] == len(edges(fine.space.partition)[1])
+
     def test_spline_traces_are_stacked_values(self, degree, truncated):
         """Spline traces from the basis traces equal the stacked values
-        with the normal's sign, on each edge's cell and, given ``cells``,
-        on its owner in the coarser iterate."""
-        coarse, fine = nested_pair(degree, truncated)
+        on each edge's cell, with the normal's sign."""
+        _, fine = nested_pair(degree, truncated)
         n = degree + 2
         bdry = edges(fine.space.partition)[1]
-        plus = [e.plus for e in bdry]
-        owners = coarse.space.partition.owners(plus)
-        assert owners != plus
         rules = [gauss_edge(e, n) for e in bdry]
         X = [r.points[:, 0] for r in rules]
         Y = [r.points[:, 1] for r in rules]
-        for U, cells, traces in (
-                (fine, plus, _spline_traces(fine, bdry, n)),
-                (coarse, owners, _spline_traces(coarse, bdry, n, owners))):
-            d = U.eval_stacked(cells, X, Y, [(0, 0), (1, 0), (0, 1)])
-            got = list(traces)
-            assert [e for e, *_ in got] == bdry
-            for q, (e, rule, v, vn) in enumerate(got):
-                assert np.array_equal(rule.points, rules[q].points)
-                assert np.array_equal(v, d[(0, 0)][q])
-                assert np.array_equal(
-                    vn, e.normal[e.axis] * d[normal_order(e.axis)][q])
+        d = fine.eval_stacked([e.plus for e in bdry], X, Y,
+                              [(0, 0), (1, 0), (0, 1)])
+        got = list(_spline_traces(fine, bdry, n))
+        assert [e for e, *_ in got] == bdry
+        for q, (e, rule, v, vn) in enumerate(got):
+            assert np.array_equal(rule.points, rules[q].points)
+            assert np.array_equal(v, d[(0, 0)][q])
+            assert np.array_equal(
+                vn, e.normal[e.axis] * d[normal_order(e.axis)][q])
 
     def test_coarse_to_fine(self, degree, truncated, monkeypatch):
         coarse, fine = nested_pair(degree, truncated)
@@ -760,7 +770,7 @@ class TestD4Equivariance:
         A, b = assemble(s, SIN2.f, params)
         coeffs = np.zeros(s.dim)
         coeffs[list(A.positions)] = solve(A, b)
-        ind = estimate_all(SplineFunction(s, coeffs), SIN2.f, p,
+        ind = estimate_all(SplineFunction(s, coeffs), SIN2.f,
                            params.resolved(degree).quad_n)
         worst = 0.0
         for c, rec in ind.records.items():

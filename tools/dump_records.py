@@ -83,7 +83,7 @@ def helpers(states) -> list[tuple[str, object]]:
             (f"{k} triple_norm", (triple_norm(U, p, params),
                                   triple_norm(field, p, params))),
             (f"{k} nitsche_energy_sq",
-             nitsche_energy_sq(PROB, U, p, params, e_sq)),
+             nitsche_energy_sq(PROB, U, params, e_sq)),
             (f"{k} project_laplacian",
              digest([proj.coeffs[c] for c in p.cells])),
             (f"{k} inconsistency_load", digest(inconsistency_load(
