@@ -22,11 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .mesh import Cell, Edge, edges, support_extension
-from .quadrature import (_cell_integrals, _on_points, _requests, _row_dots,
-                         gauss_cell)
+from .quadrature import _requests, _row_dots
 from .splines import SplineFunction
-from .assembly import (_legendre_modes, _project_values, _spline_field,
-                       default_quad_n, h2_seminorm_sq)
+from .assembly import _legendre_modes, default_quad_n, h2_seminorm_sq
 
 __all__ = [
     "CellIndicator",
@@ -82,64 +80,85 @@ def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
                    quad_n: int) -> list[tuple[float, float]]:
     """(h^3 ||J1||^2, h ||J2||^2) of each interior edge, in order.
 
-    Per normal axis and run of edges, both sides of the edges are
-    evaluated at the edges' points in one stacked call: the plus owners
-    in the first half of the rows, the minus owners in the second.
+    ``U`` is C^(r-1), as each B-spline is, so ``J1 = [d_n lap U]``
+    vanishes for r = 2, ``J2 = [lap U]`` for r = 3 and both for r >= 4:
+    a vanishing term is an exact 0.0, not evaluated (no edge pass at
+    r >= 4).  Per normal axis and run of edges, both sides are evaluated
+    in one stacked call: plus owners in the first half of the rows,
+    minus owners in the second.
     """
     out: list[tuple[float, float]] = [(0.0, 0.0)] * len(es)
-    lap = [(2, 0), (0, 2)]
-    for axis in (0, 1):
-        # the terms of the Laplacian's derivative along the normal axis
-        grad = [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)]
+    r = U.space.degree
+    for axis in (0, 1) if r < 4 else ():
+        # the Laplacian's terms, or those of its normal derivative
+        u, v = ([(2, 0), (0, 2)] if r == 2 else
+                [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)])
         on_axis = [q for q, e in enumerate(es) if e.axis == axis]
         for lo, run, _, X, Y, W, _ in _requests([es[q] for q in on_axis],
                                                 quad_n):
             B = len(run)
             d = U.eval_stacked([e.plus for e in run] + [e.minus for e in run],
-                               X + X, Y + Y, lap + grad)
-            s1, s2 = (_row_dots(W, ((d[u][:B] + d[v][:B])
-                                    - (d[u][B:] + d[v][B:])) ** 2)
-                      for u, v in (grad, lap))
-            for q, e, a, b in zip(on_axis[lo:], run, s1, s2):
-                out[q] = (e.length ** 3 * float(a), e.length * float(b))
+                               X + X, Y + Y, [u, v])
+            sq = _row_dots(W, ((d[u][:B] + d[v][:B])
+                               - (d[u][B:] + d[v][B:])) ** 2)
+            for q, e, a in zip(on_axis[lo:], run, sq):
+                out[q] = ((0.0, e.length * float(a)) if r == 2
+                          else (e.length ** 3 * float(a), 0.0))
     return out
 
 
-def _interior_sq(U: SplineFunction, f, cells: list[Cell],
-                 quad_n: int) -> list[float]:
-    """``h^4 ||f - lap^2 U||^2`` of each cell, in order."""
-    residual_sq = _spline_field(U, [(4, 0), (2, 2), (0, 4)], lambda F, d: (
-        F - (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])) ** 2)
-    return [c.side ** 4 * v
-            for c, v in zip(cells, _cell_integrals(cells, quad_n,
-                                                   residual_sq, f))]
+def _oscillations(cells: list[Cell], d: int, X, Y, W, F) -> list[float]:
+    """``h^2 ||f - fbar||`` of each of ``cells`` from the samples ``F`` at
+    its rule ``(X[q], Y[q], W[q])``, ``fbar`` the projection onto Legendre
+    modes of degree ``d``: stacked modes, one batched projection, per
+    item the BLAS calls of the one-cell products."""
+    modes = np.array([_legendre_modes(c, d, x, y)
+                      for c, x, y in zip(cells, X, Y)])
+    a = np.arange(d + 1)
+    norms = (np.outer(2 * a + 1, 2 * a + 1).ravel()
+             / np.array([[c.side ** 2] for c in cells]))
+    coef = ((modes * W[:, None, :]) @ F[:, :, None])[:, :, 0] * norms
+    resid = F - (coef[:, None, :] @ modes)[:, 0, :]
+    return [c.side ** 2 * float(v) ** 0.5
+            for c, v in zip(cells, _row_dots(W, resid ** 2))]
 
 
 def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
     """Data oscillation ``h^2 ||f - fbar||`` with ``fbar`` the cellwise
-    L2 projection onto tensor polynomials of degree r-2."""
+    L2 projection onto tensor polynomials of degree r-2 (the one-cell
+    case of the oscillation on :func:`estimate_all`'s interior pass)."""
     n = quad_n if quad_n is not None else default_quad_n(r)
-    rule = gauss_cell(tau, n)
-    xs, ys = rule.points[:, 0], rule.points[:, 1]
-    vals = _on_points(f(xs, ys), xs)
-    d = r - 2
-    modes = _legendre_modes(tau, d, xs, ys)
-    cleg = _project_values(tau, d, vals, rule, modes)
-    resid = vals - cleg @ modes
-    return tau.side ** 2 * float(rule.weights @ resid ** 2) ** 0.5
+    (_, _, _, X, Y, W, F), = _requests([tau], n, f)
+    return _oscillations([tau], r - 2, X, Y, W, F)[0]
+
+
+def _cell_terms(U: SplineFunction, f, cells: list[Cell], quad_n: int,
+                known: dict):
+    """``(h^4 ||f - lap^2 U||^2, osc^2)`` of each of ``cells`` from one
+    rule pass; a cell in ``known`` takes its ``osc_sq`` from there."""
+    for _, run, _, X, Y, W, F in _requests(cells, quad_n, f):
+        V = U.eval_stacked(run, X, Y, [(4, 0), (2, 2), (0, 4)])
+        interior = _row_dots(W, (F - (V[(4, 0)] + 2.0 * V[(2, 2)]
+                                      + V[(0, 4)])) ** 2)
+        new = [q for q, c in enumerate(run) if c not in known]
+        osc = dict(zip(new, _oscillations(
+            [run[q] for q in new], U.space.degree - 2, [X[q] for q in new],
+            [Y[q] for q in new], W[new], F[new]))) if new else {}
+        for q, (c, v) in enumerate(zip(run, interior)):
+            yield (c.side ** 4 * float(v),
+                   osc[q] ** 2 if q in osc else known[c].osc_sq)
 
 
 def estimate_all(U: SplineFunction, f, quad_n: int | None = None,
                  previous: Indicators | None = None) -> Indicators:
     """All per-cell indicator records plus totals, deterministic order.
 
-    The oscillation depends only on ``f`` and the cell: a cell recorded
-    in ``previous``, computed with the same ``f``, degree and rule, takes
-    its ``osc_sq`` from there instead of sampling ``f`` again.
+    The oscillation shares the interior residual's rule pass and samples
+    of ``f``; a cell recorded in ``previous``, computed with the same
+    ``f``, degree and rule, takes its ``osc_sq`` from there.
     """
     p = U.space.partition
-    r = U.space.degree
-    n = quad_n if quad_n is not None else default_quad_n(r)
+    n = quad_n if quad_n is not None else default_quad_n(U.space.degree)
     interior_edges, _ = edges(p)
 
     jump1 = {c: 0.0 for c in p.cells}
@@ -154,10 +173,8 @@ def estimate_all(U: SplineFunction, f, quad_n: int | None = None,
     total = 0.0
     osc_total = 0.0
     known = previous.records if previous is not None else {}
-    for c, interior in zip(p.cells, _interior_sq(U, f, p.cells, n)):
-        rec = known.get(c)
-        osc_sq = (rec.osc_sq if rec is not None
-                  else oscillation(f, c, r, n) ** 2)
+    for c, (interior, osc_sq) in zip(p.cells, _cell_terms(U, f, p.cells, n,
+                                                          known)):
         eta_sq = interior + jump1[c] + jump2[c]
         records[c] = CellIndicator(eta_sq, interior, jump1[c], jump2[c],
                                    osc_sq)
@@ -180,9 +197,8 @@ def indicator(U: SplineFunction, f, tau: Cell,
     for j1, j2 in _edge_jumps_sq(U, own, n):
         j1s += 0.5 * j1
         j2s += 0.5 * j2
-    interior, = _interior_sq(U, f, [tau], n)
-    osc = oscillation(f, tau, r, n)
-    return CellIndicator(interior + j1s + j2s, interior, j1s, j2s, osc ** 2)
+    (interior, osc_sq), = _cell_terms(U, f, [tau], n, {})
+    return CellIndicator(interior + j1s + j2s, interior, j1s, j2s, osc_sq)
 
 
 def dorfler_mark(ind: Indicators, theta: float) -> MarkedSet:

@@ -5,7 +5,7 @@ polynomial (spline-spline products) plus smooth data, so fixed-order
 Gauss rules are exact for the polynomial part.  The reference rule on
 [-1, 1] is cached per point count and mapped affinely onto the target
 cell or edge.  :func:`_requests` builds the rules of every pass over
-many cells or edges, and :func:`_cell_integrals` integrates on them.
+many cells or edges, and :func:`_cell_sum` integrates on them.
 """
 
 from __future__ import annotations
@@ -45,34 +45,41 @@ def gauss_points_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
     return lo + length * x, length * w
 
 
-@lru_cache(maxsize=None)
-def _reference_cell_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss rule on [0, 1]^2, points in x-major order."""
+def _rules(requests, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points ``(R, N, 2)`` and weights ``(R, N)`` of the Gauss rules of
+    ``requests``, all cells (``n x n`` points, x-major) or all edges, in
+    one broadcast.  Each entry takes the rounded operations of its own
+    affine map: ``[i*s, j*s] + s*ref`` and ``(s*s)*w`` on a cell of side
+    ``s``, a power of two; ``lo + L*x`` and ``L*w`` on an edge, with
+    ``L = (lo + length) - lo`` as in :func:`gauss_points_1d`."""
     x, w = _reference_rule(n)
-    return (np.column_stack([np.repeat(x, n), np.tile(x, n)]),
-            np.outer(w, w).ravel())
+    if isinstance(requests[0], Edge):
+        axis, level, fixed, lo = np.array([(e.axis, e.level, e.fixed, e.lo)
+                                           for e in requests]).T[:, :, None]
+        length = (lo + np.ldexp(1.0, -level.astype(int))) - lo
+        ts = lo + length * x
+        # axis 0: vertical edge, tangent along y; axis 1: horizontal, along x
+        pair = np.stack([np.broadcast_to(fixed, ts.shape), ts], axis=-1)
+        return np.where(axis[:, :, None] == 0, pair, pair[..., ::-1]), \
+            length * w
+    level, i, j = np.array(requests, dtype=np.int64).T
+    s = np.ldexp(1.0, -level)[:, None, None]
+    ref = np.column_stack([np.repeat(x, n), np.tile(x, n)])
+    return (np.stack([i, j], axis=-1)[:, None, :] * s + s * ref,
+            (s * s)[:, :, 0] * np.outer(w, w).ravel())
 
 
 def gauss_cell(c: Cell, n: int) -> QuadratureRule:
-    """Tensor Gauss rule on a cell, exact for degree <= 2n-1 per direction.
-
-    The reference rule scaled by the side, a power of two, so points and
-    weights are the correctly rounded images of the exact affine map.
-    """
-    points, weights = _reference_cell_rule(n)
-    s = c.side
-    return QuadratureRule(np.array([c.i * s, c.j * s]) + s * points,
-                          s * s * weights)
+    """Tensor Gauss rule on a cell, exact for degree <= 2n-1 per direction:
+    the one-request case of :func:`_rules`."""
+    points, weights = _rules([c], n)
+    return QuadratureRule(points[0], weights[0])
 
 
 def gauss_edge(e: Edge, n: int) -> QuadratureRule:
     """Gauss rule along an edge, exact for degree <= 2n-1 along the tangent."""
-    ts, wt = gauss_points_1d(e.lo, e.lo + e.length, n)
-    points = np.empty((len(ts), 2))
-    # axis 0: vertical edge, tangent along y; axis 1: horizontal, along x
-    points[:, e.axis] = e.fixed
-    points[:, 1 - e.axis] = ts
-    return QuadratureRule(points, wt)
+    points, weights = _rules([e], n)
+    return QuadratureRule(points[0], weights[0])
 
 
 def _on_points(vals, xs) -> np.ndarray:
@@ -85,18 +92,17 @@ def _requests(requests, n: int, data=None):
     """The rules of one pass over ``requests``, all cells or all edges,
     in runs of ``_BLOCK_REQUESTS``, which bounds what a pass holds.
 
-    Per run this yields its offset, the run, the rules (``n x n`` Gauss
-    rules of cells, :func:`gauss_edge` rules of edges), the points ``X``
-    and ``Y`` as lists, and the weights and ``data`` samples (or
-    ``None``) as ``(R, N)`` arrays; ``data`` is called once per request.
+    Per run (one :func:`_rules` call) this yields its offset, the run,
+    the rules, the points ``X`` and ``Y`` as lists of views strided as
+    ``rule.points[:, 0]`` (what user callables see), and the weights and
+    ``data`` samples (or ``None``) as ``(R, N)`` arrays; ``data`` is
+    called once per request.
     """
     for lo in range(0, len(requests), _BLOCK_REQUESTS):
         run = requests[lo:lo + _BLOCK_REQUESTS]
-        rule = gauss_edge if isinstance(run[0], Edge) else gauss_cell
-        rules = [rule(q, n) for q in run]
-        X = [r.points[:, 0] for r in rules]
-        Y = [r.points[:, 1] for r in rules]
-        W = np.array([r.weights for r in rules])
+        P, W = _rules(run, n)
+        rules = list(map(QuadratureRule, P, W))
+        X, Y = list(P[:, :, 0]), list(P[:, :, 1])
         F = None
         if data is not None:
             F = np.empty(W.shape)
@@ -111,19 +117,12 @@ def _row_dots(W: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (W[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
-def _cell_integrals(cells, n: int, integrand, data=None):
-    """``w @ integrand(run, X, Y, F)`` of each of ``cells`` on its Gauss
-    rule, as floats in the order of ``cells``; the integrand maps a run
-    of :func:`_requests` to ``(R, N)``."""
+def _cell_sum(cells, n: int, integrand, data=None) -> float:
+    """The sum of ``w @ integrand(run, X, Y, F)`` over ``cells`` on their
+    Gauss rules, in the order of ``cells`` as a per-cell loop adds them;
+    the integrand maps a run of :func:`_requests` to ``(R, N)``."""
+    total = 0.0
     for _, run, _, X, Y, W, F in _requests(list(cells), n, data):
         for v in _row_dots(W, integrand(run, X, Y, F)):
-            yield float(v)
-
-
-def _cell_sum(cells, n: int, integrand, data=None) -> float:
-    """The sum of :func:`_cell_integrals`, in the order of ``cells`` as a
-    per-cell loop adds them."""
-    total = 0.0
-    for v in _cell_integrals(cells, n, integrand, data):
-        total += v
+            total += float(v)
     return total

@@ -22,11 +22,12 @@ depend only on the span class ``(min(i, r), min(m-1-i, r))``, its
 distance to either boundary, once expressed in the reference coordinate
 ``xi = x*m - i``; the k-th derivative then scales by ``m**k``.  Both the
 scaling by ``m`` and the subtraction of ``i`` are exact in floating
-point, so tables are keyed on the exact bytes of ``xi`` and shared, in
-one bounded process-wide cache, by every cell, level and space; each
-space memoises the scaled tables on ``(level, span, points)``.  Points
-are always paired coordinates, as :func:`afem.quadrature.gauss_cell`
-lays them out.
+point, so tables are keyed on the exact bytes of ``xi``.  They, and the
+scaled tables keyed on ``(degree, level, span, points)``, live in two
+bounded process-wide caches shared by every cell, level and space, so a
+cell that persists through refinement finds its tables.  Points are
+always paired coordinates, as :func:`afem.quadrature.gauss_cell` lays
+them out.
 
 Evaluation is stacked: requests (a cell and its points) are grouped by
 extraction size, and each chunk takes one ``np.matmul`` per order.  That
@@ -65,9 +66,11 @@ __all__ = [
 
 MAX_DERIVATIVE_ORDER = 4
 
-# entries of the process-wide reference-table cache; one entry is one
-# (degree, span class, point set) table of at most a few KB
-REFERENCE_TABLE_CACHE_SIZE = 2048
+# entries of each process-wide table cache (reference and scaled); one
+# entry is one table of at most a few KB.  The sin2 r=2 runs to 20k dofs
+# use 3,412 (conforming) and 3,518 (Nitsche) scaled tables and 128
+# reference tables, so neither run fills a table twice
+TABLE_CACHE_SIZE = 4096
 
 # requests per stacked product: bounds the tables of one chunk (at most
 # 32 * 25 * 64 floats per order) while amortising numpy's per-call cost
@@ -163,7 +166,7 @@ def span_class(level: int, span: int, degree: int) -> tuple[int, int]:
     return min(span, degree), min(m - 1 - span, degree)
 
 
-@lru_cache(maxsize=REFERENCE_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _reference_table(degree: int, a: int, b: int,
                      xi_bytes: bytes) -> np.ndarray:
     """Window-function ders ``(MAX_DERIVATIVE_ORDER+1, r+1, n)`` of span
@@ -216,6 +219,32 @@ def _two_scale_block(degree: int, a: int, b: int, parity: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _two_scale_kron(degree: int, x: tuple, y: tuple) -> np.ndarray:
+    """Read-only ``np.kron`` of the blocks ``_two_scale_block(degree, *x)``
+    and ``(degree, *y)`` (span class and parity per axis), one rounded
+    product per entry, C order."""
+    Px, Py = (_two_scale_block(degree, *c) for c in (x, y))
+    w = degree + 1
+    K = (Px[:, None, :, None] * Py[None, :, None, :]).reshape(w * w, w * w)
+    K.flags.writeable = False
+    return K
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _scaled_table(degree: int, level: int, span: int,
+                  xs_bytes: bytes) -> np.ndarray:
+    """Read-only window-function ders ``(MAX_DERIVATIVE_ORDER+1, r+1, n)``
+    on a span at the points packed in ``xs_bytes``, scaled by ``m**k``."""
+    m = 1 << level
+    xi = np.frombuffer(xs_bytes) * m - span  # exact: see the module doc
+    tab = _reference_table(degree, *span_class(level, span, degree),
+                           xi.tobytes()) * (float(m) ** np.arange(
+                               MAX_DERIVATIVE_ORDER + 1))[:, None, None]
+    tab.flags.writeable = False
+    return tab
+
+
+@lru_cache(maxsize=None)
 def two_scale_matrix(level: int, degree: int) -> np.ndarray:
     """Coefficient map from level ``level`` to ``level + 1``: column
     ``i`` holds the fine-level coefficients of the coarse function ``i``
@@ -241,10 +270,8 @@ class HierarchicalSpace:
     """Hierarchical (truncated) B-spline space over a quadtree partition.
 
     Immutable after construction; evaluation helpers memoise read-only
-    extraction operators per dyadic cell and scaled basis tables per
-    point set, filled from the process-wide reference cache.  The memos
-    are transparent to callers, safe for read-only sharing, and freed
-    with the space.
+    extraction operators per dyadic cell, transparent to callers, safe
+    for read-only sharing, and freed with the space.
     """
 
     def __init__(self, partition: Partition, degree: int,
@@ -261,7 +288,6 @@ class HierarchicalSpace:
         # with its positions also as an index array
         self._carries: dict[tuple[int, int, int], tuple[
             tuple[int, ...], np.ndarray, np.ndarray]] = {}
-        self._tables: dict[tuple[int, int, bytes], np.ndarray] = {}
 
     # -- selection ------------------------------------------------------
 
@@ -279,10 +305,13 @@ class HierarchicalSpace:
             keys = np.unique(((p._i[at, None] + w) * n)[:, :, None]
                              + (p._j[at, None] + w)[:, None, :])
             ix, iy = keys // n, keys % n
-            # support cells, clipped to the square (repeats are harmless)
-            sx = np.clip(ix[:, None] - w, 0, m - 1)[:, :, None] << s
-            sy = np.clip(iy[:, None] - w, 0, m - 1)[:, None, :] << s
-            ok = ~(p._level[p._locate(sx, sy)] < lev).any(axis=(1, 2))
+            # distinct support cells, clipped to the square, located once
+            sx = np.clip(ix[:, None] - w, 0, m - 1)[:, :, None]
+            sy = np.clip(iy[:, None] - w, 0, m - 1)[:, None, :]
+            cells, inv = np.unique((sx * m + sy).ravel(), return_inverse=True)
+            coarse = p._level[p._locate((cells // m) << s,
+                                        (cells % m) << s)] < lev
+            ok = ~coarse[inv].reshape(len(keys), -1).any(axis=1)
             fns = list(zip(ix[ok].tolist(), iy[ok].tolist()))
             self._by_level[lev] = {f: len(active) + k
                                    for k, f in enumerate(fns)}
@@ -339,14 +368,9 @@ class HierarchicalSpace:
         if level:
             rows, carry, _ = self._extract(level - 1, i >> 1, j >> 1)
             if rows:
-                Px = _two_scale_block(r, *span_class(level - 1, i >> 1, r),
-                                      i & 1)
-                Py = _two_scale_block(r, *span_class(level - 1, j >> 1, r),
-                                      j & 1)
-                # np.kron(Px, Py): one rounded product per entry, C order
-                K = (Px[:, None, :, None] * Py[None, :, None, :]).reshape(
-                    w * w, w * w)
-                carry = carry @ K.T
+                carry = carry @ _two_scale_kron(
+                    r, (*span_class(level - 1, i >> 1, r), i & 1),
+                    (*span_class(level - 1, j >> 1, r), j & 1)).T
         else:
             rows, carry = (), np.zeros((0, w * w))
         level_map = self._by_level.get(level, {})
@@ -369,20 +393,9 @@ class HierarchicalSpace:
 
     def _univariate(self, level: int, span: int, xs: np.ndarray,
                     max_order: int) -> np.ndarray:
-        """Read-only table ``(max_order+1, r+1, len(xs))`` of window-function
-        ders; every order is memoised per space on ``(level, span, xs)``."""
-        key = (level, span, xs.tobytes())
-        tab = self._tables.get(key)
-        if tab is None:
-            r = self.degree
-            m = 1 << level
-            xi = xs * m - span  # exact: power-of-two scaling, Sterbenz subtraction
-            ref = _reference_table(r, *span_class(level, span, r), xi.tobytes())
-            scale = float(m) ** np.arange(MAX_DERIVATIVE_ORDER + 1)
-            tab = ref * scale[:, None, None]
-            tab.flags.writeable = False
-            self._tables[key] = tab
-        return tab[:max_order + 1]
+        """Read-only ``(max_order+1, r+1, len(xs))`` :func:`_scaled_table`."""
+        return _scaled_table(self.degree, level, span,
+                             xs.tobytes())[:max_order + 1]
 
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import afem.estimator
-from afem.assembly import _legendre_modes
+from afem.assembly import _legendre_modes, default_quad_n
 from afem.estimator import (CellIndicator, Indicators, dorfler_mark,
                             estimate_all, indicator, lipschitz_gap,
                             oscillation)
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import manufactured_sin2, random_spline
-from afem.quadrature import gauss_cell, gauss_points_1d
+from afem.quadrature import gauss_cell, gauss_edge, gauss_points_1d
 from afem.splines import SplineFunction, build_space, coarse_to_fine
+from test_splines import graded_space, graded_spaces
 
 
 def graded_7cell():
@@ -212,11 +214,12 @@ class TestEstimateAll:
         assert new and len(new) < len(p1)  # some cells persist, some are new
         want = estimate_all(U, f)
 
+        # the cells whose oscillation the fused interior pass computes
         sampled = []
-        fresh = afem.estimator.oscillation
-        monkeypatch.setattr(afem.estimator, "oscillation",
-                            lambda f, tau, *a: sampled.append(tau)
-                            or fresh(f, tau, *a))
+        fresh = afem.estimator._oscillations
+        monkeypatch.setattr(afem.estimator, "_oscillations",
+                            lambda cells, *a: sampled.extend(cells)
+                            or fresh(cells, *a))
         got = estimate_all(U, f, previous=prev)
         assert sampled == new
         assert list(got.records) == list(want.records)
@@ -233,6 +236,39 @@ class TestEstimateAll:
         lines = ind.dump().strip().splitlines()
         assert len(lines) == 4
         assert len(lines[0].split()) == 8
+
+
+class TestVanishingJumps:
+    """A C^(r-1) space has ``[d_n lap U] = 0`` for r = 2, ``[lap U] = 0``
+    for r = 3 and both for r >= 4: the estimator records those columns as
+    exact zeros without evaluating them."""
+
+    @given(graded_spaces, st.integers(0, 2 ** 32 - 1))
+    def test_omitted_jump_is_round_off(self, case, seed):
+        s = graded_space(*case)
+        r = s.degree
+        U = random_spline(s, np.random.default_rng(seed))
+        n = default_quad_n(r)
+        ind = estimate_all(U, manufactured_sin2().f, n)
+        largest = max(rec.eta_sq for rec in ind.records.values())
+        assert largest > 0.0
+        for rec in ind.records.values():
+            assert r == 3 or rec.jump1_sq == 0.0
+            assert r == 2 or rec.jump2_sq == 0.0
+        # the omitted terms the old way: all four orders on each side
+        for e in edges(s.partition)[0]:
+            rule = gauss_edge(e, n)
+            xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+            grad = [(3, 0), (1, 2)] if e.axis == 0 else [(2, 1), (0, 3)]
+            orders = [(2, 0), (0, 2)] + grad
+            dp, dm = (U.eval_batch(xs, ys, orders, c)
+                      for c in (e.plus, e.minus))
+            lap = (dp[(2, 0)] + dp[(0, 2)]) - (dm[(2, 0)] + dm[(0, 2)])
+            dlap = (dp[grad[0]] + dp[grad[1]]) - (dm[grad[0]] + dm[grad[1]])
+            j1 = e.length ** 3 * float(w @ dlap ** 2)
+            j2 = e.length * float(w @ lap ** 2)
+            assert r == 3 or j1 <= 1e-20 * largest, (e, j1, largest)
+            assert r == 2 or j2 <= 1e-20 * largest, (e, j2, largest)
 
 
 class TestOscillation:

@@ -542,6 +542,33 @@ def walk_select(p, r):
     return active
 
 
+def distinct_window_cells(p, r):
+    """The number of distinct support cells, level by level, of the
+    candidate functions of each level, clipped to the square."""
+    total = 0
+    for lev in sorted({c.level for c in p.cells}):
+        m = 1 << lev
+        candidates = {(ix, iy) for c in p.cells if c.level == lev
+                      for ix in range(c.i, c.i + r + 1)
+                      for iy in range(c.j, c.j + r + 1)}
+        total += len({(sx, sy) for ix, iy in candidates
+                      for sx in range(max(0, ix - r), min(m - 1, ix) + 1)
+                      for sy in range(max(0, iy - r), min(m - 1, iy) + 1)})
+    return total
+
+
+def located_selection(p, r):
+    """The active functions of the degree-``r`` space on ``p`` and the
+    number of finest-grid cells its selection locates."""
+    located = []
+    original = Partition._locate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Partition, "_locate", lambda self, i, j: located.append(
+            np.broadcast(i, j).size) or original(self, i, j))
+        active = list(build_space(p, r).active)
+    return active, sum(located)
+
+
 def probe_cells(p):
     """Active cells, their ancestors and children, and two levels below
     the finest: every relation a dyadic cell can have to ``p``."""
@@ -600,6 +627,23 @@ class TestArraysEqualCellWalks:
         assert active == walk_select(p, degree)
         assert active == kraft_selection_bruteforce(p, degree)
         assert all(type(v) is int for fn in active for v in fn)
+
+    @given(refine_sequences, st.integers(2, 4))
+    def test_select_active_locates_each_window_cell_once(self, seq, degree):
+        p = refined_chain(*seq)[-1]
+        active, located = located_selection(p, degree)
+        assert active == walk_select(p, degree)
+        assert located == distinct_window_cells(p, degree)
+
+    def test_final_peak_partition_locates_508_window_cells(self):
+        """One lookup per window slot of every candidate function would be
+        3,816 on this partition."""
+        states = []
+        run(*workloads.build("peak-conf-r2", 0), states.append)
+        p = states[-1].partition
+        active, located = located_selection(p, 2)
+        assert active == walk_select(p, 2)
+        assert located == distinct_window_cells(p, 2) == 508
 
 
 class TestCellChurn:

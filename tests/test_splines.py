@@ -16,8 +16,8 @@ from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           build_space, coarse_to_fine, conforming_indices,
                           knot_vector, load_solution, num_functions,
                           quasi_interpolant, save_solution, span_class,
-                          two_scale_matrix, _reference_table,
-                          _two_scale_block)
+                          two_scale_matrix, TABLE_CACHE_SIZE,
+                          _reference_table, _scaled_table, _two_scale_block)
 from afem.quadrature import gauss_cell, gauss_points_1d
 
 
@@ -273,6 +273,7 @@ class TestReferenceTables:
 
         monkeypatch.setattr(splines, "bspline_ders", counting)
         _reference_table.cache_clear()
+        _scaled_table.cache_clear()
         s = build_space(uniform_partition(3), 3)
         cell = Cell(3, 1, 6)
         rule = gauss_cell(cell, 6)
@@ -284,6 +285,48 @@ class TestReferenceTables:
         assert tab.shape == (5, 4, 36)
         assert tab.flags.c_contiguous and not tab.flags.writeable
         assert len(calls) == 2  # a hit: the key holds no derivative order
+
+    def test_persisting_cell_fills_no_table_after_refine(self, monkeypatch):
+        import afem.splines as splines
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bspline_ders(*args)
+
+        monkeypatch.setattr(splines, "bspline_ders", counting)
+        p = refine(graded_7cell(), [Cell(2, 1, 1)])
+        cell = Cell(2, 0, 1)
+        rule = gauss_cell(cell, 5)
+        xs, ys = rule.points[:, 0], rule.points[:, 1]
+        orders = [(0, 0), (2, 0), (0, 2)]
+        before = build_space(p, 3)
+        before.basis_on_cell(cell, xs, ys, orders)
+        tab = before._univariate(cell.level, cell.i, xs, 4)
+        fine = refine(p, [Cell(1, 1, 1)])
+        assert cell in fine
+        calls.clear()
+        after = build_space(fine, 3)
+        after.basis_on_cell(cell, xs, ys, orders)
+        assert calls == []
+        assert after._univariate(cell.level, cell.i, xs, 4).base is tab.base
+
+    def test_caches_hold_a_whole_run(self):
+        """Every table of a sin2 r=2 run to 5k dofs (1,724 scaled ones)
+        is filled once, within the bound."""
+        from afem.driver import AfemConfig, Problem, run
+        from afem.oracles import manufactured_sin2
+
+        _reference_table.cache_clear()
+        _scaled_table.cache_clear()
+        run(AfemConfig(degree=2, theta=0.5, max_dofs=5000),
+            Problem.from_manufactured(manufactured_sin2()))
+        for cache in (_reference_table, _scaled_table):
+            info = cache.cache_info()
+            assert info.maxsize == TABLE_CACHE_SIZE
+            assert info.misses == info.currsize <= TABLE_CACHE_SIZE
+        assert _scaled_table.cache_info().currsize == 1724
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_basis_on_cell_equals_tensor_grid_product(self, degree):
@@ -475,7 +518,8 @@ class TestFastEvaluationPath:
         tab = s._univariate(cell.level, cell.i, xs, 2)
         assert tab.shape == (3, 4, 25) and not tab.flags.writeable
         assert s._univariate(cell.level, cell.i, xs, 4).base is tab.base
-        assert all(not t.flags.writeable for t in s._tables.values())
+        assert not _scaled_table(3, cell.level, cell.i,
+                                 xs.tobytes()).flags.writeable
         _, C = s.cell_extraction(cell)
         assert not C.flags.writeable
         (_, index, _), = s.basis_stacks([cell], [xs], [rule.points[:, 1]],

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from scipy.sparse import coo_matrix
 
-from afem import estimator, quadrature, splines
+from afem import quadrature, splines
 from afem.assembly import (FormParams, _legendre_modes, _legendre_traces,
                            _monomial_poly, _project_values, _spline_traces,
                            _symmetric_csr,
@@ -24,7 +24,7 @@ from afem.driver import (AfemConfig, IterationState, Problem,
                          discrete_reliability_probe, nitsche_energy_sq,
                          pythagoras_check, run)
 from afem.estimator import dorfler_mark, estimate_all
-from afem.mesh import Cell, edges, refine, uniform_partition
+from afem.mesh import Cell, Edge, edges, refine, uniform_partition
 from afem.oracles import manufactured_sin2, random_spline
 from afem.quadrature import gauss_cell, gauss_edge
 from afem.solver import SolveOptions, solve, solve_spd
@@ -139,7 +139,10 @@ class TestKernel:
 # ---------------------------------------------------------------------------
 
 def estimate_per_cell(U, f, p, n):
-    """Per-edge jumps and per-cell residuals, one evaluation each."""
+    """Per-edge jumps and per-cell residuals, one evaluation each; the
+    jump that vanishes by smoothness (``[d_n lap U]`` for r = 2,
+    ``[lap U]`` for r = 3, both for r >= 4) is an exact 0.0."""
+    r = U.space.degree
 
     def lap_and_normal(xs, ys, cell, axis):
         grad = [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)]
@@ -154,8 +157,8 @@ def estimate_per_cell(U, f, p, n):
         lap_p, dlap_p = lap_and_normal(xs, ys, e.plus, e.axis)
         lap_m, dlap_m = lap_and_normal(xs, ys, e.minus, e.axis)
         h = e.length
-        j1 = h ** 3 * float(w @ (dlap_p - dlap_m) ** 2)
-        j2 = h * float(w @ (lap_p - lap_m) ** 2)
+        j1 = h ** 3 * float(w @ (dlap_p - dlap_m) ** 2) if r == 3 else 0.0
+        j2 = h * float(w @ (lap_p - lap_m) ** 2) if r == 2 else 0.0
         jump1[e.plus] += 0.5 * j1
         jump1[e.minus] += 0.5 * j1
         jump2[e.plus] += 0.5 * j2
@@ -451,6 +454,20 @@ def coarse_to_fine_per_cell(fn, fine):
     return solve_spd(M, rhs, SolveOptions())
 
 
+def count_rules(monkeypatch):
+    """Requests given to ``quadrature._rules``: ``{"cell": k, "edge": k}``."""
+    counts = {"cell": 0, "edge": 0}
+    original = quadrature._rules
+
+    def counting(requests, n):
+        counts["edge" if isinstance(requests[0], Edge) else "cell"] += \
+            len(requests)
+        return original(requests, n)
+
+    monkeypatch.setattr(quadrature, "_rules", counting)
+    return counts
+
+
 def count_calls(monkeypatch, owner, name, calls):
     """Count the calls of ``owner.name`` in ``calls[name]``."""
     original = getattr(owner, name)
@@ -605,10 +622,9 @@ class TestPortedConsumers:
         """One boundary pass evaluates both iterates."""
         coarse, fine = nested_pair(degree, truncated)
         states = iteration_states((coarse, fine), degree + 2)
-        calls = {}
-        count_calls(monkeypatch, quadrature, "gauss_edge", calls)
+        rules = count_rules(monkeypatch)
         discrete_reliability_probe(*states)
-        assert calls["gauss_edge"] == len(edges(fine.space.partition)[1])
+        assert rules["edge"] == len(edges(fine.space.partition)[1])
 
     def test_spline_traces_are_stacked_values(self, degree, truncated):
         """Spline traces from the basis traces equal the stacked values
@@ -694,53 +710,53 @@ def test_run_makes_no_one_cell_calls(name, monkeypatch):
     assert calls == {"basis_on_cell": 0, "eval_batch": 0}
 
 
+SIN2_CONF_R4 = (AfemConfig(degree=4, theta=0.5, initial_levels=2,
+                           max_dofs=150), PROB)
+
+
 @pytest.mark.parametrize("name,count", [("sin2-conf-r2", 2366),
                                         ("sin2-nitsche-r3", 1359),
-                                        ("peak-conf-r2", 2584)])
+                                        ("peak-conf-r2", 2584),
+                                        ("sin2-conf-r4", 304)])
 def test_run_builds_each_edge_rule_once_per_pass(name, count, monkeypatch):
-    """Per iteration: one rule per interior edge for the jumps and one per
-    boundary edge for the two boundary norms of the record; Nitsche adds
-    one for the boundary assembly and one for the error's boundary
-    terms."""
-    calls = {}
-    count_calls(monkeypatch, quadrature, "gauss_edge", calls)
-    cfg, prob = WORKLOADS.build(name, 0)
+    """Per iteration: one rule per interior edge for the jumps, none at
+    r >= 4, where both jumps vanish by smoothness, and one per boundary
+    edge for the two boundary norms of the record; Nitsche adds one for
+    the boundary assembly and one for the error's boundary terms."""
+    rules = count_rules(monkeypatch)
+    cfg, prob = (SIN2_CONF_R4 if name == "sin2-conf-r4"
+                 else WORKLOADS.build(name, 0))
     passes = 3 if cfg.mode == "nitsche" else 1
     want = []
 
     def on_iteration(state):
         interior, bdry = edges(state.partition)
-        want.append(len(interior) + passes * len(bdry))
+        want.append(len(interior) * (cfg.degree < 4) + passes * len(bdry))
 
     run(cfg, prob, on_iteration)
-    assert calls["gauss_edge"] == sum(want) == count
+    assert rules["edge"] == sum(want) == count
 
 
-@pytest.mark.parametrize("name,count", [("sin2-conf-r2", 3791),
-                                        ("sin2-nitsche-r3", 1783),
-                                        ("peak-conf-r2", 2474)])
+@pytest.mark.parametrize("name,count", [("sin2-conf-r2", 3219),
+                                        ("sin2-nitsche-r3", 1599),
+                                        ("peak-conf-r2", 2218)])
 def test_run_builds_each_cell_rule_once_per_pass(name, count, monkeypatch):
     """Per iteration: one rule per cell for the volume assembly, the
-    interior residual and, with an exact solution, the energy error; one
-    per new cell for its oscillation; Nitsche adds one per boundary cell
-    for each of the two projected Laplacians."""
-    calls = {}
-    for module in (quadrature, estimator):
-        count_calls(monkeypatch, module, "gauss_cell", calls)
+    interior residual (whose rule also serves the oscillation of the new
+    cells) and, with an exact solution, the energy error; Nitsche adds
+    one per boundary cell for each of the two projected Laplacians."""
+    rules = count_rules(monkeypatch)
     cfg, prob = WORKLOADS.build(name, 0)
     passes = 3 if prob.has_exact else 2
-    want, before = [], set()
+    want = []
 
     def on_iteration(state):
-        cells = set(state.partition.cells)
-        want.append(passes * len(cells) + len(cells - before))
+        want.append(passes * len(state.partition))
         if cfg.mode == "nitsche":
             want[-1] += 2 * len({e.plus for e in edges(state.partition)[1]})
-        before.clear()
-        before.update(cells)
 
     run(cfg, prob, on_iteration)
-    assert calls["gauss_cell"] == sum(want) == count
+    assert rules["cell"] == sum(want) == count
 
 
 # ---------------------------------------------------------------------------
