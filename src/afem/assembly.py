@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -88,6 +89,10 @@ class FormParams:
     def __post_init__(self):
         if self.mode not in ("conforming", "nitsche"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        q = self.quad_n
+        if q is not None and (not isinstance(q, Integral)
+                              or isinstance(q, bool) or q < 1):
+            raise ValueError(f"quad_n must be a positive integer, got {q!r}")
         for name in ("gamma1", "gamma2"):
             g = getattr(self, name)
             if g is not None and not np.isfinite(g):
@@ -205,34 +210,30 @@ class PiecewisePoly:
                                     cell)[0])
 
 
-def _project_values(cell: Cell, d: int, vals: np.ndarray, rule,
-                    modes: np.ndarray) -> np.ndarray:
-    """Legendre coefficients of the L2 projection of sampled values.
-
-    ``vals`` is one field, shape ``(n,)``, or a stack ``(k, n)``, and
-    ``modes`` the cell's :func:`_legendre_modes` at the rule's points;
-    the coefficients have shape ``((d+1)^2,)`` or ``(k, (d+1)^2)``.
-    """
+def _legendre_project(cells, d: int, X, Y, W: np.ndarray, V: np.ndarray):
+    """Legendre modes ``(B, m, N)`` of degree ``d`` of ``cells`` at their
+    rules ``(X[q], Y[q], W[q])``, and the coefficients of the projection
+    of ``V``, ``(B, N) -> (B, m)`` or ``(B, k, N) -> (B, k, m)``: one
+    batched product, per item the BLAS call of the one-cell product."""
+    modes = np.array([_legendre_modes(c, d, x, y)
+                      for c, x, y in zip(cells, X, Y)])
     a = np.arange(d + 1)
-    norms = np.outer(2 * a + 1, 2 * a + 1).astype(float).ravel() / cell.side ** 2
-    return ((modes * rule.weights) @ vals.T).T * norms
+    norms = (np.outer(2 * a + 1, 2 * a + 1).ravel()
+             / np.array([[c.side ** 2] for c in cells]))
+    stack = V if V.ndim == 3 else V[:, None, :]
+    coef = ((modes * W[:, None, :]) @ stack.transpose(0, 2, 1)).transpose(
+        0, 2, 1) * norms[:, None, :]
+    return modes, coef if V.ndim == 3 else coef[:, 0]
 
 
 def _cell_projections(cells, d: int, n: int, field,
                       data=None) -> dict[Cell, np.ndarray]:
-    """Legendre coefficients of the projection onto degree ``d`` on each
-    of ``cells``, keyed in the order of ``cells``.
-
-    Per run of :func:`_requests`, ``field(run, X, Y, F)`` gives the
-    run's fields in request order, ``(R, N)`` or one ``(k, N)`` stack
-    per request, from the ``data`` samples ``F``.
-    """
+    """Projections onto degree ``d`` of the fields ``(R, N)`` that
+    ``field(run, X, Y, F)`` gives per run, keyed in the order of ``cells``."""
     coef = {}
-    for _, run, rules, X, Y, _, F in _requests(list(cells), n, data):
-        fields = field(run, X, Y, F)
-        for cell, rule, x, y, vals in zip(run, rules, X, Y, fields):
-            coef[cell] = _project_values(cell, d, vals, rule,
-                                         _legendre_modes(cell, d, x, y))
+    for _, run, _, X, Y, W, F in _requests(list(cells), n, data):
+        coef.update(zip(run, _legendre_project(run, d, X, Y, W,
+                                               field(run, X, Y, F))[1]))
     return coef
 
 
@@ -264,13 +265,11 @@ def _legendre_traces(coef: np.ndarray, e: Edge, d: int, xs, ys):
             e.normal[e.axis] * (coef @ modes_n))
 
 
-def project_laplacian(fn: SplineFunction,
-                      quad_n: int | None = None) -> PiecewisePoly:
+def project_laplacian(fn: SplineFunction) -> PiecewisePoly:
     """Cellwise L2 projection of ``lap fn`` onto tensor degree r-2."""
     r = fn.space.degree
-    n = quad_n if quad_n is not None else default_quad_n(r)
     return _monomial_poly(r - 2, _cell_projections(
-        fn.space.partition.cells, r - 2, n, _spline_field(
+        fn.space.partition.cells, r - 2, default_quad_n(r), _spline_field(
             fn, _LAP_ORDERS, lambda F, L: L[(2, 0)] + L[(0, 2)])))
 
 
@@ -407,11 +406,14 @@ def _boundary_traces(s: HierarchicalSpace, bdry, n: int):
 
 def _spline_traces(fn: SplineFunction, bdry, n: int):
     """``(e, rule, v, vn)`` of a spline per boundary edge, in edge order:
-    the basis traces of :func:`_boundary_traces` times the coefficients,
-    the per-item product ``eval_stacked`` takes (the sign is exact)."""
-    for e, rule, pos, v, vn in _boundary_traces(fn.space, bdry, n):
-        c = fn.coefficients[pos]
-        yield e, rule, c @ v, c @ vn
+    its trace and normal-derivative trace on ``e.plus`` from
+    ``eval_stacked``, the normal's sign applied after (it is exact)."""
+    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
+        V = fn.eval_stacked([e.plus for e in run], X, Y,
+                            [(0, 0), (1, 0), (0, 1)])
+        for q, (e, rule) in enumerate(zip(run, rules)):
+            yield (e, rule, V[(0, 0)][q],
+                   e.normal[e.axis] * V[_edge_orders(e.axis)][q])
 
 
 def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
@@ -420,16 +422,15 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
     n = params.quad_n
     d = s.degree - 2
     _, bdry = edges(s.partition)
-
-    def laplacians(run, X, Y, F):
-        out = [None] * len(run)
-        for items, _, T in s.basis_stacks(run, X, Y, _LAP_ORDERS):
-            for q, lap in zip(items, T[(2, 0)] + T[(0, 2)]):
-                out[q] = lap
-        return out
-
     # Legendre coefficients of Pi(lap B) for every function B on the cell
-    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n, laplacians)
+    proj = {}
+    for _, run, _, X, Y, W, _ in _requests(sorted({e.plus for e in bdry}), n):
+        for items, _, T in s.basis_stacks(run, X, Y, _LAP_ORDERS):
+            cells = [run[q] for q in items]
+            proj.update(zip(cells, _legendre_project(
+                cells, d, [X[q] for q in items], [Y[q] for q in items],
+                W[items], T[(2, 0)] + T[(0, 2)])[1]))
+    del X, Y, W, T  # the last run's rules and tables, unused below
     # an overflowed penalty leaves nan entries, which solve_spd reports
     with np.errstate(invalid="ignore"):
         for e, rule, pos, v, vn in _boundary_traces(s, bdry, n):
@@ -494,21 +495,21 @@ def mesh_norm(fn, s: float, p: Partition, normal: bool = False,
     return _mesh_norms(fn, p, n, [(s, normal)])[0]
 
 
-def energy_norm_sq(fn: SplineFunction, quad_n: int | None = None) -> float:
+def energy_norm_sq(fn: SplineFunction) -> float:
     """Squared energy norm ``||lap fn||^2`` (exact quadrature)."""
-    n = quad_n if quad_n is not None else default_quad_n(fn.space.degree)
-    return _cell_sum(fn.space.partition.cells, n, _spline_field(
+    return _cell_sum(fn.space.partition.cells,
+                     default_quad_n(fn.space.degree), _spline_field(
         fn, _LAP_ORDERS, lambda F, d: (d[(2, 0)] + d[(0, 2)]) ** 2))
 
 
-def triple_norm(fn, p: Partition, params: FormParams,
-                quad_n: int | None = None) -> float:
-    """Mesh-dependent norm: energy part plus gamma-weighted boundary norms."""
+def triple_norm(fn, p: Partition, params: FormParams) -> float:
+    """Mesh-dependent norm: energy part plus gamma-weighted boundary norms
+    on the rule of ``params`` (a spline's energy on its exact rule)."""
     r = getattr(getattr(fn, "space", None), "degree", 3)
     params = params.resolved(r)
-    n = quad_n if quad_n is not None else params.quad_n
+    n = params.quad_n
     if isinstance(fn, SplineFunction):
-        interior = energy_norm_sq(fn, n)
+        interior = energy_norm_sq(fn)
     elif isinstance(fn, AnalyticField):
         interior = _cell_sum(p.cells, n, lambda run, X, Y, F: F ** 2,
                              fn.laplacian)
@@ -582,10 +583,8 @@ def energy_error_sq(lap_u, fn: SplineFunction,
         fn, _LAP_ORDERS, lambda L, d: (L - d[(2, 0)] - d[(0, 2)]) ** 2), lap_u)
 
 
-def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
-                   quad_n: int | None = None) -> float:
+def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction) -> float:
     """``||lap(fine - coarse)||^2`` for splines on nested partitions."""
-    n = quad_n if quad_n is not None else default_quad_n(fine.space.degree)
 
     def diff_sq(run, X, Y, F):
         # coarse on the owners of the run's cells; keep a + b - c - d
@@ -594,15 +593,15 @@ def energy_diff_sq(fine: SplineFunction, coarse: SplineFunction,
                                  _LAP_ORDERS)
         return (df[(2, 0)] + df[(0, 2)] - dc[(2, 0)] - dc[(0, 2)]) ** 2
 
-    return _cell_sum(fine.space.partition.cells, n, diff_sq)
+    return _cell_sum(fine.space.partition.cells,
+                     default_quad_n(fine.space.degree), diff_sq)
 
 
-def h2_seminorm_sq(fn: SplineFunction, cells=None,
-                   quad_n: int | None = None) -> float:
+def h2_seminorm_sq(fn: SplineFunction, cells=None) -> float:
     """``int (fxx^2 + 2 fxy^2 + fyy^2)`` over the given cells (default all)."""
-    n = quad_n if quad_n is not None else default_quad_n(fn.space.degree)
     return _cell_sum(
-        cells if cells is not None else fn.space.partition.cells, n,
+        cells if cells is not None else fn.space.partition.cells,
+        default_quad_n(fn.space.degree),
         _spline_field(fn, [(2, 0), (1, 1), (0, 2)],
                       lambda F, d: (d[(2, 0)] ** 2 + 2.0 * d[(1, 1)] ** 2
                                     + d[(0, 2)] ** 2)))

@@ -134,8 +134,11 @@ def load_problem(name: str) -> Problem:
         raise ValueError(f"problem file {name!r} is not a JSON object")
     if "f" not in spec:
         raise ValueError(f"custom problem file {name!r} lacks an 'f' entry")
+    title = spec.get("name", os.path.basename(name))
+    if not isinstance(title, str):
+        raise ValueError(f"'name' must be a string, got {title!r}")
     return Problem(
-        name=spec.get("name", os.path.basename(name)),
+        name=title,
         f=_entry(spec, "f"), u=_entry(spec, "u"),
         grad_u=_entry(spec, "grad_u", gradient=True),
         laplacian_u=_entry(spec, "laplacian_u"),

@@ -72,8 +72,7 @@ class AfemConfig:
             raise ValueError("max_dofs is below the initial space dimension")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.mode not in ("conforming", "nitsche"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        self.form_params()  # mode, gammas and rule
 
     def form_params(self) -> FormParams:
         return FormParams(self.mode, self.gamma1, self.gamma2, self.quad_n)
@@ -256,16 +255,16 @@ def _make_record(it, cfg, prob, params, A, U, ind, marked, rng):
 # ---------------------------------------------------------------------------
 
 def nitsche_energy_sq(prob: Problem, U: SplineFunction, params: FormParams,
-                      volume_sq: float, quad_n: int | None = None) -> float:
+                      volume_sq: float) -> float:
     """``a_P(u - U, u - U)`` with the projected Laplacian sampled from
     the exact solution; the boundary traces of the error reduce to
     ``-U`` and ``-dU/dn`` because the exact solution is clamped.
 
-    ``volume_sq`` is the volume term, ``energy_error_sq`` of ``U`` with
-    the same rule, which the caller has already computed."""
+    ``volume_sq`` is the volume term, ``energy_error_sq`` of ``U`` on the
+    same rule, ``quad_n + 2`` points, which the caller has computed."""
     space = U.space
     rp = params.resolved(space.degree)
-    n = quad_n if quad_n is not None else rp.quad_n + 2
+    n = rp.quad_n + 2
     d = space.degree - 2
 
     _, bdry = edges(space.partition)

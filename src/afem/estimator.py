@@ -24,7 +24,7 @@ import numpy as np
 from .mesh import Cell, Edge, edges, support_extension
 from .quadrature import _requests, _row_dots
 from .splines import SplineFunction
-from .assembly import _legendre_modes, default_quad_n, h2_seminorm_sq
+from .assembly import _legendre_project, default_quad_n, h2_seminorm_sq
 
 __all__ = [
     "CellIndicator",
@@ -109,15 +109,9 @@ def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
 
 def _oscillations(cells: list[Cell], d: int, X, Y, W, F) -> list[float]:
     """``h^2 ||f - fbar||`` of each of ``cells`` from the samples ``F`` at
-    its rule ``(X[q], Y[q], W[q])``, ``fbar`` the projection onto Legendre
-    modes of degree ``d``: stacked modes, one batched projection, per
-    item the BLAS calls of the one-cell products."""
-    modes = np.array([_legendre_modes(c, d, x, y)
-                      for c, x, y in zip(cells, X, Y)])
-    a = np.arange(d + 1)
-    norms = (np.outer(2 * a + 1, 2 * a + 1).ravel()
-             / np.array([[c.side ** 2] for c in cells]))
-    coef = ((modes * W[:, None, :]) @ F[:, :, None])[:, :, 0] * norms
+    its rule ``(X[q], Y[q], W[q])``, ``fbar`` its
+    :func:`~afem.assembly._legendre_project` of degree ``d``."""
+    modes, coef = _legendre_project(cells, d, X, Y, W, F)
     resid = F - (coef[:, None, :] @ modes)[:, 0, :]
     return [c.side ** 2 * float(v) ** 0.5
             for c, v in zip(cells, _row_dots(W, resid ** 2))]
@@ -226,8 +220,8 @@ def dorfler_mark(ind: Indicators, theta: float) -> MarkedSet:
     return MarkedSet(tuple(picked), theta, acc / total)
 
 
-def lipschitz_gap(V: SplineFunction, W: SplineFunction, tau: Cell,
-                  quad_n: int | None = None) -> tuple[float, float]:
+def lipschitz_gap(V: SplineFunction, W: SplineFunction,
+                  tau: Cell) -> tuple[float, float]:
     """Per-cell indicator gap and the seminorm that should control it.
 
     Returns ``(|eta(V,tau) - eta(W,tau)|, |V - W|_{H2(omega_tau)})``
@@ -237,8 +231,8 @@ def lipschitz_gap(V: SplineFunction, W: SplineFunction, tau: Cell,
     if V.space is not W.space:
         raise ValueError("V and W must live in the same space")
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
-    rec_v = indicator(V, zero, tau, quad_n)
-    rec_w = indicator(W, zero, tau, quad_n)
+    rec_v = indicator(V, zero, tau)
+    rec_w = indicator(W, zero, tau)
     gap = abs(rec_v.eta_sq ** 0.5 - rec_w.eta_sq ** 0.5)
     omega = sorted(support_extension(V.space, tau))
-    return gap, h2_seminorm_sq(V - W, omega, quad_n) ** 0.5
+    return gap, h2_seminorm_sq(V - W, omega) ** 0.5

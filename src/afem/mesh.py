@@ -37,11 +37,6 @@ __all__ = [
     "shape_report",
 ]
 
-# classification of a dyadic cell relative to a partition
-ACTIVE = "active"        # the cell itself is active
-INSIDE = "inside"        # strictly contained in an active cell
-REFINED = "refined"      # strictly subdivided into finer active cells
-
 # Z-order keys of two interleaved level-31 indices fill 62 bits of int64
 MAX_LEVEL = 31
 
@@ -188,36 +183,20 @@ class Partition:
         at = np.searchsorted(self._zkey, _morton(i, j), side="right") - 1
         return self._zorder[at]
 
-    def _containing(self, cells) -> tuple[np.ndarray, np.ndarray]:
-        """Levels of the dyadic ``cells`` and positions of the active
-        cells that contain their first finest-grid cells: each cell
-        itself, its active ancestor, or a finer cell when it is
-        subdivided."""
+    def owners(self, cells) -> list[Cell]:
+        """The active cells that equal or contain each of the dyadic
+        ``cells``, from one array lookup of their first finest-grid
+        cells; a cell that the partition subdivides raises."""
         level, i, j = np.array(cells, dtype=np.int64).reshape(-1, 3).T
         up = np.maximum(self.max_level - level, 0)
         down = np.maximum(level - self.max_level, 0)
-        return level, self._locate((i << up) >> down, (j << up) >> down)
-
-    def classify(self, c: Cell) -> str:
-        """Relation of an arbitrary dyadic cell to the partition."""
-        lev = self._level[self._containing([c])[1][0]]
-        return ACTIVE if lev == c.level else INSIDE if lev < c.level \
-            else REFINED
-
-    def owners(self, cells) -> list[Cell]:
-        """The active cells that equal or contain each of the dyadic
-        ``cells``, from one array lookup."""
-        level, k = self._containing(cells)
+        k = self._locate((i << up) >> down, (j << up) >> down)
         bad = np.flatnonzero(self._level[k] > level)
         if bad.size:
             raise ValueError(f"{cells[bad[0]]} is subdivided in the "
                              "partition: partitions are not nested (not a "
                              "refinement)")
         return [self.cells[q] for q in k.tolist()]
-
-    def owner(self, c: Cell) -> Cell:
-        """The active cell that equals or contains the dyadic cell ``c``."""
-        return self.owners([c])[0]
 
     def find_cell(self, x: float, y: float) -> Cell:
         """Active cell containing the point (half-open convention)."""

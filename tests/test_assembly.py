@@ -375,8 +375,9 @@ class TestTripleNorm:
             laplacian=lambda x, y: -2 * pi_ ** 2 * np.sin(pi_ * x)
             * np.sin(pi_ * y))
         p = uniform_partition(0)
-        params = FormParams(mode="nitsche", gamma1=1.0, gamma2=1.0)
-        val = triple_norm(u, p, params, quad_n=10)
+        params = FormParams(mode="nitsche", gamma1=1.0, gamma2=1.0,
+                            quad_n=10)
+        val = triple_norm(u, p, params)
         # ||lap u||^2 = pi^4, zero value trace, normal trace mass 2 pi^2
         assert val ** 2 == pytest.approx(pi_ ** 4 + 2 * pi_ ** 2, rel=1e-10)
 
@@ -541,6 +542,17 @@ def test_form_params_validation():
         FormParams(mode="weird")
     with pytest.raises(ValueError):
         FormParams(mode="nitsche", gamma1=-1.0).resolved(2)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 6.0, "6", True])
+def test_form_params_reject_a_rule_that_is_not_a_positive_integer(bad):
+    with pytest.raises(ValueError, match="quad_n must be a positive integer"):
+        FormParams(quad_n=bad)
+
+
+def test_form_params_take_any_positive_integer_rule():
+    assert FormParams(quad_n=np.int64(3)).resolved(2).quad_n == 3
+    assert FormParams(quad_n=1).resolved(4).quad_n == 1
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

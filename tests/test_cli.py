@@ -44,6 +44,15 @@ class TestValidation:
         assert code == 2
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value,message", [
+        ("0", "--quad-n must be at least 1"),
+        ("2.5", "--quad-n: invalid int value"),
+    ])
+    def test_bad_quad_n_exits_two_with_the_flags_message(self, value,
+                                                          message, capsys):
+        assert run_cli(BASE + ["--quad-n", value, "--out", "x"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         assert run_cli(["--frobnicate"]) == 2
 
@@ -119,6 +128,8 @@ class TestValidation:
         ({"f": "1", "u": "0", "grad_u": ["0", "0", "x"],
           "laplacian_u": "0"}, "'grad_u'"),
         ({"f": "1", "u": "0", "laplacian_u": ["0"]}, "'laplacian_u'"),
+        ({"f": "1", "name": {"a": 1}}, "'name'"),
+        ({"f": "1", "name": 7}, "'name'"),
     ])
     def test_malformed_problem_file_exits_two_naming_the_entry(
             self, tmp_path, capsys, spec, entry):

@@ -116,6 +116,18 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             AfemConfig(mode="collocation")
 
+    @pytest.mark.parametrize("bad", [0, 2.5])
+    def test_rule_that_is_not_a_positive_integer_raises_unbuilt(
+            self, bad, monkeypatch):
+        """The config rejects the rule through its ``FormParams`` before
+        any partition or space is built."""
+        def unbuilt(*args):
+            raise AssertionError("built a partition")
+
+        monkeypatch.setattr("afem.driver.uniform_partition", unbuilt)
+        with pytest.raises(ValueError, match="quad_n must be a positive"):
+            AfemConfig(quad_n=bad)
+
 
 class TestPolynomialExactness:
     def test_quartic_space_reproduces_polynomial_bubble(self):

@@ -1,7 +1,9 @@
 """Import contract: ``afem`` loads no scipy module that scipy.sparse does
 not load by itself, no module of ``afem`` imports a name it never uses,
 no public function takes a partition beside a spline or space that
-already fixes it, and the declared SciPy floor has what ``afem`` calls.
+already fixes it, nor a rule beside the ``FormParams`` that fixes it or
+for an integrand of splines alone, and the declared SciPy floor has
+what ``afem`` calls.
 
 Each check runs in a fresh interpreter, because this process has long
 since imported whatever the other tests needed.
@@ -126,6 +128,48 @@ def test_no_function_takes_a_partition_beside_its_spline():
                if (found := partition_beside_spline(
                    importlib.import_module(f"afem.{name}")))}
     assert flagged == {}
+
+
+# integrands of splines alone: the default rule integrates them exactly
+SPLINE_ONLY = {"assembly": ("project_laplacian", "energy_norm_sq",
+                            "energy_diff_sq", "h2_seminorm_sq"),
+               "estimator": ("lipschitz_gap",)}
+
+
+def public_functions(module) -> dict:
+    """Functions that ``module`` defines under a name without a leading
+    underscore."""
+    return {name: fn for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and not name.startswith("_")
+            and fn.__module__ == module.__name__}
+
+
+def rule_beside_params(module) -> list[str]:
+    """Public functions of ``module`` with a ``quad_n`` parameter and one
+    annotated ``FormParams``, which already fixes the rule."""
+    found = []
+    for name, fn in public_functions(module).items():
+        params = inspect.signature(fn).parameters
+        if "quad_n" in params and any("FormParams" in str(q.annotation)
+                                      for q in params.values()):
+            found.append(name)
+    return found
+
+
+def test_no_function_takes_a_rule_beside_its_params():
+    flagged = {name: found for name in ("assembly", "estimator", "driver",
+                                        "splines")
+               if (found := rule_beside_params(
+                   importlib.import_module(f"afem.{name}")))}
+    assert flagged == {}
+
+
+def test_spline_only_integrals_take_no_rule():
+    for name, functions in SPLINE_ONLY.items():
+        module = importlib.import_module(f"afem.{name}")
+        for fn in functions:
+            params = inspect.signature(public_functions(module)[fn]).parameters
+            assert "quad_n" not in params, f"{name}.{fn}"
 
 
 def test_scipy_floor_has_cg_rtol():

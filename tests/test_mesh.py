@@ -405,11 +405,11 @@ class TestMeshProperties:
         coarse, fine = chain[0], chain[-1]
         for c in fine:
             (expected,) = [o for o in coarse if contains(o, c)]
-            assert coarse.owner(c) == expected
+            assert coarse.owners([c]) == [expected]
         for c in coarse:
             if c not in fine:
                 with pytest.raises(ValueError, match="nested"):
-                    fine.owner(c)
+                    fine.owners([c])
 
     @given(refine_sequences)
     def test_owners_match_containment_scan(self, seq):
@@ -609,16 +609,19 @@ class TestArraysEqualCellWalks:
 
     @given(refine_sequences)
     def test_classify_and_owner(self, seq):
+        """``owners`` tells the three states apart: an equal owner means
+        active, a coarser one inside, and ``ValueError`` subdivided."""
         p = refined_chain(*seq)[-1]
         cells = set(p.cells)
         for c in probe_cells(p):
             state = walk_classify(cells, c)
-            assert p.classify(c) == state
-            if state == "refined":
-                with pytest.raises(ValueError, match="nested"):
-                    p.owner(c)
-            else:
-                assert p.owner(c) == walk_ancestor(cells, c)
+            try:
+                (owner,) = p.owners([c])
+            except ValueError as exc:
+                assert "nested" in str(exc) and state == "refined"
+                continue
+            assert owner == walk_ancestor(cells, c)
+            assert state == ("active" if owner == c else "inside")
 
     @given(refine_sequences, st.integers(2, 4))
     def test_select_active(self, seq, degree):

@@ -13,7 +13,7 @@ from scipy.sparse import coo_matrix
 
 from afem import quadrature, splines
 from afem.assembly import (FormParams, _legendre_modes, _legendre_traces,
-                           _monomial_poly, _project_values, _spline_traces,
+                           _monomial_poly, _spline_traces,
                            _symmetric_csr,
                            assemble, default_quad_n, energy_diff_sq,
                            energy_error_sq, energy_norm_sq, h2_seminorm_sq,
@@ -190,12 +190,19 @@ def boundary_basis(s, e, xs, ys):
 
 
 def projections_per_cell(cells, d, n, sample):
+    """Legendre coefficients of the L2 projection of one field ``(N,)``
+    or a stack ``(k, N)`` per cell: ``int P_a P_b v`` times the inverse
+    mode norms ``(2a+1)(2b+1)/h^2``."""
+    a = np.arange(d + 1)
+    norms = np.outer(2 * a + 1, 2 * a + 1).astype(float).ravel()
     out = {}
     for cell in cells:
         rule = gauss_cell(cell, n)
         xs, ys = rule.points[:, 0], rule.points[:, 1]
-        out[cell] = _project_values(cell, d, sample(cell, xs, ys), rule,
-                                    _legendre_modes(cell, d, xs, ys))
+        modes = _legendre_modes(cell, d, xs, ys)
+        vals = sample(cell, xs, ys)
+        out[cell] = (((modes * rule.weights) @ vals.T).T
+                     * (norms / cell.side ** 2))
     return out
 
 
@@ -388,7 +395,7 @@ def h2_seminorm_per_cell(U, cells, n):
 def energy_diff_per_cell(fine, coarse, n):
     total = 0.0
     for cell in fine.space.partition:
-        owner = coarse.space.partition.owner(cell)
+        (owner,) = coarse.space.partition.owners([cell])
         rule = gauss_cell(cell, n)
         xs, ys = rule.points[:, 0], rule.points[:, 1]
         df = fine.eval_batch(xs, ys, LAP, cell)
@@ -404,8 +411,8 @@ def pythagoras_per_cell(lap_u, Uc, Uf, grid, n):
         rule = gauss_cell(cell, n)
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
         lap = np.asarray(lap_u(xs, ys), float)
-        df = Uf.eval_batch(xs, ys, LAP, Uf.space.partition.owner(cell))
-        dc = Uc.eval_batch(xs, ys, LAP, Uc.space.partition.owner(cell))
+        df = Uf.eval_batch(xs, ys, LAP, Uf.space.partition.owners([cell])[0])
+        dc = Uc.eval_batch(xs, ys, LAP, Uc.space.partition.owners([cell])[0])
         lap_f = df[(2, 0)] + df[(0, 2)]
         lap_c = dc[(2, 0)] + dc[(0, 2)]
         lhs += float(w @ (lap - lap_f) ** 2)
@@ -424,7 +431,7 @@ def solution_jump_per_edge(fine, coarse, rp):
         orders = [(0, 0), normal_order(e.axis)]
         df = fine.eval_batch(xs, ys, orders, e.plus)
         dc = coarse.eval_batch(xs, ys, orders,
-                               coarse.space.partition.owner(e.plus))
+                               coarse.space.partition.owners([e.plus])[0])
         dv = df[(0, 0)] - dc[(0, 0)]
         dn = e.normal[e.axis] * (df[orders[1]] - dc[orders[1]])
         total += float(w @ (rp.gamma1 * e.length ** -3 * dv ** 2
@@ -443,7 +450,7 @@ def coarse_to_fine_per_cell(fn, fine):
         xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
         pos, tabs = fine.basis_on_cell(c, xs, ys, [(0, 0)])
         V = tabs[(0, 0)]
-        fvals = fn.eval_many(xs, ys, 0, 0, fn.space.partition.owner(c))
+        fvals = fn.eval_many(xs, ys, 0, 0, fn.space.partition.owners([c])[0])
         rhs[list(pos)] += V @ (w * fvals)
         block = (V * w) @ V.T
         k = len(pos)
@@ -589,24 +596,24 @@ class TestPortedConsumers:
         U, _ = nested_pair(degree, truncated)
         p = U.space.partition
         n = degree + 3
-        same_poly(project_laplacian(U, n), project_laplacian_per_cell(U, n))
+        exact = default_quad_n(degree)  # the spline-only integrals' rule
+        same_poly(project_laplacian(U), project_laplacian_per_cell(U, exact))
         cells = p.cells[::-3]
         same_poly(project_from_samples(p, SIN2.f, degree - 1, cells, n),
                   _monomial_poly(degree - 1, projections_per_cell(
                       cells, degree - 1, n,
                       lambda cell, xs, ys: np.asarray(SIN2.f(xs, ys),
                                                       float))))
-        assert energy_norm_sq(U, n) == energy_norm_per_cell(U, n)
-        assert h2_seminorm_sq(U, quad_n=n) == h2_seminorm_per_cell(U, p, n)
-        assert (h2_seminorm_sq(U, cells, n)
-                == h2_seminorm_per_cell(U, cells, n))
+        assert energy_norm_sq(U) == energy_norm_per_cell(U, exact)
+        assert h2_seminorm_sq(U) == h2_seminorm_per_cell(U, p, exact)
+        assert (h2_seminorm_sq(U, cells)
+                == h2_seminorm_per_cell(U, cells, exact))
 
     def test_iterate_comparisons(self, degree, truncated):
         coarse, fine = nested_pair(degree, truncated)
         n = degree + 2
-        for m in (n, n + 2):
-            assert (energy_diff_sq(fine, coarse, m)
-                    == energy_diff_per_cell(fine, coarse, m))
+        assert (energy_diff_sq(fine, coarse) == energy_diff_per_cell(
+            fine, coarse, default_quad_n(degree)))
         states = iteration_states((coarse, fine), n)
         for a, b in (states, states[::-1]):  # either way, on the fine grid
             lhs, rhs, _ = pythagoras_check(PROB, a, b, n)
