@@ -28,6 +28,7 @@ from scipy.sparse import coo_matrix, csr_matrix, triu
 
 from .mesh import Cell, Edge, Partition, edges
 from .quadrature import _cell_sum, _on_points, _requests
+from .solver import _check_number
 from .splines import HierarchicalSpace, SplineFunction, conforming_indices
 
 __all__ = [
@@ -95,8 +96,10 @@ class FormParams:
             raise ValueError(f"quad_n must be a positive integer, got {q!r}")
         for name in ("gamma1", "gamma2"):
             g = getattr(self, name)
-            if g is not None and not np.isfinite(g):
-                raise ValueError(f"{name} must be finite, got {g!r}")
+            if g is not None:
+                _check_number(name, g)
+                if not np.isfinite(g):
+                    raise ValueError(f"{name} must be finite, got {g!r}")
 
     def resolved(self, r: int) -> "FormParams":
         g1 = self.gamma1 if self.gamma1 is not None else default_gamma(r)
@@ -137,7 +140,8 @@ class LoadVector:
 # cellwise Legendre helpers
 # ---------------------------------------------------------------------------
 
-# entries of the process-wide Legendre-table cache
+# entries of the process-wide Legendre-table cache: the sin2 r=2 runs to
+# 20k dofs fill 16 (conforming) and 51 (Nitsche), so neither evicts one
 LEGENDRE_CACHE_SIZE = 1024
 # derivative orders whose sum is the Laplacian
 _LAP_ORDERS = [(2, 0), (0, 2)]
@@ -176,14 +180,15 @@ def _legendre_modes(cell: Cell, d: int, xs: np.ndarray, ys: np.ndarray,
 
 
 class PiecewisePoly:
-    """Cellwise tensor polynomial of bounded degree.
+    """Cellwise tensor polynomial of bounded degree on cells of a partition.
 
     Coefficients are tensor monomial coefficients on local coordinates
     ``(xi, zeta) in [-1, 1]^2`` per cell; ``coeffs[cell][a, b]``
-    multiplies ``xi**a * zeta**b``.
+    multiplies ``xi**a * zeta**b``.  A point is located as a spline's is.
     """
 
-    def __init__(self, degree: int, coeffs: dict[Cell, np.ndarray]):
+    def __init__(self, partition: Partition, degree: int, coeffs: dict):
+        self.partition = partition
         self.degree = degree
         self.coeffs = coeffs
 
@@ -203,8 +208,8 @@ class PiecewisePoly:
     def eval(self, x: float, y: float, ax: int = 0, ay: int = 0,
              cell: Cell | None = None) -> float:
         if cell is None:
-            cell = next((c for c in self.coeffs if c.contains(x, y)), None)
-            if cell is None:
+            cell = self.partition.find_cell(x, y)
+            if cell not in self.coeffs:
                 raise KeyError(f"no polynomial stored at ({x}, {y})")
         return float(self.eval_many(np.array([x]), np.array([y]), ax, ay,
                                     cell)[0])
@@ -231,7 +236,7 @@ def _cell_projections(cells, d: int, n: int, field,
     """Projections onto degree ``d`` of the fields ``(R, N)`` that
     ``field(run, X, Y, F)`` gives per run, keyed in the order of ``cells``."""
     coef = {}
-    for _, run, _, X, Y, W, F in _requests(list(cells), n, data):
+    for _, run, X, Y, W, F in _requests(list(cells), n, data):
         coef.update(zip(run, _legendre_project(run, d, X, Y, W,
                                                field(run, X, Y, F))[1]))
     return coef
@@ -243,13 +248,13 @@ def _spline_field(fn: SplineFunction, orders, expr):
     return lambda run, X, Y, F: expr(F, fn.eval_stacked(run, X, Y, orders))
 
 
-def _monomial_poly(d: int, legendre: dict[Cell, np.ndarray]) -> PiecewisePoly:
-    """Cellwise Legendre coefficients as a monomial :class:`PiecewisePoly`."""
+def _monomial_poly(p: Partition, d: int, legendre: dict) -> PiecewisePoly:
+    """Legendre coefficients on cells of ``p`` as a :class:`PiecewisePoly`."""
     l2p = np.zeros((d + 1, d + 1))  # column a: monomial coefficients of P_a
     for a in range(d + 1):
         l2p[: a + 1, a] = npleg.leg2poly(np.eye(a + 1)[a])
-    return PiecewisePoly(d, {cell: l2p @ a.reshape(d + 1, d + 1) @ l2p.T
-                             for cell, a in legendre.items()})
+    return PiecewisePoly(p, d, {cell: l2p @ a.reshape(d + 1, d + 1) @ l2p.T
+                                for cell, a in legendre.items()})
 
 
 def _legendre_traces(coef: np.ndarray, e: Edge, d: int, xs, ys):
@@ -267,24 +272,23 @@ def _legendre_traces(coef: np.ndarray, e: Edge, d: int, xs, ys):
 
 def project_laplacian(fn: SplineFunction) -> PiecewisePoly:
     """Cellwise L2 projection of ``lap fn`` onto tensor degree r-2."""
-    r = fn.space.degree
-    return _monomial_poly(r - 2, _cell_projections(
-        fn.space.partition.cells, r - 2, default_quad_n(r), _spline_field(
+    r, p = fn.space.degree, fn.space.partition
+    return _monomial_poly(p, r - 2, _cell_projections(
+        p.cells, r - 2, default_quad_n(r), _spline_field(
             fn, _LAP_ORDERS, lambda F, L: L[(2, 0)] + L[(0, 2)])))
 
 
 def project_from_samples(p: Partition, g, degree: int,
-                         cells=None, quad_n: int | None = None) -> PiecewisePoly:
-    """Cellwise L2 projection of a sampled scalar field.
+                         quad_n: int | None = None) -> PiecewisePoly:
+    """Cellwise L2 projection of a sampled scalar field on the cells of ``p``.
 
     The projection is discretised with the assembly quadrature rule,
     which is the faithful choice for data that is not piecewise
     polynomial.
     """
     n = quad_n if quad_n is not None else degree + 4
-    return _monomial_poly(degree, _cell_projections(
-        cells if cells is not None else p.cells, degree, n,
-        lambda run, X, Y, F: F, g))
+    return _monomial_poly(p, degree, _cell_projections(
+        p.cells, degree, n, lambda run, X, Y, F: F, g))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +359,7 @@ def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
         offsets.append(offsets[-1] + len(sub) ** 2)
     block = np.empty(offsets[-1])
     loads = [None] * len(cells)
-    for lo, run, _, X, Y, W, F in _requests(cells, n, f):
+    for lo, run, X, Y, W, F in _requests(cells, n, f):
         for items, _, tabs in s.basis_stacks(run, X, Y,
                                              [(0, 0), (2, 0), (0, 2)]):
             LAP = tabs[(2, 0)] + tabs[(0, 2)]
@@ -389,30 +393,30 @@ def _edge_orders(axis: int):
 
 
 def _boundary_traces(s: HierarchicalSpace, bdry, n: int):
-    """``(e, rule, pos, v, vn)`` per boundary edge, in edge order: the
-    trace ``v`` and normal-derivative trace ``vn`` (the sign
-    ``e.normal[e.axis]`` times the normal-axis derivative) of the active
-    basis on ``e.plus``, ``(k, n)`` at the positions ``pos``."""
-    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
+    """``(e, xs, ys, w, pos, v, vn)`` per boundary edge, in edge order:
+    its rule, and the trace ``v`` and normal-derivative trace ``vn`` (the
+    sign ``e.normal[e.axis]`` times the normal-axis derivative) of the
+    active basis on ``e.plus``, ``(k, n)`` at the positions ``pos``."""
+    for _, run, X, Y, W, _ in _requests(bdry, n):
         got = [None] * len(run)
         for items, index, tabs in s.basis_stacks(
                 [e.plus for e in run], X, Y, [(0, 0), (1, 0), (0, 1)]):
             for j, q in enumerate(items):
                 e = run[q]
-                got[q] = (e, rules[q], index[j], tabs[(0, 0)][j],
+                got[q] = (e, X[q], Y[q], W[q], index[j], tabs[(0, 0)][j],
                           e.normal[e.axis] * tabs[_edge_orders(e.axis)][j])
         yield from got
 
 
 def _spline_traces(fn: SplineFunction, bdry, n: int):
-    """``(e, rule, v, vn)`` of a spline per boundary edge, in edge order:
-    its trace and normal-derivative trace on ``e.plus`` from
+    """``(e, xs, ys, w, v, vn)`` of a spline per boundary edge, in edge
+    order: its rule, trace and normal-derivative trace on ``e.plus`` from
     ``eval_stacked``, the normal's sign applied after (it is exact)."""
-    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
+    for _, run, X, Y, W, _ in _requests(bdry, n):
         V = fn.eval_stacked([e.plus for e in run], X, Y,
                             [(0, 0), (1, 0), (0, 1)])
-        for q, (e, rule) in enumerate(zip(run, rules)):
-            yield (e, rule, V[(0, 0)][q],
+        for q, e in enumerate(run):
+            yield (e, X[q], Y[q], W[q], V[(0, 0)][q],
                    e.normal[e.axis] * V[_edge_orders(e.axis)][q])
 
 
@@ -424,17 +428,16 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
     _, bdry = edges(s.partition)
     # Legendre coefficients of Pi(lap B) for every function B on the cell
     proj = {}
-    for _, run, _, X, Y, W, _ in _requests(sorted({e.plus for e in bdry}), n):
+    for _, run, X, Y, W, _ in _requests(sorted({e.plus for e in bdry}), n):
         for items, _, T in s.basis_stacks(run, X, Y, _LAP_ORDERS):
             cells = [run[q] for q in items]
             proj.update(zip(cells, _legendre_project(
-                cells, d, [X[q] for q in items], [Y[q] for q in items],
-                W[items], T[(2, 0)] + T[(0, 2)])[1]))
+                cells, d, X[items], Y[items], W[items],
+                T[(2, 0)] + T[(0, 2)])[1]))
     del X, Y, W, T  # the last run's rules and tables, unused below
     # an overflowed penalty leaves nan entries, which solve_spd reports
     with np.errstate(invalid="ignore"):
-        for e, rule, pos, v, vn in _boundary_traces(s, bdry, n):
-            xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+        for e, xs, ys, w, pos, v, vn in _boundary_traces(s, bdry, n):
             pvals, pnvals = _legendre_traces(proj[e.plus], e, d, xs, ys)
             h = e.length
             block = (
@@ -452,13 +455,13 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
 # ---------------------------------------------------------------------------
 
 def _field_traces(fn: AnalyticField, bdry, n: int):
-    """``(e, rule, v, vn)`` of a field per boundary edge, in edge order,
-    as :func:`_spline_traces`; without a gradient ``vn`` is ``None``."""
-    for _, run, rules, X, Y, _, _ in _requests(bdry, n):
-        for e, rule, xs, ys in zip(run, rules, X, Y):
+    """``(e, xs, ys, w, v, vn)`` of a field per boundary edge, in edge
+    order, as :func:`_spline_traces`; without a gradient ``vn`` is None."""
+    for _, run, X, Y, W, _ in _requests(bdry, n):
+        for e, xs, ys, w in zip(run, X, Y, W):
             vn = (None if fn.grad is None else
                   e.normal[e.axis] * _on_points(fn.grad(xs, ys)[e.axis], xs))
-            yield e, rule, _on_points(fn.value(xs, ys), xs), vn
+            yield e, xs, ys, w, _on_points(fn.value(xs, ys), xs), vn
 
 
 def _mesh_norms(fn, p: Partition, n: int,
@@ -473,12 +476,12 @@ def _mesh_norms(fn, p: Partition, n: int,
         field = fn if isinstance(fn, AnalyticField) else AnalyticField(fn)
         traces = _field_traces(field, bdry, n)
     totals = [0.0] * len(norms)
-    for e, rule, *vals in traces:
+    for e, _, _, w, *vals in traces:
         for k, (s, normal) in enumerate(norms):
             if vals[normal] is None:
                 raise TypeError("a normal trace needs a gradient")
             totals[k] += (e.length ** (-2.0 * s)
-                          * float(rule.weights @ vals[normal] ** 2))
+                          * float(w @ vals[normal] ** 2))
     return [total ** 0.5 for total in totals]
 
 
@@ -529,8 +532,7 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     imap = np.arange(s.dim)
     _assemble_volume(s, None, n, imap, rows, cols, vals, None)
     _, bdry = edges(s.partition)
-    for e, rule, pos, v, vn in _boundary_traces(s, bdry, n):
-        w = rule.weights
+    for e, _, _, w, pos, v, vn in _boundary_traces(s, bdry, n):
         h = e.length
         _coo_index(imap, pos, rows, cols)
         vals.append((params.gamma1 * h ** -3 * (v * w) @ v.T
@@ -554,8 +556,7 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
                              lambda run, X, Y, F: F, lap_u)
     g = np.zeros(s.dim)
-    for e, rule, pos, v, vn in _boundary_traces(s, bdry, n):
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+    for e, xs, ys, w, pos, v, vn in _boundary_traces(s, bdry, n):
         pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
         lap_v = np.asarray(lap_u(xs, ys), float)
         lap_n = e.normal[e.axis] * np.asarray(grad_lap_u(xs, ys)[e.axis], float)

@@ -205,8 +205,8 @@ def main(argv=None) -> int:
         s = fn.space
         print(f"solution: degree={s.degree} truncated={int(s.truncated)} "
               f"cells={len(s.partition)} dofs={s.dim} "
-              f"coeff_range=[{fn.coefficients.min()!r}, "
-              f"{fn.coefficients.max()!r}]")
+              f"coeff_range=[{float(fn.coefficients.min())!r}, "
+              f"{float(fn.coefficients.max())!r}]")
         return 0
 
     if not (0.0 < args.theta <= 1.0):

@@ -23,7 +23,7 @@ from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
 from .mesh import (MAX_LEVEL, Cell, Partition, edges, refine,
                    support_extension, uniform_partition)
 from .quadrature import _on_points, _requests, _row_dots
-from .solver import SolveOptions, solve
+from .solver import SolveOptions, _check_number, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
 
 __all__ = [
@@ -63,6 +63,10 @@ class AfemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("degree", "initial_levels", "max_dofs", "max_iters",
+                     "seed"):
+            _check_number(name, getattr(self, name), integer=True)
+        _check_number("theta", self.theta)
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if not 0 <= self.initial_levels <= MAX_LEVEL:
@@ -273,8 +277,7 @@ def nitsche_energy_sq(prob: Problem, U: SplineFunction, params: FormParams,
                                            F - L[(2, 0)] - L[(0, 2)]),
                              prob.laplacian_u)
     total = volume_sq
-    for e, rule, v, vn in _spline_traces(U, bdry, n):
-        xs, ys, w = rule.points[:, 0], rule.points[:, 1], rule.weights
+    for e, xs, ys, w, v, vn in _spline_traces(U, bdry, n):
         pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
         ev, en = -v, -vn
         h = e.length
@@ -378,8 +381,7 @@ def pythagoras_check(prob: Problem, coarse: IterationState,
 
     owners = [U.space.partition.owners(grid.cells) for U in (Uf, Uc)]
     lhs = e_coarse = diff = 0.0
-    for lo, run, _, X, Y, W, lap_u in _requests(grid.cells, n,
-                                                prob.laplacian_u):
+    for lo, run, X, Y, W, lap_u in _requests(grid.cells, n, prob.laplacian_u):
         df, dc = (U.eval_stacked(own[lo:lo + len(run)], X, Y, _LAP_ORDERS)
                   for U, own in zip((Uf, Uc), owners))
         lap_f = df[(2, 0)] + df[(0, 2)]
@@ -411,16 +413,16 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     # the fine iterate on each edge's cell, the coarse one on its owner
     owners = coarse.partition.owners([e.plus for e in bdry])
     orders = [(0, 0), (1, 0), (0, 1)]
-    for lo, run, rules, X, Y, _, _ in _requests(bdry, rp.quad_n):
+    for lo, run, X, Y, W, _ in _requests(bdry, rp.quad_n):
         df = fine.solution.eval_stacked([e.plus for e in run], X, Y, orders)
         dc = coarse.solution.eval_stacked(owners[lo:lo + len(run)], X, Y,
                                           orders)
-        for q, (e, rule) in enumerate(zip(run, rules)):
+        for q, e in enumerate(run):
             o, sign, h = _edge_orders(e.axis), e.normal[e.axis], e.length
             dv = df[(0, 0)][q] - dc[(0, 0)][q]
             dn = sign * df[o][q] - sign * dc[o][q]  # the sign is exact
-            lhs_sq += float(rule.weights @ (rp.gamma1 * h ** -3 * dv ** 2
-                                            + rp.gamma2 * h ** -1 * dn ** 2))
+            lhs_sq += float(W[q] @ (rp.gamma1 * h ** -3 * dv ** 2
+                                    + rp.gamma2 * h ** -1 * dn ** 2))
     ratio = lhs_sq / eta_region_sq if eta_region_sq > 0 else float("inf")
     return {"solution_jump_sq": lhs_sq, "eta_region_sq": eta_region_sq,
             "ratio": ratio}

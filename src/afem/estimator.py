@@ -94,11 +94,10 @@ def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
         u, v = ([(2, 0), (0, 2)] if r == 2 else
                 [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)])
         on_axis = [q for q, e in enumerate(es) if e.axis == axis]
-        for lo, run, _, X, Y, W, _ in _requests([es[q] for q in on_axis],
-                                                quad_n):
+        for lo, run, X, Y, W, _ in _requests([es[q] for q in on_axis], quad_n):
             B = len(run)
             d = U.eval_stacked([e.plus for e in run] + [e.minus for e in run],
-                               X + X, Y + Y, [u, v])
+                               np.vstack([X, X]), np.vstack([Y, Y]), [u, v])
             sq = _row_dots(W, ((d[u][:B] + d[v][:B])
                                - (d[u][B:] + d[v][B:])) ** 2)
             for q, e, a in zip(on_axis[lo:], run, sq):
@@ -122,7 +121,7 @@ def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
     L2 projection onto tensor polynomials of degree r-2 (the one-cell
     case of the oscillation on :func:`estimate_all`'s interior pass)."""
     n = quad_n if quad_n is not None else default_quad_n(r)
-    (_, _, _, X, Y, W, F), = _requests([tau], n, f)
+    (_, _, X, Y, W, F), = _requests([tau], n, f)
     return _oscillations([tau], r - 2, X, Y, W, F)[0]
 
 
@@ -130,14 +129,14 @@ def _cell_terms(U: SplineFunction, f, cells: list[Cell], quad_n: int,
                 known: dict):
     """``(h^4 ||f - lap^2 U||^2, osc^2)`` of each of ``cells`` from one
     rule pass; a cell in ``known`` takes its ``osc_sq`` from there."""
-    for _, run, _, X, Y, W, F in _requests(cells, quad_n, f):
+    for _, run, X, Y, W, F in _requests(cells, quad_n, f):
         V = U.eval_stacked(run, X, Y, [(4, 0), (2, 2), (0, 4)])
         interior = _row_dots(W, (F - (V[(4, 0)] + 2.0 * V[(2, 2)]
                                       + V[(0, 4)])) ** 2)
         new = [q for q, c in enumerate(run) if c not in known]
         osc = dict(zip(new, _oscillations(
-            [run[q] for q in new], U.space.degree - 2, [X[q] for q in new],
-            [Y[q] for q in new], W[new], F[new]))) if new else {}
+            [run[q] for q in new], U.space.degree - 2, X[new], Y[new],
+            W[new], F[new]))) if new else {}
         for q, (c, v) in enumerate(zip(run, interior)):
             yield (c.side ** 4 * float(v),
                    osc[q] ** 2 if q in osc else known[c].osc_sq)

@@ -52,6 +52,8 @@ class Cell(namedtuple("Cell", "level i j")):
 
     def __new__(cls, level: int, i: int, j: int):
         c = tuple.__new__(cls, (level, i, j))
+        if level < 0:
+            raise ValueError(f"cell {c} has a negative level")
         n = 1 << level
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"cell index {c} outside the unit square")
@@ -82,10 +84,6 @@ class Cell(namedtuple("Cell", "level i j")):
             raise ValueError("ancestor level must not exceed the cell level")
         shift = self.level - level
         return Cell(level, self.i >> shift, self.j >> shift)
-
-    def contains(self, x: float, y: float) -> bool:
-        x0, x1, y0, y1 = self.bounds
-        return x0 <= x <= x1 and y0 <= y <= y1
 
 
 class Edge(NamedTuple):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .mesh import Cell, Edge
 
-# requests a pass builds the rules of at once: four stacked chunks of
-# ``splines._STACK_ITEMS``, which bounds what a pass holds
+# requests a pass builds the rules of at once: the one batch of every
+# evaluation pass, which bounds what a pass holds
 _BLOCK_REQUESTS = 128
 
 
@@ -93,22 +93,18 @@ def _requests(requests, n: int, data=None):
     in runs of ``_BLOCK_REQUESTS``, which bounds what a pass holds.
 
     Per run (one :func:`_rules` call) this yields its offset, the run,
-    the rules, the points ``X`` and ``Y`` as lists of views strided as
-    ``rule.points[:, 0]`` (what user callables see), and the weights and
-    ``data`` samples (or ``None``) as ``(R, N)`` arrays; ``data`` is
-    called once per request.
+    the points ``X`` and ``Y`` as ``(R, N)`` views (row ``X[q]`` strided
+    as a rule's ``points[:, 0]``, which user callables see), and the
+    weights and ``data`` samples (or ``None``) as ``(R, N)`` arrays;
+    ``data`` is called once per request.
     """
     for lo in range(0, len(requests), _BLOCK_REQUESTS):
         run = requests[lo:lo + _BLOCK_REQUESTS]
         P, W = _rules(run, n)
-        rules = list(map(QuadratureRule, P, W))
-        X, Y = list(P[:, :, 0]), list(P[:, :, 1])
-        F = None
-        if data is not None:
-            F = np.empty(W.shape)
-            for j, (x, y) in enumerate(zip(X, Y)):
-                F[j] = data(x, y)
-        yield lo, run, rules, X, Y, W, F
+        X, Y = P[:, :, 0], P[:, :, 1]
+        F = None if data is None else np.array(
+            [_on_points(data(x, y), x) for x, y in zip(X, Y)])
+        yield lo, run, X, Y, W, F
 
 
 def _row_dots(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -122,7 +118,7 @@ def _cell_sum(cells, n: int, integrand, data=None) -> float:
     Gauss rules, in the order of ``cells`` as a per-cell loop adds them;
     the integrand maps a run of :func:`_requests` to ``(R, N)``."""
     total = 0.0
-    for _, run, _, X, Y, W, F in _requests(list(cells), n, data):
+    for _, run, X, Y, W, F in _requests(list(cells), n, data):
         for v in _row_dots(W, integrand(run, X, Y, F)):
             total += float(v)
     return total

@@ -10,12 +10,21 @@ is available for larger runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags, issparse
 from scipy.sparse.linalg import cg, splu
 
 __all__ = ["SolveOptions", "NotSPDError", "solve", "solve_spd"]
+
+
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """Raise a ``ValueError`` naming the setting ``name`` unless ``value``
+    is a real scalar (an integer when ``integer``); a ``bool`` is neither."""
+    kind = (Integral, "an integer") if integer else (Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind[0]):
+        raise ValueError(f"{name} must be {kind[1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -25,6 +34,8 @@ class SolveOptions:
     max_iter: int = 10000
 
     def __post_init__(self):
+        _check_number("tol", self.tol)
+        _check_number("max_iter", self.max_iter, integer=True)
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
         if self.max_iter < 1:

@@ -30,7 +30,7 @@ always paired coordinates, as :func:`afem.quadrature.gauss_cell` lays
 them out.
 
 Evaluation is stacked: requests (a cell and its points) are grouped by
-extraction size, and each chunk takes one ``np.matmul`` per order.  That
+extraction size, and each group takes one ``np.matmul`` per order.  That
 runs the same BLAS call per item as a one-cell product, so results do
 not depend on the grouping; widening an operand would change rounding.
 """
@@ -71,10 +71,6 @@ MAX_DERIVATIVE_ORDER = 4
 # use 3,412 (conforming) and 3,518 (Nitsche) scaled tables and 128
 # reference tables, so neither run fills a table twice
 TABLE_CACHE_SIZE = 4096
-
-# requests per stacked product: bounds the tables of one chunk (at most
-# 32 * 25 * 64 floats per order) while amortising numpy's per-call cost
-_STACK_ITEMS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +390,21 @@ class HierarchicalSpace:
     def _univariate(self, level: int, span: int, xs: np.ndarray,
                     max_order: int) -> np.ndarray:
         """Read-only ``(max_order+1, r+1, len(xs))`` :func:`_scaled_table`."""
-        return _scaled_table(self.degree, level, span,
-                             xs.tobytes())[:max_order + 1]
+        return _scaled_table(self.degree, level, span, np.asarray(
+            xs, float).tobytes())[:max_order + 1]
 
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
         """Active-function derivative tables of many cells, stacked.
 
         Request ``q`` is ``cells[q]`` at the paired points ``(X[q],
-        Y[q])``, ``n`` points each.  Requests are grouped by extraction
-        row count ``k`` (groups in order of first appearance, requests in
-        order) and cut into chunks of at most ``_STACK_ITEMS``.  Per chunk
-        this yields the request numbers, their global positions ``(B, k)``
-        and per order the tables ``(B, k, n)``: each item equals the
-        one-cell product bit for bit.  Orders above the degree are exact
-        zeros (one read-only array per chunk), neither tabulated nor
-        multiplied.
+        Y[q])``, ``n`` points each; callers pass one run of ``_requests``,
+        which bounds the stacks.  Requests are grouped by extraction row
+        count ``k`` (groups in order of first appearance, requests in
+        order).  Per group this yields the request numbers, their global
+        positions ``(B, k)`` and per order one stack of tables ``(B, k,
+        n)``, each item equal to the one-cell product bit for bit.  Orders
+        above the degree are exact zeros (one read-only array per group).
         """
         got, groups = [], {}
         for q, cell in enumerate(cells):
@@ -421,27 +416,24 @@ class HierarchicalSpace:
         live = [o for o in orders if o[0] <= r and o[1] <= r]
         ax = max((a for a, _ in live), default=0)
         ay = max((b for _, b in live), default=0)
-        for k, members in groups.items():
-            for lo in range(0, len(members), _STACK_ITEMS):
-                items = members[lo:lo + _STACK_ITEMS]
-                chunk = [cells[q] for q in items]
-                tabs = {}
-                if live:
-                    C = _stack([got[q][1] for q in items])
-                    # the memoised univariate rows, stacked per axis
-                    Dx = _stack([self._univariate(c.level, c.i, np.asarray(
-                        X[q], float), ax) for c, q in zip(chunk, items)])
-                    Dy = _stack([self._univariate(c.level, c.j, np.asarray(
-                        Y[q], float), ay) for c, q in zip(chunk, items)])
-                    # one window table alive at a time
-                    for o in live:
-                        tabs[o] = C @ _window_table(Dx, Dy, *o)
-                if len(live) < len(orders):
-                    zero = np.zeros((len(items), k, len(X[items[0]])))
-                    zero.flags.writeable = False
-                    for o in orders:
-                        tabs.setdefault(o, zero)
-                yield items, _stack([got[q][2] for q in items]), tabs
+        for k, items in groups.items():
+            tabs = {}
+            if live:
+                C = _stack([got[q][1] for q in items])
+                # the memoised univariate rows, stacked per axis
+                Dx = _stack([self._univariate(cells[q].level, cells[q].i,
+                                              X[q], ax) for q in items])
+                Dy = _stack([self._univariate(cells[q].level, cells[q].j,
+                                              Y[q], ay) for q in items])
+                # one window table alive at a time
+                for o in live:
+                    tabs[o] = C @ _window_table(Dx, Dy, *o)
+            if len(live) < len(orders):
+                zero = np.zeros((len(items), k, len(X[items[0]])))
+                zero.flags.writeable = False
+                for o in orders:
+                    tabs.setdefault(o, zero)
+            yield items, _stack([got[q][2] for q in items]), tabs
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -526,7 +518,7 @@ class SplineFunction:
                      ) -> dict[tuple[int, int], np.ndarray]:
         """Derivative values ``{order: (R, n)}`` of ``R`` requests (cell
         ``cells[q]`` at the paired points ``(X[q], Y[q])``), in request
-        order.  Per chunk of :meth:`HierarchicalSpace.basis_stacks` and
+        order.  Per group of :meth:`HierarchicalSpace.basis_stacks` and
         order, one stacked product of the gathered coefficients ``(B, 1,
         k)`` with the tables ``(B, k, n)``: the same BLAS call per item as
         the one-cell product ``c @ T``, so each row equals it bit for bit,
@@ -602,17 +594,6 @@ class DualFunctional:
         return float(self.weights @ _on_points(f(xs, self.points[:, 1]), xs))
 
 
-def _basis_on_rules(space: HierarchicalSpace, cells: Sequence[Cell], n: int):
-    """``(rule, positions, values, Gram block)`` of the active basis on
-    each of ``cells`` at its ``n x n`` Gauss rule, through the stacks."""
-    out = [None] * len(cells)
-    for lo, run, rules, X, Y, _, _ in _requests(cells, n):
-        for items, index, tabs in space.basis_stacks(run, X, Y, [(0, 0)]):
-            for q, pos, V in zip(items, index, tabs[(0, 0)]):
-                out[lo + q] = rules[q], pos, V, (V * rules[q].weights) @ V.T
-    return out
-
-
 class DualFunctionalSet:
     """Dual functionals biorthogonal to the active basis.
 
@@ -627,25 +608,30 @@ class DualFunctionalSet:
         n = quad_n if quad_n is not None else space.degree + 3
         boxes = [space.partition.cells_in_box(*space.support_box(fn))
                  for fn in space.active]
-        # every cell of any support box, evaluated once through the stacks
-        cells = sorted(set().union(*boxes))
-        per_cell = dict(zip(cells, _basis_on_rules(space, cells, n)))
+        # every cell of any support box, evaluated once through the stacks:
+        # its rule, positions, basis values and Gram block
+        per_cell = {}
+        for _, run, X, Y, W, _ in _requests(sorted(set().union(*boxes)), n):
+            P = np.stack([X, Y], axis=-1)
+            for items, index, tabs in space.basis_stacks(run, X, Y, [(0, 0)]):
+                for q, pos, V in zip(items, index, tabs[(0, 0)]):
+                    per_cell[run[q]] = P[q], W[q], pos, V, (V * W[q]) @ V.T
         duals: list[DualFunctional] = []
         for lam_pos, box in enumerate(boxes):
             per_box = [per_cell[c] for c in box]
-            neighbors = sorted({q for _, pos, _, _ in per_box for q in pos})
+            neighbors = sorted({q for _, _, pos, _, _ in per_box for q in pos})
             where = {q: k for k, q in enumerate(neighbors)}
             M = np.zeros((len(neighbors), len(neighbors)))
-            for _, pos, _, block in per_box:
+            for *_, pos, _, block in per_box:
                 idx = [where[q] for q in pos]
                 M[np.ix_(idx, idx)] += block
             rhs = np.zeros(len(neighbors))
             rhs[where[lam_pos]] = 1.0
             a, *_ = np.linalg.lstsq(M, rhs, rcond=None)
             duals.append(DualFunctional(
-                np.vstack([rule.points for rule, *_ in per_box]),
-                np.concatenate([(a[[where[q] for q in pos]] @ V) * rule.weights
-                                for rule, pos, V, _ in per_box])))
+                np.vstack([points for points, *_ in per_box]),
+                np.concatenate([(a[[where[q] for q in pos]] @ V) * w
+                                for _, w, pos, V, _ in per_box])))
         self.functionals = tuple(duals)
 
     def apply(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
@@ -694,18 +680,20 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
     if fine.degree != coarse.degree:
         raise ValueError("spaces have different degrees; not nested")
     cells = fine.partition.cells
-    parts = _basis_on_rules(fine, cells, fine.degree + 3)
-    fvals = fn.eval_stacked(coarse.partition.owners(cells),
-                            [rule.points[:, 0] for rule, *_ in parts],
-                            [rule.points[:, 1] for rule, *_ in parts],
-                            [(0, 0)])[(0, 0)]
+    owners = coarse.partition.owners(cells)
     rhs = np.zeros(fine.dim)
     rows, cols, vals = [], [], []
-    for (rule, pos, V, block), f in zip(parts, fvals):
-        rhs[pos] += V @ (rule.weights * f)
-        rows.extend(np.repeat(pos, len(pos)))
-        cols.extend(np.tile(pos, len(pos)))
-        vals.extend(block.ravel())
+    for lo, run, X, Y, W, _ in _requests(cells, fine.degree + 3):
+        f = fn.eval_stacked(owners[lo:lo + len(run)], X, Y, [(0, 0)])[(0, 0)]
+        got = [None] * len(run)
+        for items, index, tabs in fine.basis_stacks(run, X, Y, [(0, 0)]):
+            for q, pos, V in zip(items, index, tabs[(0, 0)]):
+                got[q] = pos, V
+        for (pos, V), w, fq in zip(got, W, f):
+            rhs[pos] += V @ (w * fq)
+            rows.extend(np.repeat(pos, len(pos)))
+            cols.extend(np.tile(pos, len(pos)))
+            vals.extend(((V * w) @ V.T).ravel())
     M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
     return SplineFunction(fine, solve_spd(M, rhs, SolveOptions()))
 
@@ -730,8 +718,8 @@ def save_solution(fn: SplineFunction, path) -> None:
 def load_solution(path) -> SplineFunction:
     """Read a file written by :func:`save_solution`.
 
-    A file that is truncated, has an unparsable or missing field, or
-    carries trailing data raises ``ValueError("malformed solution
+    A file that is truncated, has an unparsable, missing or non-finite
+    field, or carries trailing data raises ``ValueError("malformed solution
     file: ...")``.
     """
     with open(path, encoding="utf-8") as fh:
@@ -766,6 +754,9 @@ def load_solution(path) -> SplineFunction:
              for _ in range(ncells)]
     ncoef = expect("coeffs")
     coefs = np.array([token(float, "coefficient") for _ in range(ncoef)])
+    if not np.isfinite(coefs).all():
+        raise ValueError(f"malformed solution file: coefficient "
+                         f"{np.argmin(np.isfinite(coefs))} is not finite")
     if next(it, None) is not None:
         raise ValueError("malformed solution file: data after the coefficients")
     # every space of degree r contains the (r+1)^2 bidegree-r polynomials

@@ -432,7 +432,7 @@ class TestInconsistency:
         # projection and the full normal nx*d/dx + ny*d/dy
         n = max(r + 2, 6)
         _, bdry = edges(p)
-        pi = PiecewisePoly(r - 2, {
+        pi = PiecewisePoly(p, r - 2, {
             e.plus: dense_l2_projection(r - 2, e.plus, prob.laplacian_u, n)
             for e in bdry})
         want = 0.0
@@ -455,12 +455,25 @@ class TestInconsistency:
 
 class TestPiecewisePolyEval:
     def test_point_outside_stored_cells_raises_key_error(self):
-        pi = project_from_samples(uniform_partition(1),
-                                  lambda x, y: x + 2.0 * y, 1,
-                                  cells=[Cell(1, 0, 0)])
+        p = uniform_partition(1)
+        full = project_from_samples(p, lambda x, y: x + 2.0 * y, 1)
+        pi = PiecewisePoly(p, 1, {Cell(1, 0, 0): full.coeffs[Cell(1, 0, 0)]})
         assert pi.eval(0.25, 0.25) == pytest.approx(0.75, rel=1e-12)
         with pytest.raises(KeyError, match="0.75"):
             pi.eval(0.75, 0.75)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_shared_corners_pick_the_spline_cell(self, r):
+        """Without a cell, the projected Laplacian is evaluated on the
+        cell ``find_cell`` gives, the one a spline is evaluated on."""
+        p = uniform_partition(3)
+        U = random_spline(build_space(p, r), np.random.default_rng(r))
+        pi = project_laplacian(U)
+        for x, y in [(0.5, 0.5), (0.25, 0.75), (0.375, 0.125)]:
+            cell = p.find_cell(x, y)
+            assert pi.eval(x, y) == pi.eval(x, y, cell=cell)
+            assert pi.eval(x, y) != pi.eval(x, y, cell=Cell(3, *(
+                int(v * 8) - 1 for v in (x, y))))
 
 
 class TestErrorIntegrals:

@@ -180,7 +180,13 @@ class TestEndToEnd:
         capsys.readouterr()
         code = run_cli(["--load-solution", str(out / "solution.txt")])
         assert code == 0
-        assert "degree=2" in capsys.readouterr().out
+        fn = load_solution(out / "solution.txt")
+        lo, hi = fn.coefficients.min(), fn.coefficients.max()
+        # plain float reprs, not numpy's np.float64(...)
+        assert capsys.readouterr().out == (
+            f"solution: degree=2 truncated=1 cells={len(fn.space.partition)} "
+            f"dofs={fn.space.dim} coeff_range=[{float(lo)!r}, "
+            f"{float(hi)!r}]\n")
 
     def test_truncated_solution_file_exits_two(self, tmp_path, capsys):
         p = refine(uniform_partition(1), [Cell(1, 0, 0)])
@@ -248,6 +254,26 @@ class TestEndToEnd:
                         "coeffs 9\n" + "0.0\n" * 9)
         assert run_cli(["--load-solution", str(path)]) == 2
         assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_coefficient_exits_two(self, tmp_path, capsys, value):
+        path = tmp_path / "solution.txt"
+        path.write_text("degree 2\ntruncated 1\ncells 1\n0 0 0\ncoeffs 9\n"
+                        + "0.0\n" * 3 + f"{value}\n" + "1.0\n" * 5)
+        with pytest.raises(ValueError, match="malformed solution file"):
+            load_solution(path)
+        assert run_cli(["--load-solution", str(path)]) == 2
+        assert ("malformed solution file: coefficient 3 is not finite"
+                in capsys.readouterr().err)
+
+    def test_negative_cell_level_exits_two_naming_the_cell(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "solution.txt"
+        path.write_text("degree 2\ntruncated 1\ncells 1\n-1 0 0\n"
+                        "coeffs 9\n" + "0.0\n" * 9)
+        assert run_cli(["--load-solution", str(path)]) == 2
+        assert ("cell Cell(level=-1, i=0, j=0) has a negative level"
+                in capsys.readouterr().err)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

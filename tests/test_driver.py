@@ -16,6 +16,7 @@ from afem.driver import (AfemConfig, Problem, contraction_ratios,
 from afem.estimator import Indicators
 from afem.mesh import uniform_partition
 from afem.oracles import manufactured_sin2, zero_problem
+from afem.solver import SolveOptions
 from afem.splines import build_space, conforming_indices, SplineFunction
 
 
@@ -115,6 +116,24 @@ class TestRunBasics:
             AfemConfig(initial_levels=-1)
         with pytest.raises(ValueError):
             AfemConfig(mode="collocation")
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (AfemConfig, "degree", 2.5), (AfemConfig, "degree", True),
+        (AfemConfig, "initial_levels", 1.5), (AfemConfig, "max_iters", 2.5),
+        (AfemConfig, "max_dofs", 200.5), (AfemConfig, "seed", 0.5),
+        (AfemConfig, "theta", "0.5"), (AfemConfig, "gamma1", "1"),
+        (FormParams, "gamma1", "1"), (FormParams, "gamma2", [1.0]),
+        (FormParams, "gamma2", True), (SolveOptions, "max_iter", 2.5),
+        (SolveOptions, "tol", "1e-8"),
+    ])
+    def test_setting_of_the_wrong_type_fails_at_construction(self, cls, field,
+                                                             value):
+        with pytest.raises(ValueError, match=f"^{field} must be an? "):
+            cls(**{field: value})
+        # numpy scalars are numbers
+        AfemConfig(degree=np.int64(3), theta=np.float64(0.5),
+                   max_dofs=np.int64(500), gamma1=np.float32(5.0))
+        SolveOptions(tol=np.float64(1e-6), max_iter=np.int32(10))
 
     @pytest.mark.parametrize("bad", [0, 2.5])
     def test_rule_that_is_not_a_positive_integer_raises_unbuilt(

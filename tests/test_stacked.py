@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from scipy.sparse import coo_matrix
 
-from afem import quadrature, splines
+from afem import quadrature
 from afem.assembly import (FormParams, _legendre_modes, _legendre_traces,
                            _monomial_poly, _spline_traces,
                            _symmetric_csr,
@@ -29,7 +29,8 @@ from afem.oracles import manufactured_sin2, random_spline
 from afem.quadrature import gauss_cell, gauss_edge
 from afem.solver import SolveOptions, solve, solve_spd
 from afem.splines import (HierarchicalSpace, SplineFunction, build_space,
-                          coarse_to_fine, conforming_indices)
+                          coarse_to_fine, conforming_indices,
+                          quasi_interpolant)
 from test_splines import (ALL_ORDERS, graded_space, graded_spaces,
                           tables_per_order)
 
@@ -62,13 +63,15 @@ def keep_first_row(s, cells):
 
 def check_stacks(s, U, cells, X, Y, orders):
     """Every stacked item equals the one-cell path and the independent
-    extraction-times-table product; chunks respect the grouping."""
-    seen = []
+    extraction-times-table product; each extraction size is one stack.
+    Returns the stack sizes."""
+    seen, sizes = [], []
     for items, index, tabs in s.basis_stacks(cells, X, Y, orders):
-        assert 0 < len(items) <= splines._STACK_ITEMS
         ks = {len(s.cell_extraction(cells[q])[0]) for q in items}
         assert len(ks) == 1 and index.shape == (len(items), ks.pop())
+        assert all(T.shape[0] == len(items) for T in tabs.values())
         seen.extend(items)
+        sizes.append(len(items))
         for j, q in enumerate(items):
             pos, want = s.basis_on_cell(cells[q], X[q], Y[q], orders)
             assert tuple(index[j]) == pos
@@ -81,11 +84,12 @@ def check_stacks(s, U, cells, X, Y, orders):
                 else:
                     assert not tabs[o][j].any()
     assert sorted(seen) == list(range(len(cells)))
-    # within one extraction size, requests keep their order
+    # one stack per extraction size, its requests in order
     by_k = {}
     for q in seen:
         by_k.setdefault(len(s.cell_extraction(cells[q])[0]), []).append(q)
     assert all(v == sorted(v) for v in by_k.values())
+    assert sorted(sizes) == sorted(len(v) for v in by_k.values())
 
     got = U.eval_stacked(cells, X, Y, orders)
     for q, c in enumerate(cells):
@@ -96,6 +100,7 @@ def check_stacks(s, U, cells, X, Y, orders):
             assert got[o].shape == (len(cells), len(X[q]))
             assert np.array_equal(got[o][q], want[o]), (q, o)
             assert np.array_equal(got[o][q], c_pos @ tabs[o]), (q, o)
+    return sizes
 
 
 class TestKernel:
@@ -110,6 +115,9 @@ class TestKernel:
                                                   (4, True)])
     def test_single_row_groups_and_groups_over_one_chunk(self, degree,
                                                          truncated):
+        """Groups of one extraction row and groups of more than 32
+        requests each come out as one stack, whose items equal the
+        one-cell path."""
         p = refine(uniform_partition(3), [Cell(3, 1, 2), Cell(3, 6, 6)])
         s = build_space(p, degree, truncated)
         keep_first_row(s, p.cells[::7])
@@ -121,8 +129,9 @@ class TestKernel:
             k = len(s.cell_extraction(c)[0])
             sizes[k] = sizes.get(k, 0) + 1
         assert 1 in sizes
-        assert max(sizes.values()) > splines._STACK_ITEMS
-        check_stacks(s, U, cells, X, Y, ALL_ORDERS)
+        assert max(sizes.values()) > 32
+        assert sorted(check_stacks(s, U, cells, X, Y, ALL_ORDERS)) == sorted(
+            sizes.values())
 
     def test_only_zero_orders(self):
         s = build_space(uniform_partition(2), 2)
@@ -367,8 +376,8 @@ def project_laplacian_per_cell(U, n):
         d = U.eval_batch(xs, ys, LAP, cell)
         return d[(2, 0)] + d[(0, 2)]
 
-    return _monomial_poly(r - 2, projections_per_cell(U.space.partition,
-                                                      r - 2, n, lap))
+    p = U.space.partition
+    return _monomial_poly(p, r - 2, projections_per_cell(p, r - 2, n, lap))
 
 
 def energy_norm_per_cell(U, n):
@@ -487,8 +496,9 @@ def count_calls(monkeypatch, owner, name, calls):
 
 
 def same_poly(got, want):
-    """Equal cellwise polynomials with the cells in the same order (a
-    point on a shared side is evaluated on the first cell listed)."""
+    """Equal cellwise polynomials on the same partition, with the cells
+    in the same order."""
+    assert got.partition is want.partition
     assert list(got.coeffs) == list(want.coeffs)
     for c, a in got.coeffs.items():
         assert a.tobytes() == want.coeffs[c].tobytes(), c
@@ -598,12 +608,12 @@ class TestPortedConsumers:
         n = degree + 3
         exact = default_quad_n(degree)  # the spline-only integrals' rule
         same_poly(project_laplacian(U), project_laplacian_per_cell(U, exact))
-        cells = p.cells[::-3]
-        same_poly(project_from_samples(p, SIN2.f, degree - 1, cells, n),
-                  _monomial_poly(degree - 1, projections_per_cell(
-                      cells, degree - 1, n,
+        same_poly(project_from_samples(p, SIN2.f, degree - 1, n),
+                  _monomial_poly(p, degree - 1, projections_per_cell(
+                      p, degree - 1, n,
                       lambda cell, xs, ys: np.asarray(SIN2.f(xs, ys),
                                                       float))))
+        cells = p.cells[::-3]
         assert energy_norm_sq(U) == energy_norm_per_cell(U, exact)
         assert h2_seminorm_sq(U) == h2_seminorm_per_cell(U, p, exact)
         assert (h2_seminorm_sq(U, cells)
@@ -646,8 +656,10 @@ class TestPortedConsumers:
                               [(0, 0), (1, 0), (0, 1)])
         got = list(_spline_traces(fine, bdry, n))
         assert [e for e, *_ in got] == bdry
-        for q, (e, rule, v, vn) in enumerate(got):
-            assert np.array_equal(rule.points, rules[q].points)
+        for q, (e, xs, ys, w, v, vn) in enumerate(got):
+            assert xs.tobytes() == X[q].tobytes() and xs.strides == (16,)
+            assert ys.tobytes() == Y[q].tobytes()
+            assert w.tobytes() == rules[q].weights.tobytes()
             assert np.array_equal(v, d[(0, 0)][q])
             assert np.array_equal(
                 vn, e.normal[e.axis] * d[normal_order(e.axis)][q])
@@ -662,6 +674,50 @@ class TestPortedConsumers:
         for s, w in zip((fine.space, coarse.space), want):
             assert np.array_equal(coarse_to_fine(coarse, s).coefficients, w)
         assert calls == {"basis_on_cell": 0, "eval_batch": 0}
+
+
+def test_requests_hand_out_arrays(monkeypatch):
+    """A pass sees each run's points, weights and samples as ``(R, N)``
+    arrays, a point row strided as a rule's ``points[:, 0]``, and no
+    rule object is built."""
+    cells = uniform_partition(4).cells
+    rules = [gauss_cell(c, 3) for c in cells]
+    monkeypatch.setattr(quadrature, "QuadratureRule", None)
+    runs = list(quadrature._requests(cells, 3, lambda x, y: x + 2.0 * y))
+    assert [lo for lo, *_ in runs] == [0, quadrature._BLOCK_REQUESTS]
+    for lo, run, X, Y, W, F in runs:
+        assert run == cells[lo:lo + len(run)]
+        assert X.shape == Y.shape == W.shape == F.shape == (len(run), 9)
+        for q, rule in enumerate(rules[lo:lo + len(run)]):
+            assert X[q].strides == rule.points[:, 0].strides
+            assert X[q].tobytes() == rule.points[:, 0].tobytes()
+            assert Y[q].tobytes() == rule.points[:, 1].tobytes()
+            assert W[q].tobytes() == rule.weights.tobytes()
+            assert np.array_equal(F[q], X[q] + 2.0 * Y[q])
+
+
+def test_stacked_calls_take_at_most_one_run(monkeypatch):
+    """Every ``basis_stacks`` call of a pass takes at most one run of
+    ``_requests`` (the edge jumps: its two sides), also in
+    ``coarse_to_fine`` and the dual functionals on spaces of more cells."""
+    sizes = []
+    original = HierarchicalSpace.basis_stacks
+
+    def recording(self, cells, X, Y, orders):
+        sizes.append(len(cells))
+        return original(self, cells, X, Y, orders)
+
+    monkeypatch.setattr(HierarchicalSpace, "basis_stacks", recording)
+    run(AfemConfig(degree=2, max_dofs=400), PROB)
+    assert quadrature._BLOCK_REQUESTS < max(sizes) <= (
+        2 * quadrature._BLOCK_REQUESTS)
+    sizes.clear()
+    p = uniform_partition(4)
+    coarse = random_spline(build_space(p, 2), np.random.default_rng(0))
+    fine = build_space(refine(p, [Cell(4, 3, 3)]), 2)
+    coarse_to_fine(coarse, fine)
+    quasi_interpolant(fine, SIN2.u)
+    assert max(sizes) == quadrature._BLOCK_REQUESTS
 
 
 def test_energy_diff_of_swapped_iterates_names_first_subdivided_cell():
