@@ -89,7 +89,8 @@ class FormParams:
 
     def __post_init__(self):
         if self.mode not in ("conforming", "nitsche"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be 'conforming' or 'nitsche', "
+                             f"got {self.mode!r}")
         q = self.quad_n
         if q is not None and (not isinstance(q, Integral)
                               or isinstance(q, bool) or q < 1):
@@ -98,15 +99,14 @@ class FormParams:
             g = getattr(self, name)
             if g is not None:
                 _check_number(name, g)
-                if not np.isfinite(g):
-                    raise ValueError(f"{name} must be finite, got {g!r}")
+                if not 0.0 < g < np.inf:  # a nan fails too
+                    raise ValueError(f"{name} must be positive and finite, "
+                                     f"got {g}")
 
     def resolved(self, r: int) -> "FormParams":
         g1 = self.gamma1 if self.gamma1 is not None else default_gamma(r)
         g2 = self.gamma2 if self.gamma2 is not None else default_gamma(r)
         qn = self.quad_n if self.quad_n is not None else default_quad_n(r)
-        if self.mode == "nitsche" and (g1 <= 0.0 or g2 <= 0.0):
-            raise ValueError("nitsche mode needs positive gamma1 and gamma2")
         return replace(self, gamma1=g1, gamma2=g2, quad_n=qn)
 
 

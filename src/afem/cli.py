@@ -209,19 +209,17 @@ def main(argv=None) -> int:
               f"{float(fn.coefficients.max())!r}]")
         return 0
 
-    if not (0.0 < args.theta <= 1.0):
-        ap.error(f"--theta must lie in (0, 1], got {args.theta}")
-    if args.degree < 2:
-        ap.error(f"--degree must be at least 2, got {args.degree}")
-    if args.initial_levels < 0:
-        ap.error("--initial-levels must be non-negative")
-    if args.max_iters < 1:
-        ap.error("--max-iters must be at least 1")
-    for flag, val in (("--gamma1", args.gamma1), ("--gamma2", args.gamma2)):
-        if val is not None and not 0.0 < val < float("inf"):
-            ap.error(f"{flag} must be positive and finite, got {val}")
-    if args.quad_n is not None and args.quad_n < 1:
-        ap.error("--quad-n must be at least 1")
+    try:  # AfemConfig's messages lead with the field, named here by flag
+        cfg = AfemConfig(
+            degree=args.degree, theta=args.theta, mode=args.mode,
+            gamma1=args.gamma1, gamma2=args.gamma2,
+            initial_levels=args.initial_levels, max_dofs=args.max_dofs,
+            max_iters=args.max_iters, quad_n=args.quad_n,
+            solver=SolveOptions(method=args.solver),
+        )
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        ap.error(f"--{field.replace('_', '-')} {rest}")
 
     try:
         prob = load_problem(args.problem)
@@ -236,17 +234,6 @@ def main(argv=None) -> int:
     def keep_last(state):
         final["state"] = state
 
-    try:
-        cfg = AfemConfig(
-            degree=args.degree, theta=args.theta, mode=args.mode,
-            gamma1=args.gamma1, gamma2=args.gamma2,
-            initial_levels=args.initial_levels, max_dofs=args.max_dofs,
-            max_iters=args.max_iters, quad_n=args.quad_n,
-            solver=SolveOptions(method=args.solver),
-        )
-    except ValueError as exc:
-        print(f"afem: {exc}", file=sys.stderr)
-        return 2
     try:  # before the run, so an unusable --out does not cost one
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:

@@ -60,22 +60,30 @@ class AfemConfig:
     solver: SolveOptions = field(default_factory=SolveOptions)
     truncated: bool = True
     track_inconsistency: bool = False
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("degree", "initial_levels", "max_dofs", "max_iters",
-                     "seed"):
+        """The one check of every setting, before any run: each message
+        leads with the field's name, which the CLI swaps for its flag."""
+        for name in ("degree", "initial_levels", "max_dofs", "max_iters"):
             _check_number(name, getattr(self, name), integer=True)
         _check_number("theta", self.theta)
+        if self.degree < 2:
+            raise ValueError(f"degree must be at least 2, got {self.degree}")
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if not 0 <= self.initial_levels <= MAX_LEVEL:
-            raise ValueError(f"initial_levels must lie in [0, {MAX_LEVEL}]")
+            raise ValueError(f"initial_levels must lie in [0, {MAX_LEVEL}], "
+                             f"got {self.initial_levels}")
         # the dimension of the uniform space the loop starts from
         if (2 ** self.initial_levels + self.degree) ** 2 > self.max_dofs:
             raise ValueError("max_dofs is below the initial space dimension")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        for name, kind in (("truncated", bool), ("track_inconsistency", bool),
+                           ("solver", SolveOptions)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {value!r}")
         self.form_params()  # mode, gammas and rule
 
     def form_params(self) -> FormParams:
@@ -92,6 +100,15 @@ class Problem:
     grad_u: Callable | None = None
     laplacian_u: Callable | None = None
     grad_laplacian_u: Callable | None = None
+
+    def __post_init__(self):
+        if not callable(self.f):
+            raise ValueError(f"f must be callable, got {self.f!r}")
+        for name in ("u", "grad_u", "laplacian_u", "grad_laplacian_u"):
+            value = getattr(self, name)
+            if value is not None and not callable(value):
+                raise ValueError(f"{name} must be None or callable, "
+                                 f"got {value!r}")
 
     @property
     def has_exact(self) -> bool:
@@ -117,10 +134,10 @@ class Problem:
                         "exact normal derivative does not vanish on the boundary")
 
     @staticmethod
-    def from_manufactured(mp) -> "Problem":
-        return Problem(name=mp.name, f=mp.f, u=mp.u, grad_u=mp.grad_u,
-                       laplacian_u=mp.laplacian_u,
-                       grad_laplacian_u=mp.grad_laplacian_u)
+    def from_manufactured(mp: "Problem") -> "Problem":
+        """``mp`` itself: every manufactured problem is a checked
+        ``Problem`` already."""
+        return mp
 
 
 @dataclass(frozen=True)
@@ -192,7 +209,7 @@ def run(cfg: AfemConfig, prob: Problem,
     params = cfg.form_params()
     p = uniform_partition(cfg.initial_levels)
     records: list[ConvergenceRecord] = []
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)  # the inconsistency probes
     f = _SampleMemo(prob.f)
     ind = None
 

@@ -134,9 +134,10 @@ class Partition:
     (Morton) keys on its finest grid, sorted.  A cell of level ``l``
     covers the key interval ``[key, key + 4**(max_level - l))``, so the
     active cell containing any dyadic cell is one ``searchsorted`` away.
+    Every partition is checked: disjoint cells, exact cover, grading.
     """
 
-    def __init__(self, cells: Iterable[Cell], validate: bool = True):
+    def __init__(self, cells: Iterable[Cell]):
         cells = list(cells)
         if not cells:
             raise ValueError("partition needs at least one cell")
@@ -155,8 +156,7 @@ class Partition:
         self._zkey = key[self._zorder]
         self._table: np.ndarray | None = None
         self._edges: tuple[list[Edge], list[Edge]] | None = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- basic queries ------------------------------------------------
 
@@ -274,8 +274,7 @@ def uniform_partition(levels: int) -> Partition:
     if levels < 0:
         raise ValueError("levels must be non-negative")
     n = 1 << levels
-    return Partition((Cell(levels, i, j) for i in range(n) for j in range(n)),
-                     validate=False)
+    return Partition(Cell(levels, i, j) for i in range(n) for j in range(n))
 
 
 def refine(p: Partition, marked: Iterable[Cell]) -> Partition:

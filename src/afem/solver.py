@@ -41,7 +41,8 @@ class SolveOptions:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.method not in ("direct", "cg"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"method must be 'direct' or 'cg', "
+                             f"got {self.method!r}")
 
 
 class NotSPDError(RuntimeError):

@@ -274,6 +274,8 @@ class HierarchicalSpace:
                  truncated: bool = True):
         if degree < 2:
             raise ValueError("degree must be at least 2 for a C1 space")
+        if not isinstance(truncated, bool):
+            raise ValueError(f"truncated must be a bool, got {truncated!r}")
         self.partition = partition
         self.degree = degree
         self.truncated = truncated
@@ -691,10 +693,12 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
                 got[q] = pos, V
         for (pos, V), w, fq in zip(got, W, f):
             rhs[pos] += V @ (w * fq)
-            rows.extend(np.repeat(pos, len(pos)))
-            cols.extend(np.tile(pos, len(pos)))
-            vals.extend(((V * w) @ V.T).ravel())
-    M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
+            rows.append(np.repeat(pos, len(pos)))
+            cols.append(np.tile(pos, len(pos)))
+            vals.append(((V * w) @ V.T).ravel())
+    M = coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                           np.concatenate(cols))),
+                   shape=(fine.dim, fine.dim)).tocsc()
     return SplineFunction(fine, solve_spd(M, rhs, SolveOptions()))
 
 

@@ -571,5 +571,6 @@ def test_form_params_take_any_positive_integer_rule():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("name", ["gamma1", "gamma2"])
 def test_form_params_reject_non_finite_gamma(name, bad):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                         "finite"):
         FormParams("nitsche", **{name: bad})

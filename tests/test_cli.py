@@ -11,7 +11,7 @@ import pytest
 
 import afem
 from afem.cli import _expr, build_parser, load_problem, main
-from afem.driver import CSV_HEADER
+from afem.driver import CSV_HEADER, AfemConfig
 from afem.mesh import Cell, refine, uniform_partition
 from afem.oracles import random_spline
 from afem.splines import build_space, load_solution, save_solution
@@ -45,13 +45,42 @@ class TestValidation:
         assert "mystery" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value,message", [
-        ("0", "--quad-n must be at least 1"),
+        ("0", "--quad-n must be a positive integer, got 0"),
         ("2.5", "--quad-n: invalid int value"),
     ])
     def test_bad_quad_n_exits_two_with_the_flags_message(self, value,
                                                           message, capsys):
         assert run_cli(BASE + ["--quad-n", value, "--out", "x"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,text,value,message", [
+        ("--theta", "1.5", 1.5, "must lie in (0, 1], got 1.5"),
+        ("--theta", "0", 0.0, "must lie in (0, 1], got 0.0"),
+        ("--theta", "nan", np.nan, "must lie in (0, 1], got nan"),
+        ("--degree", "1", 1, "must be at least 2, got 1"),
+        ("--initial-levels", "-1", -1, "must lie in [0, 31], got -1"),
+        ("--initial-levels", "40", 40, "must lie in [0, 31], got 40"),
+        ("--max-iters", "0", 0, "must be at least 1"),
+        ("--max-dofs", "35", 35, "is below the initial space dimension"),
+        *[(flag, text, float(text), f"must be positive and finite, got "
+           f"{float(text)}") for flag in ("--gamma1", "--gamma2")
+          for text in ("-5", "0", "nan", "inf")],
+        ("--quad-n", "0", 0, "must be a positive integer, got 0"),
+    ])
+    def test_bad_setting_gives_the_configs_message_under_its_flag(
+            self, flag, text, value, message, tmp_path, capsys):
+        """``AfemConfig`` is the one check: the CLI prints its message
+        with the flag in place of the field, before the problem is read."""
+        field = flag[2:].replace("-", "_")
+        with pytest.raises(ValueError) as exc:
+            AfemConfig(**{field: value})
+        assert str(exc.value) == f"{field} {message}"
+        code = run_cli(["--problem", "mystery", flag, text,
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            f"afem: error: {flag} {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_exits_two(self):
         assert run_cli(["--frobnicate"]) == 2
@@ -101,7 +130,7 @@ class TestValidation:
         code = run_cli(BASE + ["--initial-levels", "9", "--max-dofs", "100",
                                "--out", str(tmp_path)])
         assert code == 2
-        assert ("max_dofs is below the initial space dimension"
+        assert ("--max-dofs is below the initial space dimension"
                 in capsys.readouterr().err)
         assert not (tmp_path / "convergence.csv").exists()
 

@@ -1,5 +1,6 @@
 """Adaptive loop behaviour, convergence bookkeeping and identities."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -120,11 +121,13 @@ class TestRunBasics:
     @pytest.mark.parametrize("cls,field,value", [
         (AfemConfig, "degree", 2.5), (AfemConfig, "degree", True),
         (AfemConfig, "initial_levels", 1.5), (AfemConfig, "max_iters", 2.5),
-        (AfemConfig, "max_dofs", 200.5), (AfemConfig, "seed", 0.5),
+        (AfemConfig, "max_dofs", 200.5),
         (AfemConfig, "theta", "0.5"), (AfemConfig, "gamma1", "1"),
         (FormParams, "gamma1", "1"), (FormParams, "gamma2", [1.0]),
         (FormParams, "gamma2", True), (SolveOptions, "max_iter", 2.5),
-        (SolveOptions, "tol", "1e-8"),
+        (SolveOptions, "tol", "1e-8"), (AfemConfig, "truncated", "no"),
+        (AfemConfig, "track_inconsistency", None),
+        (AfemConfig, "solver", "cg"),
     ])
     def test_setting_of_the_wrong_type_fails_at_construction(self, cls, field,
                                                              value):
@@ -134,6 +137,21 @@ class TestRunBasics:
         AfemConfig(degree=np.int64(3), theta=np.float64(0.5),
                    max_dofs=np.int64(500), gamma1=np.float32(5.0))
         SolveOptions(tol=np.float64(1e-6), max_iter=np.int32(10))
+
+    @pytest.mark.parametrize("entries,message", [
+        ({"f": None}, "f must be callable, got None"),
+        ({"laplacian_u": 1.0}, "laplacian_u must be None or callable, "
+                               "got 1.0"),
+        ({"grad_u": (np.sin, np.cos)}, "grad_u must be None or callable"),
+    ])
+    def test_problem_data_that_is_not_callable_fails_at_construction(
+            self, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            Problem("x", **{"f": lambda x, y: x, **entries})
+
+    def test_from_manufactured_returns_its_checked_problem(self):
+        prob = manufactured_sin2()
+        assert Problem.from_manufactured(prob) is prob
 
     @pytest.mark.parametrize("bad", [0, 2.5])
     def test_rule_that_is_not_a_positive_integer_raises_unbuilt(

@@ -333,9 +333,22 @@ class TestRejections:
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             Partition(deep)
 
-    def test_unvalidated_partition_skips_the_checks(self):
+    def test_every_partition_is_validated(self, monkeypatch):
+        """No option skips the checks: the five overlapping cells raise,
+        and the uniform partition, refinement and a dump are checked."""
         cells = [Cell(0, 0, 0), *Cell(0, 0, 0).children()]
-        assert len(Partition(cells, validate=False)) == 5
+        with pytest.raises(ValueError, match="overlapping cells"):
+            Partition(cells)
+        with pytest.raises(TypeError):
+            Partition(cells, validate=False)
+        calls = []
+        check = Partition._validate
+        monkeypatch.setattr(Partition, "_validate",
+                            lambda p: calls.append(len(p)) or check(p))
+        p = uniform_partition(2)
+        q = refine(p, [Cell(2, 0, 0)])
+        Partition.from_dump(q.dump())
+        assert calls == [16, 19, 19]
 
 
 DIRECTIONS = ("left", "right", "down", "up")

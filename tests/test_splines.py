@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import legendre as npleg
+from scipy.sparse import coo_matrix
 
+from afem import splines
 from afem.assembly import _legendre_modes, _local_coords
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import (exact_two_scale_matrix, kraft_selection_bruteforce,
@@ -18,7 +20,8 @@ from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           quasi_interpolant, save_solution, span_class,
                           two_scale_matrix, TABLE_CACHE_SIZE,
                           _reference_table, _scaled_table, _two_scale_block)
-from afem.quadrature import gauss_cell, gauss_points_1d
+from afem.quadrature import _requests, gauss_cell, gauss_points_1d
+from afem.solver import SolveOptions, solve_spd
 
 
 def graded_7cell():
@@ -551,6 +554,12 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             build_space(uniform_partition(1), 1)
 
+    @pytest.mark.parametrize("flag", ["no", 0, None])
+    def test_truncated_that_is_not_a_bool_rejected(self, flag):
+        with pytest.raises(ValueError,
+                           match=f"^truncated must be a bool, got {flag!r}"):
+            build_space(uniform_partition(1), 2, flag)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_active_set_matches_bruteforce_kraft(self, seed):
         rng = np.random.default_rng(seed)
@@ -884,6 +893,25 @@ class TestCoarseToFine:
             resid = max(abs(fn(x, y) - out(x, y)) for x, y in pts)
             assert resid <= 1e-12
 
+    def test_gram_triplets_reach_coo_matrix_as_arrays(self, monkeypatch):
+        """The Gram blocks are scattered as concatenated arrays, and the
+        transfer equals the former scatter into Python lists of numpy
+        scalars bit for bit."""
+        p = uniform_partition(3)
+        fn = random_spline(build_space(p, 3), np.random.default_rng(7))
+        fine = build_space(refine(p, p.cells[::5]), 3)
+        real, kinds = splines.coo_matrix, []
+
+        def spy(arg, shape):
+            vals, (rows, cols) = arg
+            kinds.extend(type(a) for a in (vals, rows, cols))
+            return real(arg, shape=shape)
+
+        monkeypatch.setattr(splines, "coo_matrix", spy)
+        out = coarse_to_fine(fn, fine)
+        assert kinds == [np.ndarray] * 3
+        assert np.array_equal(out.coefficients, _coarse_to_fine_lists(fn, fine))
+
     def test_non_nested_rejected(self):
         s_fine = build_space(uniform_partition(2), 2)
         fn = random_spline(s_fine, np.random.default_rng(6))
@@ -893,6 +921,29 @@ class TestCoarseToFine:
         s_deg = build_space(uniform_partition(3), 3)
         with pytest.raises(ValueError, match="degree"):
             coarse_to_fine(fn, s_deg)
+
+
+def _coarse_to_fine_lists(fn, fine):
+    """Coefficients of ``coarse_to_fine(fn, fine)`` with the COO triplets
+    extended into Python lists of numpy scalars, as the transfer once
+    scattered them."""
+    owners = fn.space.partition.owners(fine.partition.cells)
+    rhs = np.zeros(fine.dim)
+    rows, cols, vals = [], [], []
+    for lo, run, X, Y, W, _ in _requests(fine.partition.cells,
+                                         fine.degree + 3):
+        f = fn.eval_stacked(owners[lo:lo + len(run)], X, Y, [(0, 0)])[(0, 0)]
+        got = [None] * len(run)
+        for items, index, tabs in fine.basis_stacks(run, X, Y, [(0, 0)]):
+            for q, pos, V in zip(items, index, tabs[(0, 0)]):
+                got[q] = pos, V
+        for (pos, V), w, fq in zip(got, W, f):
+            rhs[pos] += V @ (w * fq)
+            rows.extend(np.repeat(pos, len(pos)))
+            cols.extend(np.tile(pos, len(pos)))
+            vals.extend(((V * w) @ V.T).ravel())
+    M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
+    return solve_spd(M, rhs, SolveOptions())
 
 
 class TestSerialization:
