@@ -19,17 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from numbers import Integral
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.sparse import coo_matrix, csr_matrix, triu
+from scipy.sparse import coo_matrix, csr_matrix
 
-from .mesh import Cell, Edge, Partition, edges
-from .quadrature import _cell_sum, _on_points, _requests
+from .mesh import Cell, EdgeArrays, Partition, edge_arrays
+from .quadrature import _cell_sum, _on_points, _requests, _row_dots
 from .solver import _check_number
-from .splines import HierarchicalSpace, SplineFunction, conforming_indices
+from .splines import (HierarchicalSpace, SplineFunction, _distinct_rows,
+                      conforming_indices)
 
 __all__ = [
     "AnalyticField",
@@ -162,21 +164,40 @@ def _legendre_1d(d: int, order: int, xi_bytes: bytes) -> np.ndarray:
     return tab
 
 
-def _local_coords(cell: Cell, xs: np.ndarray, ys: np.ndarray):
-    x0, x1, y0, y1 = cell.bounds
-    xi = 2.0 * (np.asarray(xs, float) - x0) / (x1 - x0) - 1.0
-    zeta = 2.0 * (np.asarray(ys, float) - y0) / (y1 - y0) - 1.0
-    return xi, zeta
+def _local_coords(cells, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Local coordinates ``(xi, zeta)``, ``(B, N)`` each, of the paired
+    points ``(X[q], Y[q])`` on ``cells[q]``, mapped as ``2 (x - x0) / (x1
+    - x0) - 1`` with the cell's bounds."""
+    level, i, j = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
+                              count=3 * len(cells)).reshape(-1, 3).T
+    side = np.ldexp(1.0, -level)[:, None]
+
+    def local(P, k):
+        lo = k[:, None] * side
+        return 2.0 * (np.asarray(P, float) - lo) / ((k + 1)[:, None] * side
+                                                    - lo) - 1.0
+
+    return local(X, i), local(Y, j)
 
 
-def _legendre_modes(cell: Cell, d: int, xs: np.ndarray, ys: np.ndarray,
-                    ax: int = 0, ay: int = 0) -> np.ndarray:
-    """Tensor Legendre mode derivatives at paired points, ((d+1)^2, n)."""
-    xi, zeta = _local_coords(cell, xs, ys)
-    Px = _legendre_1d(d, ax, xi.tobytes())
-    Py = _legendre_1d(d, ay, zeta.tobytes())
-    scale = (2.0 / cell.side) ** (ax + ay)
-    return (Px[:, None, :] * Py[None, :, :]).reshape((d + 1) ** 2, -1) * scale
+def _legendre_modes(cells, d: int, X, Y, ax: int = 0,
+                    ay: int = 0) -> np.ndarray:
+    """Tensor Legendre mode derivatives ``(B, (d+1)^2, N)`` of ``cells``
+    at their paired points ``(X[q], Y[q])``: per item the outer product
+    of the two 1-D tables at the :func:`_local_coords`, times
+    ``(2/h)**(ax+ay)``.  A 1-D table is looked up once per distinct row
+    of local coordinates."""
+    def table(local, order):
+        first, inv = _distinct_rows(local.view(np.int64))
+        return np.array([_legendre_1d(d, order, local[q].tobytes())
+                         for q in first])[inv]
+
+    xi, zeta = _local_coords(cells, X, Y)
+    Px, Py = table(xi, ax), table(zeta, ay)
+    B, _, N = Px.shape
+    level = np.fromiter((c[0] for c in cells), dtype=np.int64, count=B)
+    return ((Px[:, :, None, :] * Py[:, None, :, :]).reshape(B, -1, N)
+            * np.ldexp(1.0, (level + 1) * (ax + ay))[:, None, None])
 
 
 class PiecewisePoly:
@@ -201,7 +222,7 @@ class PiecewisePoly:
             c = np.polynomial.polynomial.polyder(c, ax, axis=0)
         if ay:
             c = np.polynomial.polynomial.polyder(c, ay, axis=1)
-        xi, zeta = _local_coords(cell, xs, ys)
+        (xi,), (zeta,) = _local_coords([cell], [xs], [ys])
         vals = np.polynomial.polynomial.polyval2d(xi, zeta, np.atleast_2d(c))
         return vals * (2.0 / cell.side) ** (ax + ay)
 
@@ -220,8 +241,7 @@ def _legendre_project(cells, d: int, X, Y, W: np.ndarray, V: np.ndarray):
     rules ``(X[q], Y[q], W[q])``, and the coefficients of the projection
     of ``V``, ``(B, N) -> (B, m)`` or ``(B, k, N) -> (B, k, m)``: one
     batched product, per item the BLAS call of the one-cell product."""
-    modes = np.array([_legendre_modes(c, d, x, y)
-                      for c, x, y in zip(cells, X, Y)])
+    modes = _legendre_modes(cells, d, X, Y)
     a = np.arange(d + 1)
     norms = (np.outer(2 * a + 1, 2 * a + 1).ravel()
              / np.array([[c.side ** 2] for c in cells]))
@@ -257,17 +277,25 @@ def _monomial_poly(p: Partition, d: int, legendre: dict) -> PiecewisePoly:
                                 for cell, a in legendre.items()})
 
 
-def _legendre_traces(coef: np.ndarray, e: Edge, d: int, xs, ys):
-    """Trace and normal-derivative trace ``(Pi v, d_n Pi v)`` on a
-    boundary edge of the cellwise Legendre expansion(s) ``coef``.
+def _legendre_traces(coef: np.ndarray, es: EdgeArrays, d: int, X, Y):
+    """Traces and normal-derivative traces ``(Pi v, d_n Pi v)`` on the
+    boundary edges ``es``, at their points ``(X[q], Y[q])``, of the
+    cellwise Legendre expansions ``coef`` on their cells, ``(B, m) ->
+    (B, N)`` or ``(B, k, m) -> (B, k, N)``: one batched product, per item
+    the BLAS call of the one-edge product.
 
     The normal is axis-aligned, so the normal derivative is the sign
-    ``e.normal[e.axis]`` times the normal-axis derivative; the dropped
-    tangential term of ``nx*dx + ny*dy`` is an exact zero.
+    ``es.sign`` times the normal-axis derivative; the dropped tangential
+    term of ``nx*dx + ny*dy`` is an exact zero.
     """
-    modes_n = _legendre_modes(e.plus, d, xs, ys, *_edge_orders(e.axis))
-    return (coef @ _legendre_modes(e.plus, d, xs, ys),
-            e.normal[e.axis] * (coef @ modes_n))
+    cells = es.cells(es.plus)
+    modes = _legendre_modes(cells, d, X, Y)
+    modes_n = np.where(es.axis[:, None, None] == 0,
+                       _legendre_modes(cells, d, X, Y, 1, 0),
+                       _legendre_modes(cells, d, X, Y, 0, 1))
+    stack = coef if coef.ndim == 3 else coef[:, None, :]
+    pv, pn = stack @ modes, es.sign[:, None, None] * (stack @ modes_n)
+    return (pv, pn) if coef.ndim == 3 else (pv[:, 0], pn[:, 0])
 
 
 def project_laplacian(fn: SplineFunction) -> PiecewisePoly:
@@ -313,8 +341,7 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
     else:
         keep = tuple(range(s.dim))
     imap = np.full(s.dim, -1, dtype=int)
-    for k, pos in enumerate(keep):
-        imap[pos] = k
+    imap[list(keep)] = np.arange(len(keep))
     dim = len(keep)
 
     rows, cols, vals = [], [], []
@@ -327,161 +354,224 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
     return SystemMatrix(A, tuple(keep)), LoadVector(b, tuple(keep))
 
 
-def _coo_index(imap: np.ndarray, pos, rows: list, cols: list):
-    """Append the COO rows and columns of the live part (``imap >= 0``)
-    of a block over the active positions ``pos``; returns its mask and
-    system indices."""
-    idx = imap[list(pos)]
+def _coo_blocks(imap: np.ndarray, index: np.ndarray, blocks: np.ndarray):
+    """The live part (``imap >= 0``) of a group's blocks ``(B, k, k)``
+    over the active positions ``index`` ``(B, k)``: the entry count of
+    each item, and the COO rows, columns and values, item by item in C
+    order as a per-item ``np.ix_`` block would give them."""
+    idx = imap[index]
     live = idx >= 0
-    sub = idx[live]
-    k = len(sub)
-    rows.append(np.repeat(sub, k))
-    cols.append(sub[None, :].repeat(k, axis=0).ravel())
-    return live, sub
+    pair = live[:, :, None] & live[:, None, :]
+    return (np.count_nonzero(pair.reshape(len(idx), -1), axis=1),
+            [np.broadcast_to(idx[:, :, None], pair.shape)[pair],
+             np.broadcast_to(idx[:, None, :], pair.shape)[pair],
+             blocks[pair]])
+
+
+def _in_request_order(R: int, groups) -> list[np.ndarray]:
+    """Per-item arrays of the groups of a run of ``R`` requests, as
+    ``(items, counts, arrays)`` with each array the items' entries one
+    after the other, written at each request's offset: the arrays of
+    the whole run in request order."""
+    counts = np.zeros(R, dtype=np.intp)
+    for items, c, _ in groups:
+        counts[items] = c
+    offset = np.concatenate([[0], np.cumsum(counts)])
+    out = [np.empty(offset[-1], a.dtype) for a in groups[0][2]]
+    for items, c, arrays in groups:
+        start = np.cumsum(c) - c
+        dest = np.repeat(offset[items] - start, c) + np.arange(c.sum())
+        for o, a in zip(out, arrays):
+            o[dest] = a
+    return out
 
 
 def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
                      rows: list, cols: list, vals: list, b: np.ndarray):
     """Volume pass ``(lap u, lap v)`` and, unless ``f`` is ``None``, the
-    load, in stacked chunks.
+    load, per group of :meth:`HierarchicalSpace.basis_stacks`.
 
-    Entries keep the per-cell COO layout and order: each cell's live
-    rows and columns go to ``rows``/``cols`` and its Gram block to its
-    offset in one preallocated value array, so no chunk outlives its
-    products.  The load is added cell by cell in partition order.
+    Entries keep the per-cell COO layout and order: each group's live
+    rows, columns and Gram entries are written at their cells' offsets,
+    so each run's COO arrays are in cell order.  The load is added with
+    ``np.add.at`` in cell order, as a per-cell loop adds it.
     """
-    cells = s.partition.cells
-    lives, subs, offsets = [], [], [0]
-    for cell in cells:
-        live, sub = _coo_index(imap, s.cell_extraction(cell)[0], rows, cols)
-        lives.append(live)
-        subs.append(sub)
-        offsets.append(offsets[-1] + len(sub) ** 2)
-    block = np.empty(offsets[-1])
-    loads = [None] * len(cells)
-    for lo, run, X, Y, W, F in _requests(cells, n, f):
-        for items, _, tabs in s.basis_stacks(run, X, Y,
-                                             [(0, 0), (2, 0), (0, 2)]):
+    for lo, run, X, Y, W, F in _requests(s.partition.cells, n, f):
+        coo, loads = [], []
+        for items, index, tabs in s.basis_stacks(run, X, Y,
+                                                 [(0, 0), (2, 0), (0, 2)]):
             LAP = tabs[(2, 0)] + tabs[(0, 2)]
             gram = (LAP * W[items][:, None, :]) @ LAP.transpose(0, 2, 1)
+            coo.append((items, *_coo_blocks(imap, index, gram)))
             if f is not None:
                 load = tabs[(0, 0)] @ (W[items] * F[items])[:, :, None]
-            for j, c in enumerate(lo + q for q in items):
-                live = lives[c]
-                mask = live[:, None] & live
-                block[offsets[c]:offsets[c + 1]] = gram[j][mask]
-                if f is not None:
-                    loads[c] = load[j, live, 0]
-    vals.append(block)
-    if f is not None:
-        for sub, load in zip(subs, loads):
-            b[sub] += load
+                idx = imap[index]
+                live = idx >= 0
+                loads.append((items, live.sum(axis=1),
+                              [idx[live], load[:, :, 0][live]]))
+        _scatter(len(run), coo, rows, cols, vals)
+        if f is not None:
+            np.add.at(b, *_in_request_order(len(run), loads))
 
 
 def _symmetric_csr(rows, cols, vals, dim: int) -> csr_matrix:
     """Sum COO blocks into CSR and mirror the upper triangle, so the
-    matrix is exactly symmetric whatever the summation order."""
+    matrix is exactly symmetric whatever the summation order.
+
+    The mirror is the upper triangle's entries and its transpose's
+    strictly lower ones, sorted into rows; like the sparse sum
+    ``triu(A) + triu(A, 1).T`` it drops exact zeros."""
     A = coo_matrix((np.concatenate(vals),
                     (np.concatenate(rows), np.concatenate(cols))),
                    shape=(dim, dim)).tocsr()
-    return (triu(A, k=0) + triu(A, k=1).T).tocsr()
+    r = np.repeat(np.arange(dim, dtype=A.indices.dtype), np.diff(A.indptr))
+    c, v = A.indices, A.data
+    keep = (c >= r) & (v != 0.0)
+    r, c, v = r[keep], c[keep], v[keep]
+    low = c > r
+    r, c = np.concatenate([r, c[low]]), np.concatenate([c, r[low]])
+    order = np.lexsort((c, r))
+    indptr = np.zeros(dim + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(r, minlength=dim), out=indptr[1:])
+    return csr_matrix((np.concatenate([v, v[low]])[order], c[order], indptr),
+                      shape=(dim, dim))
 
 
-def _edge_orders(axis: int):
-    """Derivative order of the normal-axis derivative on an edge."""
-    return (1, 0) if axis == 0 else (0, 1)
+def _normal_traces(es: EdgeArrays, d10: np.ndarray,
+                   d01: np.ndarray) -> np.ndarray:
+    """Normal-derivative traces on the edges ``es`` from the stacks of
+    both first derivatives: the sign ``es.sign`` times the normal-axis
+    one (the sign is exact)."""
+    shape = (-1,) + (1,) * (d10.ndim - 1)
+    return es.sign.reshape(shape) * np.where(
+        es.axis.reshape(shape) == 0, d10, d01)
 
 
-def _boundary_traces(s: HierarchicalSpace, bdry, n: int):
-    """``(e, xs, ys, w, pos, v, vn)`` per boundary edge, in edge order:
-    its rule, and the trace ``v`` and normal-derivative trace ``vn`` (the
-    sign ``e.normal[e.axis]`` times the normal-axis derivative) of the
-    active basis on ``e.plus``, ``(k, n)`` at the positions ``pos``."""
-    for _, run, X, Y, W, _ in _requests(bdry, n):
-        got = [None] * len(run)
-        for items, index, tabs in s.basis_stacks(
-                [e.plus for e in run], X, Y, [(0, 0), (1, 0), (0, 1)]):
-            for j, q in enumerate(items):
-                e = run[q]
-                got[q] = (e, X[q], Y[q], W[q], index[j], tabs[(0, 0)][j],
-                          e.normal[e.axis] * tabs[_edge_orders(e.axis)][j])
-        yield from got
+def _boundary_traces(s: HierarchicalSpace, bdry: EdgeArrays, n: int,
+                     data=None):
+    """Per run of the boundary edges ``bdry``: the run, its points
+    ``X``, ``Y`` (strided rows, as user callables see them), the
+    ``data`` samples (or ``None``), and the groups of
+    :meth:`HierarchicalSpace.basis_stacks` on the edges' cells.  Per group
+    ``(items, es, X, Y, W, index, V, VN)``: the request numbers in the run
+    and the edges, their rules, the positions ``(B, k)``, and the trace
+    ``V`` and normal-derivative trace ``VN`` (with the normal's sign) of
+    the active basis, ``(B, k, N)``."""
+    for _, run, X, Y, W, F in _requests(bdry, n, data):
+        groups = []
+        for items, index, T in s.basis_stacks(
+                run.cells(run.plus), X, Y, [(0, 0), (1, 0), (0, 1)]):
+            es = run[items]
+            groups.append((items, es, X[items], Y[items], W[items], index,
+                           T[(0, 0)], _normal_traces(es, T[(1, 0)],
+                                                     T[(0, 1)])))
+        yield run, X, Y, F, groups
 
 
-def _spline_traces(fn: SplineFunction, bdry, n: int):
-    """``(e, xs, ys, w, v, vn)`` of a spline per boundary edge, in edge
-    order: its rule, trace and normal-derivative trace on ``e.plus`` from
+def _scatter(R: int, coo, rows: list, cols: list, vals: list):
+    """Append a run's COO entries, groups of ``(items, counts, [rows,
+    cols, vals])``, in the order of its ``R`` requests."""
+    for out, got in zip((rows, cols, vals), _in_request_order(R, coo)):
+        out.append(got)
+
+
+def _spline_traces(fn: SplineFunction, bdry: EdgeArrays, n: int):
+    """``(es, X, Y, W, V, VN)`` of a spline per run of the boundary
+    edges ``bdry``: the edges, their rules, and the trace and
+    normal-derivative trace ``(R, N)`` on each edge's cell from
     ``eval_stacked``, the normal's sign applied after (it is exact)."""
     for _, run, X, Y, W, _ in _requests(bdry, n):
-        V = fn.eval_stacked([e.plus for e in run], X, Y,
+        V = fn.eval_stacked(run.cells(run.plus), X, Y,
                             [(0, 0), (1, 0), (0, 1)])
-        for q, e in enumerate(run):
-            yield (e, X[q], Y[q], W[q], V[(0, 0)][q],
-                   e.normal[e.axis] * V[_edge_orders(e.axis)][q])
+        yield (run, X, Y, W, V[(0, 0)],
+               _normal_traces(run, V[(1, 0)], V[(0, 1)]))
+
+
+def _penalties(es: EdgeArrays, gamma1: float,
+               gamma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma1 * h**-3`` and ``gamma2 * h**-1`` of each edge of ``es``, as
+    the scalar products: ``h**-k`` is an exact power of two, and an
+    overflow gives ``inf`` without a warning."""
+    with np.errstate(over="ignore"):
+        return (gamma1 * np.ldexp(1.0, 3 * es.level),
+                gamma2 * np.ldexp(1.0, es.level))
 
 
 def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
                        imap: np.ndarray, rows: list, cols: list, vals: list):
-    """Nitsche boundary terms and penalties, scattered edge by edge."""
+    """Nitsche boundary terms and penalties, per group of boundary edges
+    as ``(B, k, k)`` blocks, scattered in edge order."""
     n = params.quad_n
     d = s.degree - 2
-    _, bdry = edges(s.partition)
+    _, bdry = edge_arrays(s.partition)
     # Legendre coefficients of Pi(lap B) for every function B on the cell
     proj = {}
-    for _, run, X, Y, W, _ in _requests(sorted({e.plus for e in bdry}), n):
+    for _, run, X, Y, W, _ in _requests(bdry.cells(np.unique(bdry.plus)), n):
         for items, _, T in s.basis_stacks(run, X, Y, _LAP_ORDERS):
             cells = [run[q] for q in items]
             proj.update(zip(cells, _legendre_project(
                 cells, d, X[items], Y[items], W[items],
                 T[(2, 0)] + T[(0, 2)])[1]))
-    del X, Y, W, T  # the last run's rules and tables, unused below
     # an overflowed penalty leaves nan entries, which solve_spd reports
     with np.errstate(invalid="ignore"):
-        for e, xs, ys, w, pos, v, vn in _boundary_traces(s, bdry, n):
-            pvals, pnvals = _legendre_traces(proj[e.plus], e, d, xs, ys)
-            h = e.length
-            block = (
-                -((pvals * w) @ vn.T + (vn * w) @ pvals.T)
-                + ((pnvals * w) @ v.T + (v * w) @ pnvals.T)
-                + params.gamma1 * h ** -3 * (v * w) @ v.T
-                + params.gamma2 * h ** -1 * (vn * w) @ vn.T
-            )
-            live, _ = _coo_index(imap, pos, rows, cols)
-            vals.append(block[live[:, None] & live])
+        for run, _, _, _, groups in _boundary_traces(s, bdry, n):
+            coo = []
+            for items, es, X, Y, W, index, V, VN in groups:
+                PV, PN = _legendre_traces(
+                    np.array([proj[c] for c in es.cells(es.plus)]), es, d,
+                    X, Y)
+                g1, g2 = (g[:, None, None] for g in _penalties(
+                    es, params.gamma1, params.gamma2))
+                W = W[:, None, :]
+                block = (
+                    -((PV * W) @ VN.transpose(0, 2, 1)
+                      + (VN * W) @ PV.transpose(0, 2, 1))
+                    + ((PN * W) @ V.transpose(0, 2, 1)
+                       + (V * W) @ PN.transpose(0, 2, 1))
+                    + (g1 * (V * W)) @ V.transpose(0, 2, 1)
+                    + (g2 * (VN * W)) @ VN.transpose(0, 2, 1)
+                )
+                coo.append((items, *_coo_blocks(imap, index, block)))
+            _scatter(len(run), coo, rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------
 # norms and functionals
 # ---------------------------------------------------------------------------
 
-def _field_traces(fn: AnalyticField, bdry, n: int):
-    """``(e, xs, ys, w, v, vn)`` of a field per boundary edge, in edge
-    order, as :func:`_spline_traces`; without a gradient ``vn`` is None."""
-    for _, run, X, Y, W, _ in _requests(bdry, n):
-        for e, xs, ys, w in zip(run, X, Y, W):
-            vn = (None if fn.grad is None else
-                  e.normal[e.axis] * _on_points(fn.grad(xs, ys)[e.axis], xs))
-            yield e, xs, ys, w, _on_points(fn.value(xs, ys), xs), vn
+def _field_traces(fn: AnalyticField, bdry: EdgeArrays, n: int):
+    """``(es, X, Y, W, V, VN)`` of a field per run of the boundary edges,
+    as :func:`_spline_traces`, from samples on each edge's rule; without
+    a gradient ``VN`` is None."""
+    for _, run, X, Y, W, V in _requests(bdry, n, fn.value):
+        VN = None if fn.grad is None else run.sign[:, None] * np.array([
+            _on_points(fn.grad(x, y)[a], x)
+            for x, y, a in zip(X, Y, run.axis.tolist())])
+        yield run, X, Y, W, V, VN
 
 
 def _mesh_norms(fn, p: Partition, n: int,
                 norms=((1.5, False), (0.5, True))) -> list[float]:
     """:func:`mesh_norm` for each ``(s, normal)`` of ``norms`` (by default
     the two of :func:`triple_norm`), from one pass over the boundary
-    edges; each sum runs in edge order."""
-    _, bdry = edges(p)
+    edges: per edge ``h**(-2s)`` times the :func:`_row_dots` of the
+    weights and the squared trace, summed in edge order."""
+    _, bdry = edge_arrays(p)
     if isinstance(fn, SplineFunction):
         traces = _spline_traces(fn, bdry, n)
     else:
         field = fn if isinstance(fn, AnalyticField) else AnalyticField(fn)
         traces = _field_traces(field, bdry, n)
     totals = [0.0] * len(norms)
-    for e, _, _, w, *vals in traces:
+    for es, _, _, W, *vals in traces:
+        levels = es.level.tolist()
         for k, (s, normal) in enumerate(norms):
             if vals[normal] is None:
                 raise TypeError("a normal trace needs a gradient")
-            totals[k] += (e.length ** (-2.0 * s)
-                          * float(w @ vals[normal] ** 2))
+            scale = {lev: (2.0 ** -lev) ** (-2.0 * s) for lev in set(levels)}
+            for lev, v in zip(levels,
+                              _row_dots(W, vals[normal] ** 2).tolist()):
+                totals[k] += scale[lev] * v
     return [total ** 0.5 for total in totals]
 
 
@@ -531,12 +621,17 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     rows, cols, vals = [], [], []
     imap = np.arange(s.dim)
     _assemble_volume(s, None, n, imap, rows, cols, vals, None)
-    _, bdry = edges(s.partition)
-    for e, _, _, w, pos, v, vn in _boundary_traces(s, bdry, n):
-        h = e.length
-        _coo_index(imap, pos, rows, cols)
-        vals.append((params.gamma1 * h ** -3 * (v * w) @ v.T
-                     + params.gamma2 * h ** -1 * (vn * w) @ vn.T).ravel())
+    _, bdry = edge_arrays(s.partition)
+    for run, _, _, _, groups in _boundary_traces(s, bdry, n):
+        coo = []
+        for items, es, _, _, W, index, V, VN in groups:
+            g1, g2 = (g[:, None, None] for g in _penalties(
+                es, params.gamma1, params.gamma2))
+            W = W[:, None, :]
+            block = ((g1 * (V * W)) @ V.transpose(0, 2, 1)
+                     + (g2 * (VN * W)) @ VN.transpose(0, 2, 1))
+            coo.append((items, *_coo_blocks(imap, index, block)))
+        _scatter(len(run), coo, rows, cols, vals)
     return _symmetric_csr(rows, cols, vals, s.dim)
 
 
@@ -549,18 +644,27 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     callbacks for the exact solution; the defect is
     ``int_G ((Pi lap u)_n - (lap u)_n) v - int_G (Pi lap u - lap u) v_n``
     with the projection taken cellwise on boundary cells from samples.
+    Edges add to ``g`` in edge order.
     """
     n = quad_n if quad_n is not None else default_quad_n(s.degree)
     d = s.degree - 2
-    _, bdry = edges(s.partition)
-    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
+    _, bdry = edge_arrays(s.partition)
+    proj = _cell_projections(bdry.cells(np.unique(bdry.plus)), d, n,
                              lambda run, X, Y, F: F, lap_u)
     g = np.zeros(s.dim)
-    for e, xs, ys, w, pos, v, vn in _boundary_traces(s, bdry, n):
-        pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
-        lap_v = np.asarray(lap_u(xs, ys), float)
-        lap_n = e.normal[e.axis] * np.asarray(grad_lap_u(xs, ys)[e.axis], float)
-        g[pos] += v @ (w * (pi_n - lap_n)) - vn @ (w * (pi_v - lap_v))
+    for run, X, Y, F, groups in _boundary_traces(s, bdry, n, lap_u):
+        lap_n = run.sign[:, None] * np.array([
+            _on_points(grad_lap_u(x, y)[a], x)
+            for x, y, a in zip(X, Y, run.axis.tolist())])
+        parts = []
+        for items, es, X, Y, W, index, V, VN in groups:
+            pi_v, pi_n = _legendre_traces(
+                np.array([proj[c] for c in es.cells(es.plus)]), es, d, X, Y)
+            load = (V @ (W * (pi_n - lap_n[items]))[:, :, None]
+                    - VN @ (W * (pi_v - F[items]))[:, :, None])
+            parts.append((items, np.full(len(items), index.shape[1]),
+                          [index.ravel(), load.ravel()]))
+        np.add.at(g, *_in_request_order(len(run), parts))
     return g
 
 

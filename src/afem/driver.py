@@ -9,20 +9,20 @@ orthogonality structure of consecutive iterates.
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
                        energy_diff_sq, energy_error_sq, inconsistency_load,
-                       triple_norm_matrix, _cell_projections, _edge_orders,
+                       triple_norm_matrix, _cell_projections, _penalties,
                        _legendre_traces, _LAP_ORDERS, _mesh_norms,
-                       _spline_field, _spline_traces)
+                       _normal_traces, _spline_field, _spline_traces)
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
-from .mesh import (MAX_LEVEL, Cell, Partition, edges, refine,
+from .mesh import (MAX_LEVEL, Cell, Partition, edge_arrays, refine,
                    support_extension, uniform_partition)
-from .quadrature import _on_points, _requests, _row_dots
+from .quadrature import _SampleMemo, _requests, _row_dots
 from .solver import SolveOptions, _check_number, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
 
@@ -102,6 +102,8 @@ class Problem:
     grad_laplacian_u: Callable | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if not callable(self.f):
             raise ValueError(f"f must be callable, got {self.f!r}")
         for name in ("u", "grad_u", "laplacian_u", "grad_laplacian_u"):
@@ -168,39 +170,6 @@ class IterationState:
     params: FormParams
 
 
-class _SampleMemo:
-    """``f(xs, ys)`` memoised on the exact bytes of the two point arrays.
-
-    Each cell's rule is the same in assembly, the interior residual and
-    the oscillation, and in every iteration the cell persists, so ``f``
-    is sampled once per cell per run.  Samples are read-only float
-    arrays; :meth:`next_iteration` drops every point set that was not
-    requested since its previous call, so the memo holds about one
-    partition's samples.
-    """
-
-    def __init__(self, f: Callable):
-        self._f = f
-        self._now: dict[tuple[bytes, bytes], np.ndarray] = {}
-        self._before: dict[tuple[bytes, bytes], np.ndarray] = {}
-
-    def __call__(self, xs, ys) -> np.ndarray:
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        key = (xs.tobytes(), ys.tobytes())
-        vals = self._now.get(key)
-        if vals is None:
-            vals = self._before.pop(key, None)
-            if vals is None:
-                vals = _on_points(self._f(xs, ys), xs)
-                vals.flags.writeable = False
-            self._now[key] = vals
-        return vals
-
-    def next_iteration(self) -> None:
-        self._before, self._now = self._now, {}
-
-
 def run(cfg: AfemConfig, prob: Problem,
         on_iteration: Callable[[IterationState], None] | None = None,
         ) -> list[ConvergenceRecord]:
@@ -210,11 +179,18 @@ def run(cfg: AfemConfig, prob: Problem,
     p = uniform_partition(cfg.initial_levels)
     records: list[ConvergenceRecord] = []
     rng = np.random.default_rng(0)  # the inconsistency probes
+    # data sampled once per cell and rule per run: the source in the
+    # assembly and the estimator, the exact Laplacian in the record
     f = _SampleMemo(prob.f)
+    memos = [f]
+    if prob.laplacian_u is not None:
+        memos.append(_SampleMemo(prob.laplacian_u))
+        prob = replace(prob, laplacian_u=memos[-1])
     ind = None
 
     for it in range(cfg.max_iters):
-        f.next_iteration()
+        for memo in memos:
+            memo.next_iteration()
         space = build_space(p, cfg.degree, cfg.truncated)
         A, b = assemble(space, f, params)
         x = solve(A, b, cfg.solver)
@@ -241,7 +217,10 @@ def run(cfg: AfemConfig, prob: Problem,
 
 def _make_record(it, cfg, prob, params, A, U, ind, marked, rng):
     rp = params.resolved(cfg.degree)
-    b32, b12 = _mesh_norms(U, U.space.partition, rp.quad_n)
+    # a conforming iterate has exact zero traces: it is a combination of
+    # functions whose value and normal derivative vanish on the boundary
+    b32, b12 = ((0.0, 0.0) if cfg.mode == "conforming"
+                else _mesh_norms(U, U.space.partition, rp.quad_n))
     energy_error = triple_error = contraction = incons = None
     if prob.has_exact:
         e_sq = energy_error_sq(prob.laplacian_u, U, rp.quad_n + 2)
@@ -288,19 +267,20 @@ def nitsche_energy_sq(prob: Problem, U: SplineFunction, params: FormParams,
     n = rp.quad_n + 2
     d = space.degree - 2
 
-    _, bdry = edges(space.partition)
-    proj = _cell_projections(sorted({e.plus for e in bdry}), d, n,
+    _, bdry = edge_arrays(space.partition)
+    proj = _cell_projections(bdry.cells(np.unique(bdry.plus)), d, n,
                              _spline_field(U, _LAP_ORDERS, lambda F, L:
                                            F - L[(2, 0)] - L[(0, 2)]),
                              prob.laplacian_u)
     total = volume_sq
-    for e, xs, ys, w, v, vn in _spline_traces(U, bdry, n):
-        pi_v, pi_n = _legendre_traces(proj[e.plus], e, d, xs, ys)
-        ev, en = -v, -vn
-        h = e.length
-        total += float(w @ (-2.0 * pi_v * en + 2.0 * pi_n * ev
-                            + rp.gamma1 * h ** -3 * ev ** 2
-                            + rp.gamma2 * h ** -1 * en ** 2))
+    for es, X, Y, W, V, VN in _spline_traces(U, bdry, n):
+        pi_v, pi_n = _legendre_traces(
+            np.array([proj[c] for c in es.cells(es.plus)]), es, d, X, Y)
+        ev, en = -V, -VN
+        g1, g2 = (g[:, None] for g in _penalties(es, rp.gamma1, rp.gamma2))
+        for v in _row_dots(W, (-2.0 * pi_v * en + 2.0 * pi_n * ev
+                               + g1 * ev ** 2 + g2 * en ** 2)):
+            total += float(v)
     return total
 
 
@@ -426,20 +406,21 @@ def discrete_reliability_probe(coarse: IterationState, fine: IterationState,
     eta_region_sq = coarse.indicators.restricted_sq(sorted(region))
     rp = fine.params.resolved(fine.space.degree)
     lhs_sq = energy_diff_sq(fine.solution, coarse.solution)
-    _, bdry = edges(fine.partition)
+    _, bdry = edge_arrays(fine.partition)
     # the fine iterate on each edge's cell, the coarse one on its owner
-    owners = coarse.partition.owners([e.plus for e in bdry])
+    owners = coarse.partition.owners(bdry.cells(bdry.plus))
     orders = [(0, 0), (1, 0), (0, 1)]
     for lo, run, X, Y, W, _ in _requests(bdry, rp.quad_n):
-        df = fine.solution.eval_stacked([e.plus for e in run], X, Y, orders)
+        df = fine.solution.eval_stacked(run.cells(run.plus), X, Y, orders)
         dc = coarse.solution.eval_stacked(owners[lo:lo + len(run)], X, Y,
                                           orders)
-        for q, e in enumerate(run):
-            o, sign, h = _edge_orders(e.axis), e.normal[e.axis], e.length
-            dv = df[(0, 0)][q] - dc[(0, 0)][q]
-            dn = sign * df[o][q] - sign * dc[o][q]  # the sign is exact
-            lhs_sq += float(W[q] @ (rp.gamma1 * h ** -3 * dv ** 2
-                                    + rp.gamma2 * h ** -1 * dn ** 2))
+        dv = df[(0, 0)] - dc[(0, 0)]
+        # the sign is exact
+        dn = (_normal_traces(run, df[(1, 0)], df[(0, 1)])
+              - _normal_traces(run, dc[(1, 0)], dc[(0, 1)]))
+        g1, g2 = (g[:, None] for g in _penalties(run, rp.gamma1, rp.gamma2))
+        for v in _row_dots(W, g1 * dv ** 2 + g2 * dn ** 2):
+            lhs_sq += float(v)
     ratio = lhs_sq / eta_region_sq if eta_region_sq > 0 else float("inf")
     return {"solution_jump_sq": lhs_sq, "eta_region_sq": eta_region_sq,
             "ratio": ratio}

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import Cell, Edge, edges, support_extension
+from .mesh import Cell, EdgeArrays, edge_arrays, support_extension
 from .quadrature import _requests, _row_dots
 from .splines import SplineFunction
 from .assembly import _legendre_project, default_quad_n, h2_seminorm_sq
@@ -76,9 +76,10 @@ class MarkedSet:
     achieved_fraction: float
 
 
-def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
-                   quad_n: int) -> list[tuple[float, float]]:
-    """(h^3 ||J1||^2, h ||J2||^2) of each interior edge, in order.
+def _edge_jumps_sq(U: SplineFunction, es: EdgeArrays,
+                   quad_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``h^3 ||J1||^2`` and ``h ||J2||^2`` of each interior edge of
+    ``es``, as two arrays in edge order.
 
     ``U`` is C^(r-1), as each B-spline is, so ``J1 = [d_n lap U]``
     vanishes for r = 2, ``J2 = [lap U]`` for r = 3 and both for r >= 4:
@@ -87,23 +88,25 @@ def _edge_jumps_sq(U: SplineFunction, es: list[Edge],
     in one stacked call: plus owners in the first half of the rows,
     minus owners in the second.
     """
-    out: list[tuple[float, float]] = [(0.0, 0.0)] * len(es)
+    j1, j2 = np.zeros(len(es)), np.zeros(len(es))
     r = U.space.degree
     for axis in (0, 1) if r < 4 else ():
         # the Laplacian's terms, or those of its normal derivative
         u, v = ([(2, 0), (0, 2)] if r == 2 else
                 [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)])
-        on_axis = [q for q, e in enumerate(es) if e.axis == axis]
-        for lo, run, X, Y, W, _ in _requests([es[q] for q in on_axis], quad_n):
+        on_axis = np.flatnonzero(es.axis == axis)
+        for lo, run, X, Y, W, _ in _requests(es[on_axis], quad_n):
             B = len(run)
-            d = U.eval_stacked([e.plus for e in run] + [e.minus for e in run],
+            d = U.eval_stacked(run.cells(run.plus) + run.cells(run.minus),
                                np.vstack([X, X]), np.vstack([Y, Y]), [u, v])
             sq = _row_dots(W, ((d[u][:B] + d[v][:B])
                                - (d[u][B:] + d[v][B:])) ** 2)
-            for q, e, a in zip(on_axis[lo:], run, sq):
-                out[q] = ((0.0, e.length * float(a)) if r == 2
-                          else (e.length ** 3 * float(a), 0.0))
-    return out
+            at = on_axis[lo:lo + B]
+            if r == 2:
+                j2[at] = run.length * sq
+            else:  # h**3, an exact power of two
+                j1[at] = np.ldexp(1.0, -3 * run.level) * sq
+    return j1, j2
 
 
 def _oscillations(cells: list[Cell], d: int, X, Y, W, F) -> list[float]:
@@ -152,24 +155,25 @@ def estimate_all(U: SplineFunction, f, quad_n: int | None = None,
     """
     p = U.space.partition
     n = quad_n if quad_n is not None else default_quad_n(U.space.degree)
-    interior_edges, _ = edges(p)
+    interior, _ = edge_arrays(p)
 
-    jump1 = {c: 0.0 for c in p.cells}
-    jump2 = {c: 0.0 for c in p.cells}
-    for e, (j1, j2) in zip(interior_edges,
-                           _edge_jumps_sq(U, interior_edges, n)):
-        for c in (e.plus, e.minus):
-            jump1[c] += 0.5 * j1
-            jump2[c] += 0.5 * j2
+    # each edge's half to its plus, then its minus owner, in edge order
+    owners = np.stack([interior.plus, interior.minus], axis=1).ravel()
+    jumps = []
+    for j in _edge_jumps_sq(U, interior, n):
+        per_cell = np.zeros(len(p))
+        np.add.at(per_cell, owners, np.repeat(0.5 * j, 2))
+        jumps.append(per_cell.tolist())
+    jump1, jump2 = jumps
 
     records: dict[Cell, CellIndicator] = {}
     total = 0.0
     osc_total = 0.0
     known = previous.records if previous is not None else {}
-    for c, (interior, osc_sq) in zip(p.cells, _cell_terms(U, f, p.cells, n,
-                                                          known)):
-        eta_sq = interior + jump1[c] + jump2[c]
-        records[c] = CellIndicator(eta_sq, interior, jump1[c], jump2[c],
+    for k, (c, (interior_sq, osc_sq)) in enumerate(zip(
+            p.cells, _cell_terms(U, f, p.cells, n, known))):
+        eta_sq = interior_sq + jump1[k] + jump2[k]
+        records[c] = CellIndicator(eta_sq, interior_sq, jump1[k], jump2[k],
                                    osc_sq)
         total += eta_sq
         osc_total += osc_sq
@@ -186,8 +190,11 @@ def indicator(U: SplineFunction, f, tau: Cell,
     n = quad_n if quad_n is not None else default_quad_n(r)
     j1s = j2s = 0.0
     # tau's interior edges, in the order estimate_all sums them in
-    own = [e for e in edges(p)[0] if tau in (e.plus, e.minus)]
-    for j1, j2 in _edge_jumps_sq(U, own, n):
+    interior, _ = edge_arrays(p)
+    k = p._position[tau]
+    own = interior[np.flatnonzero((interior.plus == k)
+                                  | (interior.minus == k))]
+    for j1, j2 in zip(*(j.tolist() for j in _edge_jumps_sq(U, own, n))):
         j1s += 0.5 * j1
         j2s += 0.5 * j2
     (interior, osc_sq), = _cell_terms(U, f, [tau], n, {})

@@ -33,6 +33,8 @@ __all__ = [
     "uniform_partition",
     "refine",
     "edges",
+    "edge_arrays",
+    "EdgeArrays",
     "support_extension",
     "shape_report",
 ]
@@ -155,6 +157,7 @@ class Partition:
         self._zorder = np.lexsort((self._level, key))
         self._zkey = key[self._zorder]
         self._table: np.ndarray | None = None
+        self._edge_arrays: tuple[EdgeArrays, EdgeArrays] | None = None
         self._edges: tuple[list[Edge], list[Edge]] | None = None
         self._validate()
 
@@ -322,9 +325,55 @@ def _morton(i, j):
 # index steps (along x, then along y) towards the neighbour across each
 # facet: left, right, down, up
 _STEPS = np.array([[-1, 1, 0, 0], [0, 0, -1, 1]])
-# outward normal of each facet; an interior edge carries that of the
-# right or upper facet
-_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+
+
+class EdgeArrays:
+    """Edges of a partition as arrays, in :func:`edges` order.
+
+    Per edge: the normal ``axis``, the ``level``, the ``fixed`` coordinate,
+    the start ``lo`` of the tangent interval, the positions in
+    ``p.cells`` of the ``plus`` and ``minus`` owners (``-1`` on the
+    boundary), the ``sign`` of the normal along its axis and the
+    ``length``.  Indexing with a slice or an index array gives the
+    subset; :meth:`cells` gives owners as :class:`Cell` values.
+    """
+
+    FIELDS = ("axis", "level", "fixed", "lo", "plus", "minus", "sign",
+              "length")
+    __slots__ = FIELDS + ("_cells",)
+
+    def __init__(self, cells: np.ndarray, *fields: np.ndarray):
+        self._cells = cells  # the partition's cells as an object array
+        for name, value in zip(self.FIELDS, fields):
+            setattr(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.axis)
+
+    def __getitem__(self, k) -> "EdgeArrays":
+        return EdgeArrays(self._cells, *(getattr(self, f)[k]
+                                         for f in self.FIELDS))
+
+    def cells(self, positions: np.ndarray) -> list[Cell]:
+        """The cells at ``positions`` (``self.plus`` or ``self.minus``)."""
+        return self._cells[positions].tolist()
+
+    def edges(self) -> list[Edge]:
+        """The edges as :class:`Edge` values."""
+        cells = self._cells
+        return [Edge("interior" if m >= 0 else "boundary", a, lv, x, t,
+                     cells[pl], cells[m] if m >= 0 else None,
+                     (s, 0.0) if a == 0 else (0.0, s))
+                for a, lv, x, t, pl, m, s in zip(*(getattr(self, f).tolist()
+                                                  for f in self.FIELDS[:7]))]
+
+
+def edge_arrays(p: Partition) -> tuple[EdgeArrays, EdgeArrays]:
+    """Interior and boundary edges of ``p`` as :class:`EdgeArrays`,
+    built on the first call and cached on the immutable partition."""
+    if p._edge_arrays is None:
+        p._edge_arrays = _facet_arrays(p)
+    return p._edge_arrays
 
 
 def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
@@ -333,18 +382,22 @@ def edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
     At a level interface the edges are the finer cells' facets, each
     owned by the fine cell and the coarse neighbour.  Boundary edges are
     exactly the facets of active cells on the domain boundary.  The
-    lists are built on the first call and shared by later calls, since
-    the partition is immutable; callers must not modify them.
+    lists are built from :func:`edge_arrays` on the first call and
+    shared by later calls, since the partition is immutable; callers
+    must not modify them.
     """
     if p._edges is None:
-        p._edges = _facet_edges(p)
+        interior, boundary = edge_arrays(p)
+        p._edges = interior.edges(), boundary.edges()
     return p._edges
 
 
-def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
+def _facet_arrays(p: Partition) -> tuple[EdgeArrays, EdgeArrays]:
     """Edges from the neighbour table, sorted by :attr:`Edge.key`: one
     per boundary facet, per facet with a coarser neighbour and per right
-    or upper facet with a same-level one (finer cells own the rest)."""
+    or upper facet with a same-level one (finer cells own the rest).
+    An interior edge's plus owner is the one of lower position, and its
+    normal that of the right or upper facet."""
     nb = p._neighbours()
     L, I, J = p._level, p._i, p._j
     k, d = np.nonzero(nb != -2)
@@ -357,17 +410,18 @@ def _facet_edges(p: Partition) -> tuple[list[Edge], list[Edge]]:
     fixed = np.where(axis == 0, I[k], J[k]) + d % 2
     lo = np.where(axis == 0, J[k], I[k])
     o = np.lexsort((lo, fixed, lev, axis))
-    cells = p.cells
-    interior: list[Edge] = []
-    boundary: list[Edge] = []
-    for a, b, f, ax, lv, x, t in zip(*(v[o].tolist() for v in (
-            k, q, d, axis, lev, np.ldexp(fixed, -lev), np.ldexp(lo, -lev)))):
-        if b < 0:
-            boundary.append(Edge("boundary", ax, lv, x, t, cells[a], None,
-                                 _NORMALS[f]))
-        else:
-            interior.append(Edge("interior", ax, lv, x, t, cells[min(a, b)],
-                                 cells[max(a, b)], _NORMALS[2 * ax + 1]))
+    k, d, q, axis, lev = k[o], d[o], q[o], axis[o], lev[o]
+    fixed, lo = np.ldexp(fixed[o], -lev), np.ldexp(lo[o], -lev)
+    cells = np.fromiter(p.cells, dtype=object, count=len(p))
+    inside = q >= 0
+    plus = np.where(inside, np.minimum(k, q), k)
+    minus = np.where(inside, np.maximum(k, q), -1)
+    # interior: +1; boundary: -1 on the left and lower facets
+    sign = np.where(inside | (d % 2 == 1), 1.0, -1.0)
+    interior, boundary = (
+        EdgeArrays(cells, axis[at], lev[at], fixed[at], lo[at], plus[at],
+                   minus[at], sign[at], np.ldexp(1.0, -lev[at]))
+        for at in (inside, ~inside))
     return interior, boundary
 
 

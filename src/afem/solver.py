@@ -45,6 +45,19 @@ class SolveOptions:
                              f"got {self.method!r}")
 
 
+def _jacobi_scaled(mat: csc_matrix, inv: np.ndarray) -> csc_matrix:
+    """``S @ mat @ S`` with ``S = diag(inv)``, entry by entry with the
+    sparse product's two roundings, ``(m * inv[row]) * inv[col]``, built
+    on copies of ``mat``'s index arrays: dropping the entries that round
+    to zero, as the product does, must not touch ``mat``."""
+    rows = mat.indices
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    scaled = csc_matrix((mat.data * inv[rows] * inv[cols], rows.copy(),
+                         mat.indptr.copy()), shape=mat.shape)
+    scaled.eliminate_zeros()
+    return scaled
+
+
 class NotSPDError(RuntimeError):
     """Raised when the factorization hits a non-positive pivot."""
 
@@ -87,10 +100,8 @@ def solve_spd(mat, b: np.ndarray, opts: SolveOptions) -> np.ndarray:
         # refined fourth-order systems (raw kappa ~ h^-4) before the
         # factorization; refinement passes then polish the residual
         sq = np.sqrt(d)
-        S = diags(1.0 / sq)
-        scaled = (S @ mat @ S).tocsc()
-        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = splu(_jacobi_scaled(mat, 1.0 / sq), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         diag = lu.U.diagonal()
         bad = np.where(diag <= 0.0)[0]
         if bad.size:

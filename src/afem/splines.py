@@ -38,7 +38,8 @@ not depend on the grouping; widening an operand would change rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import lcm
 from typing import Callable, Sequence
 
@@ -47,7 +48,7 @@ from scipy.sparse import coo_matrix
 
 from .mesh import Cell, Partition
 from .quadrature import _on_points, _requests
-from .solver import SolveOptions, solve_spd
+from .solver import SolveOptions, _check_number, solve_spd
 
 __all__ = [
     "HierarchicalSpace",
@@ -68,7 +69,7 @@ MAX_DERIVATIVE_ORDER = 4
 
 # entries of each process-wide table cache (reference and scaled); one
 # entry is one table of at most a few KB.  The sin2 r=2 runs to 20k dofs
-# use 3,412 (conforming) and 3,518 (Nitsche) scaled tables and 128
+# use 3,402 (conforming) and 3,518 (Nitsche) scaled tables and 128
 # reference tables, so neither run fills a table twice
 TABLE_CACHE_SIZE = 4096
 
@@ -272,6 +273,7 @@ class HierarchicalSpace:
 
     def __init__(self, partition: Partition, degree: int,
                  truncated: bool = True):
+        _check_number("degree", degree, integer=True)
         if degree < 2:
             raise ValueError("degree must be at least 2 for a C1 space")
         if not isinstance(truncated, bool):
@@ -279,24 +281,31 @@ class HierarchicalSpace:
         self.partition = partition
         self.degree = degree
         self.truncated = truncated
-        # positions of the active functions, per level on (ix, iy)
-        self._by_level: dict[int, dict[tuple[int, int], int]] = {}
-        self.active: tuple[FnIndex, ...] = tuple(self._select_active())
-        # extraction of every dyadic cell built, keyed on (level, i, j),
-        # with its positions also as an index array
-        self._carries: dict[tuple[int, int, int], tuple[
-            tuple[int, ...], np.ndarray, np.ndarray]] = {}
+        # per level: the sorted keys ix * (2**level + r) + iy of its active
+        # functions, the position of the first, and the key offsets of a
+        # window's (a, b) in local order
+        self._levels: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
+        # level, ix and iy of the active functions, in position order
+        self._fns = self._select_active()
+        # the extraction of every active cell: the matrix, and the
+        # positions of its rows as an index array; built on first use
+        self._extractions: dict[Cell, tuple[np.ndarray, np.ndarray]] | \
+            None = None
 
     # -- selection ------------------------------------------------------
 
-    def _select_active(self) -> list[FnIndex]:
+    def _select_active(self) -> np.ndarray:
         """The classical selection, level by level on the partition's
         arrays: a function of level ``l`` is a candidate when an active
         cell of level ``l`` lies in its support, and active when no cell
-        of its support lies strictly inside a coarser active cell."""
+        of its support lies strictly inside a coarser active cell.
+        Returns the level, ``ix`` and ``iy`` of each active function as
+        the rows of a ``(3, dim)`` array, level by level and in key
+        order within a level."""
         p, r = self.partition, self.degree
         w = np.arange(r + 1)
-        active: list[FnIndex] = []
+        chunks = [np.zeros((3, 0), dtype=np.int64)]
+        count = 0
         for lev in np.unique(p._level).tolist():
             at = p._level == lev
             m, n, s = 1 << lev, (1 << lev) + r, p.max_level - lev
@@ -310,17 +319,24 @@ class HierarchicalSpace:
             coarse = p._level[p._locate((cells // m) << s,
                                         (cells % m) << s)] < lev
             ok = ~coarse[inv].reshape(len(keys), -1).any(axis=1)
-            fns = list(zip(ix[ok].tolist(), iy[ok].tolist()))
-            self._by_level[lev] = {f: len(active) + k
-                                   for k, f in enumerate(fns)}
-            active += [(lev, *f) for f in fns]
-        return active
+            if ok.any():
+                self._levels[lev] = (keys[ok], count,
+                                     (w[:, None] * n + w[None, :]).ravel())
+                count += int(ok.sum())
+            chunks.append(np.stack([np.full(len(keys), lev)[ok], ix[ok],
+                                    iy[ok]]))
+        return np.concatenate(chunks, axis=1)
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return len(self.active)
+        return self._fns.shape[1]
+
+    @cached_property
+    def active(self) -> tuple[FnIndex, ...]:
+        """The active functions ``(level, ix, iy)`` in position order."""
+        return tuple(zip(*self._fns.tolist()))
 
     def support_box(self, fn: FnIndex) -> tuple[float, float, float, float]:
         """Support of the untruncated tensor function (a superset for THB)."""
@@ -341,51 +357,117 @@ class HierarchicalSpace:
         Local index layout is ``a * (r+1) + b`` for the (a, b) window
         function.
         """
-        if cell not in self.partition:
-            raise ValueError(f"{cell} is not an active cell")
-        return self._extract(*cell)[:2]
+        C, index = self._extraction_of([cell])[0]
+        return tuple(index.tolist()), C
 
-    def _extract(self, level: int, i: int, j: int,
-                 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """Extraction of any dyadic cell ``(level, i, j)``, built from its
-        parent's.
-
-        The rows are the active functions of the cell's level and of
-        coarser levels whose window meets the cell, in the cell-level
-        local basis, and the rows as an index array; a child takes its
-        parent's rows through the two-scale blocks of its span classes and
-        appends its own level's functions (after truncating the carried
-        rows against them).  Memoised per cell, so every dyadic ancestor
-        is processed once per space.
-        """
-        got = self._carries.get((level, i, j))
-        if got is not None:
-            return got
-        r = self.degree
-        w = r + 1
-        if level:
-            rows, carry, _ = self._extract(level - 1, i >> 1, j >> 1)
-            if rows:
-                carry = carry @ _two_scale_kron(
-                    r, (*span_class(level - 1, i >> 1, r), i & 1),
-                    (*span_class(level - 1, j >> 1, r), j & 1)).T
-        else:
-            rows, carry = (), np.zeros((0, w * w))
-        level_map = self._by_level.get(level, {})
-        here = [(pos, a * w + b) for a in range(w) for b in range(w)
-                if (pos := level_map.get((i + a, j + b))) is not None]
-        if here:
-            cols = [lc for _, lc in here]
-            if self.truncated and rows:
-                carry[:, cols] = 0.0
-            unit = np.zeros((len(here), w * w))
-            unit[np.arange(len(here)), cols] = 1.0
-            carry = np.vstack([carry, unit]) if rows else unit
-            rows += tuple(pos for pos, _ in here)
-        index = np.array(rows, dtype=np.intp)
-        carry.flags.writeable = index.flags.writeable = False
-        got = self._carries[level, i, j] = rows, carry, index
+    def _extraction_of(self, cells) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The extractions ``(C, index)`` of active ``cells``, all built by
+        :meth:`_build` on the first call; a cell that is not active
+        raises."""
+        if self._extractions is None:
+            self._extractions = self._build()
+        got = list(map(self._extractions.get, cells))
+        if None in got:
+            raise ValueError(f"{cells[got.index(None)]} is not an active cell")
         return got
+
+    def _windows(self, level: int, i: np.ndarray, j: np.ndarray):
+        """Positions ``(C, (r+1)**2)`` of the functions of ``level`` on the
+        windows of the cells ``(level, i, j)``, in local order, and where
+        they are active: one ``searchsorted`` of the windows' keys in the
+        level's sorted keys."""
+        ww = (self.degree + 1) ** 2
+        got = self._levels.get(level)
+        if got is None:
+            return (np.zeros((len(i), ww), dtype=np.intp),
+                    np.zeros((len(i), ww), dtype=bool))
+        keys, first, offsets = got
+        want = (i * ((1 << level) + self.degree) + j)[:, None] + offsets
+        at = np.searchsorted(keys, want)
+        return first + at, keys.take(at, mode="clip") == want
+
+    def _build(self) -> dict[Cell, tuple[np.ndarray, np.ndarray]]:
+        """The extraction of every active cell, built level by level from
+        the partition's coarsest level through the cells' dyadic
+        ancestors.
+
+        A cell's rows are the active functions of its level and of
+        coarser levels whose window meets it, in the cell-level local
+        basis, with the positions of the rows as an index array.  A child
+        takes its parent's rows through the two-scale blocks of its span
+        classes and appends its own level's functions as unit rows, after
+        truncating the carried rows against them.  The cells of a level
+        with equally many carried rows are built together: one batched
+        product of the stacked carries and blocks, per item the BLAS call
+        of the one-cell product, written into one preallocated array whose
+        items end in as many unit rows as the most any of them has.
+        """
+        p, r = self.partition, self.degree
+        ww = (r + 1) ** 2
+        out: dict[Cell, tuple[np.ndarray, np.ndarray]] = {}
+        first = 0  # each level's active cells are a block of p.cells
+        start = int(p._level[0])
+        for level in range(start, p.max_level + 1):
+            m = 1 << level
+            deeper = p._level >= level
+            shift = p._level[deeper] - level
+            keys = np.unique((p._i[deeper] >> shift) * m
+                             + (p._j[deeper] >> shift))
+            i, j = np.divmod(keys, m)
+            here, hit = self._windows(level, i, j)
+            if level > start:
+                parents = [built[k] for k in np.searchsorted(
+                    parent_keys, (i >> 1) * (m >> 1) + (j >> 1)).tolist()]
+                blocks = self._two_scale_blocks(level - 1, i, j)
+            else:
+                parents = [(None, _NO_POSITIONS)] * len(keys)
+            own = hit.sum(axis=1)
+            # the columns of each cell's own functions first, in order
+            cols = np.argsort(~hit, axis=1, kind="stable")
+            groups: dict[int, list[int]] = {}
+            for q, c in enumerate(parents):
+                groups.setdefault(len(c[1]), []).append(q)
+            built = [None] * len(keys)
+            for k, items in groups.items():
+                B, h = len(items), int(own[items].max())
+                C = np.empty((B, k + h, ww))
+                if k:
+                    np.matmul(_stack([parents[q][0] for q in items]),
+                              blocks[items].transpose(0, 2, 1), out=C[:, :k])
+                    if self.truncated:
+                        C[:, :k][np.broadcast_to(hit[items][:, None, :],
+                                                 (B, k, ww))] = 0.0
+                C[:, k:] = _unit_rows(ww)[cols[items, :h]]
+                index = np.concatenate([
+                    np.array([parents[q][1] for q in items]).reshape(B, k),
+                    np.take_along_axis(here[items], cols[items, :h], axis=1)],
+                    axis=1)
+                C.flags.writeable = index.flags.writeable = False
+                for q, C_q, index_q, n_q in zip(items, C, index,
+                                                (k + own[items]).tolist()):
+                    built[q] = C_q[:n_q], index_q[:n_q]
+            stop = first + int(np.count_nonzero(p._level == level))
+            at = np.searchsorted(keys, p._i[first:stop] * m + p._j[first:stop])
+            out.update(zip(p.cells[first:stop],
+                           [built[k] for k in at.tolist()]))
+            first, parent_keys = stop, keys
+        return out
+
+    def _two_scale_blocks(self, level: int, i: np.ndarray,
+                          j: np.ndarray) -> np.ndarray:
+        """The read-only :func:`_two_scale_kron` of each child ``(level + 1,
+        i, j)`` of a cell of ``level``, ``(C, (r+1)**2, (r+1)**2)``, looked
+        up once per distinct span classes and parities."""
+        r, m = self.degree, 1 << level
+        per_axis = [np.stack([np.minimum(k >> 1, r),
+                              np.minimum(m - 1 - (k >> 1), r), k & 1])
+                    for k in (i, j)]
+        code = np.ravel_multi_index(np.concatenate(per_axis),
+                                    (r + 1, r + 1, 2) * 2)
+        _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        x, y = (a[:, first].T.tolist() for a in per_axis)
+        return np.array([_two_scale_kron(r, tuple(a), tuple(b))
+                         for a, b in zip(x, y)])[inv.ravel()]
 
     # -- basis tables ------------------------------------------------------
 
@@ -394,6 +476,22 @@ class HierarchicalSpace:
         """Read-only ``(max_order+1, r+1, len(xs))`` :func:`_scaled_table`."""
         return _scaled_table(self.degree, level, span, np.asarray(
             xs, float).tobytes())[:max_order + 1]
+
+    def _tables(self, levels: np.ndarray, spans: np.ndarray, X: np.ndarray,
+                max_order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The :meth:`_univariate` tables of request rows ``X[q]`` on span
+        ``spans[q]`` of level ``levels[q]``, fetched once per distinct
+        ``(level, span, row bytes)``: the distinct tables stacked, and
+        each request's index into them."""
+        R, N = X.shape
+        keys = np.empty((R, N + 2), dtype=np.int64)
+        keys[:, 0], keys[:, 1] = levels, spans
+        keys[:, 2:] = X.view(np.int64)
+        first, inv = _distinct_rows(keys)
+        return np.array([self._univariate(lev, span, X[q], max_order)
+                         for lev, span, q in zip(levels[first].tolist(),
+                                                 spans[first].tolist(),
+                                                 first)]), inv
 
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
@@ -407,26 +505,30 @@ class HierarchicalSpace:
         positions ``(B, k)`` and per order one stack of tables ``(B, k,
         n)``, each item equal to the one-cell product bit for bit.  Orders
         above the degree are exact zeros (one read-only array per group).
+        The univariate tables are fetched once per distinct row of the
+        run, and gathered per group.
         """
-        got, groups = [], {}
-        for q, cell in enumerate(cells):
-            if cell not in self.partition:
-                raise ValueError(f"{cell} is not an active cell")
-            got.append(self._extract(*cell))
-            groups.setdefault(len(got[q][0]), []).append(q)
+        got = self._extraction_of(cells)
+        groups: dict[int, list[int]] = {}
+        for q, (_, index) in enumerate(got):
+            groups.setdefault(len(index), []).append(q)
         r = self.degree
         live = [o for o in orders if o[0] <= r and o[1] <= r]
-        ax = max((a for a, _ in live), default=0)
-        ay = max((b for _, b in live), default=0)
+        if live:
+            X = np.ascontiguousarray(X, dtype=float)
+            Y = np.ascontiguousarray(Y, dtype=float)
+            level, i, j = np.fromiter(
+                chain.from_iterable(cells), dtype=np.int64,
+                count=3 * len(cells)).reshape(-1, 3).T
+            Tx, at_x = self._tables(level, i, X,
+                                    max(a for a, _ in live))
+            Ty, at_y = self._tables(level, j, Y,
+                                    max(b for _, b in live))
         for k, items in groups.items():
             tabs = {}
             if live:
-                C = _stack([got[q][1] for q in items])
-                # the memoised univariate rows, stacked per axis
-                Dx = _stack([self._univariate(cells[q].level, cells[q].i,
-                                              X[q], ax) for q in items])
-                Dy = _stack([self._univariate(cells[q].level, cells[q].j,
-                                              Y[q], ay) for q in items])
+                C = _stack([got[q][0] for q in items])
+                Dx, Dy = Tx[at_x[items]], Ty[at_y[items]]
                 # one window table alive at a time
                 for o in live:
                     tabs[o] = C @ _window_table(Dx, Dy, *o)
@@ -435,7 +537,7 @@ class HierarchicalSpace:
                 zero.flags.writeable = False
                 for o in orders:
                     tabs.setdefault(o, zero)
-            yield items, _stack([got[q][2] for q in items]), tabs
+            yield items, _stack([got[q][1] for q in items]), tabs
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -446,8 +548,50 @@ class HierarchicalSpace:
         of shape ``(len(positions), n_points)``: the one-cell case of
         :meth:`basis_stacks`, with its exact zeros above the degree.
         """
-        (_, _, tabs), = self.basis_stacks([cell], [xs], [ys], orders)
-        return self._carries[cell][0], {o: T[0] for o, T in tabs.items()}
+        (_, index, tabs), = self.basis_stacks([cell], [xs], [ys], orders)
+        return tuple(index[0].tolist()), {o: T[0] for o, T in tabs.items()}
+
+
+# an empty index array: no rows
+_NO_POSITIONS = np.zeros(0, dtype=np.intp)
+_NO_POSITIONS.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(size: int) -> np.ndarray:
+    """Read-only identity of ``size``: row ``c`` is the unit row of
+    local column ``c``."""
+    eye = np.eye(size)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=None)
+def _fingerprint(width: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers of the row fingerprints of
+    :func:`_distinct_rows` for rows of ``width`` entries."""
+    rng = np.random.default_rng(width)
+    return rng.integers(0, 1 << 63, size=width, dtype=np.uint64) * 2 + 1
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each distinct row of the int64 array ``keys`` and the
+    number of each row's distinct row: rows are grouped on a 64-bit
+    fingerprint (a product that wraps around), and the rows themselves
+    are compared to their group's first; a fingerprint that two unequal
+    rows share falls back to one ``np.unique`` over the rows' bytes."""
+    h = keys.view(np.uint64) @ _fingerprint(keys.shape[1])
+    order = np.argsort(h, kind="stable")
+    h = h[order]
+    new = np.concatenate([[True], h[1:] != h[:-1]])
+    first = order[new]
+    inv = np.empty(len(h), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    if not np.array_equal(keys[first][inv], keys):
+        _, first, inv = np.unique(
+            keys.view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0],
+            return_index=True, return_inverse=True)
+    return first, inv.ravel()
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -571,13 +715,10 @@ def conforming_indices(s: HierarchicalSpace) -> tuple[int, ...]:
     that already vanish to first order on the boundary, so the rule is
     unaffected by it (verified by trace sampling in the test suite).
     """
-    r = s.degree
-    out = []
-    for k, (lev, ix, iy) in enumerate(s.active):
-        n = num_functions(lev, r)
-        if 2 <= ix <= n - 3 and 2 <= iy <= n - 3:
-            out.append(k)
-    return tuple(out)
+    lev, ix, iy = s._fns
+    top = (1 << lev) + s.degree - 3  # num_functions(lev, r) - 3
+    return tuple(np.flatnonzero((2 <= ix) & (ix <= top) & (2 <= iy)
+                                & (iy <= top)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 import afem.driver
+from afem import quadrature
 from afem.assembly import (FormParams, energy_diff_sq, inconsistency_load,
-                           triple_norm_matrix)
+                           triple_norm_matrix, _mesh_norms)
 from afem.driver import (AfemConfig, Problem, contraction_ratios,
                          default_c_est, discrete_reliability_probe,
                          effectivity, inconsistency_sup, pythagoras_check,
                          records_to_csv, run, run_summary, CSV_HEADER,
                          _SampleMemo)
 from afem.estimator import Indicators
-from afem.mesh import uniform_partition
+from afem.mesh import Cell, uniform_partition
 from afem.oracles import manufactured_sin2, zero_problem
 from afem.solver import SolveOptions
 from afem.splines import build_space, conforming_indices, SplineFunction
@@ -148,6 +149,14 @@ class TestRunBasics:
             self, entries, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             Problem("x", **{"f": lambda x, y: x, **entries})
+
+    @pytest.mark.parametrize("name", [5, None, b"peak", ("a",)])
+    def test_problem_name_that_is_not_a_string_fails_at_construction(
+            self, name):
+        """The manifest echoes the name, so a non-string never gets there."""
+        with pytest.raises(ValueError, match=f"^name must be a string, got "
+                                             f"{re.escape(repr(name))}"):
+            Problem(name, lambda x, y: x)
 
     def test_from_manufactured_returns_its_checked_problem(self):
         prob = manufactured_sin2()
@@ -436,37 +445,95 @@ class TestSampleMemo:
                             lambda *a, previous=None: fresh(*a))
         assert repr(run(cfg, SIN2)) == repr(with_memo)
 
+    @pytest.mark.parametrize("kw,distinct", [
+        (dict(degree=2, theta=0.5, mode="conforming", max_dofs=250), 572),
+        (dict(degree=3, theta=0.5, mode="nitsche", max_dofs=150), 184),
+    ])
+    def test_exact_laplacian_sampled_once_per_distinct_cell(self, kw,
+                                                            distinct):
+        """The record's energy error and the Nitsche error's projection
+        share one rule, so each new cell's samples serve both."""
+        calls = {"f": 0, "laplacian_u": 0}
+
+        def counting(name):
+            def sample(x, y):
+                calls[name] += 1
+                return getattr(SIN2, name)(x, y)
+            return sample
+
+        prob = replace(SIN2, f=counting("f"),
+                       laplacian_u=counting("laplacian_u"))
+        cells = set()
+        run(AfemConfig(initial_levels=2, **kw), prob,
+            on_iteration=lambda st: cells.update(st.partition))
+        assert calls == {"f": distinct, "laplacian_u": distinct}
+        assert len(cells) == distinct
+
     def test_samples_are_read_only_copies(self):
-        memo = _SampleMemo(lambda x, y: x)
-        xs, ys = np.array([0.25, 0.5]), np.array([0.75, 1.0])
-        vals = memo(xs, ys)
-        assert not vals.flags.writeable and xs.flags.writeable
-        assert not np.shares_memory(vals, xs)
+        seen = []
+        memo = _SampleMemo(lambda x, y: seen.append(x) or x)
+        cells = [Cell(1, 0, 0), Cell(1, 1, 1)]
+        P, _ = quadrature._rules(cells, 2)
+        X, Y = P[:, :, 0], P[:, :, 1]
+        F = memo.samples(cells, 2, X, Y)
+        assert np.array_equal(F, X) and not np.shares_memory(F, P)
+        # f sees each request's own row, strided as a rule's points[:, 0]
+        assert [x.strides for x in seen] == [(16,), (16,)]
+        stored = memo._now[2][cells[0]]
+        assert not stored.flags.writeable and not np.shares_memory(stored, P)
         with pytest.raises(ValueError):
-            vals[0] = 1.0
-        # the key is the exact bytes, not the array object
-        assert memo(xs.copy(), ys.copy()) is vals
+            stored[0] = 1.0
+        # the key is the request and the rule size, not the points
+        again = memo.samples(cells[::-1], 2, 0.0 * X, 0.0 * Y)
+        assert np.array_equal(again, F[::-1]) and len(seen) == 2
+        memo.samples(cells[:1], 3, *(a[:, :1] for a in (X, Y)))
+        assert len(seen) == 3
+        # calling the memo calls f, unmemoised
+        x0 = X[0]
+        assert memo(x0, Y[0]) is x0 and len(seen) == 4
 
     def test_point_set_unused_for_an_iteration_is_dropped(self):
         calls = []
         memo = _SampleMemo(lambda x, y: calls.append(1) or x + y)
-        a = (np.array([0.125, 0.25]), np.array([0.5, 0.5]))
-        b = (np.array([0.75]), np.array([0.25]))
+        a, b = Cell(2, 0, 1), Cell(2, 3, 2)
+        P, _ = quadrature._rules([a, b], 2)
+        X, Y = P[:, :, 0], P[:, :, 1]
+
+        def sample(*cells):
+            at = [[a, b].index(c) for c in cells]
+            return memo.samples(list(cells), 2, X[at], Y[at])
+
         memo.next_iteration()
-        first = memo(*a)
-        memo(*b)
+        first = sample(a)
+        sample(b)
         memo.next_iteration()
-        assert memo(*a) is first          # kept: asked for last iteration
-        memo.next_iteration()             # b unused for a whole iteration
-        assert memo(*a) is first
+        assert np.array_equal(sample(a), first)   # kept: asked for last time
+        memo.next_iteration()                     # b unused for an iteration
+        sample(a)
         assert len(calls) == 2
-        memo(*b)
+        sample(b)
         assert len(calls) == 3
         memo.next_iteration()
-        memo.next_iteration()             # nothing asked for: all dropped
-        again = memo(*a)
-        assert again is not first and np.array_equal(again, first)
+        memo.next_iteration()                     # nothing asked: all dropped
+        again = sample(a)
+        assert np.array_equal(again, first)
         assert len(calls) == 4
+
+
+def test_conforming_record_norms_are_the_explicit_ones():
+    """A conforming iterate's boundary traces are exact zeros, so the
+    record's norms, set without a pass, equal the explicit ones."""
+    for degree in (2, 3, 4):
+        for truncated in (True, False):
+            states = []
+            cfg = AfemConfig(degree=degree, truncated=truncated,
+                             max_dofs=(degree + 5) ** 2 + 60)
+            records = run(cfg, SIN2, states.append)
+            assert len(records) > 1
+            n = cfg.form_params().resolved(degree).quad_n
+            for rec, st in zip(records, states):
+                explicit = _mesh_norms(st.solution, st.partition, n)
+                assert [rec.bnorm32, rec.bnorm12] == explicit == [0.0, 0.0]
 
 
 class TestNonFiniteData:
@@ -535,11 +602,13 @@ class TestScalarData:
         assert repr(got) == repr(want)
 
     def test_memo_spreads_a_scalar_and_rejects_a_wrong_shape(self):
-        xs, ys = np.array([0.25, 0.5]), np.array([0.75, 1.0])
-        vals = _SampleMemo(lambda x, y: 2)(xs, ys)
-        assert vals.dtype == float and np.array_equal(vals, [2.0, 2.0])
+        cells = [Cell(0, 0, 0)]
+        P, _ = quadrature._rules(cells, 2)
+        X, Y = P[:, :, 0], P[:, :, 1]
+        vals = _SampleMemo(lambda x, y: 2).samples(cells, 2, X, Y)
+        assert vals.dtype == float and np.array_equal(vals, [[2.0] * 4])
         with pytest.raises(ValueError):
-            _SampleMemo(lambda x, y: np.ones(3))(xs, ys)
+            _SampleMemo(lambda x, y: np.ones(3)).samples(cells, 2, X, Y)
 
 
 class TestDiscreteReliabilityProbe:

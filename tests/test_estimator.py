@@ -290,9 +290,9 @@ class TestOscillation:
             a = np.arange(d + 1)
             norms = np.outer(2 * a + 1, 2 * a + 1).astype(float).ravel() \
                 / cell.side ** 2
-            cleg = ((_legendre_modes(cell, d, xs, ys) * rule.weights)
-                    @ vals.T).T * norms
-            resid = vals - cleg @ _legendre_modes(cell, d, xs, ys)
+            modes = _legendre_modes([cell], d, [xs], [ys])[0]
+            cleg = ((modes * rule.weights) @ vals.T).T * norms
+            resid = vals - cleg @ _legendre_modes([cell], d, [xs], [ys])[0]
             want = cell.side ** 2 * float(rule.weights @ resid ** 2) ** 0.5
             assert oscillation(f, cell, r, 6) == want
 

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix, eye, random as sparse_random
+from scipy.sparse import csc_matrix, diags, eye, random as sparse_random
 
-from afem.solver import NotSPDError, SolveOptions, solve, solve_spd
+from afem.assembly import FormParams, assemble
+from afem.mesh import Cell, refine, uniform_partition
+from afem.oracles import manufactured_sin2
+from afem.solver import (NotSPDError, SolveOptions, _jacobi_scaled, solve,
+                         solve_spd)
+from afem.splines import build_space
 
 
 class TestSolve:
@@ -83,3 +88,38 @@ class TestSolve:
             with pytest.raises(ValueError, match="non-finite"):
                 solve(A, np.array([1.0, np.nan, 0.0]),
                       SolveOptions(method=method))
+
+
+class TestJacobiScaling:
+    """The scaling by data equals the two sparse products it replaced,
+    ``(S @ mat @ S).tocsc()``, bit for bit, and leaves ``mat`` alone."""
+
+    @staticmethod
+    def check(mat):
+        mat = mat.tocsc()
+        before = [a.tobytes() for a in (mat.data, mat.indices, mat.indptr)]
+        inv = 1.0 / np.sqrt(mat.diagonal())
+        got = _jacobi_scaled(mat, inv)
+        S = diags(inv)
+        want = (S @ mat @ S).tocsc()
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.tobytes() == b.tobytes()
+        assert [a.tobytes() for a in (mat.data, mat.indices,
+                                      mat.indptr)] == before
+        return got
+
+    @pytest.mark.parametrize("mode", ["conforming", "nitsche"])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_graded_systems(self, mode, degree):
+        p = refine(refine(uniform_partition(2), [Cell(2, 1, 1)]),
+                   [Cell(3, 3, 3), Cell(3, 2, 3)])
+        A, _ = assemble(build_space(p, degree), manufactured_sin2().f,
+                        FormParams(mode))
+        assert self.check(A.matrix).nnz == A.matrix.nnz
+
+    def test_entries_that_round_to_zero_are_dropped(self):
+        mat = csc_matrix(np.array([[1e300, 1e-300, 0.0],
+                                   [1e-300, 1e300, 2.0],
+                                   [0.0, 2.0, 4.0]]))
+        assert self.check(mat).nnz == mat.nnz - 2

@@ -1,6 +1,7 @@
 """Hierarchical spline spaces: selection, evaluation, duals, transfer."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -316,8 +317,9 @@ class TestReferenceTables:
         assert after._univariate(cell.level, cell.i, xs, 4).base is tab.base
 
     def test_caches_hold_a_whole_run(self):
-        """Every table of a sin2 r=2 run to 5k dofs (1,724 scaled ones)
-        is filled once, within the bound."""
+        """Every table of a sin2 r=2 run to 5k dofs (1,714 scaled ones;
+        the conforming record reads no boundary trace) is filled once,
+        within the bound."""
         from afem.driver import AfemConfig, Problem, run
         from afem.oracles import manufactured_sin2
 
@@ -329,7 +331,7 @@ class TestReferenceTables:
             info = cache.cache_info()
             assert info.maxsize == TABLE_CACHE_SIZE
             assert info.misses == info.currsize <= TABLE_CACHE_SIZE
-        assert _scaled_table.cache_info().currsize == 1724
+        assert _scaled_table.cache_info().currsize == 1714
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_basis_on_cell_equals_tensor_grid_product(self, degree):
@@ -364,13 +366,13 @@ class TestReferenceTables:
             x0, x1, y0, y1 = cell.bounds
             xs = gauss_points_1d(x0, x1, 5)[0]
             ys = gauss_points_1d(y0, y1, 5)[0][::-1]
-            xi, zeta = _local_coords(cell, xs, ys)
+            (xi,), (zeta,) = _local_coords([cell], [xs], [ys])
             for ax, ay in [(0, 0), (1, 0), (0, 1), (2, 1)]:
                 want = (direct(xi, ax)[:, None, :]
                         * direct(zeta, ay)[None, :, :]).reshape(
                             (d + 1) ** 2, -1) * (2.0 / cell.side) ** (ax + ay)
                 for _ in range(2):  # fill, then hit the cache
-                    got = _legendre_modes(cell, d, xs, ys, ax, ay)
+                    got = _legendre_modes([cell], d, [xs], [ys], ax, ay)[0]
                     assert np.array_equal(got, want)
 
 
@@ -408,7 +410,8 @@ def extraction_by_level_loop(s, cell):
                           np.arange(prev.j, prev.j + w))]
             if carry.shape[0]:
                 carry = carry @ np.kron(Px, Py).T
-        level_map = s._by_level.get(m, {})
+        level_map = {(ix, iy): k for k, (lev, ix, iy) in enumerate(s.active)
+                     if lev == m}
         here = [(level_map[(anc.i + a, anc.j + b)], a * w + b)
                 for a in range(w) for b in range(w)
                 if (anc.i + a, anc.j + b) in level_map]
@@ -507,7 +510,7 @@ class TestFastEvaluationPath:
             xs, ys = rule.points[:, 0], rule.points[:, 1]
             batch = U.eval_batch(xs, ys, ALL_ORDERS, cell)
             pos, tabs = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
-            index = s._carries[cell][2]
+            index = s._extractions[cell][1]
             assert index.dtype == np.intp and tuple(index) == pos
             c = U.coefficients[list(pos)]
             for o in ALL_ORDERS:
@@ -553,6 +556,16 @@ class TestBuildSpace:
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError):
             build_space(uniform_partition(1), 1)
+
+    @pytest.mark.parametrize("degree", [2.5, 2.0, "2", True])
+    def test_degree_that_is_not_an_integer_rejected(self, degree):
+        """As ``AfemConfig(degree=...)``: a ``ValueError`` naming the
+        setting, not a numpy ``TypeError`` from the selection."""
+        with pytest.raises(ValueError,
+                           match=f"^degree must be an integer, got "
+                                 f"{re.escape(repr(degree))}"):
+            build_space(uniform_partition(1), degree)
+        assert build_space(uniform_partition(1), np.int64(2)).dim == 16
 
     @pytest.mark.parametrize("flag", ["no", 0, None])
     def test_truncated_that_is_not_a_bool_rejected(self, flag):
