@@ -10,13 +10,7 @@ residual a posteriori estimator, Doerfler marking, graded quadtree
 refinement, and a convergence-measurement harness.
 """
 
-from .mesh import (Cell, Edge, Partition, ShapeReport, edges, refine,
-                   shape_report, support_extension, uniform_partition)
-from .splines import (HierarchicalSpace, SplineFunction, build_space,
-                      coarse_to_fine, conforming_indices, load_solution,
-                      quasi_interpolant, save_solution)
-from .quadrature import QuadratureRule, gauss_cell, gauss_edge
-from .solver import NotSPDError, SolveOptions, solve
+from importlib import import_module
 
 __all__ = [
     "Cell", "Edge", "Partition", "ShapeReport", "uniform_partition",
@@ -28,3 +22,19 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The public names, from the modules that define them, imported on
+    first access: a bare ``import afem`` (as ``afem --help`` makes) loads
+    neither numpy nor scipy."""
+    if name in __all__:
+        for module in ("mesh", "splines", "quadrature", "solver"):
+            value = getattr(import_module(f".{module}", __name__), name, None)
+            if value is not None:
+                return value
+    raise AttributeError(f"module 'afem' has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -31,7 +31,7 @@ from .mesh import Cell, EdgeArrays, Partition, edge_arrays
 from .quadrature import _cell_sum, _on_points, _requests, _row_dots
 from .solver import _check_number
 from .splines import (HierarchicalSpace, SplineFunction, _distinct_rows,
-                      conforming_indices)
+                      _RunEntries, conforming_indices)
 
 __all__ = [
     "AnalyticField",
@@ -180,6 +180,33 @@ def _local_coords(cells, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return local(X, i), local(Y, j)
 
 
+def _legendre_tables(local: np.ndarray, d: int, *orders) -> list:
+    """1-D Legendre tables ``(B, d+1, N)`` at the rows of local
+    coordinates ``local``, one per entry of ``orders``: a derivative order
+    for every row, or an array of one per row.  The rows are grouped
+    once, and each table is looked up once per distinct row and order."""
+    first, inv = _distinct_rows(local.view(np.int64))
+    rows = [local[q].tobytes() for q in first.tolist()]
+    out = []
+    for order in orders:
+        keys, back = np.unique(np.asarray(order) * len(rows) + inv,
+                               return_inverse=True)
+        out.append(np.array([_legendre_1d(d, o, rows[q]) for o, q in (
+            divmod(k, len(rows)) for k in keys.tolist())])[back.ravel()])
+    return out
+
+
+def _mode_product(cells, Px: np.ndarray, Py: np.ndarray,
+                  order: int) -> np.ndarray:
+    """Tensor modes ``(B, (d+1)^2, N)`` from the 1-D tables of each axis:
+    per item their outer product, times ``(2/h)**order``, an exact power
+    of two for a derivative of total ``order``."""
+    B, _, N = Px.shape
+    level = np.fromiter((c[0] for c in cells), dtype=np.int64, count=B)
+    return ((Px[:, :, None, :] * Py[:, None, :, :]).reshape(B, -1, N)
+            * np.ldexp(1.0, (level + 1) * order)[:, None, None])
+
+
 def _legendre_modes(cells, d: int, X, Y, ax: int = 0,
                     ay: int = 0) -> np.ndarray:
     """Tensor Legendre mode derivatives ``(B, (d+1)^2, N)`` of ``cells``
@@ -187,17 +214,9 @@ def _legendre_modes(cells, d: int, X, Y, ax: int = 0,
     of the two 1-D tables at the :func:`_local_coords`, times
     ``(2/h)**(ax+ay)``.  A 1-D table is looked up once per distinct row
     of local coordinates."""
-    def table(local, order):
-        first, inv = _distinct_rows(local.view(np.int64))
-        return np.array([_legendre_1d(d, order, local[q].tobytes())
-                         for q in first])[inv]
-
     xi, zeta = _local_coords(cells, X, Y)
-    Px, Py = table(xi, ax), table(zeta, ay)
-    B, _, N = Px.shape
-    level = np.fromiter((c[0] for c in cells), dtype=np.int64, count=B)
-    return ((Px[:, :, None, :] * Py[:, None, :, :]).reshape(B, -1, N)
-            * np.ldexp(1.0, (level + 1) * (ax + ay))[:, None, None])
+    (Px,), (Py,) = _legendre_tables(xi, d, ax), _legendre_tables(zeta, d, ay)
+    return _mode_product(cells, Px, Py, ax + ay)
 
 
 class PiecewisePoly:
@@ -286,13 +305,17 @@ def _legendre_traces(coef: np.ndarray, es: EdgeArrays, d: int, X, Y):
 
     The normal is axis-aligned, so the normal derivative is the sign
     ``es.sign`` times the normal-axis derivative; the dropped tangential
-    term of ``nx*dx + ny*dy`` is an exact zero.
+    term of ``nx*dx + ny*dy`` is an exact zero.  The local coordinates
+    are mapped once, and each axis's derivative table is looked up only
+    on the edges whose normal lies along it.
     """
     cells = es.cells(es.plus)
-    modes = _legendre_modes(cells, d, X, Y)
-    modes_n = np.where(es.axis[:, None, None] == 0,
-                       _legendre_modes(cells, d, X, Y, 1, 0),
-                       _legendre_modes(cells, d, X, Y, 0, 1))
+    xi, zeta = _local_coords(cells, X, Y)
+    normal = es.axis == 0  # the normal's axis is x, then y
+    Px, Nx = _legendre_tables(xi, d, 0, normal.astype(int))
+    Py, Ny = _legendre_tables(zeta, d, 0, (~normal).astype(int))
+    modes = _mode_product(cells, Px, Py, 0)
+    modes_n = _mode_product(cells, Nx, Ny, 1)
     stack = coef if coef.ndim == 3 else coef[:, None, :]
     pv, pn = stack @ modes, es.sign[:, None, None] * (stack @ modes_n)
     return (pv, pn) if coef.ndim == 3 else (pv[:, 0], pn[:, 0])
@@ -354,64 +377,28 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
     return SystemMatrix(A, tuple(keep)), LoadVector(b, tuple(keep))
 
 
-def _coo_blocks(imap: np.ndarray, index: np.ndarray, blocks: np.ndarray):
-    """The live part (``imap >= 0``) of a group's blocks ``(B, k, k)``
-    over the active positions ``index`` ``(B, k)``: the entry count of
-    each item, and the COO rows, columns and values, item by item in C
-    order as a per-item ``np.ix_`` block would give them."""
-    idx = imap[index]
-    live = idx >= 0
-    pair = live[:, :, None] & live[:, None, :]
-    return (np.count_nonzero(pair.reshape(len(idx), -1), axis=1),
-            [np.broadcast_to(idx[:, :, None], pair.shape)[pair],
-             np.broadcast_to(idx[:, None, :], pair.shape)[pair],
-             blocks[pair]])
-
-
-def _in_request_order(R: int, groups) -> list[np.ndarray]:
-    """Per-item arrays of the groups of a run of ``R`` requests, as
-    ``(items, counts, arrays)`` with each array the items' entries one
-    after the other, written at each request's offset: the arrays of
-    the whole run in request order."""
-    counts = np.zeros(R, dtype=np.intp)
-    for items, c, _ in groups:
-        counts[items] = c
-    offset = np.concatenate([[0], np.cumsum(counts)])
-    out = [np.empty(offset[-1], a.dtype) for a in groups[0][2]]
-    for items, c, arrays in groups:
-        start = np.cumsum(c) - c
-        dest = np.repeat(offset[items] - start, c) + np.arange(c.sum())
-        for o, a in zip(out, arrays):
-            o[dest] = a
-    return out
-
-
 def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
                      rows: list, cols: list, vals: list, b: np.ndarray):
     """Volume pass ``(lap u, lap v)`` and, unless ``f`` is ``None``, the
-    load, per group of :meth:`HierarchicalSpace.basis_stacks`.
+    load, per run of cells and group of
+    :meth:`HierarchicalSpace.basis_stacks`.
 
-    Entries keep the per-cell COO layout and order: each group's live
-    rows, columns and Gram entries are written at their cells' offsets,
-    so each run's COO arrays are in cell order.  The load is added with
-    ``np.add.at`` in cell order, as a per-cell loop adds it.
+    Entries keep the per-cell COO layout and order: each run's live
+    rows, columns and Gram entries are in cell order, and the load is
+    added with ``np.add.at`` in cell order, as a per-cell loop adds it.
     """
     for lo, run, X, Y, W, F in _requests(s.partition.cells, n, f):
-        coo, loads = [], []
+        entries = _RunEntries(s, len(run), imap)
         for items, index, tabs in s.basis_stacks(run, X, Y,
                                                  [(0, 0), (2, 0), (0, 2)]):
             LAP = tabs[(2, 0)] + tabs[(0, 2)]
-            gram = (LAP * W[items][:, None, :]) @ LAP.transpose(0, 2, 1)
-            coo.append((items, *_coo_blocks(imap, index, gram)))
-            if f is not None:
-                load = tabs[(0, 0)] @ (W[items] * F[items])[:, :, None]
-                idx = imap[index]
-                live = idx >= 0
-                loads.append((items, live.sum(axis=1),
-                              [idx[live], load[:, :, 0][live]]))
-        _scatter(len(run), coo, rows, cols, vals)
+            entries.put(items, index,
+                        (LAP * W[items][:, None, :]) @ LAP.transpose(0, 2, 1),
+                        None if f is None else (tabs[(0, 0)] @ (
+                            W[items] * F[items])[:, :, None])[:, :, 0])
+        entries.coo(rows, cols, vals)
         if f is not None:
-            np.add.at(b, *_in_request_order(len(run), loads))
+            entries.add_loads(b)
 
 
 def _symmetric_csr(rows, cols, vals, dim: int) -> csr_matrix:
@@ -468,13 +455,6 @@ def _boundary_traces(s: HierarchicalSpace, bdry: EdgeArrays, n: int,
         yield run, X, Y, F, groups
 
 
-def _scatter(R: int, coo, rows: list, cols: list, vals: list):
-    """Append a run's COO entries, groups of ``(items, counts, [rows,
-    cols, vals])``, in the order of its ``R`` requests."""
-    for out, got in zip((rows, cols, vals), _in_request_order(R, coo)):
-        out.append(got)
-
-
 def _spline_traces(fn: SplineFunction, bdry: EdgeArrays, n: int):
     """``(es, X, Y, W, V, VN)`` of a spline per run of the boundary
     edges ``bdry``: the edges, their rules, and the trace and
@@ -515,7 +495,7 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
     # an overflowed penalty leaves nan entries, which solve_spd reports
     with np.errstate(invalid="ignore"):
         for run, _, _, _, groups in _boundary_traces(s, bdry, n):
-            coo = []
+            entries = _RunEntries(s, len(run), imap)
             for items, es, X, Y, W, index, V, VN in groups:
                 PV, PN = _legendre_traces(
                     np.array([proj[c] for c in es.cells(es.plus)]), es, d,
@@ -531,8 +511,8 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
                     + (g1 * (V * W)) @ V.transpose(0, 2, 1)
                     + (g2 * (VN * W)) @ VN.transpose(0, 2, 1)
                 )
-                coo.append((items, *_coo_blocks(imap, index, block)))
-            _scatter(len(run), coo, rows, cols, vals)
+                entries.put(items, index, block)
+            entries.coo(rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +603,15 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     _assemble_volume(s, None, n, imap, rows, cols, vals, None)
     _, bdry = edge_arrays(s.partition)
     for run, _, _, _, groups in _boundary_traces(s, bdry, n):
-        coo = []
+        entries = _RunEntries(s, len(run), imap)
         for items, es, _, _, W, index, V, VN in groups:
             g1, g2 = (g[:, None, None] for g in _penalties(
                 es, params.gamma1, params.gamma2))
             W = W[:, None, :]
-            block = ((g1 * (V * W)) @ V.transpose(0, 2, 1)
-                     + (g2 * (VN * W)) @ VN.transpose(0, 2, 1))
-            coo.append((items, *_coo_blocks(imap, index, block)))
-        _scatter(len(run), coo, rows, cols, vals)
+            entries.put(items, index,
+                        (g1 * (V * W)) @ V.transpose(0, 2, 1)
+                        + (g2 * (VN * W)) @ VN.transpose(0, 2, 1))
+        entries.coo(rows, cols, vals)
     return _symmetric_csr(rows, cols, vals, s.dim)
 
 
@@ -652,19 +632,19 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     proj = _cell_projections(bdry.cells(np.unique(bdry.plus)), d, n,
                              lambda run, X, Y, F: F, lap_u)
     g = np.zeros(s.dim)
+    every = np.arange(s.dim)
     for run, X, Y, F, groups in _boundary_traces(s, bdry, n, lap_u):
         lap_n = run.sign[:, None] * np.array([
             _on_points(grad_lap_u(x, y)[a], x)
             for x, y, a in zip(X, Y, run.axis.tolist())])
-        parts = []
+        entries = _RunEntries(s, len(run), every)
         for items, es, X, Y, W, index, V, VN in groups:
             pi_v, pi_n = _legendre_traces(
                 np.array([proj[c] for c in es.cells(es.plus)]), es, d, X, Y)
-            load = (V @ (W * (pi_n - lap_n[items]))[:, :, None]
-                    - VN @ (W * (pi_v - F[items]))[:, :, None])
-            parts.append((items, np.full(len(items), index.shape[1]),
-                          [index.ravel(), load.ravel()]))
-        np.add.at(g, *_in_request_order(len(run), parts))
+            entries.put(items, index, load=(
+                V @ (W * (pi_n - lap_n[items]))[:, :, None]
+                - VN @ (W * (pi_v - F[items]))[:, :, None])[:, :, 0])
+        entries.add_loads(g)
     return g
 
 

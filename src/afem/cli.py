@@ -4,7 +4,9 @@ Configures a run, executes the adaptive loop, and writes a convergence
 CSV plus a JSON manifest into the output directory; optional dumps
 cover the final mesh, the final per-cell indicators and the final
 solution.  Configuration errors exit with status 2 and a diagnostic
-naming the offending flag.
+naming the offending flag.  The library (numpy, scipy and the numerical
+modules) is imported inside the functions that use it, so ``--help``
+and ``--version`` answer without it.
 """
 
 from __future__ import annotations
@@ -12,40 +14,43 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import operator
 import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
-from .driver import (AfemConfig, Problem, records_to_csv, run, run_summary)
-from .solver import NotSPDError, SolveOptions
-from .splines import load_solution, save_solution
-from .oracles import manufactured_bubble, manufactured_sin2, zero_problem
 
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
-              "abs": np.abs, "log": np.log}
+# the one-argument numpy functions a problem expression may call
+_FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "log")
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv,
            ast.Pow: operator.pow}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: np.pi}
+_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y,
+          "pi": lambda x, y: math.pi}
 
 
 def _function(node: ast.expr):
-    """The whitelisted function a call names, ``sin`` or ``np.sin``."""
+    """The whitelisted numpy function a call names, ``sin`` or
+    ``np.sin``."""
+    import numpy as np
+
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
             and node.value.id == "np":
-        return _FUNCTIONS.get(node.attr)
-    return _FUNCTIONS.get(node.id) if isinstance(node, ast.Name) else None
+        name = node.attr
+    else:
+        name = node.id if isinstance(node, ast.Name) else None
+    return getattr(np, name) if name in _FUNCTIONS else None
 
 
 def _compile(node: ast.expr):
     """``(x, y) -> value`` for an expression built only from numbers,
     ``x``, ``y``, ``pi``, arithmetic and whitelisted one-argument calls;
     any other construct raises ``ValueError`` naming it."""
+    import numpy as np
+
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         # numpy scalar semantics: no unbounded integer arithmetic, and
         # 1/0 is inf (rejected later as non-finite), not an exception
@@ -77,6 +82,7 @@ def _expr(text: str):
     except SyntaxError as exc:
         raise ValueError(f"problem expression {text!r}: {exc.msg}") from None
     body = _compile(tree.body)
+    import numpy as np
 
     def f(x, y):
         x, y = np.asarray(x, float), np.asarray(y, float)
@@ -120,6 +126,9 @@ def load_problem(name: str) -> Problem:
     Only ``f`` is required; error tracking needs the exact-solution
     entries.
     """
+    from .driver import Problem
+    from .oracles import manufactured_bubble, manufactured_sin2, zero_problem
+
     if name == "sin2":
         return manufactured_sin2()
     if name == "zero":
@@ -180,6 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def run(cfg, prob, on_iteration=None):
+    """:func:`afem.driver.run`, imported on the first call."""
+    from .driver import run
+
+    return run(cfg, prob, on_iteration)
+
+
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".manifest-")
@@ -196,6 +212,9 @@ def _atomic_write(path: str, text: str):
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    from .driver import AfemConfig, records_to_csv, run_summary
+    from .solver import NotSPDError, SolveOptions
+    from .splines import load_solution, save_solution
 
     if args.load_solution is not None:
         try:

@@ -84,24 +84,29 @@ def _edge_jumps_sq(U: SplineFunction, es: EdgeArrays,
     ``U`` is C^(r-1), as each B-spline is, so ``J1 = [d_n lap U]``
     vanishes for r = 2, ``J2 = [lap U]`` for r = 3 and both for r >= 4:
     a vanishing term is an exact 0.0, not evaluated (no edge pass at
-    r >= 4).  Per normal axis and run of edges, both sides are evaluated
-    in one stacked call: plus owners in the first half of the rows,
-    minus owners in the second.
+    r >= 4).  At r = 2 both axes take the Laplacian's two terms, so one
+    pass covers every edge; at r = 3 the normal derivative's terms
+    depend on the axis, so there is one pass per axis.  Per run of
+    edges, both sides are evaluated in one stacked call: plus owners in
+    the first half of the rows, minus owners in the second.
     """
     j1, j2 = np.zeros(len(es)), np.zeros(len(es))
     r = U.space.degree
-    for axis in (0, 1) if r < 4 else ():
-        # the Laplacian's terms, or those of its normal derivative
-        u, v = ([(2, 0), (0, 2)] if r == 2 else
-                [(3, 0), (1, 2)] if axis == 0 else [(2, 1), (0, 3)])
-        on_axis = np.flatnonzero(es.axis == axis)
-        for lo, run, X, Y, W, _ in _requests(es[on_axis], quad_n):
+    if r == 2:
+        passes = [(np.arange(len(es)), [(2, 0), (0, 2)])]
+    elif r == 3:
+        passes = [(np.flatnonzero(es.axis == 0), [(3, 0), (1, 2)]),
+                  (np.flatnonzero(es.axis == 1), [(2, 1), (0, 3)])]
+    else:
+        passes = []
+    for on, (u, v) in passes:
+        for lo, run, X, Y, W, _ in _requests(es[on], quad_n):
             B = len(run)
             d = U.eval_stacked(run.cells(run.plus) + run.cells(run.minus),
                                np.vstack([X, X]), np.vstack([Y, Y]), [u, v])
             sq = _row_dots(W, ((d[u][:B] + d[v][:B])
                                - (d[u][B:] + d[v][B:])) ** 2)
-            at = on_axis[lo:lo + B]
+            at = on[lo:lo + B]
             if r == 2:
                 j2[at] = run.length * sq
             else:  # h**3, an exact power of two

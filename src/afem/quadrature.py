@@ -107,14 +107,15 @@ class _SampleMemo:
     """Samples of a callable ``f(xs, ys)`` on the Gauss rules of cells
     (or edges), memoised on the request and the rule size ``n``.
 
-    A miss calls ``f`` on the request's own point rows, strided as a
-    rule's ``points[:, 0]``; the samples are kept read-only.  Each cell's
-    rule is the same in every pass on it and in every iteration the cell
-    persists, so ``f`` is sampled once per cell per run.
-    :meth:`next_iteration` drops every sample that was not requested
-    since its previous call, so the memo holds about one partition's
-    samples.  Calling the memo calls ``f``, unmemoised: points that are
-    not a request's rule have no key.
+    The misses of a run are sampled in one call: ``f`` gets one 1-D pair
+    ``xs``, ``ys`` of their points, request after request, strided as a
+    rule's ``points[:, 0]`` and ``points[:, 1]``; each request keeps its
+    row of the result as a read-only view.  Each cell's rule is the same
+    in every pass on it and in every iteration the cell persists, so a
+    cell's points are sampled once per run.  :meth:`next_iteration` drops
+    every sample that was not requested since its previous call, so the
+    memo holds about one partition's samples.  Calling the memo calls
+    ``f``, unmemoised: points that are not a request's rule have no key.
     """
 
     def __init__(self, f):
@@ -131,12 +132,20 @@ class _SampleMemo:
         now = self._now.setdefault(n, {})
         got = list(map(now.get, run))
         before = self._before.get(n, {})
-        for q in [q for q, vals in enumerate(got) if vals is None]:
-            vals = before.pop(run[q], None)
+        miss = []
+        for q, vals in enumerate(got):
             if vals is None:
-                vals = _on_points(self._f(X[q], Y[q]), X[q])
-                vals.flags.writeable = False
-            now[run[q]] = got[q] = vals
+                vals = before.pop(run[q], None)
+                if vals is None:
+                    miss.append(q)
+                else:
+                    now[run[q]] = got[q] = vals
+        if miss:
+            P = np.stack([X[miss], Y[miss]], axis=-1).reshape(-1, 2)
+            vals = _on_points(self._f(P[:, 0], P[:, 1]), P[:, 0])
+            vals.flags.writeable = False
+            for q, row in zip(miss, vals.reshape(len(miss), -1)):
+                now[run[q]] = got[q] = row
         return np.array(got)
 
     def next_iteration(self) -> None:

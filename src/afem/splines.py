@@ -14,7 +14,13 @@ active cell is expressed in the cell's own-level local tensor basis, so
 derivatives are plain polynomial derivatives.  A cell's extraction is
 its parent's times the two-scale blocks of the parent's span classes
 (exact knot insertion, the same at every level), so each dyadic
-ancestor is processed once per space.
+ancestor is processed once per space, and each level takes one batched
+product per carried row count.  The extractions are stored as three
+read-only arrays in partition order: row counts, matrices padded with
+zero rows to the most rows of any cell, and the rows' positions.  The
+padding is storage only: every product takes a cell's rows exactly,
+since padding either operand of a BLAS product can change the rounding
+of the entries it keeps.
 
 The local basis comes from level-independent reference tables.  On span
 ``i`` of a level with ``m = 2**l`` spans, the ``r+1`` window functions
@@ -30,18 +36,18 @@ always paired coordinates, as :func:`afem.quadrature.gauss_cell` lays
 them out.
 
 Evaluation is stacked: requests (a cell and its points) are grouped by
-extraction size, and each group takes one ``np.matmul`` per order.  That
-runs the same BLAS call per item as a one-cell product, so results do
-not depend on the grouping; widening an operand would change rounding.
+extraction size, each group gathers its extractions from the arrays by
+position, and takes one ``np.matmul`` per order.  That runs the same
+BLAS call per item as a one-cell product, so results do not depend on
+the grouping; widening the reduced dimension would change rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -216,15 +222,14 @@ def _two_scale_block(degree: int, a: int, b: int, parity: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _two_scale_kron(degree: int, x: tuple, y: tuple) -> np.ndarray:
-    """Read-only ``np.kron`` of the blocks ``_two_scale_block(degree, *x)``
-    and ``(degree, *y)`` (span class and parity per axis), one rounded
-    product per entry, C order."""
-    Px, Py = (_two_scale_block(degree, *c) for c in (x, y))
-    w = degree + 1
-    K = (Px[:, None, :, None] * Py[None, :, None, :]).reshape(w * w, w * w)
-    K.flags.writeable = False
-    return K
+def _axis_blocks(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-degree table of :func:`_two_scale_block` by the code
+    ``(a * (r+1) + b) * 2 + parity`` of a span class and a child's parity,
+    and the mask of the codes filled so far: codes are filled on first
+    use."""
+    codes = 2 * (degree + 1) ** 2
+    return (np.empty((codes, degree + 1, degree + 1)),
+            np.zeros(codes, dtype=bool))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -263,12 +268,23 @@ def two_scale_matrix(level: int, degree: int) -> np.ndarray:
 FnIndex = tuple[int, int, int]  # (level, ix, iy)
 
 
+class _Extractions(NamedTuple):
+    """The extractions of a space's active cells, in ``p.cells`` order:
+    the row counts ``(cells,)``, the matrices ``(cells, kmax, (r+1)**2)``
+    and the positions of their rows ``(cells, kmax)``, each cell's rows
+    first and zero rows after them; read-only."""
+
+    rows: np.ndarray
+    matrices: np.ndarray
+    positions: np.ndarray
+
+
 class HierarchicalSpace:
     """Hierarchical (truncated) B-spline space over a quadtree partition.
 
-    Immutable after construction; evaluation helpers memoise read-only
-    extraction operators per dyadic cell, transparent to callers, safe
-    for read-only sharing, and freed with the space.
+    Immutable after construction; the extractions of its active cells
+    are built on first use into read-only arrays, transparent to
+    callers, safe for read-only sharing, and freed with the space.
     """
 
     def __init__(self, partition: Partition, degree: int,
@@ -282,50 +298,53 @@ class HierarchicalSpace:
         self.degree = degree
         self.truncated = truncated
         # per level: the sorted keys ix * (2**level + r) + iy of its active
-        # functions, the position of the first, and the key offsets of a
-        # window's (a, b) in local order
-        self._levels: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
+        # functions, and the position of the first
+        self._levels: dict[int, tuple[np.ndarray, int]] = {}
         # level, ix and iy of the active functions, in position order
         self._fns = self._select_active()
-        # the extraction of every active cell: the matrix, and the
-        # positions of its rows as an index array; built on first use
-        self._extractions: dict[Cell, tuple[np.ndarray, np.ndarray]] | \
-            None = None
 
     # -- selection ------------------------------------------------------
 
     def _select_active(self) -> np.ndarray:
-        """The classical selection, level by level on the partition's
-        arrays: a function of level ``l`` is a candidate when an active
-        cell of level ``l`` lies in its support, and active when no cell
-        of its support lies strictly inside a coarser active cell.
-        Returns the level, ``ix`` and ``iy`` of each active function as
-        the rows of a ``(3, dim)`` array, level by level and in key
+        """The classical selection, in one pass over all levels on the
+        partition's arrays: a function of level ``l`` is a candidate when
+        an active cell of level ``l`` lies in its support, and active when
+        no cell of its support lies strictly inside a coarser active cell.
+        Functions are keyed ``(level, ix, iy)`` in one int64, and their
+        distinct support cells, clipped to the square, are located at
+        once.  Returns the level, ``ix`` and ``iy`` of each active function
+        as the rows of a ``(3, dim)`` array, level by level and in key
         order within a level."""
         p, r = self.partition, self.degree
         w = np.arange(r + 1)
-        chunks = [np.zeros((3, 0), dtype=np.int64)]
-        count = 0
-        for lev in np.unique(p._level).tolist():
-            at = p._level == lev
-            m, n, s = 1 << lev, (1 << lev) + r, p.max_level - lev
-            keys = np.unique(((p._i[at, None] + w) * n)[:, :, None]
-                             + (p._j[at, None] + w)[:, None, :])
-            ix, iy = keys // n, keys % n
-            # distinct support cells, clipped to the square, located once
-            sx = np.clip(ix[:, None] - w, 0, m - 1)[:, :, None]
-            sy = np.clip(iy[:, None] - w, 0, m - 1)[:, None, :]
-            cells, inv = np.unique((sx * m + sy).ravel(), return_inverse=True)
-            coarse = p._level[p._locate((cells // m) << s,
-                                        (cells % m) << s)] < lev
-            ok = ~coarse[inv].reshape(len(keys), -1).any(axis=1)
-            if ok.any():
-                self._levels[lev] = (keys[ok], count,
-                                     (w[:, None] * n + w[None, :]).ravel())
-                count += int(ok.sum())
-            chunks.append(np.stack([np.full(len(keys), lev)[ok], ix[ok],
-                                    iy[ok]]))
-        return np.concatenate(chunks, axis=1)
+        side = 1 << np.arange(p.max_level + 1)
+        # the first key of each level: functions, and cells, of lower
+        # levels come first (below 2**63 up to MAX_LEVEL)
+        fn_base = np.concatenate([[0], np.cumsum((side + r) ** 2)])
+        cell_base = np.concatenate([[0], np.cumsum(side ** 2)])
+        n = side[p._level] + r
+        keys = np.unique(
+            fn_base[p._level][:, None, None]
+            + ((p._i[:, None] + w) * n[:, None])[:, :, None]
+            + (p._j[:, None] + w)[:, None, :])
+        level = np.searchsorted(fn_base, keys, side="right") - 1
+        ix, iy = np.divmod(keys - fn_base[level], side[level] + r)
+        m = side[level][:, None, None]
+        sx = np.clip(ix[:, None] - w, 0, m[:, 0] - 1)[:, :, None]
+        sy = np.clip(iy[:, None] - w, 0, m[:, 0] - 1)[:, None, :]
+        cells, inv = np.unique(cell_base[level][:, None, None] + sx * m + sy,
+                               return_inverse=True)
+        at = np.searchsorted(cell_base, cells, side="right") - 1
+        ci, cj = np.divmod(cells - cell_base[at], side[at])
+        s = p.max_level - at
+        coarse = p._level[p._locate(ci << s, cj << s)] < at
+        ok = ~coarse[inv].reshape(len(keys), -1).any(axis=1)
+        level, ix, iy = level[ok], ix[ok], iy[ok]
+        present, first = np.unique(level, return_index=True)
+        for lev, a, b in zip(present.tolist(), first.tolist(),
+                             first[1:].tolist() + [len(level)]):
+            self._levels[lev] = (ix[a:b] * ((1 << lev) + r) + iy[a:b], a)
+        return np.stack([level, ix, iy])
 
     # -- basic queries ---------------------------------------------------
 
@@ -357,117 +376,134 @@ class HierarchicalSpace:
         Local index layout is ``a * (r+1) + b`` for the (a, b) window
         function.
         """
-        C, index = self._extraction_of([cell])[0]
-        return tuple(index.tolist()), C
+        (q,) = self._cells_at([cell]).tolist()
+        e = self._extractions
+        k = int(e.rows[q])
+        return tuple(e.positions[q, :k].tolist()), e.matrices[q, :k]
 
-    def _extraction_of(self, cells) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The extractions ``(C, index)`` of active ``cells``, all built by
-        :meth:`_build` on the first call; a cell that is not active
-        raises."""
-        if self._extractions is None:
-            self._extractions = self._build()
-        got = list(map(self._extractions.get, cells))
-        if None in got:
-            raise ValueError(f"{cells[got.index(None)]} is not an active cell")
-        return got
+    def _cells_at(self, cells) -> np.ndarray:
+        """The positions in ``p.cells`` of active ``cells``; a cell that is
+        not active raises."""
+        at = list(map(self.partition._position.get, cells))
+        if None in at:
+            raise ValueError(f"{cells[at.index(None)]} is not an active cell")
+        return np.array(at, dtype=np.intp)
 
     def _windows(self, level: int, i: np.ndarray, j: np.ndarray):
         """Positions ``(C, (r+1)**2)`` of the functions of ``level`` on the
         windows of the cells ``(level, i, j)``, in local order, and where
         they are active: one ``searchsorted`` of the windows' keys in the
         level's sorted keys."""
-        ww = (self.degree + 1) ** 2
+        w = np.arange(self.degree + 1)
         got = self._levels.get(level)
         if got is None:
-            return (np.zeros((len(i), ww), dtype=np.intp),
-                    np.zeros((len(i), ww), dtype=bool))
-        keys, first, offsets = got
-        want = (i * ((1 << level) + self.degree) + j)[:, None] + offsets
+            return (np.zeros((len(i), len(w) ** 2), dtype=np.intp),
+                    np.zeros((len(i), len(w) ** 2), dtype=bool))
+        keys, first = got
+        n = (1 << level) + self.degree
+        want = (i * n + j)[:, None] + (w[:, None] * n + w).ravel()
         at = np.searchsorted(keys, want)
         return first + at, keys.take(at, mode="clip") == want
 
-    def _build(self) -> dict[Cell, tuple[np.ndarray, np.ndarray]]:
+    @cached_property
+    def _extractions(self) -> _Extractions:
         """The extraction of every active cell, built level by level from
         the partition's coarsest level through the cells' dyadic
         ancestors.
 
         A cell's rows are the active functions of its level and of
         coarser levels whose window meets it, in the cell-level local
-        basis, with the positions of the rows as an index array.  A child
-        takes its parent's rows through the two-scale blocks of its span
-        classes and appends its own level's functions as unit rows, after
-        truncating the carried rows against them.  The cells of a level
-        with equally many carried rows are built together: one batched
-        product of the stacked carries and blocks, per item the BLAS call
-        of the one-cell product, written into one preallocated array whose
-        items end in as many unit rows as the most any of them has.
+        basis, with the positions of the rows.  A child takes its parent's
+        rows through the two-scale blocks of its span classes and appends
+        its own level's functions as unit rows, after truncating the
+        carried rows against them.  The cells of a level with equally
+        many carried rows take one batched product of their carried rows
+        and blocks, per item the BLAS call of the one-cell product; the
+        truncation, the unit rows and the positions of the whole level are
+        then written by index.
         """
         p, r = self.partition, self.degree
         ww = (r + 1) ** 2
-        out: dict[Cell, tuple[np.ndarray, np.ndarray]] = {}
+        leaves = []
         first = 0  # each level's active cells are a block of p.cells
         start = int(p._level[0])
         for level in range(start, p.max_level + 1):
             m = 1 << level
-            deeper = p._level >= level
-            shift = p._level[deeper] - level
-            keys = np.unique((p._i[deeper] >> shift) * m
-                             + (p._j[deeper] >> shift))
+            shift = p._level[first:] - level
+            keys = np.unique((p._i[first:] >> shift) * m
+                             + (p._j[first:] >> shift))
             i, j = np.divmod(keys, m)
             here, hit = self._windows(level, i, j)
+            own = np.count_nonzero(hit, axis=1)
             if level > start:
-                parents = [built[k] for k in np.searchsorted(
-                    parent_keys, (i >> 1) * (m >> 1) + (j >> 1)).tolist()]
-                blocks = self._two_scale_blocks(level - 1, i, j)
+                up = np.searchsorted(parent_keys, (i >> 1) * (m >> 1)
+                                     + (j >> 1))
+                carried = rows[up]
             else:
-                parents = [(None, _NO_POSITIONS)] * len(keys)
-            own = hit.sum(axis=1)
-            # the columns of each cell's own functions first, in order
-            cols = np.argsort(~hit, axis=1, kind="stable")
-            groups: dict[int, list[int]] = {}
-            for q, c in enumerate(parents):
-                groups.setdefault(len(c[1]), []).append(q)
-            built = [None] * len(keys)
-            for k, items in groups.items():
-                B, h = len(items), int(own[items].max())
-                C = np.empty((B, k + h, ww))
-                if k:
-                    np.matmul(_stack([parents[q][0] for q in items]),
-                              blocks[items].transpose(0, 2, 1), out=C[:, :k])
-                    if self.truncated:
-                        C[:, :k][np.broadcast_to(hit[items][:, None, :],
-                                                 (B, k, ww))] = 0.0
-                C[:, k:] = _unit_rows(ww)[cols[items, :h]]
-                index = np.concatenate([
-                    np.array([parents[q][1] for q in items]).reshape(B, k),
-                    np.take_along_axis(here[items], cols[items, :h], axis=1)],
-                    axis=1)
-                C.flags.writeable = index.flags.writeable = False
-                for q, C_q, index_q, n_q in zip(items, C, index,
-                                                (k + own[items]).tolist()):
-                    built[q] = C_q[:n_q], index_q[:n_q]
-            stop = first + int(np.count_nonzero(p._level == level))
-            at = np.searchsorted(keys, p._i[first:stop] * m + p._j[first:stop])
-            out.update(zip(p.cells[first:stop],
-                           [built[k] for k in at.tolist()]))
-            first, parent_keys = stop, keys
+                carried = np.zeros(len(keys), dtype=np.intp)
+            rows = carried + own
+            K, total = int(carried.max()), int(rows.max())
+            C = np.empty((len(keys), total, ww))
+            index = np.empty((len(keys), total), dtype=np.intp)
+            if K:
+                # one product per carried row count k, with k rows exactly:
+                # in a random trial, zero rows padded onto the left operand
+                # changed how BLAS rounds the others at (r+1)**2 >= 36
+                blocks = self._two_scale_blocks(level - 1, i, j)
+                for k, items in _groups(carried):
+                    C[items, :k] = C_up[up[items], :k] @ blocks[
+                        items].transpose(0, 2, 1)
+                if self.truncated:
+                    C[:, :K][np.broadcast_to(hit[:, None, :],
+                                             (len(keys), K, ww))] = 0.0
+                index[:, :K] = index_up[up, :K]
+            # the own functions, in column order, after the carried rows
+            q, c = np.nonzero(hit)
+            at = carried[q] + np.arange(len(q)) - np.repeat(
+                np.cumsum(own) - own, own)
+            C[q, at] = 0.0
+            C[q, at, c] = 1.0
+            index[q, at] = here[q, c]
+            pad = np.arange(total) >= rows[:, None]
+            C[pad] = 0.0
+            index[pad] = 0
+            stop = first + int(np.count_nonzero(p._level[first:] == level))
+            leaf = np.searchsorted(keys, p._i[first:stop] * m
+                                   + p._j[first:stop])
+            leaves.append((rows[leaf], C[leaf], index[leaf]))
+            first, parent_keys, C_up, index_up = stop, keys, C, index
+        kmax = max(C.shape[1] for _, C, _ in leaves)
+        out = _Extractions(np.concatenate([k for k, _, _ in leaves]),
+                           np.zeros((len(p), kmax, ww)),
+                           np.zeros((len(p), kmax), dtype=np.intp))
+        first = 0
+        for _, C, index in leaves:
+            stop = first + len(C)
+            out.matrices[first:stop, :C.shape[1]] = C
+            out.positions[first:stop, :C.shape[1]] = index
+            first = stop
+        for a in out:
+            a.flags.writeable = False
         return out
 
     def _two_scale_blocks(self, level: int, i: np.ndarray,
                           j: np.ndarray) -> np.ndarray:
-        """The read-only :func:`_two_scale_kron` of each child ``(level + 1,
-        i, j)`` of a cell of ``level``, ``(C, (r+1)**2, (r+1)**2)``, looked
-        up once per distinct span classes and parities."""
-        r, m = self.degree, 1 << level
-        per_axis = [np.stack([np.minimum(k >> 1, r),
-                              np.minimum(m - 1 - (k >> 1), r), k & 1])
-                    for k in (i, j)]
-        code = np.ravel_multi_index(np.concatenate(per_axis),
-                                    (r + 1, r + 1, 2) * 2)
-        _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-        x, y = (a[:, first].T.tolist() for a in per_axis)
-        return np.array([_two_scale_kron(r, tuple(a), tuple(b))
-                         for a, b in zip(x, y)])[inv.ravel()]
+        """The two-scale block ``np.kron(Px, Py)`` of each child ``(level +
+        1, i, j)`` of a cell of ``level``, ``(C, (r+1)**2, (r+1)**2)``, one
+        rounded product per entry of the axis blocks, which come from a
+        per-degree table indexed by span class and parity."""
+        r, m, w = self.degree, 1 << level, self.degree + 1
+        table, filled = _axis_blocks(r)
+        codes = [(np.minimum(k >> 1, r) * w + np.minimum(m - 1 - (k >> 1), r))
+                 * 2 + (k & 1) for k in (i, j)]
+        both = np.concatenate(codes)
+        for code in np.unique(both[~filled[both]]).tolist():
+            table[code] = _two_scale_block(r, code // (2 * w), code // 2 % w,
+                                           code % 2)
+            filled[code] = True
+        Px, Py = table[codes[0]], table[codes[1]]
+        return (Px[:, :, None, :, None]
+                * Py[:, None, :, None, :]).reshape(len(i), w * w, w * w)
 
     # -- basis tables ------------------------------------------------------
 
@@ -502,32 +538,33 @@ class HierarchicalSpace:
         which bounds the stacks.  Requests are grouped by extraction row
         count ``k`` (groups in order of first appearance, requests in
         order).  Per group this yields the request numbers, their global
-        positions ``(B, k)`` and per order one stack of tables ``(B, k,
-        n)``, each item equal to the one-cell product bit for bit.  Orders
-        above the degree are exact zeros (one read-only array per group).
-        The univariate tables are fetched once per distinct row of the
-        run, and gathered per group.
+        positions ``(B, k)`` (read-only) and per order one stack of tables
+        ``(B, k, n)``, each item equal to the one-cell product bit for bit.
+        Orders above the degree are exact zeros (one read-only array per
+        group).  Each group's extractions and positions are one gather
+        from the space's arrays; the univariate tables are fetched once
+        per distinct row of the run, and gathered per group.
         """
-        got = self._extraction_of(cells)
-        groups: dict[int, list[int]] = {}
-        for q, (_, index) in enumerate(got):
-            groups.setdefault(len(index), []).append(q)
+        at = self._cells_at(cells)
+        e = self._extractions
         r = self.degree
         live = [o for o in orders if o[0] <= r and o[1] <= r]
         if live:
             X = np.ascontiguousarray(X, dtype=float)
             Y = np.ascontiguousarray(Y, dtype=float)
-            level, i, j = np.fromiter(
-                chain.from_iterable(cells), dtype=np.int64,
-                count=3 * len(cells)).reshape(-1, 3).T
+            level, i, j = (a[at] for a in (self.partition._level,
+                                           self.partition._i,
+                                           self.partition._j))
             Tx, at_x = self._tables(level, i, X,
                                     max(a for a, _ in live))
             Ty, at_y = self._tables(level, j, Y,
                                     max(b for _, b in live))
-        for k, items in groups.items():
+        for k, items in _groups(e.rows[at]):
+            index = e.positions[at[items], :k]
+            index.flags.writeable = False
             tabs = {}
             if live:
-                C = _stack([got[q][0] for q in items])
+                C = e.matrices[at[items], :k]
                 Dx, Dy = Tx[at_x[items]], Ty[at_y[items]]
                 # one window table alive at a time
                 for o in live:
@@ -537,7 +574,7 @@ class HierarchicalSpace:
                 zero.flags.writeable = False
                 for o in orders:
                     tabs.setdefault(o, zero)
-            yield items, _stack([got[q][1] for q in items]), tabs
+            yield items, index, tabs
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -552,18 +589,44 @@ class HierarchicalSpace:
         return tuple(index[0].tolist()), {o: T[0] for o, T in tabs.items()}
 
 
-# an empty index array: no rows
-_NO_POSITIONS = np.zeros(0, dtype=np.intp)
-_NO_POSITIONS.flags.writeable = False
+class _RunEntries:
+    """The Gram blocks ``(k, k)`` and loads ``(k,)`` of one run of ``R``
+    requests on the active positions of a space, written per group of
+    :meth:`HierarchicalSpace.basis_stacks` into run-wide arrays padded to
+    the space's most extraction rows, and read in request order with one
+    mask.  Entries at positions that ``imap`` maps to ``-1`` are left out;
+    the others come in per-request C order, as a per-request ``np.ix_``
+    block gives them."""
 
+    def __init__(self, s: HierarchicalSpace, R: int, imap: np.ndarray):
+        K = s._extractions.matrices.shape[1]
+        self.imap = imap
+        self.at = np.full((R, K), -1, dtype=np.intp)
+        self.blocks = np.zeros((R, K, K))
+        self.loads = np.zeros((R, K))
 
-@lru_cache(maxsize=None)
-def _unit_rows(size: int) -> np.ndarray:
-    """Read-only identity of ``size``: row ``c`` is the unit row of
-    local column ``c``."""
-    eye = np.eye(size)
-    eye.flags.writeable = False
-    return eye
+    def put(self, items, index: np.ndarray, block=None, load=None):
+        """A group's positions ``(B, k)`` and its blocks ``(B, k, k)`` or
+        loads ``(B, k)``."""
+        k = index.shape[1]
+        self.at[items, :k] = self.imap[index]
+        if block is not None:
+            self.blocks[items, :k, :k] = block
+        if load is not None:
+            self.loads[items, :k] = load
+
+    def coo(self, rows: list, cols: list, vals: list):
+        """Append the run's COO rows, columns and values."""
+        live = self.at >= 0
+        pair = live[:, :, None] & live[:, None, :]
+        rows.append(np.broadcast_to(self.at[:, :, None], pair.shape)[pair])
+        cols.append(np.broadcast_to(self.at[:, None, :], pair.shape)[pair])
+        vals.append(self.blocks[pair])
+
+    def add_loads(self, b: np.ndarray):
+        """Add the run's loads to ``b`` with ``np.add.at``."""
+        live = self.at >= 0
+        np.add.at(b, self.at[live], self.loads[live])
 
 
 @lru_cache(maxsize=None)
@@ -594,10 +657,12 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inv.ravel()
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Equal-shaped C-ordered arrays as one stacked array; a lone array
-    as a view with a leading axis of one, the same layout without a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+def _groups(keys: np.ndarray):
+    """``(key, items)`` per distinct value of ``keys``, in order of first
+    appearance, with ``items`` the ascending positions holding it."""
+    values, first = np.unique(keys, return_index=True)
+    for value in values[np.argsort(first)].tolist():
+        yield value, np.flatnonzero(keys == value)
 
 
 def _window_table(Dx: np.ndarray, Dy: np.ndarray, a: int,
@@ -825,18 +890,18 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
     cells = fine.partition.cells
     owners = coarse.partition.owners(cells)
     rhs = np.zeros(fine.dim)
+    every = np.arange(fine.dim)
     rows, cols, vals = [], [], []
     for lo, run, X, Y, W, _ in _requests(cells, fine.degree + 3):
-        f = fn.eval_stacked(owners[lo:lo + len(run)], X, Y, [(0, 0)])[(0, 0)]
-        got = [None] * len(run)
+        F = fn.eval_stacked(owners[lo:lo + len(run)], X, Y, [(0, 0)])[(0, 0)]
+        entries = _RunEntries(fine, len(run), every)
         for items, index, tabs in fine.basis_stacks(run, X, Y, [(0, 0)]):
-            for q, pos, V in zip(items, index, tabs[(0, 0)]):
-                got[q] = pos, V
-        for (pos, V), w, fq in zip(got, W, f):
-            rhs[pos] += V @ (w * fq)
-            rows.append(np.repeat(pos, len(pos)))
-            cols.append(np.tile(pos, len(pos)))
-            vals.append(((V * w) @ V.T).ravel())
+            V = tabs[(0, 0)]
+            entries.put(items, index,
+                        (V * W[items][:, None, :]) @ V.transpose(0, 2, 1),
+                        (V @ (W[items] * F[items])[:, :, None])[:, :, 0])
+        entries.coo(rows, cols, vals)
+        entries.add_loads(rhs)
     M = coo_matrix((np.concatenate(vals), (np.concatenate(rows),
                                            np.concatenate(cols))),
                    shape=(fine.dim, fine.dim)).tocsc()

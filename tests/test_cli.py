@@ -528,3 +528,32 @@ def test_parser_defaults_match_driver_defaults():
     assert args.max_dofs == 20000
     assert args.max_iters == 25
     assert args.mode == "conforming"
+
+
+HELP_IMPORTS = r"""
+import json, runpy, sys
+
+sys.argv = ["afem", sys.argv[1]]
+try:
+    runpy.run_module("afem.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code,
+                  "loaded": sorted(m for m in ("numpy", "scipy")
+                                   if m in sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("flag,shows", [("--help", "usage: afem"),
+                                        ("--version", afem.__version__)])
+def test_help_and_version_answer_without_numpy_or_scipy(flag, shows):
+    """``python -m afem.cli --help`` and ``--version`` import neither
+    numpy nor scipy: the library is imported where it is used."""
+    src = os.path.dirname(os.path.dirname(afem.__file__))
+    proc = subprocess.run([sys.executable, "-c", HELP_IMPORTS, flag],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    *printed, last = proc.stdout.strip().splitlines()
+    assert json.loads(last) == {"code": 0, "loaded": []}
+    assert shows in "\n".join(printed)

@@ -400,8 +400,28 @@ def peak_source(x, y, centre=(0.3712, 0.5861), width=1e-4):
     return np.exp(-r2 / width) / width
 
 
+def count_sample_runs(monkeypatch) -> list:
+    """The runs of requests that ask any memo for samples, recorded as
+    they come."""
+    runs = []
+    samples = _SampleMemo.samples
+
+    def counting(self, run, *args):
+        runs.append(len(run))
+        return samples(self, run, *args)
+
+    monkeypatch.setattr(_SampleMemo, "samples", counting)
+    return runs
+
+
+# the calls of a data callable in the runs below, keyed on the run's
+# distinct cells: one call per run of requests with a miss
+SAMPLE_CALLS = {572: 13, 184: 8, 256: 17}
+
+
 class TestSampleMemo:
     # the configurations of the benchmark workloads (benchmarks/workloads.py)
+    # and the distinct cells of their runs (rule n = 6, 36 points per cell)
     @pytest.mark.parametrize("kw,peak,distinct", [
         (dict(degree=2, theta=0.5, mode="conforming", max_dofs=250),
          False, 572),
@@ -409,19 +429,25 @@ class TestSampleMemo:
         (dict(degree=2, theta=0.2, mode="conforming", max_dofs=100,
               max_iters=200), True, 256),
     ])
-    def test_source_sampled_once_per_distinct_cell(self, kw, peak, distinct):
-        calls = []
+    def test_source_sampled_once_per_distinct_cell(self, kw, peak, distinct,
+                                                   monkeypatch):
+        seen = []
         src = peak_source if peak else SIN2.f
 
         def counting(x, y):
-            calls.append(1)
+            seen.append(x)
             return src(x, y)
 
+        runs = count_sample_runs(monkeypatch)
         prob = Problem("peak", counting) if peak else replace(SIN2, f=counting)
         cells = set()
         run(AfemConfig(initial_levels=2, **kw), prob,
             on_iteration=lambda st: cells.update(st.partition))
-        assert len(calls) == len(cells) == distinct
+        assert len(cells) == distinct
+        assert sum(len(x) for x in seen) == 36 * distinct
+        assert len(seen) == SAMPLE_CALLS[distinct] <= len(runs)
+        # one 1-D pair per call, strided as a rule's points[:, 0]
+        assert {(x.ndim, x.strides) for x in seen} == {(1, (16,))}
 
     def test_memo_and_oscillation_reuse_leave_records_unchanged(
             self, monkeypatch):
@@ -452,12 +478,13 @@ class TestSampleMemo:
     def test_exact_laplacian_sampled_once_per_distinct_cell(self, kw,
                                                             distinct):
         """The record's energy error and the Nitsche error's projection
-        share one rule, so each new cell's samples serve both."""
-        calls = {"f": 0, "laplacian_u": 0}
+        share one rule (n + 2 = 8 points per direction), so each new
+        cell's samples serve both."""
+        seen = {"f": [], "laplacian_u": []}
 
         def counting(name):
             def sample(x, y):
-                calls[name] += 1
+                seen[name].append(len(x))
                 return getattr(SIN2, name)(x, y)
             return sample
 
@@ -466,8 +493,11 @@ class TestSampleMemo:
         cells = set()
         run(AfemConfig(initial_levels=2, **kw), prob,
             on_iteration=lambda st: cells.update(st.partition))
-        assert calls == {"f": distinct, "laplacian_u": distinct}
         assert len(cells) == distinct
+        calls = SAMPLE_CALLS[distinct]
+        assert {k: (len(v), sum(v)) for k, v in seen.items()} == {
+            "f": (calls, 36 * distinct),
+            "laplacian_u": (calls, 64 * distinct)}
 
     def test_samples_are_read_only_copies(self):
         seen = []
@@ -477,20 +507,49 @@ class TestSampleMemo:
         X, Y = P[:, :, 0], P[:, :, 1]
         F = memo.samples(cells, 2, X, Y)
         assert np.array_equal(F, X) and not np.shares_memory(F, P)
-        # f sees each request's own row, strided as a rule's points[:, 0]
-        assert [x.strides for x in seen] == [(16,), (16,)]
+        # one call for the run: a 1-D pair, request after request, strided
+        # as a rule's points[:, 0]
+        assert [(x.shape, x.strides) for x in seen] == [((8,), (16,))]
+        assert np.array_equal(seen[0], X.ravel())
         stored = memo._now[2][cells[0]]
         assert not stored.flags.writeable and not np.shares_memory(stored, P)
         with pytest.raises(ValueError):
             stored[0] = 1.0
         # the key is the request and the rule size, not the points
         again = memo.samples(cells[::-1], 2, 0.0 * X, 0.0 * Y)
-        assert np.array_equal(again, F[::-1]) and len(seen) == 2
+        assert np.array_equal(again, F[::-1]) and len(seen) == 1
         memo.samples(cells[:1], 3, *(a[:, :1] for a in (X, Y)))
-        assert len(seen) == 3
+        assert len(seen) == 2
         # calling the memo calls f, unmemoised
         x0 = X[0]
-        assert memo(x0, Y[0]) is x0 and len(seen) == 4
+        assert memo(x0, Y[0]) is x0 and len(seen) == 3
+
+    @pytest.mark.parametrize("name", ["f", "laplacian_u", "peak"])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_run_samples_equal_per_row_calls_bit_for_bit(self, name, n):
+        """Sampling a run's misses in one call gives each row the bytes
+        of a call on that row alone, with the memo holding some of the
+        run's cells and missing others."""
+        f = peak_source if name == "peak" else getattr(SIN2, name)
+        rng = np.random.default_rng(n)
+        cells = []
+        for level in range(2, 8):
+            m = 1 << level
+            cells += [Cell(level, *ij) for ij in
+                      {tuple(ij) for ij in rng.integers(0, m, size=(40, 2))}]
+        cells = [cells[k] for k in rng.permutation(len(cells))[:128]]
+        P, _ = quadrature._rules(cells, n)
+        X, Y = P[:, :, 0], P[:, :, 1]
+        want = np.array([f(X[q], Y[q]) for q in range(len(cells))])
+        calls = []
+        memo = _SampleMemo(lambda x, y: calls.append(x) or f(x, y))
+        some = np.sort(rng.choice(len(cells), size=50, replace=False))
+        first = memo.samples([cells[q] for q in some], n, X[some], Y[some])
+        assert first.tobytes() == want[some].tobytes()
+        got = memo.samples(cells, n, X, Y)
+        assert got.tobytes() == want.tobytes()
+        assert [len(x) for x in calls] == [50 * n * n,
+                                           (len(cells) - 50) * n * n]
 
     def test_point_set_unused_for_an_iteration_is_dropped(self):
         calls = []

@@ -462,6 +462,47 @@ class TestFastEvaluationPath:
             assert np.array_equal(C, want) and C.flags.c_contiguous
 
     @given(graded_spaces)
+    def test_extraction_arrays_equal_per_cell_walk_bit_for_bit(self, case):
+        """The space's three arrays hold, in partition order, each cell's
+        row count, matrix and positions as the per-cell walk over its
+        ancestors gives them, byte for byte, then zero padding; all three
+        are read-only."""
+        s = graded_space(*case)
+        e = s._extractions
+        n, K = len(s.partition), int(e.rows.max())
+        assert e.rows.shape == (n,) and e.positions.shape == (n, K)
+        assert e.matrices.shape == (n, K, (s.degree + 1) ** 2)
+        assert e.positions.dtype == np.intp
+        for q, cell in enumerate(s.partition.cells):
+            pos, C = extraction_by_level_loop(s, cell)
+            k = int(e.rows[q])
+            assert tuple(e.positions[q, :k].tolist()) == pos
+            assert e.matrices[q, :k].tobytes() == C.tobytes()
+            assert not e.positions[q, k:].any()
+            assert not e.matrices[q, k:].any()
+        for a in e:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    @given(graded_spaces)
+    def test_all_level_selection_equals_bruteforce(self, case):
+        """One pass over all levels selects the brute-force active set,
+        and keeps per level the sorted keys of its functions and the
+        position of the first."""
+        s = graded_space(*case)
+        p, r = s.partition, s.degree
+        assert list(s.active) == kraft_selection_bruteforce(p, r)
+        level, ix, iy = s._fns
+        assert sorted(s._levels) == sorted(set(level.tolist()))
+        for lev, (keys, first) in s._levels.items():
+            at = np.flatnonzero(level == lev)
+            assert first == at[0] and np.array_equal(at, first + np.arange(
+                len(at)))
+            assert np.array_equal(keys, ix[at] * ((1 << lev) + r) + iy[at])
+            assert np.all(np.diff(keys) > 0)
+
+    @given(graded_spaces)
     def test_tables_and_basis_equal_per_order_products(self, case):
         s = graded_space(*case)
         r = s.degree
@@ -510,7 +551,8 @@ class TestFastEvaluationPath:
             xs, ys = rule.points[:, 0], rule.points[:, 1]
             batch = U.eval_batch(xs, ys, ALL_ORDERS, cell)
             pos, tabs = s.basis_on_cell(cell, xs, ys, ALL_ORDERS)
-            index = s._extractions[cell][1]
+            e, q = s._extractions, s.partition._position[cell]
+            index = e.positions[q, :e.rows[q]]
             assert index.dtype == np.intp and tuple(index) == pos
             c = U.coefficients[list(pos)]
             for o in ALL_ORDERS:

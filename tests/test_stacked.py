@@ -55,11 +55,11 @@ def random_requests(s, rng, copies=2, n=5):
 def keep_first_row(s, cells):
     """Cut the extraction of ``cells`` to its first row, so they form
     groups with ``k = 1``."""
-    for c in cells:
-        C, index = s._extraction_of([c])[0]
-        one = C[:1].copy()
-        one.flags.writeable = False
-        s._extractions[c] = (one, index[:1].copy())
+    e = s._extractions
+    rows = e.rows.copy()
+    rows[s._cells_at(cells)] = 1
+    rows.flags.writeable = False
+    s._extractions = e._replace(rows=rows)
 
 
 def check_stacks(s, U, cells, X, Y, orders):
