@@ -18,7 +18,6 @@ the estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import chain
 from numbers import Integral
 from typing import Callable
@@ -30,8 +29,8 @@ from scipy.sparse import coo_matrix, csr_matrix
 from .mesh import Cell, EdgeArrays, Partition, edge_arrays
 from .quadrature import _cell_sum, _on_points, _requests, _row_dots
 from .solver import _check_number
-from .splines import (HierarchicalSpace, SplineFunction, _distinct_rows,
-                      _RunEntries, conforming_indices)
+from .splines import (HierarchicalSpace, SplineFunction, _RunEntries,
+                      conforming_indices)
 
 __all__ = [
     "AnalyticField",
@@ -142,26 +141,8 @@ class LoadVector:
 # cellwise Legendre helpers
 # ---------------------------------------------------------------------------
 
-# entries of the process-wide Legendre-table cache: the sin2 r=2 runs to
-# 20k dofs fill 16 (conforming) and 51 (Nitsche), so neither evicts one
-LEGENDRE_CACHE_SIZE = 1024
 # derivative orders whose sum is the Laplacian
 _LAP_ORDERS = [(2, 0), (0, 2)]
-
-
-@lru_cache(maxsize=LEGENDRE_CACHE_SIZE)
-def _legendre_1d(d: int, order: int, xi_bytes: bytes) -> np.ndarray:
-    """Values of ``P_a^(order)`` for a = 0..d at the local coordinates
-    packed in ``xi_bytes`` (float64), shape ``(d+1, n)``, read-only.
-
-    Memoised on the exact bytes, so a hit returns what the evaluation
-    would have computed, bit for bit.
-    """
-    eye = np.eye(d + 1)
-    coef = npleg.legder(eye, order, axis=0) if order else eye
-    tab = npleg.legval(np.frombuffer(xi_bytes), coef)
-    tab.flags.writeable = False
-    return tab
 
 
 def _local_coords(cells, X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -183,16 +164,19 @@ def _local_coords(cells, X, Y) -> tuple[np.ndarray, np.ndarray]:
 def _legendre_tables(local: np.ndarray, d: int, *orders) -> list:
     """1-D Legendre tables ``(B, d+1, N)`` at the rows of local
     coordinates ``local``, one per entry of ``orders``: a derivative order
-    for every row, or an array of one per row.  The rows are grouped
-    once, and each table is looked up once per distinct row and order."""
-    first, inv = _distinct_rows(local.view(np.int64))
-    rows = [local[q].tobytes() for q in first.tolist()]
+    for every row, or an array of one per row.  Each distinct order is
+    one ``legval`` over the rows that ask for it; Clenshaw's steps are
+    elementwise, so every entry is the one-row evaluation's bit for bit."""
+    eye = np.eye(d + 1)
     out = []
     for order in orders:
-        keys, back = np.unique(np.asarray(order) * len(rows) + inv,
-                               return_inverse=True)
-        out.append(np.array([_legendre_1d(d, o, rows[q]) for o, q in (
-            divmod(k, len(rows)) for k in keys.tolist())])[back.ravel()])
+        order = np.broadcast_to(order, len(local))
+        tab = np.empty((len(local), d + 1, local.shape[1]))
+        for o in np.unique(order).tolist():
+            rows = order == o
+            tab[rows] = npleg.legval(local[rows], npleg.legder(
+                eye, o, axis=0)).transpose(1, 0, 2)
+        out.append(tab)
     return out
 
 
@@ -212,8 +196,7 @@ def _legendre_modes(cells, d: int, X, Y, ax: int = 0,
     """Tensor Legendre mode derivatives ``(B, (d+1)^2, N)`` of ``cells``
     at their paired points ``(X[q], Y[q])``: per item the outer product
     of the two 1-D tables at the :func:`_local_coords`, times
-    ``(2/h)**(ax+ay)``.  A 1-D table is looked up once per distinct row
-    of local coordinates."""
+    ``(2/h)**(ax+ay)``."""
     xi, zeta = _local_coords(cells, X, Y)
     (Px,), (Py,) = _legendre_tables(xi, d, ax), _legendre_tables(zeta, d, ay)
     return _mode_product(cells, Px, Py, ax + ay)
@@ -306,7 +289,7 @@ def _legendre_traces(coef: np.ndarray, es: EdgeArrays, d: int, X, Y):
     The normal is axis-aligned, so the normal derivative is the sign
     ``es.sign`` times the normal-axis derivative; the dropped tangential
     term of ``nx*dx + ny*dy`` is an exact zero.  The local coordinates
-    are mapped once, and each axis's derivative table is looked up only
+    are mapped once, and each axis's derivative table is evaluated only
     on the edges whose normal lies along it.
     """
     cells = es.cells(es.plus)
@@ -519,14 +502,22 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
 # norms and functionals
 # ---------------------------------------------------------------------------
 
+def _normal_samples(grad, es: EdgeArrays, X, Y) -> np.ndarray:
+    """Normal derivatives ``(R, N)`` on the edges ``es`` at their points
+    ``(X[q], Y[q])`` from one call of a gradient ``grad(xs, ys) -> (gx,
+    gy)``, on one 1-D pair laid out as a run's misses of a
+    :class:`~afem.quadrature._SampleMemo`."""
+    P = np.stack([X, Y], axis=-1).reshape(-1, 2)
+    return _normal_traces(es, *(_on_points(g, P[:, 0]).reshape(X.shape)
+                                for g in grad(P[:, 0], P[:, 1])))
+
+
 def _field_traces(fn: AnalyticField, bdry: EdgeArrays, n: int):
     """``(es, X, Y, W, V, VN)`` of a field per run of the boundary edges,
     as :func:`_spline_traces`, from samples on each edge's rule; without
     a gradient ``VN`` is None."""
     for _, run, X, Y, W, V in _requests(bdry, n, fn.value):
-        VN = None if fn.grad is None else run.sign[:, None] * np.array([
-            _on_points(fn.grad(x, y)[a], x)
-            for x, y, a in zip(X, Y, run.axis.tolist())])
+        VN = None if fn.grad is None else _normal_samples(fn.grad, run, X, Y)
         yield run, X, Y, W, V, VN
 
 
@@ -634,9 +625,7 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     g = np.zeros(s.dim)
     every = np.arange(s.dim)
     for run, X, Y, F, groups in _boundary_traces(s, bdry, n, lap_u):
-        lap_n = run.sign[:, None] * np.array([
-            _on_points(grad_lap_u(x, y)[a], x)
-            for x, y, a in zip(X, Y, run.axis.tolist())])
+        lap_n = _normal_samples(grad_lap_u, run, X, Y)
         entries = _RunEntries(s, len(run), every)
         for items, es, X, Y, W, index, V, VN in groups:
             pi_v, pi_n = _legendre_traces(

@@ -186,7 +186,6 @@ def run(cfg: AfemConfig, prob: Problem,
     if prob.laplacian_u is not None:
         memos.append(_SampleMemo(prob.laplacian_u))
         prob = replace(prob, laplacian_u=memos[-1])
-    ind = None
 
     for it in range(cfg.max_iters):
         for memo in memos:
@@ -197,8 +196,7 @@ def run(cfg: AfemConfig, prob: Problem,
         coeffs = np.zeros(space.dim)
         coeffs[list(A.positions)] = x
         U = SplineFunction(space, coeffs)
-        ind = estimate_all(U, f, params.resolved(cfg.degree).quad_n,
-                           previous=ind)
+        ind = estimate_all(U, f, params.resolved(cfg.degree).quad_n)
         if not np.isfinite(ind.total_sq):
             raise ValueError(f"estimator total eta^2 is not finite "
                              f"({ind.total_sq!r}); check the problem data")

@@ -133,30 +133,24 @@ def oscillation(f, tau: Cell, r: int, quad_n: int | None = None) -> float:
     return _oscillations([tau], r - 2, X, Y, W, F)[0]
 
 
-def _cell_terms(U: SplineFunction, f, cells: list[Cell], quad_n: int,
-                known: dict):
+def _cell_terms(U: SplineFunction, f, cells: list[Cell], quad_n: int):
     """``(h^4 ||f - lap^2 U||^2, osc^2)`` of each of ``cells`` from one
-    rule pass; a cell in ``known`` takes its ``osc_sq`` from there."""
+    rule pass."""
     for _, run, X, Y, W, F in _requests(cells, quad_n, f):
         V = U.eval_stacked(run, X, Y, [(4, 0), (2, 2), (0, 4)])
         interior = _row_dots(W, (F - (V[(4, 0)] + 2.0 * V[(2, 2)]
                                       + V[(0, 4)])) ** 2)
-        new = [q for q, c in enumerate(run) if c not in known]
-        osc = dict(zip(new, _oscillations(
-            [run[q] for q in new], U.space.degree - 2, X[new], Y[new],
-            W[new], F[new]))) if new else {}
-        for q, (c, v) in enumerate(zip(run, interior)):
-            yield (c.side ** 4 * float(v),
-                   osc[q] ** 2 if q in osc else known[c].osc_sq)
+        osc = _oscillations(run, U.space.degree - 2, X, Y, W, F)
+        for c, v, o in zip(run, interior, osc):
+            yield c.side ** 4 * float(v), o ** 2
 
 
-def estimate_all(U: SplineFunction, f, quad_n: int | None = None,
-                 previous: Indicators | None = None) -> Indicators:
+def estimate_all(U: SplineFunction, f,
+                 quad_n: int | None = None) -> Indicators:
     """All per-cell indicator records plus totals, deterministic order.
 
     The oscillation shares the interior residual's rule pass and samples
-    of ``f``; a cell recorded in ``previous``, computed with the same
-    ``f``, degree and rule, takes its ``osc_sq`` from there.
+    of ``f``.
     """
     p = U.space.partition
     n = quad_n if quad_n is not None else default_quad_n(U.space.degree)
@@ -174,9 +168,8 @@ def estimate_all(U: SplineFunction, f, quad_n: int | None = None,
     records: dict[Cell, CellIndicator] = {}
     total = 0.0
     osc_total = 0.0
-    known = previous.records if previous is not None else {}
     for k, (c, (interior_sq, osc_sq)) in enumerate(zip(
-            p.cells, _cell_terms(U, f, p.cells, n, known))):
+            p.cells, _cell_terms(U, f, p.cells, n))):
         eta_sq = interior_sq + jump1[k] + jump2[k]
         records[c] = CellIndicator(eta_sq, interior_sq, jump1[k], jump2[k],
                                    osc_sq)
@@ -202,7 +195,7 @@ def indicator(U: SplineFunction, f, tau: Cell,
     for j1, j2 in zip(*(j.tolist() for j in _edge_jumps_sq(U, own, n))):
         j1s += 0.5 * j1
         j2s += 0.5 * j2
-    (interior, osc_sq), = _cell_terms(U, f, [tau], n, {})
+    (interior, osc_sq), = _cell_terms(U, f, [tau], n)
     return CellIndicator(interior + j1s + j2s, interior, j1s, j2s, osc_sq)
 
 

@@ -221,17 +221,6 @@ def _two_scale_block(degree: int, a: int, b: int, parity: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _axis_blocks(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The per-degree table of :func:`_two_scale_block` by the code
-    ``(a * (r+1) + b) * 2 + parity`` of a span class and a child's parity,
-    and the mask of the codes filled so far: codes are filled on first
-    use."""
-    codes = 2 * (degree + 1) ** 2
-    return (np.empty((codes, degree + 1, degree + 1)),
-            np.zeros(codes, dtype=bool))
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _scaled_table(degree: int, level: int, span: int,
                   xs_bytes: bytes) -> np.ndarray:
@@ -490,18 +479,17 @@ class HierarchicalSpace:
                           j: np.ndarray) -> np.ndarray:
         """The two-scale block ``np.kron(Px, Py)`` of each child ``(level +
         1, i, j)`` of a cell of ``level``, ``(C, (r+1)**2, (r+1)**2)``, one
-        rounded product per entry of the axis blocks, which come from a
-        per-degree table indexed by span class and parity."""
+        rounded product per entry of the axis blocks: the
+        :func:`_two_scale_block` of each distinct span class and parity
+        of both axes, gathered per child."""
         r, m, w = self.degree, 1 << level, self.degree + 1
-        table, filled = _axis_blocks(r)
-        codes = [(np.minimum(k >> 1, r) * w + np.minimum(m - 1 - (k >> 1), r))
-                 * 2 + (k & 1) for k in (i, j)]
-        both = np.concatenate(codes)
-        for code in np.unique(both[~filled[both]]).tolist():
-            table[code] = _two_scale_block(r, code // (2 * w), code // 2 % w,
+        codes, back = np.unique(np.concatenate([
+            (np.minimum(k >> 1, r) * w + np.minimum(m - 1 - (k >> 1), r)) * 2
+            + (k & 1) for k in (i, j)]), return_inverse=True)
+        table = np.array([_two_scale_block(r, code // (2 * w), code // 2 % w,
                                            code % 2)
-            filled[code] = True
-        Px, Py = table[codes[0]], table[codes[1]]
+                          for code in codes.tolist()])
+        Px, Py = table[back[:len(i)]], table[back[len(i):]]
         return (Px[:, :, None, :, None]
                 * Py[:, None, :, None, :]).reshape(len(i), w * w, w * w)
 
@@ -646,7 +634,8 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = keys.view(np.uint64) @ _fingerprint(keys.shape[1])
     order = np.argsort(h, kind="stable")
     h = h[order]
-    new = np.concatenate([[True], h[1:] != h[:-1]])
+    new = np.ones(len(h), dtype=bool)
+    new[1:] = h[1:] != h[:-1]
     first = order[new]
     inv = np.empty(len(h), dtype=np.intp)
     inv[order] = np.cumsum(new) - 1

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from afem.assembly import (AnalyticField, FormParams, PiecewisePoly,
                            assemble, default_gamma, energy_diff_sq,
                            energy_error_sq, energy_norm_sq, h2_seminorm_sq,
-                           inconsistency_apply, mesh_norm,
-                           project_from_samples, project_laplacian,
+                           inconsistency_apply, inconsistency_load,
+                           mesh_norm, project_from_samples, project_laplacian,
                            triple_norm)
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import (dense_l2_projection, manufactured_sin2,
@@ -345,6 +345,32 @@ class TestMeshNorms:
         with pytest.raises(TypeError, match="gradient"):
             mesh_norm(spread, 0.5, p, normal=True)
 
+    def test_gradient_called_once_per_run(self):
+        """A field's gradient is called once per run of boundary edges, on
+        one 1-D pair strided as a rule's ``points[:, 0]``; one pass gives
+        both boundary norms of ``triple_norm``."""
+        seen = []
+
+        def grad(x, y):
+            seen.append(x)
+            return np.cos(x) * y, np.sin(y)
+
+        field = AnalyticField(lambda x, y: x * y, grad,
+                              lambda x, y: np.zeros_like(x))
+        p = uniform_partition(3)  # 32 boundary edges, one run
+        got = mesh_norm(field, 0.5, p, normal=True)
+        assert len(seen) == 1 and len(seen[0]) == 32 * 6
+        triple_norm(field, p, FormParams(mode="nitsche"))
+        assert len(seen) == 2
+        assert {(x.ndim, x.strides) for x in seen} == {(1, (16,))}
+        want = 0.0
+        for e in edges(p)[1]:
+            rule = gauss_edge(e, 6)
+            gx, gy = grad(rule.points[:, 0], rule.points[:, 1])
+            nx, ny = e.normal
+            want += float(rule.weights @ (nx * gx + ny * gy) ** 2) / e.length
+        assert got == pytest.approx(want ** 0.5, rel=1e-12)
+
 
 class TestTripleNorm:
     def test_zero_function(self):
@@ -418,6 +444,19 @@ class TestInconsistency:
         val = inconsistency_apply(prob.laplacian_u, prob.grad_laplacian_u,
                                   v)
         assert abs(val) > 1e-8
+
+    def test_gradient_called_once_per_run(self):
+        prob = manufactured_sin2()
+        seen = []
+
+        def grad(x, y):
+            seen.append(x)
+            return prob.grad_laplacian_u(x, y)
+
+        s = build_space(uniform_partition(6), 2)  # 256 boundary edges
+        inconsistency_load(prob.laplacian_u, grad, s)
+        assert len(seen) == 2  # two runs of 128 edges
+        assert {(x.ndim, x.strides) for x in seen} == {(1, (16,))}
 
     @pytest.mark.parametrize("r", [2, 3])
     @given(seed=st.integers(0, 2 ** 32 - 1))

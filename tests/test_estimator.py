@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import afem.estimator
 from afem.assembly import _legendre_modes, default_quad_n
 from afem.estimator import (CellIndicator, Indicators, dorfler_mark,
                             estimate_all, indicator, lipschitz_gap,
@@ -201,32 +200,6 @@ class TestEstimateAll:
         ind = estimate_all(U, f)
         for c in p:
             assert indicator(U, f, c) == ind.records[c]
-
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_previous_oscillation_equals_fresh_one(self, r, monkeypatch):
-        f = manufactured_sin2().f
-        p0 = graded_7cell()
-        prev = estimate_all(random_spline(build_space(p0, r),
-                                          np.random.default_rng(13)), f)
-        p1 = refine(p0, [Cell(2, 1, 1), Cell(1, 1, 1)])
-        U = random_spline(build_space(p1, r), np.random.default_rng(14))
-        new = [c for c in p1 if c not in p0]
-        assert new and len(new) < len(p1)  # some cells persist, some are new
-        want = estimate_all(U, f)
-
-        # the cells whose oscillation the fused interior pass computes
-        sampled = []
-        fresh = afem.estimator._oscillations
-        monkeypatch.setattr(afem.estimator, "_oscillations",
-                            lambda cells, *a: sampled.extend(cells)
-                            or fresh(cells, *a))
-        got = estimate_all(U, f, previous=prev)
-        assert sampled == new
-        assert list(got.records) == list(want.records)
-        for c in p1:
-            assert got.records[c] == want.records[c], c
-        assert got.total_sq == want.total_sq
-        assert got.osc_total_sq == want.osc_total_sq
 
     def test_dump_format(self):
         p = uniform_partition(1)

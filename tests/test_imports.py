@@ -2,8 +2,8 @@
 not load by itself, no module of ``afem`` imports a name it never uses,
 no public function takes a partition beside a spline or space that
 already fixes it, nor a rule beside the ``FormParams`` that fixes it or
-for an integrand of splines alone, and the declared SciPy floor has
-what ``afem`` calls.
+for an integrand of splines alone, the declared SciPy floor has what
+``afem`` calls, and every name the benchmark binds exists.
 
 Each check runs in a fresh interpreter, because this process has long
 since imported whatever the other tests needed.
@@ -179,3 +179,36 @@ def test_scipy_floor_has_cg_rtol():
     floor = re.search(r'"scipy>=(\d+)\.(\d+)', text)
     assert floor is not None
     assert (int(floor[1]), int(floor[2])) >= (1, 12)
+
+
+def traced_bindings() -> dict:
+    """``FUNCTIONS`` and ``METHODS`` of ``benchmarks/tracing.py``, read
+    with ``ast`` so that the benchmark is neither imported nor run."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    tables = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
+                                                       ast.Name):
+            if node.targets[0].id in ("FUNCTIONS", "METHODS"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_names_the_benchmark_binds_resolve():
+    """Every function and method that the benchmark traces, and the
+    constructor its workloads call, exists in ``afem``: deleting one
+    would otherwise show only as failed traced repetitions."""
+    tables = traced_bindings()
+    assert set(tables) == {"FUNCTIONS", "METHODS"}
+    bound = [(mod, attr) for mod, attr in tables["FUNCTIONS"].values()]
+    bound += [(mod, f"{cls}.{attr}")
+              for mod, cls, attr in tables["METHODS"].values()]
+    bound.append(("afem.driver", "Problem.from_manufactured"))
+    missing = []
+    for mod, path in bound:
+        obj = importlib.import_module(mod)
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{mod}.{path}")
+    assert len(bound) > 15 and missing == []

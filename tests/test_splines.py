@@ -11,7 +11,7 @@ from numpy.polynomial import legendre as npleg
 from scipy.sparse import coo_matrix
 
 from afem import splines
-from afem.assembly import _legendre_modes, _local_coords
+from afem.assembly import _legendre_modes, _legendre_tables, _local_coords
 from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import (exact_two_scale_matrix, kraft_selection_bruteforce,
                           random_spline, scipy_univariate_ders)
@@ -355,25 +355,29 @@ class TestReferenceTables:
                     assert np.array_equal(tabs[(ax, ay)], C @ T), (cell, n)
 
     @pytest.mark.parametrize("d", [0, 1, 2])
-    def test_memoised_legendre_modes_are_bit_identical(self, d):
+    def test_legendre_tables_equal_per_row_legval(self, d):
         def direct(t, order):
-            eye = np.eye(d + 1)
-            coef = npleg.legder(eye, order, axis=0) if order else eye
-            return npleg.legval(t, coef)
+            return npleg.legval(t, npleg.legder(np.eye(d + 1), order, axis=0))
 
-        p = refine(graded_7cell(), [Cell(2, 1, 1)])
-        for cell in p:
-            x0, x1, y0, y1 = cell.bounds
-            xs = gauss_points_1d(x0, x1, 5)[0]
-            ys = gauss_points_1d(y0, y1, 5)[0][::-1]
-            (xi,), (zeta,) = _local_coords([cell], [xs], [ys])
-            for ax, ay in [(0, 0), (1, 0), (0, 1), (2, 1)]:
-                want = (direct(xi, ax)[:, None, :]
-                        * direct(zeta, ay)[None, :, :]).reshape(
+        cells = list(refine(graded_7cell(), [Cell(2, 1, 1)]))
+        X = np.array([gauss_points_1d(c.bounds[0], c.bounds[1], 5)[0]
+                      for c in cells])
+        Y = np.array([gauss_points_1d(c.bounds[2], c.bounds[3], 5)[0][::-1]
+                      for c in cells])
+        xi, zeta = _local_coords(cells, X, Y)
+        for ax, ay in [(0, 0), (1, 0), (0, 1), (2, 1)]:
+            got = _legendre_modes(cells, d, X, Y, ax, ay)  # one run
+            for q, cell in enumerate(cells):
+                want = (direct(xi[q], ax)[:, None, :]
+                        * direct(zeta[q], ay)[None, :, :]).reshape(
                             (d + 1) ** 2, -1) * (2.0 / cell.side) ** (ax + ay)
-                for _ in range(2):  # fill, then hit the cache
-                    got = _legendre_modes([cell], d, [xs], [ys], ax, ay)[0]
-                    assert np.array_equal(got, want)
+                assert np.array_equal(got[q], want), (cell, ax, ay)
+        # an order per row, as _legendre_traces asks for the normal axis's
+        # derivative, up to two above the degree
+        orders = np.arange(len(cells)) % (d + 3)
+        tab, = _legendre_tables(xi, d, orders)
+        for q, order in enumerate(orders.tolist()):
+            assert np.array_equal(tab[q], direct(xi[q], order)), (q, order)
 
 
 # a start level, rounds of marks (indices into the cells), a degree and

@@ -167,6 +167,16 @@ class TestKernel:
         assert all(not v.any() and v.shape == (16, 3) for v in got.values())
         check_stacks(s, U, cells, X, Y, [(3, 0), (0, 4)])
 
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_empty_run_evaluates_to_nothing(self, degree):
+        s = build_space(uniform_partition(2), degree)
+        U = random_spline(s, np.random.default_rng(degree))
+        X = Y = np.zeros((0, 4))
+        assert list(s.basis_stacks([], X, Y, ALL_ORDERS)) == []
+        got = U.eval_stacked([], X, Y, ALL_ORDERS)  # orders up to 4
+        assert list(got) == ALL_ORDERS
+        assert all(v.shape == (0, 0) for v in got.values())
+
 
 # ---------------------------------------------------------------------------
 # the per-cell loops the stacked consumers replace
