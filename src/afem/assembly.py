@@ -163,21 +163,12 @@ def _local_coords(cells, X, Y) -> tuple[np.ndarray, np.ndarray]:
 
 def _legendre_tables(local: np.ndarray, d: int, *orders) -> list:
     """1-D Legendre tables ``(B, d+1, N)`` at the rows of local
-    coordinates ``local``, one per entry of ``orders``: a derivative order
-    for every row, or an array of one per row.  Each distinct order is
-    one ``legval`` over the rows that ask for it; Clenshaw's steps are
-    elementwise, so every entry is the one-row evaluation's bit for bit."""
+    coordinates ``local``, one per derivative order in ``orders``, each
+    one ``legval`` over all the rows; Clenshaw's steps are elementwise,
+    so every entry is the one-row evaluation's bit for bit."""
     eye = np.eye(d + 1)
-    out = []
-    for order in orders:
-        order = np.broadcast_to(order, len(local))
-        tab = np.empty((len(local), d + 1, local.shape[1]))
-        for o in np.unique(order).tolist():
-            rows = order == o
-            tab[rows] = npleg.legval(local[rows], npleg.legder(
-                eye, o, axis=0)).transpose(1, 0, 2)
-        out.append(tab)
-    return out
+    return [npleg.legval(local, npleg.legder(eye, order, axis=0)).transpose(
+        1, 0, 2) for order in orders]
 
 
 def _mode_product(cells, Px: np.ndarray, Py: np.ndarray,
@@ -289,14 +280,17 @@ def _legendre_traces(coef: np.ndarray, es: EdgeArrays, d: int, X, Y):
     The normal is axis-aligned, so the normal derivative is the sign
     ``es.sign`` times the normal-axis derivative; the dropped tangential
     term of ``nx*dx + ny*dy`` is an exact zero.  The local coordinates
-    are mapped once, and each axis's derivative table is evaluated only
-    on the edges whose normal lies along it.
+    are mapped once, each axis's value table is evaluated once, and its
+    derivative table only on the edges whose normal lies along it, the
+    other rows taken from the value table.
     """
     cells = es.cells(es.plus)
     xi, zeta = _local_coords(cells, X, Y)
     normal = es.axis == 0  # the normal's axis is x, then y
-    Px, Nx = _legendre_tables(xi, d, 0, normal.astype(int))
-    Py, Ny = _legendre_tables(zeta, d, 0, (~normal).astype(int))
+    (Px,), (Py,) = _legendre_tables(xi, d, 0), _legendre_tables(zeta, d, 0)
+    Nx, Ny = Px.copy(), Py.copy()
+    Nx[normal], = _legendre_tables(xi[normal], d, 1)
+    Ny[~normal], = _legendre_tables(zeta[~normal], d, 1)
     modes = _mode_product(cells, Px, Py, 0)
     modes_n = _mode_product(cells, Nx, Ny, 1)
     stack = coef if coef.ndim == 3 else coef[:, None, :]

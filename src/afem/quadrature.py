@@ -20,9 +20,9 @@ import numpy as np
 
 from .mesh import Cell, Edge, EdgeArrays
 
-# requests a pass builds the rules of at once: the one batch of every
-# evaluation pass, which bounds what a pass holds
-_BLOCK_REQUESTS = 128
+# rule points a pass builds at once (a cell counts n*n, an edge n): the
+# one batch of every evaluation pass, which bounds what a pass holds
+_BLOCK_POINTS = 1 << 15
 
 
 class QuadratureRule(NamedTuple):
@@ -48,6 +48,11 @@ def gauss_points_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
     return lo + length * x, length * w
 
 
+def _on_edges(requests) -> bool:
+    """Whether ``requests`` are edges (a list or an :class:`EdgeArrays`)."""
+    return isinstance(requests, EdgeArrays) or isinstance(requests[0], Edge)
+
+
 def _rules(requests, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Points ``(R, N, 2)`` and weights ``(R, N)`` of the Gauss rules of
     ``requests``, all cells (``n x n`` points, x-major) or all edges (a
@@ -57,7 +62,7 @@ def _rules(requests, n: int) -> tuple[np.ndarray, np.ndarray]:
     two; ``lo + L*x`` and ``L*w`` on an edge, with ``L = (lo + length) -
     lo`` as in :func:`gauss_points_1d`."""
     x, w = _reference_rule(n)
-    if isinstance(requests, EdgeArrays) or isinstance(requests[0], Edge):
+    if _on_edges(requests):
         if isinstance(requests, EdgeArrays):
             axis, level, fixed, lo = (requests.axis[:, None],
                                       requests.level[:, None],
@@ -154,8 +159,10 @@ class _SampleMemo:
 
 def _requests(requests, n: int, data=None):
     """The rules of one pass over ``requests``, all cells or all edges
-    (a list or :class:`~afem.mesh.EdgeArrays`), in runs of
-    ``_BLOCK_REQUESTS``, which bounds what a pass holds.
+    (a list or :class:`~afem.mesh.EdgeArrays`), in runs of consecutive
+    requests of at most ``_BLOCK_POINTS`` rule points together (a cell
+    counts ``n*n``, an edge ``n``; a run holds at least one request),
+    which bounds what a pass holds.
 
     Per run (one :func:`_rules` call) this yields its offset, the run,
     the points ``X`` and ``Y`` as ``(R, N)`` views (row ``X[q]`` strided
@@ -167,8 +174,11 @@ def _requests(requests, n: int, data=None):
     """
     if data is not None and not isinstance(data, _SampleMemo):
         data = _SampleMemo(data)
-    for lo in range(0, len(requests), _BLOCK_REQUESTS):
-        run = requests[lo:lo + _BLOCK_REQUESTS]
+    if not len(requests):
+        return
+    step = max(1, _BLOCK_POINTS // (n if _on_edges(requests) else n * n))
+    for lo in range(0, len(requests), step):
+        run = requests[lo:lo + step]
         P, W = _rules(run, n)
         X, Y = P[:, :, 0], P[:, :, 1]
         F = None if data is None else data.samples(

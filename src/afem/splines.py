@@ -22,18 +22,18 @@ padding is storage only: every product takes a cell's rows exactly,
 since padding either operand of a BLAS product can change the rounding
 of the entries it keeps.
 
-The local basis comes from level-independent reference tables.  On span
+The local basis comes from tables of the window functions.  On span
 ``i`` of a level with ``m = 2**l`` spans, the ``r+1`` window functions
 depend only on the span class ``(min(i, r), min(m-1-i, r))``, its
 distance to either boundary, once expressed in the reference coordinate
 ``xi = x*m - i``; the k-th derivative then scales by ``m**k``.  Both the
 scaling by ``m`` and the subtraction of ``i`` are exact in floating
-point, so tables are keyed on the exact bytes of ``xi``.  They, and the
-scaled tables keyed on ``(degree, level, span, points)``, live in two
-bounded process-wide caches shared by every cell, level and space, so a
-cell that persists through refinement finds its tables.  Points are
-always paired coordinates, as :func:`afem.quadrature.gauss_cell` lays
-them out.
+point.  The scaled tables, keyed on ``(degree, level, span, row
+bytes)``, live in one bounded process-wide cache shared by every space,
+so a cell that persists through refinement finds its tables; the misses
+of a call are filled in one array pass, each row on its span class's
+knots.  Points are always paired coordinates, as
+:func:`afem.quadrature.gauss_cell` lays them out.
 
 Evaluation is stacked: requests (a cell and its points) are grouped by
 extraction size, each group gathers its extractions from the arrays by
@@ -73,11 +73,13 @@ __all__ = [
 
 MAX_DERIVATIVE_ORDER = 4
 
-# entries of each process-wide table cache (reference and scaled); one
-# entry is one table of at most a few KB.  The sin2 r=2 runs to 20k dofs
-# use 3,402 (conforming) and 3,518 (Nitsche) scaled tables and 128
-# reference tables, so neither run fills a table twice
+# entries of the process-wide table cache; one entry is one table of at
+# most a few KB.  The sin2 r=2 runs to 20k dofs use 3,402 (conforming) and
+# 3,518 (Nitsche) tables, so neither run fills a table twice
 TABLE_CACHE_SIZE = 4096
+# the scaled window-function tables of every space, keyed (degree, level,
+# span, row bytes), oldest first: HierarchicalSpace._tables fills them
+_TABLES: dict[tuple, np.ndarray] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -169,25 +171,6 @@ def span_class(level: int, span: int, degree: int) -> tuple[int, int]:
     return min(span, degree), min(m - 1 - span, degree)
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _reference_table(degree: int, a: int, b: int,
-                     xi_bytes: bytes) -> np.ndarray:
-    """Window-function ders ``(MAX_DERIVATIVE_ORDER+1, r+1, n)`` of span
-    class ``(a, b)`` at the reference points packed in ``xi_bytes``.
-
-    One array pass of ``bspline_ders`` over the distinct coordinates
-    fills it; the gathered table is copied to C order, so every product
-    built from it takes the same BLAS path whatever the points.
-    """
-    # the class's 2r+2 local knots, span [0, 1] in reference units
-    t = np.clip(np.arange(2 * degree + 2, dtype=float) - degree, -a, b + 1)
-    xi, inv = np.unique(np.frombuffer(xi_bytes), return_inverse=True)
-    ders = bspline_ders(t, degree, degree, xi, MAX_DERIVATIVE_ORDER)
-    tab = np.ascontiguousarray(ders[:, :, inv])
-    tab.flags.writeable = False
-    return tab
-
-
 @lru_cache(maxsize=None)
 def _two_scale_block(degree: int, a: int, b: int, parity: int) -> np.ndarray:
     """Two-scale block of a span of class ``(a, b)`` and a child of
@@ -219,20 +202,6 @@ def _two_scale_block(degree: int, a: int, b: int, parity: int) -> np.ndarray:
     rows = np.array(rows)
     rows.flags.writeable = False
     return rows
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _scaled_table(degree: int, level: int, span: int,
-                  xs_bytes: bytes) -> np.ndarray:
-    """Read-only window-function ders ``(MAX_DERIVATIVE_ORDER+1, r+1, n)``
-    on a span at the points packed in ``xs_bytes``, scaled by ``m**k``."""
-    m = 1 << level
-    xi = np.frombuffer(xs_bytes) * m - span  # exact: see the module doc
-    tab = _reference_table(degree, *span_class(level, span, degree),
-                           xi.tobytes()) * (float(m) ** np.arange(
-                               MAX_DERIVATIVE_ORDER + 1))[:, None, None]
-    tab.flags.writeable = False
-    return tab
 
 
 @lru_cache(maxsize=None)
@@ -495,27 +464,44 @@ class HierarchicalSpace:
 
     # -- basis tables ------------------------------------------------------
 
-    def _univariate(self, level: int, span: int, xs: np.ndarray,
-                    max_order: int) -> np.ndarray:
-        """Read-only ``(max_order+1, r+1, len(xs))`` :func:`_scaled_table`."""
-        return _scaled_table(self.degree, level, span, np.asarray(
-            xs, float).tobytes())[:max_order + 1]
-
     def _tables(self, levels: np.ndarray, spans: np.ndarray, X: np.ndarray,
                 max_order: int) -> tuple[np.ndarray, np.ndarray]:
-        """The :meth:`_univariate` tables of request rows ``X[q]`` on span
-        ``spans[q]`` of level ``levels[q]``, fetched once per distinct
-        ``(level, span, row bytes)``: the distinct tables stacked, and
-        each request's index into them."""
+        """Window-function ders ``(D, max_order+1, r+1, N)`` of the
+        request rows ``X[q]`` on span ``spans[q]`` of level ``levels[q]``,
+        one per distinct ``(level, span, row bytes)``, and each request's
+        index into them.  They come from the process-wide ``_TABLES``;
+        all misses are filled in one array pass of :func:`bspline_ders`,
+        each row on its span class's knots in the reference coordinate
+        ``xi = x*m - span``, and scaled by ``m**k`` (exact: see the
+        module doc)."""
         R, N = X.shape
+        r = self.degree
         keys = np.empty((R, N + 2), dtype=np.int64)
         keys[:, 0], keys[:, 1] = levels, spans
         keys[:, 2:] = X.view(np.int64)
         first, inv = _distinct_rows(keys)
-        return np.array([self._univariate(lev, span, X[q], max_order)
-                         for lev, span, q in zip(levels[first].tolist(),
-                                                 spans[first].tolist(),
-                                                 first)]), inv
+        names = [(r, lev, span, X[q].tobytes()) for lev, span, q in zip(
+            levels[first].tolist(), spans[first].tolist(), first)]
+        got = list(map(_TABLES.get, names))
+        miss = [k for k, tab in enumerate(got) if tab is None]
+        if miss:
+            q = first[miss]
+            level, span = levels[q][:, None], spans[q][:, None]
+            t = np.clip(np.arange(2 * r + 2, dtype=float) - r,
+                        -np.minimum(span, r),
+                        np.minimum((1 << level) - 1 - span, r) + 1)
+            ders = bspline_ders(t.T[:, :, None], r, r,
+                                X[q] * np.ldexp(1.0, level) - span,
+                                MAX_DERIVATIVE_ORDER)
+            scale = np.ldexp(1.0, level * np.arange(MAX_DERIVATIVE_ORDER + 1))
+            tabs = np.ascontiguousarray(
+                (ders * scale.T[:, None, :, None]).transpose(2, 0, 1, 3))
+            tabs.flags.writeable = False
+            for k, tab in zip(miss, tabs):
+                got[k] = _TABLES[names[k]] = tab
+            while len(_TABLES) > TABLE_CACHE_SIZE:
+                del _TABLES[next(iter(_TABLES))]
+        return np.array([tab[:max_order + 1] for tab in got]), inv
 
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
@@ -530,30 +516,29 @@ class HierarchicalSpace:
         ``(B, k, n)``, each item equal to the one-cell product bit for bit.
         Orders above the degree are exact zeros (one read-only array per
         group).  Each group's extractions and positions are one gather
-        from the space's arrays; the univariate tables are fetched once
-        per distinct row of the run, and gathered per group.
+        from the space's arrays; the univariate tables of both axes are
+        fetched once per distinct row of the run, and gathered per group.
         """
         at = self._cells_at(cells)
         e = self._extractions
         r = self.degree
         live = [o for o in orders if o[0] <= r and o[1] <= r]
         if live:
-            X = np.ascontiguousarray(X, dtype=float)
-            Y = np.ascontiguousarray(Y, dtype=float)
             level, i, j = (a[at] for a in (self.partition._level,
                                            self.partition._i,
                                            self.partition._j))
-            Tx, at_x = self._tables(level, i, X,
-                                    max(a for a, _ in live))
-            Ty, at_y = self._tables(level, j, Y,
-                                    max(b for _, b in live))
+            # both axes' rows in one fetch
+            T, at_xy = self._tables(np.tile(level, 2), np.concatenate([i, j]),
+                                    np.concatenate([X, Y], dtype=float),
+                                    max(max(o) for o in live))
+            at_x, at_y = at_xy[:len(at)], at_xy[len(at):]
         for k, items in _groups(e.rows[at]):
             index = e.positions[at[items], :k]
             index.flags.writeable = False
             tabs = {}
             if live:
                 C = e.matrices[at[items], :k]
-                Dx, Dy = Tx[at_x[items]], Ty[at_y[items]]
+                Dx, Dy = T[at_x[items]], T[at_y[items]]
                 # one window table alive at a time
                 for o in live:
                     tabs[o] = C @ _window_table(Dx, Dy, *o)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from afem import quadrature
 from afem.assembly import (AnalyticField, FormParams, PiecewisePoly,
                            assemble, default_gamma, energy_diff_sq,
                            energy_error_sq, energy_norm_sq, h2_seminorm_sq,
@@ -445,7 +446,7 @@ class TestInconsistency:
                                   v)
         assert abs(val) > 1e-8
 
-    def test_gradient_called_once_per_run(self):
+    def test_gradient_called_once_per_run(self, monkeypatch):
         prob = manufactured_sin2()
         seen = []
 
@@ -455,7 +456,10 @@ class TestInconsistency:
 
         s = build_space(uniform_partition(6), 2)  # 256 boundary edges
         inconsistency_load(prob.laplacian_u, grad, s)
-        assert len(seen) == 2  # two runs of 128 edges
+        assert len(seen) == 1  # one run of 256 edges of 6 points
+        monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 128 * 6)
+        inconsistency_load(prob.laplacian_u, grad, s)
+        assert len(seen) == 3  # then two runs of 128 edges
         assert {(x.ndim, x.strides) for x in seen} == {(1, (16,))}
 
     @pytest.mark.parametrize("r", [2, 3])

@@ -415,8 +415,9 @@ def count_sample_runs(monkeypatch) -> list:
 
 
 # the calls of a data callable in the runs below, keyed on the run's
-# distinct cells: one call per run of requests with a miss
-SAMPLE_CALLS = {572: 13, 184: 8, 256: 17}
+# distinct cells: one call per run of requests with a miss, and every
+# pass of these runs is one run, so one call per iteration
+SAMPLE_CALLS = {572: 8, 184: 7, 256: 14}
 
 
 class TestSampleMemo:

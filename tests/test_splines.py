@@ -12,15 +12,14 @@ from scipy.sparse import coo_matrix
 
 from afem import splines
 from afem.assembly import _legendre_modes, _legendre_tables, _local_coords
-from afem.mesh import Cell, edges, refine, uniform_partition
+from afem.mesh import Cell, edge_arrays, edges, refine, uniform_partition
 from afem.oracles import (exact_two_scale_matrix, kraft_selection_bruteforce,
                           random_spline, scipy_univariate_ders)
 from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           build_space, coarse_to_fine, conforming_indices,
                           knot_vector, load_solution, num_functions,
                           quasi_interpolant, save_solution, span_class,
-                          two_scale_matrix, TABLE_CACHE_SIZE,
-                          _reference_table, _scaled_table, _two_scale_block)
+                          two_scale_matrix, TABLE_CACHE_SIZE, _two_scale_block)
 from afem.quadrature import _requests, gauss_cell, gauss_points_1d
 from afem.solver import SolveOptions, solve_spd
 
@@ -159,6 +158,27 @@ def scipy_span_ders(level: int, degree: int, span: int, idx: int, x: float,
     return scipy_univariate_ders(level, degree, idx, x, order)
 
 
+def univariate(s, level: int, span: int, xs, max_order: int = 4):
+    """The scaled table ``(max_order+1, r+1, len(xs))`` of one row, through
+    ``HierarchicalSpace._tables``."""
+    T, at = s._tables(np.array([level]), np.array([span]),
+                      np.array(xs, dtype=float)[None], max_order)
+    return T[at[0]]
+
+
+def counting_ders(monkeypatch) -> list:
+    """The ``(rows, points)`` of every ``bspline_ders`` array pass that
+    fills tables, recorded as they come."""
+    calls = []
+
+    def counting(knots, degree, span, x, n_ders):
+        calls.append(np.shape(x))
+        return bspline_ders(knots, degree, span, x, n_ders)
+
+    monkeypatch.setattr(splines, "bspline_ders", counting)
+    return calls
+
+
 def span_class_representatives(level: int, degree: int) -> list[int]:
     m = 1 << level
     return sorted(set(range(min(m, degree + 1)))
@@ -176,7 +196,7 @@ class TestReferenceTables:
                 {span_class(level, i, degree) for i in range(m)}
             for span in spans:
                 xs = span_points(level, span)
-                tab = s._univariate(level, span, xs, 4)
+                tab = univariate(s, level, span, xs)
                 for k in range(5):
                     for j in range(degree + 1):
                         ref = [scipy_span_ders(level, degree, span, span + j,
@@ -212,33 +232,45 @@ class TestReferenceTables:
                                            atol=1e-12 * float(m) ** (ax + ay))
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
-    def test_tables_bit_identical_to_physical_knot_evaluation(self, degree):
+    def test_tables_bit_identical_to_physical_knot_evaluation(self, degree,
+                                                              monkeypatch):
+        """Rows of every span class and of levels 0..9, filled together in
+        one array pass, each equal to the per-point evaluation on the
+        level's physical knots."""
+        monkeypatch.setattr(splines, "_TABLES", {})
+        calls = counting_ders(monkeypatch)
         s = build_space(uniform_partition(0), degree)
         rng = np.random.default_rng(degree)
+        rows = []
         for level in range(10):
             m = 1 << level
-            t = np.asarray(knot_vector(level, degree))
             spans = span_class_representatives(level, degree)
             for span in spans + rng.integers(0, m, 3).tolist():
-                xs = np.concatenate([span_points(level, span), rng.uniform(
-                    span / m, (span + 1) / m, 4)])
-                tab = s._univariate(level, span, xs, 4)
-                for k, x in enumerate(xs):
-                    direct = bspline_ders(t, degree, span + degree, x, 4)
-                    assert np.array_equal(tab[:, :, k], direct)
+                rows.append((level, span, np.concatenate([
+                    span_points(level, span),
+                    rng.uniform(span / m, (span + 1) / m, 4)])))
+        levels, spans, X = (np.array(a) for a in zip(*rows))
+        T, at = s._tables(levels, spans, X, 4)
+        assert len(calls) == 1 and calls[0] == (len(T), X.shape[1])
+        for (level, span, xs), tab in zip(rows, T[at]):
+            t = np.asarray(knot_vector(level, degree))
+            for k, x in enumerate(xs):
+                direct = bspline_ders(t, degree, span + degree, x, 4)
+                assert np.array_equal(tab[:, :, k], direct)
 
-    def test_tables_are_shared_across_levels_and_spaces(self):
+    def test_tables_are_shared_across_spaces(self, monkeypatch):
         a = build_space(uniform_partition(2), 3)
         b = build_space(uniform_partition(0), 3)
+        calls = counting_ders(monkeypatch)
         # span 0 has xi equal to the reference nodes at every level
         tabs = {}
         for level in (3, 5):
             xs = gauss_points_1d(0.0, 2.0 ** -level, 5)[0]
-            tabs[level] = a._univariate(level, 0, xs, 2)
-            misses = _reference_table.cache_info().misses
-            assert np.array_equal(b._univariate(level, 0, xs, 2),
+            tabs[level] = univariate(a, level, 0, xs, 2)
+            filled = len(calls)
+            assert np.array_equal(univariate(b, level, 0, xs, 2),
                                   tabs[level])
-            assert _reference_table.cache_info().misses == misses
+            assert len(calls) == filled
         for k in range(3):
             assert np.array_equal(tabs[3][k] / 8.0 ** k, tabs[5][k] / 32.0 ** k)
 
@@ -266,40 +298,28 @@ class TestReferenceTables:
                 assert grid.tobytes() == bspline_ders(t, degree, degree,
                                                       xs, 4).tobytes()
 
-    def test_reference_table_fills_in_one_pass_per_miss(self, monkeypatch):
-        import afem.splines as splines
-
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return bspline_ders(*args)
-
-        monkeypatch.setattr(splines, "bspline_ders", counting)
-        _reference_table.cache_clear()
-        _scaled_table.cache_clear()
+    def test_tables_fill_in_one_pass_per_run_of_misses(self, monkeypatch):
+        monkeypatch.setattr(splines, "_TABLES", {})
+        calls = counting_ders(monkeypatch)
         s = build_space(uniform_partition(3), 3)
-        cell = Cell(3, 1, 6)
-        rule = gauss_cell(cell, 6)
-        s.basis_on_cell(cell, rule.points[:, 0], rule.points[:, 1],
-                        [(0, 0), (2, 0), (0, 2)])
-        assert len(calls) == 2  # one array pass per axis table
-        xi = rule.points[:, 0] * 8 - cell.i
-        tab = _reference_table(3, *span_class(3, cell.i, 3), xi.tobytes())
+        cells = [Cell(3, 1, 6), Cell(3, 6, 1), Cell(3, 1, 5)]
+        rules = [gauss_cell(c, 6) for c in cells]
+        X, Y = (np.array([rule.points[:, a] for rule in rules])
+                for a in (0, 1))
+        list(s.basis_stacks(cells, X, Y, [(0, 0), (2, 0), (0, 2)]))
+        # one array pass over both axes' distinct rows: the x rows of
+        # spans 1 and 6, the y rows of spans 6, 1 and 5
+        assert calls == [(5, 36)]
+        assert len(splines._TABLES) == 5
+        tab = splines._TABLES[(3, 3, 1, rules[0].points[:, 0].tobytes())]
         assert tab.shape == (5, 4, 36)
         assert tab.flags.c_contiguous and not tab.flags.writeable
-        assert len(calls) == 2  # a hit: the key holds no derivative order
+        # all hits: the key holds no derivative order
+        list(s.basis_stacks(cells, X, Y, [(0, 0), (1, 3)]))
+        assert calls == [(5, 36)]
 
     def test_persisting_cell_fills_no_table_after_refine(self, monkeypatch):
-        import afem.splines as splines
-
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return bspline_ders(*args)
-
-        monkeypatch.setattr(splines, "bspline_ders", counting)
+        calls = counting_ders(monkeypatch)
         p = refine(graded_7cell(), [Cell(2, 1, 1)])
         cell = Cell(2, 0, 1)
         rule = gauss_cell(cell, 5)
@@ -307,31 +327,37 @@ class TestReferenceTables:
         orders = [(0, 0), (2, 0), (0, 2)]
         before = build_space(p, 3)
         before.basis_on_cell(cell, xs, ys, orders)
-        tab = before._univariate(cell.level, cell.i, xs, 4)
+        tab = splines._TABLES[(3, cell.level, cell.i, xs.tobytes())]
         fine = refine(p, [Cell(1, 1, 1)])
         assert cell in fine
         calls.clear()
         after = build_space(fine, 3)
         after.basis_on_cell(cell, xs, ys, orders)
         assert calls == []
-        assert after._univariate(cell.level, cell.i, xs, 4).base is tab.base
+        assert splines._TABLES[(3, cell.level, cell.i, xs.tobytes())] is tab
 
-    def test_caches_hold_a_whole_run(self):
-        """Every table of a sin2 r=2 run to 5k dofs (1,714 scaled ones;
-        the conforming record reads no boundary trace) is filled once,
-        within the bound."""
+    def test_caches_hold_a_whole_run(self, monkeypatch):
+        """Every table of a sin2 r=2 run to 5k dofs (1,714 of them; the
+        conforming record reads no boundary trace) is filled once, within
+        the bound."""
         from afem.driver import AfemConfig, Problem, run
         from afem.oracles import manufactured_sin2
 
-        _reference_table.cache_clear()
-        _scaled_table.cache_clear()
+        monkeypatch.setattr(splines, "_TABLES", {})
+        calls = counting_ders(monkeypatch)
         run(AfemConfig(degree=2, theta=0.5, max_dofs=5000),
             Problem.from_manufactured(manufactured_sin2()))
-        for cache in (_reference_table, _scaled_table):
-            info = cache.cache_info()
-            assert info.maxsize == TABLE_CACHE_SIZE
-            assert info.misses == info.currsize <= TABLE_CACHE_SIZE
-        assert _scaled_table.cache_info().currsize == 1714
+        assert len(splines._TABLES) == 1714 <= TABLE_CACHE_SIZE
+        assert sum(rows for rows, _ in calls) == 1714
+
+    def test_oldest_table_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(splines, "_TABLES", {})
+        monkeypatch.setattr(splines, "TABLE_CACHE_SIZE", 3)
+        s = build_space(uniform_partition(0), 2)
+        xs = gauss_points_1d(0.0, 0.25, 3)[0]
+        for span in range(4):
+            univariate(s, 2, span, xs + span / 4)
+        assert [key[2] for key in splines._TABLES] == [1, 2, 3]
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_basis_on_cell_equals_tensor_grid_product(self, degree):
@@ -344,15 +370,44 @@ class TestReferenceTables:
                 pos, tabs = s.basis_on_cell(cell, rule.points[:, 0],
                                             rule.points[:, 1], orders)
                 x0, x1, y0, y1 = cell.bounds
-                Dx = s._univariate(cell.level, cell.i,
-                                   gauss_points_1d(x0, x1, n)[0], 4)
-                Dy = s._univariate(cell.level, cell.j,
-                                   gauss_points_1d(y0, y1, n)[0], 4)
+                Dx = univariate(s, cell.level, cell.i,
+                                gauss_points_1d(x0, x1, n)[0])
+                Dy = univariate(s, cell.level, cell.j,
+                                gauss_points_1d(y0, y1, n)[0])
                 _, C = s.cell_extraction(cell)
                 for ax, ay in orders:
                     T = np.einsum("ap,bq->abpq", Dx[ax], Dy[ay]).reshape(
                         (degree + 1) ** 2, n * n)
                     assert np.array_equal(tabs[(ax, ay)], C @ T), (cell, n)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_legendre_traces_evaluate_each_row_once(self, d, monkeypatch):
+        """Per axis the value table on every edge and the derivative table
+        only on the edges whose normal lies along that axis: three rows
+        per boundary edge, and the traces of a per-edge evaluation."""
+        from afem.assembly import _legendre_traces
+        from afem.quadrature import _rules
+
+        es = edge_arrays(uniform_partition(4))[1]  # 64 boundary edges
+        P, _ = _rules(es, 5)
+        X, Y = P[:, :, 0], P[:, :, 1]
+        coef = np.random.default_rng(d).standard_normal((len(es),
+                                                         (d + 1) ** 2))
+        rows = []
+        legval = npleg.legval
+        monkeypatch.setattr(npleg, "legval", lambda x, c: rows.append(
+            len(x)) or legval(x, c))
+        pv, pn = _legendre_traces(coef, es, d, X, Y)
+        assert len(rows) == 4 and sum(rows) == 3 * len(es)
+        monkeypatch.setattr(npleg, "legval", legval)
+        cells = es.cells(es.plus)
+        for q, (axis, sign) in enumerate(zip(es.axis, es.sign)):
+            one = slice(q, q + 1)
+            value = _legendre_modes(cells[one], d, X[one], Y[one])
+            normal = _legendre_modes(cells[one], d, X[one], Y[one],
+                                     int(axis == 0), int(axis == 1))
+            assert np.array_equal(pv[q], (coef[q][None] @ value[0])[0])
+            assert np.array_equal(pn[q], sign * (coef[q][None] @ normal[0])[0])
 
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_legendre_tables_equal_per_row_legval(self, d):
@@ -372,12 +427,11 @@ class TestReferenceTables:
                         * direct(zeta[q], ay)[None, :, :]).reshape(
                             (d + 1) ** 2, -1) * (2.0 / cell.side) ** (ax + ay)
                 assert np.array_equal(got[q], want), (cell, ax, ay)
-        # an order per row, as _legendre_traces asks for the normal axis's
-        # derivative, up to two above the degree
-        orders = np.arange(len(cells)) % (d + 3)
-        tab, = _legendre_tables(xi, d, orders)
-        for q, order in enumerate(orders.tolist()):
-            assert np.array_equal(tab[q], direct(xi[q], order)), (q, order)
+        # several orders in one call, up to two above the degree
+        tabs = _legendre_tables(xi, d, *range(d + 3))
+        for order, tab in enumerate(tabs):
+            for q in range(len(cells)):
+                assert np.array_equal(tab[q], direct(xi[q], order)), (q, order)
 
 
 # a start level, rounds of marks (indices into the cells), a degree and
@@ -437,10 +491,10 @@ def tables_per_order(s, cell, xs, ys, orders):
     w = r + 1
 
     def univariate(span, pts, k):
-        m = 1 << cell.level
-        ref = _reference_table(r, *span_class(cell.level, span, r),
-                               (pts * m - span).tobytes())
-        return ref[:k + 1] * (float(m) ** np.arange(k + 1))[:, None, None]
+        # per point on the level's physical knots
+        t = np.asarray(knot_vector(cell.level, r))
+        return np.stack([bspline_ders(t, r, span + r, x, k) for x in pts],
+                        axis=-1)
 
     Dx = univariate(cell.i, xs, max(o[0] for o in orders))
     Dy = univariate(cell.j, ys, max(o[1] for o in orders))
@@ -567,11 +621,9 @@ class TestFastEvaluationPath:
         cell = Cell(2, 1, 1)
         rule = gauss_cell(cell, 5)
         xs = rule.points[:, 0]
-        tab = s._univariate(cell.level, cell.i, xs, 2)
-        assert tab.shape == (3, 4, 25) and not tab.flags.writeable
-        assert s._univariate(cell.level, cell.i, xs, 4).base is tab.base
-        assert not _scaled_table(3, cell.level, cell.i,
-                                 xs.tobytes()).flags.writeable
+        s.basis_on_cell(cell, xs, rule.points[:, 1], [(0, 0)])
+        tab = splines._TABLES[(3, cell.level, cell.i, xs.tobytes())]
+        assert tab.shape == (5, 4, 25) and not tab.flags.writeable
         _, C = s.cell_extraction(cell)
         assert not C.flags.writeable
         (_, index, _), = s.basis_stacks([cell], [xs], [rule.points[:, 1]],

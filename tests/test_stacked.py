@@ -766,12 +766,16 @@ class TestPortedConsumers:
 def test_requests_hand_out_arrays(monkeypatch):
     """A pass sees each run's points, weights and samples as ``(R, N)``
     arrays, a point row strided as a rule's ``points[:, 0]``, and no
-    rule object is built."""
+    rule object is built.  The 256 cells of 9 points are one run at the
+    default budget, and runs of 100 at a budget of 908 points."""
     cells = uniform_partition(4).cells
     rules = [gauss_cell(c, 3) for c in cells]
     monkeypatch.setattr(quadrature, "QuadratureRule", None)
-    runs = list(quadrature._requests(cells, 3, lambda x, y: x + 2.0 * y))
-    assert [lo for lo, *_ in runs] == [0, quadrature._BLOCK_REQUESTS]
+    f = lambda x, y: x + 2.0 * y  # noqa: E731
+    assert [lo for lo, *_ in quadrature._requests(cells, 3, f)] == [0]
+    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 908)
+    runs = list(quadrature._requests(cells, 3, f))
+    assert [lo for lo, *_ in runs] == [0, 100, 200]
     for lo, run, X, Y, W, F in runs:
         assert run == cells[lo:lo + len(run)]
         assert X.shape == Y.shape == W.shape == F.shape == (len(run), 9)
@@ -786,7 +790,9 @@ def test_requests_hand_out_arrays(monkeypatch):
 def test_stacked_calls_take_at_most_one_run(monkeypatch):
     """Every ``basis_stacks`` call of a pass takes at most one run of
     ``_requests`` (the edge jumps: its two sides), also in
-    ``coarse_to_fine`` and the dual functionals on spaces of more cells."""
+    ``coarse_to_fine`` and the dual functionals on spaces of more cells.
+    At the default budget each of these passes is one run; at a budget
+    of 128 edges of 6 points the jump pass takes runs of 128 edges."""
     sizes = []
     original = HierarchicalSpace.basis_stacks
 
@@ -796,15 +802,19 @@ def test_stacked_calls_take_at_most_one_run(monkeypatch):
 
     monkeypatch.setattr(HierarchicalSpace, "basis_stacks", recording)
     run(AfemConfig(degree=2, max_dofs=400), PROB)
-    assert quadrature._BLOCK_REQUESTS < max(sizes) <= (
-        2 * quadrature._BLOCK_REQUESTS)
-    sizes.clear()
+    assert max(sizes) == 2684  # both sides of the last 1,342 interior edges
     p = uniform_partition(4)
     coarse = random_spline(build_space(p, 2), np.random.default_rng(0))
     fine = build_space(refine(p, [Cell(4, 3, 3)]), 2)
+    sizes.clear()
     coarse_to_fine(coarse, fine)
     quasi_interpolant(fine, SIN2.u)
-    assert max(sizes) == quadrature._BLOCK_REQUESTS
+    # the coarse spline on the owners, the fine basis, the dual functionals
+    assert sizes == [len(fine.partition)] * 3 == [259] * 3
+    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 128 * 6)
+    sizes.clear()
+    run(AfemConfig(degree=2, max_dofs=400), PROB)
+    assert max(sizes) == 256
 
 
 def test_energy_diff_of_swapped_iterates_names_first_subdivided_cell():
@@ -908,6 +918,34 @@ def test_run_builds_each_cell_rule_once_per_pass(name, count, monkeypatch):
 
     run(cfg, prob, on_iteration)
     assert rules["cell"] == sum(want) == count
+
+
+@pytest.mark.parametrize("name", [*WORKLOADS.NAMES,
+                                  "sin2-conf-r3-untruncated"])
+def test_records_do_not_depend_on_the_run_budget(name, monkeypatch):
+    """``run()`` gives the same records when every run of ``_requests``
+    is one request (a budget of one point) as at the default budget, and
+    every run holds at most the budget's points unless one request alone
+    exceeds it."""
+    if name == "sin2-conf-r3-untruncated":
+        cfg, prob = AfemConfig(degree=3, max_dofs=300, truncated=False), PROB
+    else:
+        cfg, prob = WORKLOADS.build(name, 0)
+    shapes = []
+    original = quadrature._rules
+
+    def recording(requests, n):
+        P, W = original(requests, n)
+        shapes.append(W.shape)
+        return P, W
+
+    monkeypatch.setattr(quadrature, "_rules", recording)
+    records = repr(run(cfg, prob))
+    assert max(R * N for R, N in shapes) <= quadrature._BLOCK_POINTS
+    shapes.clear()
+    monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 1)
+    assert repr(run(cfg, prob)) == records
+    assert {R for R, _ in shapes} == {1}
 
 
 # ---------------------------------------------------------------------------
