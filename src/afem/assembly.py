@@ -29,7 +29,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from .mesh import Cell, EdgeArrays, Partition, edge_arrays
 from .quadrature import _cell_sum, _on_points, _requests, _row_dots
 from .solver import _check_number
-from .splines import (HierarchicalSpace, SplineFunction, _RunEntries,
+from .splines import (HierarchicalSpace, SplineFunction, _Entries, _gram,
                       conforming_indices)
 
 __all__ = [
@@ -143,6 +143,15 @@ class LoadVector:
 
 # derivative orders whose sum is the Laplacian
 _LAP_ORDERS = [(2, 0), (0, 2)]
+
+
+def _laplacian(stack) -> np.ndarray:
+    """The Laplacian tables of a group of
+    :meth:`HierarchicalSpace.basis_stacks`: the ``(2, 0)`` stack, then
+    the ``(0, 2)`` one added in place."""
+    lap = stack((2, 0))
+    lap += stack((0, 2))
+    return lap
 
 
 def _local_coords(cells, X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -344,61 +353,69 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
     imap[list(keep)] = np.arange(len(keep))
     dim = len(keep)
 
-    rows, cols, vals = [], [], []
-    b = np.zeros(dim)
-    _assemble_volume(s, f, n, imap, rows, cols, vals, b)
+    cells = np.arange(len(s.partition))
     if params.mode == "nitsche":
-        _assemble_boundary(s, params, imap, rows, cols, vals)
+        _, bdry = edge_arrays(s.partition)
+        cells = np.concatenate([cells, bdry.plus])
+    out = _Entries(s, imap, cells)
+    b = np.zeros(dim)
+    _assemble_volume(s, f, n, out, b)
+    if params.mode == "nitsche":
+        _assemble_boundary(s, params, out, bdry)
 
-    A = _symmetric_csr(rows, cols, vals, dim)
+    A = _symmetric_csr(*out.entries(), dim)
     return SystemMatrix(A, tuple(keep)), LoadVector(b, tuple(keep))
 
 
-def _assemble_volume(s: HierarchicalSpace, f, n: int, imap: np.ndarray,
-                     rows: list, cols: list, vals: list, b: np.ndarray):
-    """Volume pass ``(lap u, lap v)`` and, unless ``f`` is ``None``, the
-    load, per run of cells and group of
-    :meth:`HierarchicalSpace.basis_stacks`.
+def _assemble_volume(s: HierarchicalSpace, f, n: int, out: _Entries,
+                     b: np.ndarray | None):
+    """Volume pass ``(lap u, lap v)`` into ``out``'s first requests and,
+    unless ``f`` is ``None``, the load into ``b``, per run of cells and
+    group of :meth:`HierarchicalSpace.basis_stacks`.
 
-    Entries keep the per-cell COO layout and order: each run's live
-    rows, columns and Gram entries are in cell order, and the load is
-    added with ``np.add.at`` in cell order, as a per-cell loop adds it.
+    Entries keep the per-cell COO layout and order: the Gram entries
+    are in cell order, and the load is added with ``np.add.at`` in cell
+    order, as a per-cell loop adds it.  The Laplacian stack is dropped
+    before the value stack of the load is formed.
     """
+    loads = None if f is None else _Entries(
+        s, out.imap, np.arange(len(s.partition)), pairs=False)
     for lo, run, X, Y, W, F in _requests(s.partition.cells, n, f):
-        entries = _RunEntries(s, len(run), imap)
-        for items, index, tabs in s.basis_stacks(run, X, Y,
-                                                 [(0, 0), (2, 0), (0, 2)]):
-            LAP = tabs[(2, 0)] + tabs[(0, 2)]
-            entries.put(items, index,
-                        (LAP * W[items][:, None, :]) @ LAP.transpose(0, 2, 1),
-                        None if f is None else (tabs[(0, 0)] @ (
-                            W[items] * F[items])[:, :, None])[:, :, 0])
-        entries.coo(rows, cols, vals)
-        if f is not None:
-            entries.add_loads(b)
+        for items, index, stack in s.basis_stacks(run, X, Y,
+                                                  [(0, 0), (2, 0), (0, 2)]):
+            out.put(lo + items, index, _gram(_laplacian(stack), W[items]))
+            if f is not None:
+                loads.put(lo + items, index, (stack((0, 0)) @ (
+                    W[items] * F[items])[:, :, None])[:, :, 0])
+    if f is not None:
+        np.add.at(b, *loads.entries())
 
 
-def _symmetric_csr(rows, cols, vals, dim: int) -> csr_matrix:
-    """Sum COO blocks into CSR and mirror the upper triangle, so the
+def _symmetric_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   dim: int) -> csr_matrix:
+    """Sum COO triplets into CSR and mirror the upper triangle, so the
     matrix is exactly symmetric whatever the summation order.
 
-    The mirror is the upper triangle's entries and its transpose's
-    strictly lower ones, sorted into rows; like the sparse sum
+    Summed rows come out sorted, so a row of the mirror is its strictly
+    lower entries, then its upper ones.  The strictly lower entries of
+    row ``i`` are the upper triangle's column ``i`` in row order, which a
+    stable counting pass (``tocsr`` of the swapped triplets, none
+    duplicate) places.  The mirror only moves data; like the sparse sum
     ``triu(A) + triu(A, 1).T`` it drops exact zeros."""
-    A = coo_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(dim, dim)).tocsr()
-    r = np.repeat(np.arange(dim, dtype=A.indices.dtype), np.diff(A.indptr))
-    c, v = A.indices, A.data
-    keep = (c >= r) & (v != 0.0)
-    r, c, v = r[keep], c[keep], v[keep]
+    A = coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    r = np.repeat(np.arange(dim, dtype=A.indptr.dtype), np.diff(A.indptr))
+    keep = (A.indices >= r) & (A.data != 0.0)
+    r, c, v = r[keep], A.indices[keep], A.data[keep]
     low = c > r
-    r, c = np.concatenate([r, c[low]]), np.concatenate([c, r[low]])
-    order = np.lexsort((c, r))
-    indptr = np.zeros(dim + 1, dtype=A.indptr.dtype)
-    np.cumsum(np.bincount(r, minlength=dim), out=indptr[1:])
-    return csr_matrix((np.concatenate([v, v[low]])[order], c[order], indptr),
-                      shape=(dim, dim))
+    low = coo_matrix((v[low], (c[low], r[low])), shape=(dim, dim)).tocsr()
+    counts = np.stack([np.diff(low.indptr), np.bincount(r, minlength=dim)])
+    upper = np.repeat(np.tile([False, True], dim), counts.T.ravel())
+    data, indices = np.empty(len(upper)), np.empty(len(upper), r.dtype)
+    data[upper], data[~upper], indices[upper], indices[~upper] = (
+        v, low.data, c, low.indices)
+    indptr = np.zeros(dim + 1, dtype=r.dtype)
+    np.cumsum(counts.sum(axis=0), out=indptr[1:])
+    return csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def _normal_traces(es: EdgeArrays, d10: np.ndarray,
@@ -413,23 +430,23 @@ def _normal_traces(es: EdgeArrays, d10: np.ndarray,
 
 def _boundary_traces(s: HierarchicalSpace, bdry: EdgeArrays, n: int,
                      data=None):
-    """Per run of the boundary edges ``bdry``: the run, its points
-    ``X``, ``Y`` (strided rows, as user callables see them), the
+    """Per run of the boundary edges ``bdry``: its offset, the run, its
+    points ``X``, ``Y`` (strided rows, as user callables see them), the
     ``data`` samples (or ``None``), and the groups of
     :meth:`HierarchicalSpace.basis_stacks` on the edges' cells.  Per group
     ``(items, es, X, Y, W, index, V, VN)``: the request numbers in the run
     and the edges, their rules, the positions ``(B, k)``, and the trace
     ``V`` and normal-derivative trace ``VN`` (with the normal's sign) of
     the active basis, ``(B, k, N)``."""
-    for _, run, X, Y, W, F in _requests(bdry, n, data):
+    for lo, run, X, Y, W, F in _requests(bdry, n, data):
         groups = []
-        for items, index, T in s.basis_stacks(
+        for items, index, stack in s.basis_stacks(
                 run.cells(run.plus), X, Y, [(0, 0), (1, 0), (0, 1)]):
             es = run[items]
             groups.append((items, es, X[items], Y[items], W[items], index,
-                           T[(0, 0)], _normal_traces(es, T[(1, 0)],
-                                                     T[(0, 1)])))
-        yield run, X, Y, F, groups
+                           stack((0, 0)), _normal_traces(es, stack((1, 0)),
+                                                         stack((0, 1)))))
+        yield lo, run, X, Y, F, groups
 
 
 def _spline_traces(fn: SplineFunction, bdry: EdgeArrays, n: int):
@@ -455,41 +472,41 @@ def _penalties(es: EdgeArrays, gamma1: float,
 
 
 def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
-                       imap: np.ndarray, rows: list, cols: list, vals: list):
-    """Nitsche boundary terms and penalties, per group of boundary edges
-    as ``(B, k, k)`` blocks, scattered in edge order."""
+                       out: _Entries, bdry: EdgeArrays, nitsche: bool = True):
+    """Nitsche boundary terms (unless ``nitsche`` is false) and penalties
+    on the boundary edges ``bdry``, per group of boundary edges as ``(B,
+    k, k)`` blocks, into ``out``'s requests after the cells', in edge
+    order.  Without the Nitsche terms a block is ``0.0`` plus the
+    penalties: that changes only the sign of zero entries, which the
+    matrix drops."""
     n = params.quad_n
     d = s.degree - 2
-    _, bdry = edge_arrays(s.partition)
+    first = len(s.partition)
     # Legendre coefficients of Pi(lap B) for every function B on the cell
-    proj = {}
-    for _, run, X, Y, W, _ in _requests(bdry.cells(np.unique(bdry.plus)), n):
-        for items, _, T in s.basis_stacks(run, X, Y, _LAP_ORDERS):
+    proj, owners = {}, bdry.cells(np.unique(bdry.plus)) if nitsche else []
+    for _, run, X, Y, W, _ in _requests(owners, n):
+        for items, _, stack in s.basis_stacks(run, X, Y, _LAP_ORDERS):
             cells = [run[q] for q in items]
             proj.update(zip(cells, _legendre_project(
                 cells, d, X[items], Y[items], W[items],
-                T[(2, 0)] + T[(0, 2)])[1]))
+                _laplacian(stack))[1]))
     # an overflowed penalty leaves nan entries, which solve_spd reports
     with np.errstate(invalid="ignore"):
-        for run, _, _, _, groups in _boundary_traces(s, bdry, n):
-            entries = _RunEntries(s, len(run), imap)
+        for lo, _, _, _, _, groups in _boundary_traces(s, bdry, n):
             for items, es, X, Y, W, index, V, VN in groups:
-                PV, PN = _legendre_traces(
-                    np.array([proj[c] for c in es.cells(es.plus)]), es, d,
-                    X, Y)
                 g1, g2 = (g[:, None, None] for g in _penalties(
                     es, params.gamma1, params.gamma2))
-                W = W[:, None, :]
-                block = (
-                    -((PV * W) @ VN.transpose(0, 2, 1)
-                      + (VN * W) @ PV.transpose(0, 2, 1))
-                    + ((PN * W) @ V.transpose(0, 2, 1)
-                       + (V * W) @ PN.transpose(0, 2, 1))
-                    + (g1 * (V * W)) @ V.transpose(0, 2, 1)
-                    + (g2 * (VN * W)) @ VN.transpose(0, 2, 1)
-                )
-                entries.put(items, index, block)
-            entries.coo(rows, cols, vals)
+                W, block = W[:, None, :], 0.0
+                if nitsche:
+                    PV, PN = _legendre_traces(np.array(
+                        [proj[c] for c in es.cells(es.plus)]), es, d, X, Y)
+                    block = (-((PV * W) @ VN.transpose(0, 2, 1)
+                               + (VN * W) @ PV.transpose(0, 2, 1))
+                             + ((PN * W) @ V.transpose(0, 2, 1)
+                                + (V * W) @ PN.transpose(0, 2, 1)))
+                block = (block + (g1 * (V * W)) @ V.transpose(0, 2, 1)
+                         + (g2 * (VN * W)) @ VN.transpose(0, 2, 1))
+                out.put(first + lo + items, index, block)
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +599,12 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
     """Gram matrix of the mesh-dependent norm over the full active basis:
     ``|||v|||^2 = v^T T v``."""
     params = params.resolved(s.degree)
-    n = params.quad_n
-    rows, cols, vals = [], [], []
-    imap = np.arange(s.dim)
-    _assemble_volume(s, None, n, imap, rows, cols, vals, None)
     _, bdry = edge_arrays(s.partition)
-    for run, _, _, _, groups in _boundary_traces(s, bdry, n):
-        entries = _RunEntries(s, len(run), imap)
-        for items, es, _, _, W, index, V, VN in groups:
-            g1, g2 = (g[:, None, None] for g in _penalties(
-                es, params.gamma1, params.gamma2))
-            W = W[:, None, :]
-            entries.put(items, index,
-                        (g1 * (V * W)) @ V.transpose(0, 2, 1)
-                        + (g2 * (VN * W)) @ VN.transpose(0, 2, 1))
-        entries.coo(rows, cols, vals)
-    return _symmetric_csr(rows, cols, vals, s.dim)
+    out = _Entries(s, np.arange(s.dim), np.concatenate(
+        [np.arange(len(s.partition)), bdry.plus]))
+    _assemble_volume(s, None, params.quad_n, out, None)
+    _assemble_boundary(s, params, out, bdry, nitsche=False)
+    return _symmetric_csr(*out.entries(), s.dim)
 
 
 def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
@@ -617,17 +624,16 @@ def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,
     proj = _cell_projections(bdry.cells(np.unique(bdry.plus)), d, n,
                              lambda run, X, Y, F: F, lap_u)
     g = np.zeros(s.dim)
-    every = np.arange(s.dim)
-    for run, X, Y, F, groups in _boundary_traces(s, bdry, n, lap_u):
+    loads = _Entries(s, np.arange(s.dim), bdry.plus, pairs=False)
+    for lo, run, X, Y, F, groups in _boundary_traces(s, bdry, n, lap_u):
         lap_n = _normal_samples(grad_lap_u, run, X, Y)
-        entries = _RunEntries(s, len(run), every)
         for items, es, X, Y, W, index, V, VN in groups:
             pi_v, pi_n = _legendre_traces(
                 np.array([proj[c] for c in es.cells(es.plus)]), es, d, X, Y)
-            entries.put(items, index, load=(
+            loads.put(lo + items, index, (
                 V @ (W * (pi_n - lap_n[items]))[:, :, None]
                 - VN @ (W * (pi_v - F[items]))[:, :, None])[:, :, 0])
-        entries.add_loads(g)
+    np.add.at(g, *loads.entries())
     return g
 
 

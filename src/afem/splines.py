@@ -466,11 +466,11 @@ class HierarchicalSpace:
 
     def _tables(self, levels: np.ndarray, spans: np.ndarray, X: np.ndarray,
                 max_order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Window-function ders ``(D, max_order+1, r+1, N)`` of the
+        """Window-function ders ``(max_order+1, D, r+1, N)`` of the
         request rows ``X[q]`` on span ``spans[q]`` of level ``levels[q]``,
-        one per distinct ``(level, span, row bytes)``, and each request's
-        index into them.  They come from the process-wide ``_TABLES``;
-        all misses are filled in one array pass of :func:`bspline_ders`,
+        one per distinct ``(level, span, row bytes)``, each order one
+        block, and each request's index into them.  They come from the
+        process-wide ``_TABLES``; all misses are filled in one array pass of :func:`bspline_ders`,
         each row on its span class's knots in the reference coordinate
         ``xi = x*m - span``, and scaled by ``m**k`` (exact: see the
         module doc)."""
@@ -501,7 +501,7 @@ class HierarchicalSpace:
                 got[k] = _TABLES[names[k]] = tab
             while len(_TABLES) > TABLE_CACHE_SIZE:
                 del _TABLES[next(iter(_TABLES))]
-        return np.array([tab[:max_order + 1] for tab in got]), inv
+        return np.stack([tab[:max_order + 1] for tab in got], axis=1), inv
 
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
@@ -512,18 +512,20 @@ class HierarchicalSpace:
         which bounds the stacks.  Requests are grouped by extraction row
         count ``k`` (groups in order of first appearance, requests in
         order).  Per group this yields the request numbers, their global
-        positions ``(B, k)`` (read-only) and per order one stack of tables
-        ``(B, k, n)``, each item equal to the one-cell product bit for bit.
-        Orders above the degree are exact zeros (one read-only array per
-        group).  Each group's extractions and positions are one gather
-        from the space's arrays; the univariate tables of both axes are
-        fetched once per distinct row of the run, and gathered per group.
+        positions ``(B, k)`` (read-only) and ``stack``: ``stack(o)`` forms
+        the tables ``(B, k, n)`` of one order ``o`` of ``orders``, each
+        item equal to the one-cell product bit for bit, from that order's
+        univariate rows only.  A caller that drops each stack before it
+        forms the next holds one at a time.  Orders above the degree are
+        exact zeros (read-only).  Each group's extractions and positions
+        are one gather from the space's arrays; the univariate tables of
+        both axes are fetched once per distinct row of the run.
         """
         at = self._cells_at(cells)
         e = self._extractions
         r = self.degree
         live = [o for o in orders if o[0] <= r and o[1] <= r]
-        if live:
+        if live and len(at):
             level, i, j = (a[at] for a in (self.partition._level,
                                            self.partition._i,
                                            self.partition._j))
@@ -532,22 +534,26 @@ class HierarchicalSpace:
                                     np.concatenate([X, Y], dtype=float),
                                     max(max(o) for o in live))
             at_x, at_y = at_xy[:len(at)], at_xy[len(at):]
+        C = ix = iy = None
         for k, items in _groups(e.rows[at]):
             index = e.positions[at[items], :k]
             index.flags.writeable = False
-            tabs = {}
             if live:
                 C = e.matrices[at[items], :k]
-                Dx, Dy = T[at_x[items]], T[at_y[items]]
-                # one window table alive at a time
-                for o in live:
-                    tabs[o] = C @ _window_table(Dx, Dy, *o)
-            if len(live) < len(orders):
-                zero = np.zeros((len(items), k, len(X[items[0]])))
-                zero.flags.writeable = False
-                for o in orders:
-                    tabs.setdefault(o, zero)
-            yield items, index, tabs
+                ix, iy = at_x[items], at_y[items]
+
+            def stack(o, items=items, k=k, C=C, ix=ix, iy=iy):
+                if max(o) > r:
+                    zero = np.zeros((len(items), k, len(X[items[0]])))
+                    zero.flags.writeable = False
+                    return zero
+                # the window table: per item the outer product of both
+                # axes' rows, one rounded product per entry
+                window = (T[o[0]].take(ix, axis=0)[:, :, None]
+                          * T[o[1]].take(iy, axis=0)[:, None])
+                return C @ window.reshape(len(items), -1, window.shape[-1])
+
+            yield items, index, stack
 
     def basis_on_cell(self, cell: Cell, xs: np.ndarray, ys: np.ndarray,
                       orders: Sequence[tuple[int, int]],
@@ -558,48 +564,70 @@ class HierarchicalSpace:
         of shape ``(len(positions), n_points)``: the one-cell case of
         :meth:`basis_stacks`, with its exact zeros above the degree.
         """
-        (_, index, tabs), = self.basis_stacks([cell], [xs], [ys], orders)
-        return tuple(index[0].tolist()), {o: T[0] for o, T in tabs.items()}
+        (_, index, stack), = self.basis_stacks([cell], [xs], [ys], orders)
+        return tuple(index[0].tolist()), {o: stack(o)[0] for o in orders}
 
 
-class _RunEntries:
-    """The Gram blocks ``(k, k)`` and loads ``(k,)`` of one run of ``R``
-    requests on the active positions of a space, written per group of
-    :meth:`HierarchicalSpace.basis_stacks` into run-wide arrays padded to
-    the space's most extraction rows, and read in request order with one
-    mask.  Entries at positions that ``imap`` maps to ``-1`` are left out;
-    the others come in per-request C order, as a per-request ``np.ix_``
-    block gives them."""
+class _Entries:
+    """The entries of one pass on the active positions of a space,
+    preallocated: int32 rows (and columns), float64 values.  Request
+    ``q``, the cell ``cells[q]`` of ``p.cells``, owns a slice of ``k``
+    loads, or with ``pairs`` of ``k**2`` Gram entries, in request order:
+    ``k`` of its rows are at positions that ``imap`` maps to ``>= 0``.
+    A block goes into its slice in C order, as a per-request ``np.ix_``
+    block gives it, so the entries are a per-request loop's, in its
+    order; the left-out ones go to one spare slot after the last."""
 
-    def __init__(self, s: HierarchicalSpace, R: int, imap: np.ndarray):
-        K = s._extractions.matrices.shape[1]
-        self.imap = imap
-        self.at = np.full((R, K), -1, dtype=np.intp)
-        self.blocks = np.zeros((R, K, K))
-        self.loads = np.zeros((R, K))
+    def __init__(self, s: HierarchicalSpace, imap: np.ndarray,
+                 cells: np.ndarray, pairs: bool = True):
+        e = s._extractions
+        live = (imap[e.positions] >= 0) & (np.arange(e.positions.shape[1])
+                                           < e.rows[:, None])
+        rank = np.cumsum(live, axis=1)
+        count = rank[cells, -1:]
+        size = count ** (1 + pairs)
+        ends = np.cumsum(size)
+        n = int(ends[-1]) if len(ends) else 0
+        # per request its rows' rank among its live rows, and the slot of
+        # each row's first entry; a left-out row ranks past every slot,
+        # so its entries go to the spare one
+        rank = np.where(live, rank - 1, n + 1)[cells]
+        self.start = ends[:, None] - size + rank * (count if pairs else 1)
+        self.rank = rank if pairs else None
+        self.imap = imap.astype(np.int32)
+        self.rows = np.empty(n + 1, dtype=np.int32)
+        self.cols = np.empty(n + 1, dtype=np.int32) if pairs else None
+        self.vals = np.empty(n + 1)
 
-    def put(self, items, index: np.ndarray, block=None, load=None):
-        """A group's positions ``(B, k)`` and its blocks ``(B, k, k)`` or
-        loads ``(B, k)``."""
-        k = index.shape[1]
-        self.at[items, :k] = self.imap[index]
-        if block is not None:
-            self.blocks[items, :k, :k] = block
-        if load is not None:
-            self.loads[items, :k] = load
+    def put(self, q: np.ndarray, index: np.ndarray, values: np.ndarray):
+        """Loads ``(B, k)`` or blocks ``(B, k, k)`` of requests ``q`` at
+        the positions ``(B, k)``."""
+        at = self.imap[index]
+        B, k = at.shape
+        dest = self.start[q, :k]
+        if values.ndim == 3:  # the pair (i, j) at row i's slot plus j's rank
+            dest = dest[:, :, None] + self.rank[q, None, :k]
+        np.minimum(dest, len(self.vals) - 1, out=dest)
+        if values.ndim == 3:
+            self.cols[dest] = at[:, None, :].repeat(k, axis=1)
+            at = at.repeat(k, axis=1).reshape(B, k, k)
+        self.rows[dest] = at
+        self.vals[dest] = values
 
-    def coo(self, rows: list, cols: list, vals: list):
-        """Append the run's COO rows, columns and values."""
-        live = self.at >= 0
-        pair = live[:, :, None] & live[:, None, :]
-        rows.append(np.broadcast_to(self.at[:, :, None], pair.shape)[pair])
-        cols.append(np.broadcast_to(self.at[:, None, :], pair.shape)[pair])
-        vals.append(self.blocks[pair])
+    def entries(self) -> list[np.ndarray]:
+        """Rows, columns (with ``pairs``) and values, without the spare
+        slot.  This ends the writing and drops the per-request tables,
+        so that a conversion finds only the entries alive."""
+        del self.rank, self.start
+        return [a[:-1] for a in (self.rows, self.cols, self.vals)
+                if a is not None]
 
-    def add_loads(self, b: np.ndarray):
-        """Add the run's loads to ``b`` with ``np.add.at``."""
-        live = self.at >= 0
-        np.add.at(b, self.at[live], self.loads[live])
+
+def _gram(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Weighted Gram blocks ``(B, k, k)`` of stacked tables ``(B, k, N)``
+    on the weights ``(B, N)``: one batched product, per item the BLAS
+    call of the one-cell product ``(V * w) @ V.T``."""
+    return (V * W[:, None, :]) @ V.transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=None)
@@ -637,15 +665,6 @@ def _groups(keys: np.ndarray):
     values, first = np.unique(keys, return_index=True)
     for value in values[np.argsort(first)].tolist():
         yield value, np.flatnonzero(keys == value)
-
-
-def _window_table(Dx: np.ndarray, Dy: np.ndarray, a: int,
-                  b: int) -> np.ndarray:
-    """Stacked window table of order ``(a, b)``, ``(B, (r+1)**2, n)``,
-    C-ordered: per item the outer product of row ``a`` of ``Dx`` and row
-    ``b`` of ``Dy``, one rounded product per entry."""
-    B, _, w, n = Dx.shape
-    return (Dx[:, a, :, None, :] * Dy[:, b, None, :, :]).reshape(B, w * w, n)
 
 
 def build_space(p: Partition, r: int, truncated: bool = True) -> HierarchicalSpace:
@@ -712,11 +731,12 @@ class SplineFunction:
         n = len(X[0]) if len(cells) else 0
         out = {o: np.zeros((len(cells), n)) for o in orders}
         r = self.space.degree
-        for items, index, tabs in self.space.basis_stacks(cells, X, Y, orders):
+        for items, index, stack in self.space.basis_stacks(cells, X, Y,
+                                                           orders):
             cs = self.coefficients[index][:, None, :]
-            for o, T in tabs.items():
+            for o in orders:
                 if max(o) <= r:
-                    out[o][items] = (cs @ T)[:, 0]
+                    out[o][items] = (cs @ stack(o))[:, 0]
         return out
 
     def __call__(self, x: float, y: float) -> float:
@@ -795,8 +815,9 @@ class DualFunctionalSet:
         per_cell = {}
         for _, run, X, Y, W, _ in _requests(sorted(set().union(*boxes)), n):
             P = np.stack([X, Y], axis=-1)
-            for items, index, tabs in space.basis_stacks(run, X, Y, [(0, 0)]):
-                for q, pos, V in zip(items, index, tabs[(0, 0)]):
+            for items, index, stack in space.basis_stacks(run, X, Y,
+                                                          [(0, 0)]):
+                for q, pos, V in zip(items, index, stack((0, 0))):
                     per_cell[run[q]] = P[q], W[q], pos, V, (V * W[q]) @ V.T
         duals: list[DualFunctional] = []
         for lam_pos, box in enumerate(boxes):
@@ -865,20 +886,19 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
     owners = coarse.partition.owners(cells)
     rhs = np.zeros(fine.dim)
     every = np.arange(fine.dim)
-    rows, cols, vals = [], [], []
+    requests = np.arange(len(cells))
+    out = _Entries(fine, every, requests)
+    loads = _Entries(fine, every, requests, pairs=False)
     for lo, run, X, Y, W, _ in _requests(cells, fine.degree + 3):
         F = fn.eval_stacked(owners[lo:lo + len(run)], X, Y, [(0, 0)])[(0, 0)]
-        entries = _RunEntries(fine, len(run), every)
-        for items, index, tabs in fine.basis_stacks(run, X, Y, [(0, 0)]):
-            V = tabs[(0, 0)]
-            entries.put(items, index,
-                        (V * W[items][:, None, :]) @ V.transpose(0, 2, 1),
-                        (V @ (W[items] * F[items])[:, :, None])[:, :, 0])
-        entries.coo(rows, cols, vals)
-        entries.add_loads(rhs)
-    M = coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                           np.concatenate(cols))),
-                   shape=(fine.dim, fine.dim)).tocsc()
+        for items, index, stack in fine.basis_stacks(run, X, Y, [(0, 0)]):
+            V = stack((0, 0))
+            out.put(lo + items, index, _gram(V, W[items]))
+            loads.put(lo + items, index,
+                      (V @ (W[items] * F[items])[:, :, None])[:, :, 0])
+    np.add.at(rhs, *loads.entries())
+    rows, cols, vals = out.entries()
+    M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
     return SplineFunction(fine, solve_spd(M, rhs, SolveOptions()))
 
 

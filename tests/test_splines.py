@@ -163,7 +163,7 @@ def univariate(s, level: int, span: int, xs, max_order: int = 4):
     ``HierarchicalSpace._tables``."""
     T, at = s._tables(np.array([level]), np.array([span]),
                       np.array(xs, dtype=float)[None], max_order)
-    return T[at[0]]
+    return T[:, at[0]]
 
 
 def counting_ders(monkeypatch) -> list:
@@ -251,8 +251,9 @@ class TestReferenceTables:
                     rng.uniform(span / m, (span + 1) / m, 4)])))
         levels, spans, X = (np.array(a) for a in zip(*rows))
         T, at = s._tables(levels, spans, X, 4)
-        assert len(calls) == 1 and calls[0] == (len(T), X.shape[1])
-        for (level, span, xs), tab in zip(rows, T[at]):
+        assert len(calls) == 1 and calls[0] == (T.shape[1], X.shape[1])
+        for (level, span, xs), tab in zip(rows, T[:, at].transpose(1, 0, 2,
+                                                                    3)):
             t = np.asarray(knot_vector(level, degree))
             for k, x in enumerate(xs):
                 direct = bspline_ders(t, degree, span + degree, x, 4)
@@ -1005,9 +1006,9 @@ class TestCoarseToFine:
             assert resid <= 1e-12
 
     def test_gram_triplets_reach_coo_matrix_as_arrays(self, monkeypatch):
-        """The Gram blocks are scattered as concatenated arrays, and the
-        transfer equals the former scatter into Python lists of numpy
-        scalars bit for bit."""
+        """The Gram blocks are written into preallocated arrays, 32-bit
+        rows and columns, and the transfer equals the former scatter into
+        Python lists of numpy scalars bit for bit."""
         p = uniform_partition(3)
         fn = random_spline(build_space(p, 3), np.random.default_rng(7))
         fine = build_space(refine(p, p.cells[::5]), 3)
@@ -1015,12 +1016,13 @@ class TestCoarseToFine:
 
         def spy(arg, shape):
             vals, (rows, cols) = arg
-            kinds.extend(type(a) for a in (vals, rows, cols))
+            kinds.extend((type(a), a.dtype) for a in (vals, rows, cols))
             return real(arg, shape=shape)
 
         monkeypatch.setattr(splines, "coo_matrix", spy)
         out = coarse_to_fine(fn, fine)
-        assert kinds == [np.ndarray] * 3
+        assert kinds == [(np.ndarray, np.float64)] + [(np.ndarray,
+                                                       np.int32)] * 2
         assert np.array_equal(out.coefficients, _coarse_to_fine_lists(fn, fine))
 
     def test_non_nested_rejected(self):
@@ -1045,8 +1047,8 @@ def _coarse_to_fine_lists(fn, fine):
                                          fine.degree + 3):
         f = fn.eval_stacked(owners[lo:lo + len(run)], X, Y, [(0, 0)])[(0, 0)]
         got = [None] * len(run)
-        for items, index, tabs in fine.basis_stacks(run, X, Y, [(0, 0)]):
-            for q, pos, V in zip(items, index, tabs[(0, 0)]):
+        for items, index, stack in fine.basis_stacks(run, X, Y, [(0, 0)]):
+            for q, pos, V in zip(items, index, stack((0, 0))):
                 got[q] = pos, V
         for (pos, V), w, fq in zip(got, W, f):
             rhs[pos] += V @ (w * fq)

@@ -3,6 +3,7 @@ loops bit for bit, and the estimator respects the square's symmetries."""
 
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,8 @@ def check_stacks(s, U, cells, X, Y, orders):
     extraction-times-table product; each extraction size is one stack.
     Returns the stack sizes."""
     seen, sizes = [], []
-    for items, index, tabs in s.basis_stacks(cells, X, Y, orders):
+    for items, index, stack in s.basis_stacks(cells, X, Y, orders):
+        tabs = {o: stack(o) for o in orders}
         ks = {len(s.cell_extraction(cells[q])[0]) for q in items}
         assert len(ks) == 1 and index.shape == (len(items), ks.pop())
         assert all(T.shape[0] == len(items) for T in tabs.values())
@@ -312,7 +314,8 @@ def assemble_per_cell(s, f, params):
                           + ((pnvals * w) @ v.T + (v * w) @ pnvals.T)
                           + params.gamma1 * h ** -3 * (v * w) @ v.T
                           + params.gamma2 * h ** -1 * (vn * w) @ vn.T))
-    return _symmetric_csr(rows, cols, vals, len(keep)), b
+    return _symmetric_csr(*map(np.concatenate, (rows, cols, vals)),
+                          len(keep)), b
 
 
 def energy_error_per_cell(lap_u, U, n):
@@ -365,7 +368,7 @@ def triple_norm_matrix_per_cell(s, params):
         h = e.length
         scatter(pos, params.gamma1 * h ** -3 * (v * w) @ v.T
                 + params.gamma2 * h ** -1 * (vn * w) @ vn.T)
-    return _symmetric_csr(rows, cols, vals, s.dim)
+    return _symmetric_csr(*map(np.concatenate, (rows, cols, vals)), s.dim)
 
 
 def inconsistency_load_per_edge(lap_u, grad_lap_u, s, n):
@@ -517,9 +520,7 @@ def coarse_to_fine_per_cell(fn, fine):
 
 def symmetric_csr_by_sparse_sum(rows, cols, vals, dim):
     """The mirror as the sparse sum ``triu(A) + triu(A, 1).T``."""
-    A = coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                           np.concatenate(cols))),
-                   shape=(dim, dim)).tocsr()
+    A = coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     return (triu(A, k=0) + triu(A, k=1).T).tocsr()
 
 
@@ -542,12 +543,90 @@ class TestSymmetricCsr:
         assert len(seen) > 1
 
     def test_entries_summing_to_zero_are_dropped(self):
-        rows = [np.array([0, 0, 1, 0, 1, 2, 2, 0])]
-        cols = [np.array([0, 1, 1, 1, 0, 2, 0, 2])]
-        vals = [np.array([2.0, 1.5, 3.0, -1.5, 7.0, 1.0, 0.0, -0.0])]
+        rows = np.array([0, 0, 1, 0, 1, 2, 2, 0])
+        cols = np.array([0, 1, 1, 1, 0, 2, 0, 2])
+        vals = np.array([2.0, 1.5, 3.0, -1.5, 7.0, 1.0, 0.0, -0.0])
         got = _symmetric_csr(rows, cols, vals, 3)
         same_csr(got, symmetric_csr_by_sparse_sum(rows, cols, vals, 3))
         assert got.nnz == 3 and (got != got.T).nnz == 0
+
+    @given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                           st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0,
+                                            0.5, 1.0, 2.0])),
+                 max_size=40),
+        st.sampled_from([np.int32, np.int64]))))
+    def test_mirror_equals_the_sparse_sum_byte_for_byte(self, case):
+        """Duplicates, entries that cancel to an exact zero, empty rows,
+        rows with only lower entries, ``dim`` 1 and no triplets at all:
+        the sort-free mirror is the sparse sum's bytes."""
+        dim, triplets, itype = case
+        rows, cols, vals = (np.array([t[k] for t in triplets], dtype=d)
+                            for k, d in enumerate((itype, itype, float)))
+        got = _symmetric_csr(rows, cols, vals, dim)
+        same_csr(got, symmetric_csr_by_sparse_sum(rows, cols, vals, dim))
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+
+
+class TestMemoryBound:
+    """``tracemalloc`` counts repeat exactly, so these bounds are
+    deterministic."""
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        """Bytes that ``fn()`` holds at its peak above what it starts
+        with."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_eval_stacked_holds_one_order_at_a_time(self):
+        """Three live orders on one group ``(B, k, n)`` peak below two
+        stacks: each stack is multiplied and dropped before the next is
+        formed (all three at once peaked at 4.4 stacks)."""
+        p = uniform_partition(1)
+        for _ in range(8):
+            p = refine(p, [p.find_cell(0.3, 0.3)])
+        s = build_space(p, 2)
+        q = int(np.argmax(s._extractions.rows))
+        cell, k = p.cells[q], int(s._extractions.rows[q])
+        B, n = 256, 64
+        x0, x1, y0, y1 = cell.bounds
+        X = np.tile(np.linspace(x0, x1, n), (B, 1))
+        Y = np.tile(np.linspace(y0, y1, n), (B, 1))
+        U = random_spline(s, np.random.default_rng(0))
+        orders = [(2, 0), (1, 1), (0, 2)]
+        want = U.eval_stacked([cell] * B, X, Y, orders)  # fills the tables
+        peak = self.traced_peak(
+            lambda: U.eval_stacked([cell] * B, X, Y, orders))
+        assert k == 24
+        assert peak < 2 * B * k * n * 8
+        got = U.eval_stacked([cell] * B, X, Y, orders)
+        assert all(np.array_equal(got[o], want[o]) for o in orders)
+
+    def test_assemble_holds_its_triplets_once(self, monkeypatch):
+        """Nitsche r=3 on ``uniform_partition(5)`` peaks below 2 x 16 B
+        per triplet (int32 row and column, float64 value) plus the CSR
+        result.  Runs of 64 cells keep the run's stacks small beside the
+        triplets, which then set the peak with their conversion."""
+        monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 64 * 36)
+        s = build_space(uniform_partition(5), 3)
+        params = FormParams(mode="nitsche")
+        rows = s._extractions.rows
+        _, bdry = edge_arrays(s.partition)
+        triplets = int((rows ** 2).sum() + (rows[bdry.plus] ** 2).sum())
+        want, _ = assemble(s, SIN2.f, params)
+        peak = self.traced_peak(lambda: assemble(s, SIN2.f, params))
+        A = want.matrix
+        assert triplets == 1024 * 256 + 128 * 256
+        assert peak < 2 * 16 * triplets + (A.data.nbytes + A.indices.nbytes
+                                           + A.indptr.nbytes)
 
 
 def count_rules(monkeypatch):

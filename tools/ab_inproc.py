@@ -16,8 +16,11 @@ time (``time.thread_time``).  ``OPENBLAS_NUM_THREADS`` defaults to 1
 here, so that time covers the BLAS work too.  One warm-up round is run
 first and dropped.  Per workload this prints each tree's median time,
 the median and quartiles of the pair ratios B/A, and the rounds in
-which B took less time.  Fresh-process pairs (``tools/ab_pairs.py``)
-include start-up and cold caches, and on a shared machine swing more.
+which B took less time.  After the timed rounds it prints each tree's
+``tracemalloc`` peak of one ``driver.run`` per workload: that count
+repeats exactly, so a memory change shows without the noise of
+fresh-process RSS.  Fresh-process pairs (``tools/ab_pairs.py``) include
+start-up and cold caches, and on a shared machine swing more.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -88,6 +92,17 @@ def timed(driver, cfg, prob) -> float:
     return time.thread_time() - start
 
 
+def traced_peak(driver, cfg, prob) -> float:
+    """MB that one ``driver.run`` holds at its peak under ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        driver.run(cfg, prob)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a", type=Path)
@@ -132,6 +147,11 @@ def main() -> None:
         print(f"  {n}: A {statistics.median(a):.4f} s, "
               f"B {statistics.median(b):.4f} s, B/A {med:.3f} "
               f"[{q1:.3f}, {q3:.3f}], B lower in {won}/{args.rounds}")
+    print("tracemalloc peak of one run():")
+    for n in names:
+        a, b = (traced_peak(sides[key][0], *sides[key][1][n])
+                for key in "ab")
+        print(f"  {n}: A {a:.3f} MB, B {b:.3f} MB, B - A {b - a:+.3f} MB")
 
 
 if __name__ == "__main__":
