@@ -18,7 +18,7 @@ __all__ = [
     "HierarchicalSpace", "SplineFunction", "build_space", "conforming_indices",
     "quasi_interpolant", "coarse_to_fine", "save_solution", "load_solution",
     "QuadratureRule", "gauss_cell", "gauss_edge",
-    "SolveOptions", "NotSPDError", "solve",
+    "NotSPDError", "solve",
 ]
 
 __version__ = "0.1.0"

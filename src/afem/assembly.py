@@ -490,7 +490,7 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
             proj.update(zip(cells, _legendre_project(
                 cells, d, X[items], Y[items], W[items],
                 _laplacian(stack))[1]))
-    # an overflowed penalty leaves nan entries, which solve_spd reports
+    # an overflowed penalty leaves nan entries, which solve reports
     with np.errstate(invalid="ignore"):
         for lo, _, _, _, _, groups in _boundary_traces(s, bdry, n):
             for items, es, X, Y, W, index, V, VN in groups:

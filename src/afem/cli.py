@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-dofs", type=int, default=20000)
     ap.add_argument("--max-iters", type=int, default=25)
     ap.add_argument("--quad-n", type=int, default=None)
-    ap.add_argument("--solver", choices=("direct", "cg"), default="direct")
     ap.add_argument("--dump-mesh", action="store_true",
                     help="write the final mesh as 'level i j' records")
     ap.add_argument("--dump-indicators", action="store_true",
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     from .driver import AfemConfig, records_to_csv, run_summary
-    from .solver import NotSPDError, SolveOptions
+    from .solver import NotSPDError
     from .splines import load_solution, save_solution
 
     if args.load_solution is not None:
@@ -234,7 +233,6 @@ def main(argv=None) -> int:
             gamma1=args.gamma1, gamma2=args.gamma2,
             initial_levels=args.initial_levels, max_dofs=args.max_dofs,
             max_iters=args.max_iters, quad_n=args.quad_n,
-            solver=SolveOptions(method=args.solver),
         )
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
@@ -247,6 +245,9 @@ def main(argv=None) -> int:
                  "(expected sin2, bubble, zero, or a JSON file path)")
     except (ValueError, json.JSONDecodeError) as exc:
         ap.error(f"--problem: {exc}")
+    except OSError as exc:
+        ap.error(f"--problem: cannot read {args.problem!r}: "
+                 f"{exc.strerror or exc}")
 
     final = {}
 

@@ -9,7 +9,7 @@ orthogonality structure of consecutive iterates.
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,7 @@ from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
 from .mesh import (MAX_LEVEL, Cell, Partition, edge_arrays, refine,
                    support_extension, uniform_partition)
 from .quadrature import _SampleMemo, _requests, _row_dots
-from .solver import SolveOptions, _check_number, solve
+from .solver import _check_number, solve
 from .splines import HierarchicalSpace, SplineFunction, build_space
 
 __all__ = [
@@ -57,7 +57,6 @@ class AfemConfig:
     max_dofs: int = 20000
     max_iters: int = 25
     quad_n: int | None = None
-    solver: SolveOptions = field(default_factory=SolveOptions)
     truncated: bool = True
     track_inconsistency: bool = False
 
@@ -79,11 +78,9 @@ class AfemConfig:
             raise ValueError("max_dofs is below the initial space dimension")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        for name, kind in (("truncated", bool), ("track_inconsistency", bool),
-                           ("solver", SolveOptions)):
-            if not isinstance(value := getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, "
-                                 f"got {value!r}")
+        for name in ("truncated", "track_inconsistency"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         self.form_params()  # mode, gammas and rule
 
     def form_params(self) -> FormParams:
@@ -192,7 +189,7 @@ def run(cfg: AfemConfig, prob: Problem,
             memo.next_iteration()
         space = build_space(p, cfg.degree, cfg.truncated)
         A, b = assemble(space, f, params)
-        x = solve(A, b, cfg.solver)
+        x = solve(A, b)
         coeffs = np.zeros(space.dim)
         coeffs[list(A.positions)] = x
         U = SplineFunction(space, coeffs)
@@ -477,11 +474,9 @@ def run_summary(cfg: AfemConfig, prob: Problem, records) -> dict:
     if records and records[0].contraction_e_sq is not None and len(records) > 1:
         ratios = contraction_ratios(records, default_c_est(records))
         rho_geo = float(np.exp(np.mean(np.log(ratios))))
-    cfg_dict = asdict(cfg)
-    cfg_dict["solver"] = asdict(cfg.solver)
     return {
         "problem": prob.name,
-        "config": cfg_dict,
+        "config": asdict(cfg),
         "iterations": len(records),
         "final_dofs": dofs[-1] if dofs else 0,
         "slope_energy_vs_dofs": _loglog_slope(dofs, errs),

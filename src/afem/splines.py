@@ -54,7 +54,7 @@ from scipy.sparse import coo_matrix
 
 from .mesh import Cell, Partition
 from .quadrature import _on_points, _requests
-from .solver import SolveOptions, _check_number, solve_spd
+from .solver import _check_number, solve
 
 __all__ = [
     "HierarchicalSpace",
@@ -899,7 +899,7 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
     np.add.at(rhs, *loads.entries())
     rows, cols, vals = out.entries()
     M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
-    return SplineFunction(fine, solve_spd(M, rhs, SolveOptions()))
+    return SplineFunction(fine, solve(M, rhs))
 
 
 # ---------------------------------------------------------------------------

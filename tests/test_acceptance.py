@@ -21,7 +21,7 @@ from afem.mesh import Partition, refine, uniform_partition
 from afem.oracles import (dense_l2_projection, facet_edges_bruteforce,
                           manufactured_sin2, random_spline)
 from afem.quadrature import gauss_cell
-from afem.solver import SolveOptions, solve
+from afem.solver import solve
 from afem.splines import (SplineFunction, build_space, coarse_to_fine,
                           conforming_indices)
 
@@ -42,8 +42,7 @@ def criterion(num: int, name: str):
 def conforming_20k():
     states = []
     cfg = AfemConfig(degree=2, theta=0.5, mode="conforming",
-                     initial_levels=2, max_dofs=20000,
-                     solver=SolveOptions(method="direct"))
+                     initial_levels=2, max_dofs=20000)
     records = run(cfg, SIN2, on_iteration=states.append)
     assert records[-1].n_dofs >= 20000
     return records, states
@@ -52,8 +51,7 @@ def conforming_20k():
 @pytest.fixture(scope="module")
 def nitsche_20k():
     cfg = AfemConfig(degree=2, theta=0.5, mode="nitsche",
-                     initial_levels=2, max_dofs=20000,
-                     solver=SolveOptions(method="direct"))
+                     initial_levels=2, max_dofs=20000)
     records = run(cfg, SIN2)
     return records
 
@@ -79,7 +77,7 @@ def test_criterion_2_a_priori_rate(r):
             p = uniform_partition(L)
             s = build_space(p, r)
             A, b = assemble(s, SIN2.f, FormParams(mode="conforming"))
-            x = solve(A, b, SolveOptions())
+            x = solve(A, b)
             coeffs = np.zeros(s.dim)
             coeffs[list(A.positions)] = x
             U = SplineFunction(s, coeffs)
@@ -236,7 +234,7 @@ def test_criterion_9_nitsche_coercivity_and_consistency():
             for p in (uniform_partition(2), graded):
                 s = build_space(p, r)
                 A, b = assemble(s, SIN2.f, FormParams(mode="nitsche"))
-                solve(A, b, SolveOptions())
+                solve(A, b)
         # the defect annihilates conforming test functions
         p = uniform_partition(2)
         s = build_space(p, 2)

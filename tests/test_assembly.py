@@ -15,7 +15,7 @@ from afem.mesh import Cell, edges, refine, uniform_partition
 from afem.oracles import (dense_l2_projection, manufactured_sin2,
                           random_spline, scipy_univariate_ders)
 from afem.quadrature import gauss_cell, gauss_edge, gauss_points_1d
-from afem.solver import SolveOptions, solve
+from afem.solver import solve
 from afem.splines import (SplineFunction, build_space, conforming_indices,
                           quasi_interpolant)
 
@@ -26,7 +26,7 @@ def graded_mesh():
 
 def solve_mode(space, f, params):
     A, b = assemble(space, f, params)
-    x = solve(A, b, SolveOptions())
+    x = solve(A, b)
     coeffs = np.zeros(space.dim)
     coeffs[list(A.positions)] = x
     return SplineFunction(space, coeffs), A, b
@@ -213,7 +213,7 @@ class TestCoercivity:
             s = build_space(p, r)
             A, b = assemble(s, manufactured_sin2().f,
                             FormParams(mode="nitsche"))
-            solve(A, b, SolveOptions())  # raises NotSPDError on failure
+            solve(A, b)  # raises NotSPDError on failure
 
     def test_tiny_gamma_fails_spd(self):
         from afem.solver import NotSPDError
@@ -221,7 +221,7 @@ class TestCoercivity:
         A, b = assemble(s, manufactured_sin2().f,
                         FormParams(mode="nitsche", gamma1=1e-6, gamma2=1e-6))
         with pytest.raises(NotSPDError):
-            solve(A, b, SolveOptions())
+            solve(A, b)
 
     def test_continuity_bound_and_constant_stability(self):
         from scipy.linalg import eigh

@@ -18,7 +18,6 @@ from afem.driver import (AfemConfig, Problem, contraction_ratios,
 from afem.estimator import Indicators
 from afem.mesh import Cell, uniform_partition
 from afem.oracles import manufactured_sin2, zero_problem
-from afem.solver import SolveOptions
 from afem.splines import build_space, conforming_indices, SplineFunction
 
 
@@ -125,10 +124,8 @@ class TestRunBasics:
         (AfemConfig, "max_dofs", 200.5),
         (AfemConfig, "theta", "0.5"), (AfemConfig, "gamma1", "1"),
         (FormParams, "gamma1", "1"), (FormParams, "gamma2", [1.0]),
-        (FormParams, "gamma2", True), (SolveOptions, "max_iter", 2.5),
-        (SolveOptions, "tol", "1e-8"), (AfemConfig, "truncated", "no"),
+        (FormParams, "gamma2", True), (AfemConfig, "truncated", "no"),
         (AfemConfig, "track_inconsistency", None),
-        (AfemConfig, "solver", "cg"),
     ])
     def test_setting_of_the_wrong_type_fails_at_construction(self, cls, field,
                                                              value):
@@ -137,7 +134,6 @@ class TestRunBasics:
         # numpy scalars are numbers
         AfemConfig(degree=np.int64(3), theta=np.float64(0.5),
                    max_dofs=np.int64(500), gamma1=np.float32(5.0))
-        SolveOptions(tol=np.float64(1e-6), max_iter=np.int32(10))
 
     @pytest.mark.parametrize("entries,message", [
         ({"f": None}, "f must be callable, got None"),

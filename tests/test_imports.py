@@ -172,15 +172,6 @@ def test_spline_only_integrals_take_no_rule():
             assert "quad_n" not in params, f"{name}.{fn}"
 
 
-def test_scipy_floor_has_cg_rtol():
-    """``solver.solve_spd`` calls ``cg(..., rtol=...)``, a keyword that
-    replaced ``tol`` in SciPy 1.12."""
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    floor = re.search(r'"scipy>=(\d+)\.(\d+)', text)
-    assert floor is not None
-    assert (int(floor[1]), int(floor[2])) >= (1, 12)
-
-
 def traced_bindings() -> dict:
     """``FUNCTIONS`` and ``METHODS`` of ``benchmarks/tracing.py``, read
     with ``ast`` so that the benchmark is neither imported nor run."""

@@ -1,4 +1,4 @@
-"""Direct and iterative SPD solvers."""
+"""The direct SPD solver."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from scipy.sparse import csc_matrix, diags, eye, random as sparse_random
 from afem.assembly import FormParams, assemble
 from afem.mesh import Cell, refine, uniform_partition
 from afem.oracles import manufactured_sin2
-from afem.solver import (NotSPDError, SolveOptions, _jacobi_scaled, solve,
-                         solve_spd)
+from afem.solver import RESIDUAL_TOL, NotSPDError, _jacobi_scaled, solve
 from afem.splines import build_space
 
 
@@ -23,19 +22,18 @@ class TestSolve:
         x = solve(A, np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
-    def test_direct_and_cg_agree_on_random_spd(self):
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((50, 50))
-        A = csc_matrix(M.T @ M + 50 * np.eye(50))
-        b = rng.standard_normal(50)
-        xd = solve(A, b, SolveOptions(method="direct"))
-        xc = solve(A, b, SolveOptions(method="cg", tol=1e-12, max_iter=5000))
-        assert np.linalg.norm(xd - xc) / np.linalg.norm(xd) < 1e-8
-
     def test_non_spd_raises_with_pivot_index(self):
         A = csc_matrix(np.diag([1.0, -2.0, 3.0]))
-        with pytest.raises(NotSPDError, match="pivot"):
+        with pytest.raises(NotSPDError, match="pivot -2.000e[+]00 at index 1;"):
             solve(A, np.ones(3))
+        # a positive diagonal whose indefinite pair, rows 9 and 10, only
+        # the factorization finds: the index is the matrix's row, not the
+        # pivot's place in the elimination order
+        A = diags([-np.ones(11), 4.0 * np.ones(12), -np.ones(11)],
+                  [-1, 0, 1]).tolil()
+        A[9, 10] = A[10, 9] = 5.0
+        with pytest.raises(NotSPDError, match="pivot -6.667e-01 at index 9;"):
+            solve(A.tocsc(), np.ones(12))
 
     def test_indefinite_dense_block_raises(self):
         A = csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
@@ -48,8 +46,9 @@ class TestSolve:
                           format="csc")
         A = (M.T @ M + 10 * eye(200)).tocsc()
         b = rng.standard_normal(200)
-        x = solve(A, b, SolveOptions(tol=1e-10))
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        x = solve(A, b)
+        assert RESIDUAL_TOL == 1e-8
+        assert np.linalg.norm(A @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
 
     def test_direct_solve_bitwise_deterministic(self):
         rng = np.random.default_rng(3)
@@ -60,34 +59,21 @@ class TestSolve:
         x2 = solve(A, b)
         assert x1.tobytes() == x2.tobytes()
 
-    def test_option_validation(self):
-        with pytest.raises(ValueError):
-            SolveOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            SolveOptions(tol=1.5)
-        with pytest.raises(ValueError):
-            SolveOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            SolveOptions(method="gauss-seidel")
-
     def test_dimension_mismatch(self):
         A = eye(4, format="csc")
         with pytest.raises(ValueError):
             solve(A, np.ones(5))
 
-    @pytest.mark.parametrize("method", ["direct", "cg"])
-    def test_non_finite_matrix_rejected(self, method):
+    def test_non_finite_matrix_rejected(self):
         A = np.eye(3)
         A[1, 2] = A[2, 1] = np.inf
         with pytest.raises(ValueError, match="matrix has non-finite"):
-            solve_spd(csc_matrix(A), np.ones(3), SolveOptions(method=method))
+            solve(csc_matrix(A), np.ones(3))
 
     def test_non_finite_right_hand_side_rejected(self):
         A = eye(3, format="csc")
-        for method in ("direct", "cg"):
-            with pytest.raises(ValueError, match="non-finite"):
-                solve(A, np.array([1.0, np.nan, 0.0]),
-                      SolveOptions(method=method))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(A, np.array([1.0, np.nan, 0.0]))
 
 
 class TestJacobiScaling:

@@ -21,7 +21,7 @@ from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           quasi_interpolant, save_solution, span_class,
                           two_scale_matrix, TABLE_CACHE_SIZE, _two_scale_block)
 from afem.quadrature import _requests, gauss_cell, gauss_points_1d
-from afem.solver import SolveOptions, solve_spd
+from afem.solver import solve
 
 
 def graded_7cell():
@@ -1056,7 +1056,7 @@ def _coarse_to_fine_lists(fn, fine):
             cols.extend(np.tile(pos, len(pos)))
             vals.extend(((V * w) @ V.T).ravel())
     M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
-    return solve_spd(M, rhs, SolveOptions())
+    return solve(M, rhs)
 
 
 class TestSerialization:

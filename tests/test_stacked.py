@@ -29,7 +29,7 @@ from afem.mesh import (Cell, Edge, EdgeArrays, edge_arrays, edges, refine,
                        uniform_partition)
 from afem.oracles import manufactured_sin2, random_spline
 from afem.quadrature import gauss_cell, gauss_edge
-from afem.solver import SolveOptions, solve, solve_spd
+from afem.solver import solve
 from afem.splines import (HierarchicalSpace, SplineFunction, build_space,
                           coarse_to_fine, conforming_indices,
                           quasi_interpolant)
@@ -515,7 +515,7 @@ def coarse_to_fine_per_cell(fn, fine):
         cols.extend(np.tile(pos, k))
         vals.extend(block.ravel())
     M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
-    return solve_spd(M, rhs, SolveOptions())
+    return solve(M, rhs)
 
 
 def symmetric_csr_by_sparse_sum(rows, cols, vals, dim):
