@@ -28,9 +28,8 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from .mesh import Cell, EdgeArrays, Partition, edge_arrays
 from .quadrature import _cell_sum, _on_points, _requests, _row_dots
-from .solver import _check_number
-from .splines import (HierarchicalSpace, SplineFunction, _Entries, _gram,
-                      conforming_indices)
+from .splines import (HierarchicalSpace, SplineFunction, _Entries,
+                      _check_number, _gram, conforming_indices)
 
 __all__ = [
     "AnalyticField",
@@ -516,8 +515,8 @@ def _assemble_boundary(s: HierarchicalSpace, params: FormParams,
 def _normal_samples(grad, es: EdgeArrays, X, Y) -> np.ndarray:
     """Normal derivatives ``(R, N)`` on the edges ``es`` at their points
     ``(X[q], Y[q])`` from one call of a gradient ``grad(xs, ys) -> (gx,
-    gy)``, on one 1-D pair laid out as a run's misses of a
-    :class:`~afem.quadrature._SampleMemo`."""
+    gy)``, on one 1-D pair laid out as :func:`~afem.quadrature._requests`
+    samples a run's data."""
     P = np.stack([X, Y], axis=-1).reshape(-1, 2)
     return _normal_traces(es, *(_on_points(g, P[:, 0]).reshape(X.shape)
                                 for g in grad(P[:, 0], P[:, 1])))

@@ -30,6 +30,9 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _NAMES = {"x": lambda x, y: x, "y": lambda x, y: y,
           "pi": lambda x, y: math.pi}
+# the deepest expression accepted: compiling, evaluating or naming it takes
+# 1-3 Python frames per level, well inside the limit of 1000 frames
+_MAX_DEPTH = 200
 
 
 def _function(node: ast.expr):
@@ -45,10 +48,22 @@ def _function(node: ast.expr):
     return getattr(np, name) if name in _FUNCTIONS else None
 
 
+def _depth(node: ast.expr) -> int:
+    """The levels of subexpressions in an expression tree, counted
+    without recursion: ``x``, ``-x`` and ``x + x + x`` have 1, 2 and 3."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [c for n in level for c in ast.iter_child_nodes(n)
+                 if isinstance(c, ast.expr)]
+    return depth
+
+
 def _compile(node: ast.expr):
     """``(x, y) -> value`` for an expression built only from numbers,
-    ``x``, ``y``, ``pi``, arithmetic and whitelisted one-argument calls;
-    any other construct raises ``ValueError`` naming it."""
+    ``x``, ``y``, ``pi``, arithmetic and whitelisted one-argument calls,
+    at most ``_MAX_DEPTH`` levels deep; any other construct raises
+    ``ValueError`` naming it."""
     import numpy as np
 
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -81,6 +96,11 @@ def _expr(text: str):
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"problem expression {text!r}: {exc.msg}") from None
+    except RecursionError:  # past the parser's own depth limit
+        tree = None
+    if tree is None or _depth(tree.body) > _MAX_DEPTH:
+        raise ValueError(f"problem expression nests deeper than "
+                         f"{_MAX_DEPTH} levels")
     body = _compile(tree.body)
     import numpy as np
 

@@ -9,7 +9,7 @@ orthogonality structure of consecutive iterates.
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,9 +22,10 @@ from .assembly import (FormParams, LoadVector, SystemMatrix, assemble,
 from .estimator import Indicators, MarkedSet, dorfler_mark, estimate_all
 from .mesh import (MAX_LEVEL, Cell, Partition, edge_arrays, refine,
                    support_extension, uniform_partition)
-from .quadrature import _SampleMemo, _requests, _row_dots
-from .solver import _check_number, solve
-from .splines import HierarchicalSpace, SplineFunction, build_space
+from .quadrature import _requests, _row_dots
+from .solver import solve
+from .splines import (HierarchicalSpace, SplineFunction, _check_number,
+                      build_space)
 
 __all__ = [
     "AfemConfig",
@@ -176,24 +177,14 @@ def run(cfg: AfemConfig, prob: Problem,
     p = uniform_partition(cfg.initial_levels)
     records: list[ConvergenceRecord] = []
     rng = np.random.default_rng(0)  # the inconsistency probes
-    # data sampled once per cell and rule per run: the source in the
-    # assembly and the estimator, the exact Laplacian in the record
-    f = _SampleMemo(prob.f)
-    memos = [f]
-    if prob.laplacian_u is not None:
-        memos.append(_SampleMemo(prob.laplacian_u))
-        prob = replace(prob, laplacian_u=memos[-1])
-
     for it in range(cfg.max_iters):
-        for memo in memos:
-            memo.next_iteration()
         space = build_space(p, cfg.degree, cfg.truncated)
-        A, b = assemble(space, f, params)
+        A, b = assemble(space, prob.f, params)
         x = solve(A, b)
         coeffs = np.zeros(space.dim)
         coeffs[list(A.positions)] = x
         U = SplineFunction(space, coeffs)
-        ind = estimate_all(U, f, params.resolved(cfg.degree).quad_n)
+        ind = estimate_all(U, prob.f, params.resolved(cfg.degree).quad_n)
         if not np.isfinite(ind.total_sq):
             raise ValueError(f"estimator total eta^2 is not finite "
                              f"({ind.total_sq!r}); check the problem data")

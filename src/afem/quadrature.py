@@ -5,15 +5,15 @@ polynomial (spline-spline products) plus smooth data, so fixed-order
 Gauss rules are exact for the polynomial part.  The reference rule on
 [-1, 1] is cached per point count and mapped affinely onto the target
 cell or edge.  :func:`_requests` builds the rules of every pass over
-many cells or edges, and samples data on them through a
-:class:`_SampleMemo`; :func:`_cell_sum` integrates on them.
+many cells or edges and samples data on them, per pass: no sample
+outlives the run of requests it was taken on.  :func:`_cell_sum`
+integrates on them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -49,29 +49,22 @@ def gauss_points_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _on_edges(requests) -> bool:
-    """Whether ``requests`` are edges (a list or an :class:`EdgeArrays`)."""
-    return isinstance(requests, EdgeArrays) or isinstance(requests[0], Edge)
+    """Whether ``requests`` are edges (an :class:`EdgeArrays`)."""
+    return isinstance(requests, EdgeArrays)
 
 
 def _rules(requests, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Points ``(R, N, 2)`` and weights ``(R, N)`` of the Gauss rules of
-    ``requests``, all cells (``n x n`` points, x-major) or all edges (a
-    list or :class:`~afem.mesh.EdgeArrays`), in one broadcast.  Each
-    entry takes the rounded operations of its own affine map: ``[i*s,
-    j*s] + s*ref`` and ``(s*s)*w`` on a cell of side ``s``, a power of
-    two; ``lo + L*x`` and ``L*w`` on an edge, with ``L = (lo + length) -
-    lo`` as in :func:`gauss_points_1d`."""
+    ``requests``, all cells (``n x n`` points, x-major) or all edges (an
+    :class:`~afem.mesh.EdgeArrays`), in one broadcast.  Each entry takes
+    the rounded operations of its own affine map: ``[i*s, j*s] + s*ref``
+    and ``(s*s)*w`` on a cell of side ``s``, a power of two; ``lo + L*x``
+    and ``L*w`` on an edge, with ``L = (lo + length) - lo`` as in
+    :func:`gauss_points_1d`."""
     x, w = _reference_rule(n)
     if _on_edges(requests):
-        if isinstance(requests, EdgeArrays):
-            axis, level, fixed, lo = (requests.axis[:, None],
-                                      requests.level[:, None],
-                                      requests.fixed[:, None],
-                                      requests.lo[:, None])
-        else:
-            axis, level, fixed, lo = np.array(list(map(
-                itemgetter(1, 2, 3, 4), requests))).T[:, :, None]
-            level = level.astype(int)
+        axis, level, fixed, lo = (a[:, None] for a in (
+            requests.axis, requests.level, requests.fixed, requests.lo))
         length = (lo + np.ldexp(1.0, -level)) - lo
         ts = lo + length * x
         # axis 0: vertical edge, tangent along y; axis 1: horizontal, along x
@@ -94,67 +87,26 @@ def gauss_cell(c: Cell, n: int) -> QuadratureRule:
 
 
 def gauss_edge(e: Edge, n: int) -> QuadratureRule:
-    """Gauss rule along an edge, exact for degree <= 2n-1 along the tangent."""
-    points, weights = _rules([e], n)
-    return QuadratureRule(points[0], weights[0])
+    """Gauss rule along an edge, exact for degree <= 2n-1 along the
+    tangent: the interval rule of :func:`gauss_points_1d` beside a column
+    of the fixed coordinate, the same bits as an edge of :func:`_rules`."""
+    ts, weights = gauss_points_1d(e.lo, e.lo + e.length, n)
+    fixed = np.full_like(ts, e.fixed)
+    # axis 0: vertical edge, tangent along y; axis 1: horizontal, along x
+    return QuadratureRule(np.column_stack([fixed, ts] if e.axis == 0
+                                          else [ts, fixed]), weights)
 
 
 def _on_points(vals, xs) -> np.ndarray:
     """Samples of a user callable as a new float array shaped like
-    ``xs``: a scalar is spread over the points, a shape that cannot be
-    raises."""
+    ``xs``: a scalar is spread over the points; a shape that cannot be,
+    or complex samples, raise."""
+    if np.iscomplexobj(vals):
+        raise ValueError("data returned complex samples; a problem's data "
+                         "must be real")
     out = np.empty(np.shape(xs))
     out[...] = vals
     return out
-
-
-class _SampleMemo:
-    """Samples of a callable ``f(xs, ys)`` on the Gauss rules of cells
-    (or edges), memoised on the request and the rule size ``n``.
-
-    The misses of a run are sampled in one call: ``f`` gets one 1-D pair
-    ``xs``, ``ys`` of their points, request after request, strided as a
-    rule's ``points[:, 0]`` and ``points[:, 1]``; each request keeps its
-    row of the result as a read-only view.  Each cell's rule is the same
-    in every pass on it and in every iteration the cell persists, so a
-    cell's points are sampled once per run.  :meth:`next_iteration` drops
-    every sample that was not requested since its previous call, so the
-    memo holds about one partition's samples.  Calling the memo calls
-    ``f``, unmemoised: points that are not a request's rule have no key.
-    """
-
-    def __init__(self, f):
-        self._f = f
-        self._now: dict[int, dict] = {}
-        self._before: dict[int, dict] = {}
-
-    def __call__(self, xs, ys):
-        return self._f(xs, ys)
-
-    def samples(self, run, n: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The ``(R, N)`` samples of the requests ``run`` at their rules
-        of ``n`` points, ``(X[q], Y[q])``."""
-        now = self._now.setdefault(n, {})
-        got = list(map(now.get, run))
-        before = self._before.get(n, {})
-        miss = []
-        for q, vals in enumerate(got):
-            if vals is None:
-                vals = before.pop(run[q], None)
-                if vals is None:
-                    miss.append(q)
-                else:
-                    now[run[q]] = got[q] = vals
-        if miss:
-            P = np.stack([X[miss], Y[miss]], axis=-1).reshape(-1, 2)
-            vals = _on_points(self._f(P[:, 0], P[:, 1]), P[:, 0])
-            vals.flags.writeable = False
-            for q, row in zip(miss, vals.reshape(len(miss), -1)):
-                now[run[q]] = got[q] = row
-        return np.array(got)
-
-    def next_iteration(self) -> None:
-        self._before, self._now = self._now, {}
 
 
 def _requests(requests, n: int, data=None):
@@ -168,12 +120,10 @@ def _requests(requests, n: int, data=None):
     the points ``X`` and ``Y`` as ``(R, N)`` views (row ``X[q]`` strided
     as a rule's ``points[:, 0]``, which user callables see), and the
     weights and ``data`` samples (or ``None``) as ``(R, N)`` arrays.
-    ``data`` is sampled through its :class:`_SampleMemo`, keyed on the
-    cells or :class:`~afem.mesh.Edge` values; a plain callable goes
-    through one for this pass.
+    ``data`` is sampled per run and pass, and kept by nothing: one call
+    on a copy of the run's points as one 1-D pair, request after
+    request, strided as a rule's ``points[:, 0]`` and ``points[:, 1]``.
     """
-    if data is not None and not isinstance(data, _SampleMemo):
-        data = _SampleMemo(data)
     if not len(requests):
         return
     step = max(1, _BLOCK_POINTS // (n if _on_edges(requests) else n * n))
@@ -181,8 +131,11 @@ def _requests(requests, n: int, data=None):
         run = requests[lo:lo + step]
         P, W = _rules(run, n)
         X, Y = P[:, :, 0], P[:, :, 1]
-        F = None if data is None else data.samples(
-            run.edges() if isinstance(run, EdgeArrays) else run, n, X, Y)
+        F = None
+        if data is not None:  # on a copy: the callable cannot move the rule
+            flat = P.reshape(-1, 2).copy()
+            F = _on_points(data(flat[:, 0], flat[:, 1]),
+                           flat[:, 0]).reshape(X.shape)
         yield lo, run, X, Y, W, F
 
 

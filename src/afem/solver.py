@@ -7,8 +7,6 @@ with its index, the usual symptom of too small Nitsche stabilization.
 
 from __future__ import annotations
 
-from numbers import Integral, Real
-
 import numpy as np
 from scipy.sparse import csc_matrix, issparse
 from scipy.sparse.linalg import splu
@@ -16,14 +14,6 @@ from scipy.sparse.linalg import splu
 __all__ = ["RESIDUAL_TOL", "NotSPDError", "solve"]
 
 RESIDUAL_TOL = 1e-8   # ||Ax-b|| <= RESIDUAL_TOL ||b|| on every solve
-
-
-def _check_number(name: str, value, integer: bool = False) -> None:
-    """Raise a ``ValueError`` naming the setting ``name`` unless ``value``
-    is a real scalar (an integer when ``integer``); a ``bool`` is neither."""
-    kind = (Integral, "an integer") if integer else (Real, "a real number")
-    if isinstance(value, bool) or not isinstance(value, kind[0]):
-        raise ValueError(f"{name} must be {kind[1]}, got {value!r}")
 
 
 def _jacobi_scaled(mat: csc_matrix, inv: np.ndarray) -> csc_matrix:

@@ -28,12 +28,11 @@ depend only on the span class ``(min(i, r), min(m-1-i, r))``, its
 distance to either boundary, once expressed in the reference coordinate
 ``xi = x*m - i``; the k-th derivative then scales by ``m**k``.  Both the
 scaling by ``m`` and the subtraction of ``i`` are exact in floating
-point.  The scaled tables, keyed on ``(degree, level, span, row
-bytes)``, live in one bounded process-wide cache shared by every space,
-so a cell that persists through refinement finds its tables; the misses
-of a call are filled in one array pass, each row on its span class's
-knots.  Points are always paired coordinates, as
-:func:`afem.quadrature.gauss_cell` lays them out.
+point.  The scaled tables are filled per evaluation call and kept by
+nothing: each distinct ``(level, span, row bytes)`` of the call once,
+all in one array pass, each row on its span class's knots.  Points are
+always paired coordinates, as :func:`afem.quadrature.gauss_cell` lays
+them out.
 
 Evaluation is stacked: requests (a cell and its points) are grouped by
 extraction size, each group gathers its extractions from the arrays by
@@ -47,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
+from numbers import Integral, Real
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,7 +54,7 @@ from scipy.sparse import coo_matrix
 
 from .mesh import Cell, Partition
 from .quadrature import _on_points, _requests
-from .solver import _check_number, solve
+from .solver import solve
 
 __all__ = [
     "HierarchicalSpace",
@@ -73,13 +73,13 @@ __all__ = [
 
 MAX_DERIVATIVE_ORDER = 4
 
-# entries of the process-wide table cache; one entry is one table of at
-# most a few KB.  The sin2 r=2 runs to 20k dofs use 3,402 (conforming) and
-# 3,518 (Nitsche) tables, so neither run fills a table twice
-TABLE_CACHE_SIZE = 4096
-# the scaled window-function tables of every space, keyed (degree, level,
-# span, row bytes), oldest first: HierarchicalSpace._tables fills them
-_TABLES: dict[tuple, np.ndarray] = {}
+
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """Raise a ``ValueError`` naming the setting ``name`` unless ``value``
+    is a real scalar (an integer when ``integer``); a ``bool`` is neither."""
+    kind = (Integral, "an integer") if integer else (Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind[0]):
+        raise ValueError(f"{name} must be {kind[1]}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,40 +468,26 @@ class HierarchicalSpace:
                 max_order: int) -> tuple[np.ndarray, np.ndarray]:
         """Window-function ders ``(max_order+1, D, r+1, N)`` of the
         request rows ``X[q]`` on span ``spans[q]`` of level ``levels[q]``,
-        one per distinct ``(level, span, row bytes)``, each order one
-        block, and each request's index into them.  They come from the
-        process-wide ``_TABLES``; all misses are filled in one array pass of :func:`bspline_ders`,
-        each row on its span class's knots in the reference coordinate
-        ``xi = x*m - span``, and scaled by ``m**k`` (exact: see the
-        module doc)."""
+        one per distinct ``(level, span, row bytes)`` of the call, and
+        each request's index into them.  They are filled per call, in one
+        array pass of :func:`bspline_ders` up to ``max_order``, each row on
+        its span class's knots in the reference coordinate ``xi = x*m -
+        span``, and scaled by ``m**k`` (exact: see the module doc)."""
         R, N = X.shape
         r = self.degree
         keys = np.empty((R, N + 2), dtype=np.int64)
         keys[:, 0], keys[:, 1] = levels, spans
         keys[:, 2:] = X.view(np.int64)
         first, inv = _distinct_rows(keys)
-        names = [(r, lev, span, X[q].tobytes()) for lev, span, q in zip(
-            levels[first].tolist(), spans[first].tolist(), first)]
-        got = list(map(_TABLES.get, names))
-        miss = [k for k, tab in enumerate(got) if tab is None]
-        if miss:
-            q = first[miss]
-            level, span = levels[q][:, None], spans[q][:, None]
-            t = np.clip(np.arange(2 * r + 2, dtype=float) - r,
-                        -np.minimum(span, r),
-                        np.minimum((1 << level) - 1 - span, r) + 1)
-            ders = bspline_ders(t.T[:, :, None], r, r,
-                                X[q] * np.ldexp(1.0, level) - span,
-                                MAX_DERIVATIVE_ORDER)
-            scale = np.ldexp(1.0, level * np.arange(MAX_DERIVATIVE_ORDER + 1))
-            tabs = np.ascontiguousarray(
-                (ders * scale.T[:, None, :, None]).transpose(2, 0, 1, 3))
-            tabs.flags.writeable = False
-            for k, tab in zip(miss, tabs):
-                got[k] = _TABLES[names[k]] = tab
-            while len(_TABLES) > TABLE_CACHE_SIZE:
-                del _TABLES[next(iter(_TABLES))]
-        return np.stack([tab[:max_order + 1] for tab in got], axis=1), inv
+        level, span = levels[first][:, None], spans[first][:, None]
+        t = np.clip(np.arange(2 * r + 2, dtype=float) - r,
+                    -np.minimum(span, r),
+                    np.minimum((1 << level) - 1 - span, r) + 1)
+        ders = bspline_ders(t.T[:, :, None], r, r,
+                            X[first] * np.ldexp(1.0, level) - span, max_order)
+        scale = np.ldexp(1.0, level * np.arange(max_order + 1))
+        return np.ascontiguousarray(
+            (ders * scale.T[:, None, :, None]).transpose(0, 2, 1, 3)), inv
 
     def basis_stacks(self, cells: Sequence[Cell], X, Y,
                      orders: Sequence[tuple[int, int]]):
@@ -519,7 +505,7 @@ class HierarchicalSpace:
         forms the next holds one at a time.  Orders above the degree are
         exact zeros (read-only).  Each group's extractions and positions
         are one gather from the space's arrays; the univariate tables of
-        both axes are fetched once per distinct row of the run.
+        both axes are filled once per distinct row of the call.
         """
         at = self._cells_at(cells)
         e = self._extractions

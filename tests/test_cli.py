@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import afem
-from afem.cli import _expr, build_parser, load_problem, main
+from afem.cli import _MAX_DEPTH, _expr, build_parser, load_problem, main
 from afem.driver import CSV_HEADER, AfemConfig
 from afem.mesh import Cell, refine, uniform_partition
 from afem.oracles import random_spline
@@ -471,6 +471,29 @@ class TestSafeExpressions:
         path = tmp_path / "syntax.json"
         path.write_text(json.dumps({"f": "x +"}))
         assert run_cli(["--problem", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("terms", [1500, 5000])
+    def test_over_deep_expression_exits_two(self, tmp_path, capsys, terms):
+        """Past the bound, and past the parser's own limit, a deep sum is
+        refused by name instead of failing with a RecursionError."""
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"f": "+".join(["x"] * terms)}))
+        out = tmp_path / "out"
+        code = run_cli(["--problem", str(path), "--max-dofs", "40",
+                        "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "--problem: 'f': problem expression nests deeper than " \
+            f"{_MAX_DEPTH} levels" in err
+        assert not (out / "convergence.csv").exists()
+
+    def test_expression_at_the_depth_bound_runs(self, tmp_path):
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({"f": "+".join(["x"] * _MAX_DEPTH)}))
+        out = tmp_path / "out"
+        code = run_cli(["--problem", str(path), "--max-dofs", "40",
+                        "--max-iters", "2", "--out", str(out)])
+        assert code == 0 and (out / "convergence.csv").exists()
 
     def test_whitelist_matches_numpy(self, tmp_path):
         path = tmp_path / "ok.json"

@@ -1,22 +1,24 @@
 """Adaptive loop behaviour, convergence bookkeeping and identities."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import afem.driver
-from afem import quadrature
 from afem.assembly import (FormParams, energy_diff_sq, inconsistency_load,
                            triple_norm_matrix, _mesh_norms)
 from afem.driver import (AfemConfig, Problem, contraction_ratios,
                          default_c_est, discrete_reliability_probe,
                          effectivity, inconsistency_sup, pythagoras_check,
-                         records_to_csv, run, run_summary, CSV_HEADER,
-                         _SampleMemo)
+                         records_to_csv, run, run_summary, CSV_HEADER)
 from afem.estimator import Indicators
-from afem.mesh import Cell, uniform_partition
+from afem.mesh import uniform_partition
 from afem.oracles import manufactured_sin2, zero_problem
 from afem.splines import build_space, conforming_indices, SplineFunction
 
@@ -391,187 +393,6 @@ class TestNitscheRun:
         assert got == best
 
 
-def peak_source(x, y, centre=(0.3712, 0.5861), width=1e-4):
-    r2 = (np.asarray(x) - centre[0]) ** 2 + (np.asarray(y) - centre[1]) ** 2
-    return np.exp(-r2 / width) / width
-
-
-def count_sample_runs(monkeypatch) -> list:
-    """The runs of requests that ask any memo for samples, recorded as
-    they come."""
-    runs = []
-    samples = _SampleMemo.samples
-
-    def counting(self, run, *args):
-        runs.append(len(run))
-        return samples(self, run, *args)
-
-    monkeypatch.setattr(_SampleMemo, "samples", counting)
-    return runs
-
-
-# the calls of a data callable in the runs below, keyed on the run's
-# distinct cells: one call per run of requests with a miss, and every
-# pass of these runs is one run, so one call per iteration
-SAMPLE_CALLS = {572: 8, 184: 7, 256: 14}
-
-
-class TestSampleMemo:
-    # the configurations of the benchmark workloads (benchmarks/workloads.py)
-    # and the distinct cells of their runs (rule n = 6, 36 points per cell)
-    @pytest.mark.parametrize("kw,peak,distinct", [
-        (dict(degree=2, theta=0.5, mode="conforming", max_dofs=250),
-         False, 572),
-        (dict(degree=3, theta=0.5, mode="nitsche", max_dofs=150), False, 184),
-        (dict(degree=2, theta=0.2, mode="conforming", max_dofs=100,
-              max_iters=200), True, 256),
-    ])
-    def test_source_sampled_once_per_distinct_cell(self, kw, peak, distinct,
-                                                   monkeypatch):
-        seen = []
-        src = peak_source if peak else SIN2.f
-
-        def counting(x, y):
-            seen.append(x)
-            return src(x, y)
-
-        runs = count_sample_runs(monkeypatch)
-        prob = Problem("peak", counting) if peak else replace(SIN2, f=counting)
-        cells = set()
-        run(AfemConfig(initial_levels=2, **kw), prob,
-            on_iteration=lambda st: cells.update(st.partition))
-        assert len(cells) == distinct
-        assert sum(len(x) for x in seen) == 36 * distinct
-        assert len(seen) == SAMPLE_CALLS[distinct] <= len(runs)
-        # one 1-D pair per call, strided as a rule's points[:, 0]
-        assert {(x.ndim, x.strides) for x in seen} == {(1, (16,))}
-
-    def test_sample_memo_leaves_records_unchanged(self, monkeypatch):
-        cfg = AfemConfig(degree=2, theta=0.5, mode="nitsche",
-                         initial_levels=2, max_dofs=200)
-        with_memo = run(cfg, SIN2)
-
-        class PassThrough:
-            def __init__(self, f):
-                self.f = f
-
-            def __call__(self, xs, ys):
-                return self.f(xs, ys)
-
-            def next_iteration(self):
-                pass
-
-        monkeypatch.setattr(afem.driver, "_SampleMemo", PassThrough)
-        assert repr(run(cfg, SIN2)) == repr(with_memo)
-
-    @pytest.mark.parametrize("kw,distinct", [
-        (dict(degree=2, theta=0.5, mode="conforming", max_dofs=250), 572),
-        (dict(degree=3, theta=0.5, mode="nitsche", max_dofs=150), 184),
-    ])
-    def test_exact_laplacian_sampled_once_per_distinct_cell(self, kw,
-                                                            distinct):
-        """The record's energy error and the Nitsche error's projection
-        share one rule (n + 2 = 8 points per direction), so each new
-        cell's samples serve both."""
-        seen = {"f": [], "laplacian_u": []}
-
-        def counting(name):
-            def sample(x, y):
-                seen[name].append(len(x))
-                return getattr(SIN2, name)(x, y)
-            return sample
-
-        prob = replace(SIN2, f=counting("f"),
-                       laplacian_u=counting("laplacian_u"))
-        cells = set()
-        run(AfemConfig(initial_levels=2, **kw), prob,
-            on_iteration=lambda st: cells.update(st.partition))
-        assert len(cells) == distinct
-        calls = SAMPLE_CALLS[distinct]
-        assert {k: (len(v), sum(v)) for k, v in seen.items()} == {
-            "f": (calls, 36 * distinct),
-            "laplacian_u": (calls, 64 * distinct)}
-
-    def test_samples_are_read_only_copies(self):
-        seen = []
-        memo = _SampleMemo(lambda x, y: seen.append(x) or x)
-        cells = [Cell(1, 0, 0), Cell(1, 1, 1)]
-        P, _ = quadrature._rules(cells, 2)
-        X, Y = P[:, :, 0], P[:, :, 1]
-        F = memo.samples(cells, 2, X, Y)
-        assert np.array_equal(F, X) and not np.shares_memory(F, P)
-        # one call for the run: a 1-D pair, request after request, strided
-        # as a rule's points[:, 0]
-        assert [(x.shape, x.strides) for x in seen] == [((8,), (16,))]
-        assert np.array_equal(seen[0], X.ravel())
-        stored = memo._now[2][cells[0]]
-        assert not stored.flags.writeable and not np.shares_memory(stored, P)
-        with pytest.raises(ValueError):
-            stored[0] = 1.0
-        # the key is the request and the rule size, not the points
-        again = memo.samples(cells[::-1], 2, 0.0 * X, 0.0 * Y)
-        assert np.array_equal(again, F[::-1]) and len(seen) == 1
-        memo.samples(cells[:1], 3, *(a[:, :1] for a in (X, Y)))
-        assert len(seen) == 2
-        # calling the memo calls f, unmemoised
-        x0 = X[0]
-        assert memo(x0, Y[0]) is x0 and len(seen) == 3
-
-    @pytest.mark.parametrize("name", ["f", "laplacian_u", "peak"])
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_run_samples_equal_per_row_calls_bit_for_bit(self, name, n):
-        """Sampling a run's misses in one call gives each row the bytes
-        of a call on that row alone, with the memo holding some of the
-        run's cells and missing others."""
-        f = peak_source if name == "peak" else getattr(SIN2, name)
-        rng = np.random.default_rng(n)
-        cells = []
-        for level in range(2, 8):
-            m = 1 << level
-            cells += [Cell(level, *ij) for ij in
-                      {tuple(ij) for ij in rng.integers(0, m, size=(40, 2))}]
-        cells = [cells[k] for k in rng.permutation(len(cells))[:128]]
-        P, _ = quadrature._rules(cells, n)
-        X, Y = P[:, :, 0], P[:, :, 1]
-        want = np.array([f(X[q], Y[q]) for q in range(len(cells))])
-        calls = []
-        memo = _SampleMemo(lambda x, y: calls.append(x) or f(x, y))
-        some = np.sort(rng.choice(len(cells), size=50, replace=False))
-        first = memo.samples([cells[q] for q in some], n, X[some], Y[some])
-        assert first.tobytes() == want[some].tobytes()
-        got = memo.samples(cells, n, X, Y)
-        assert got.tobytes() == want.tobytes()
-        assert [len(x) for x in calls] == [50 * n * n,
-                                           (len(cells) - 50) * n * n]
-
-    def test_point_set_unused_for_an_iteration_is_dropped(self):
-        calls = []
-        memo = _SampleMemo(lambda x, y: calls.append(1) or x + y)
-        a, b = Cell(2, 0, 1), Cell(2, 3, 2)
-        P, _ = quadrature._rules([a, b], 2)
-        X, Y = P[:, :, 0], P[:, :, 1]
-
-        def sample(*cells):
-            at = [[a, b].index(c) for c in cells]
-            return memo.samples(list(cells), 2, X[at], Y[at])
-
-        memo.next_iteration()
-        first = sample(a)
-        sample(b)
-        memo.next_iteration()
-        assert np.array_equal(sample(a), first)   # kept: asked for last time
-        memo.next_iteration()                     # b unused for an iteration
-        sample(a)
-        assert len(calls) == 2
-        sample(b)
-        assert len(calls) == 3
-        memo.next_iteration()
-        memo.next_iteration()                     # nothing asked: all dropped
-        again = sample(a)
-        assert np.array_equal(again, first)
-        assert len(calls) == 4
-
-
 def test_conforming_record_norms_are_the_explicit_ones():
     """A conforming iterate's boundary traces are exact zeros, so the
     record's norms, set without a pass, equal the explicit ones."""
@@ -635,6 +456,12 @@ class TestNonFiniteData:
         assert np.isnan(inconsistency_sup(prob, space, params,
                                           np.random.default_rng(0)))
 
+    def test_complex_source_rejected(self):
+        """The imaginary part is not dropped into a plausible run."""
+        prob = Problem("c", lambda x, y: (1 + 1j) * np.ones_like(x))
+        with pytest.raises(ValueError, match="complex samples"):
+            run(AfemConfig(max_dofs=60), prob)
+
     @pytest.mark.parametrize("entry", ["u", "grad_u"])
     def test_nan_boundary_sample_fails_validation(self, entry):
         nan = lambda x, y: np.full_like(np.asarray(x, float), np.nan)
@@ -653,14 +480,46 @@ class TestScalarData:
         assert len(got) > 1
         assert repr(got) == repr(want)
 
-    def test_memo_spreads_a_scalar_and_rejects_a_wrong_shape(self):
-        cells = [Cell(0, 0, 0)]
-        P, _ = quadrature._rules(cells, 2)
-        X, Y = P[:, :, 0], P[:, :, 1]
-        vals = _SampleMemo(lambda x, y: 2).samples(cells, 2, X, Y)
-        assert vals.dtype == float and np.array_equal(vals, [[2.0] * 4])
-        with pytest.raises(ValueError):
-            _SampleMemo(lambda x, y: np.ones(3)).samples(cells, 2, X, Y)
+
+# the sizes of every module-level dict, list and set of every loaded
+# ``afem`` module before and after a run; see the test below
+MODULE_STATE = r"""
+import json, sys
+import afem, afem.assembly, afem.cli, afem.driver, afem.estimator
+import afem.mesh, afem.oracles, afem.quadrature, afem.solver, afem.splines
+from afem.driver import AfemConfig, Problem, run
+from afem.oracles import manufactured_sin2
+
+def sizes():
+    return {f"{name}.{attr}": len(value)
+            for name, module in sorted(sys.modules.items())
+            if name == "afem" or name.startswith("afem.")
+            for attr, value in vars(module).items()
+            if not attr.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+before = sizes()
+records = run(AfemConfig(degree=3, mode="nitsche", max_dofs=150,
+                         track_inconsistency=True),
+              Problem.from_manufactured(manufactured_sin2()))
+print(json.dumps({"iterations": len(records), "before": before,
+                  "after": sizes()}))
+"""
+
+
+def test_run_grows_no_module_state():
+    """No data outlives a run in a module of ``afem``: every pass fills
+    its tables and samples its data for itself.  It runs in a fresh
+    interpreter, since this process has run many loops already."""
+    src = os.path.dirname(os.path.dirname(afem.__file__))
+    proc = subprocess.run([sys.executable, "-c", MODULE_STATE],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["iterations"] > 1
+    assert "afem.cli._NAMES" in out["before"]  # the scan sees containers
+    assert out["after"] == out["before"]
 
 
 class TestDiscreteReliabilityProbe:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from afem.mesh import Cell, Edge, edges, uniform_partition
-from afem.quadrature import gauss_cell, gauss_edge, gauss_points_1d
+from afem.mesh import Cell, Edge, edge_arrays, edges, uniform_partition
+from afem.oracles import manufactured_sin2
+from afem.quadrature import (_requests, gauss_cell, gauss_edge,
+                             gauss_points_1d)
 
 
 def integrate_cell(rule, fn):
@@ -159,3 +161,57 @@ class TestEdgeRules:
                         assert rule.points.tobytes() == points.tobytes()
                         assert rule.points.flags.c_contiguous
                         assert rule.weights.tobytes() == weights.tobytes()
+
+
+def peak_source(x, y, centre=(0.3712, 0.5861), width=1e-4):
+    r2 = (np.asarray(x) - centre[0]) ** 2 + (np.asarray(y) - centre[1]) ** 2
+    return np.exp(-r2 / width) / width
+
+
+class TestRequestSamples:
+    """Data sampled by ``_requests``: per run of one pass, kept by
+    nothing."""
+
+    @pytest.mark.parametrize("name", ["f", "laplacian_u", "peak"])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_run_samples_equal_per_row_calls_bit_for_bit(self, name, n):
+        """Sampling a run in one call gives each row the bytes of a call
+        on that row alone."""
+        sin2 = manufactured_sin2()
+        f = peak_source if name == "peak" else getattr(sin2, name)
+        rng = np.random.default_rng(n)
+        cells = []
+        for level in range(2, 8):
+            m = 1 << level
+            cells += [Cell(level, *ij) for ij in
+                      {tuple(ij) for ij in rng.integers(0, m, size=(40, 2))}]
+        cells = [cells[k] for k in rng.permutation(len(cells))[:128]]
+        calls = []
+        (_, _, X, Y, _, F), = _requests(
+            cells, n, lambda x, y: calls.append(x) or f(x, y))
+        want = np.array([f(X[q], Y[q]) for q in range(len(cells))])
+        assert F.tobytes() == want.tobytes()
+        assert [len(x) for x in calls] == [len(cells) * n * n]
+
+    @pytest.mark.parametrize("on_edges", [False, True])
+    def test_one_call_per_run_on_a_strided_copy(self, on_edges):
+        seen = []
+        if on_edges:
+            requests, n = edge_arrays(uniform_partition(2))[1], 3
+        else:
+            requests, n = [Cell(1, 0, 0), Cell(1, 1, 1)], 2
+        (_, _, X, Y, _, F), = _requests(requests, n,
+                                        lambda x, y: seen.append(x) or x)
+        # a 1-D pair, request after request, strided as a rule's
+        # points[:, 0], on a copy of the rule
+        assert [(x.shape, x.strides) for x in seen] == [((X.size,), (16,))]
+        assert np.array_equal(seen[0], X.ravel())
+        assert not np.shares_memory(seen[0], X)
+        assert np.array_equal(F, X) and not np.shares_memory(F, seen[0])
+
+    def test_scalar_spreads_and_a_wrong_shape_raises(self):
+        cells = [Cell(0, 0, 0)]
+        (*_, F), = _requests(cells, 2, lambda x, y: 2)
+        assert F.dtype == float and np.array_equal(F, [[2.0] * 4])
+        with pytest.raises(ValueError):
+            list(_requests(cells, 2, lambda x, y: np.ones(3)))

@@ -19,7 +19,7 @@ from afem.splines import (DualFunctionalSet, SplineFunction, bspline_ders,
                           build_space, coarse_to_fine, conforming_indices,
                           knot_vector, load_solution, num_functions,
                           quasi_interpolant, save_solution, span_class,
-                          two_scale_matrix, TABLE_CACHE_SIZE, _two_scale_block)
+                          two_scale_matrix, _two_scale_block)
 from afem.quadrature import _requests, gauss_cell, gauss_points_1d
 from afem.solver import solve
 
@@ -237,7 +237,6 @@ class TestReferenceTables:
         """Rows of every span class and of levels 0..9, filled together in
         one array pass, each equal to the per-point evaluation on the
         level's physical knots."""
-        monkeypatch.setattr(splines, "_TABLES", {})
         calls = counting_ders(monkeypatch)
         s = build_space(uniform_partition(0), degree)
         rng = np.random.default_rng(degree)
@@ -258,22 +257,6 @@ class TestReferenceTables:
             for k, x in enumerate(xs):
                 direct = bspline_ders(t, degree, span + degree, x, 4)
                 assert np.array_equal(tab[:, :, k], direct)
-
-    def test_tables_are_shared_across_spaces(self, monkeypatch):
-        a = build_space(uniform_partition(2), 3)
-        b = build_space(uniform_partition(0), 3)
-        calls = counting_ders(monkeypatch)
-        # span 0 has xi equal to the reference nodes at every level
-        tabs = {}
-        for level in (3, 5):
-            xs = gauss_points_1d(0.0, 2.0 ** -level, 5)[0]
-            tabs[level] = univariate(a, level, 0, xs, 2)
-            filled = len(calls)
-            assert np.array_equal(univariate(b, level, 0, xs, 2),
-                                  tabs[level])
-            assert len(calls) == filled
-        for k in range(3):
-            assert np.array_equal(tabs[3][k] / 8.0 ** k, tabs[5][k] / 32.0 ** k)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_array_ders_equal_scalar_calls_bit_for_bit(self, degree):
@@ -299,8 +282,7 @@ class TestReferenceTables:
                 assert grid.tobytes() == bspline_ders(t, degree, degree,
                                                       xs, 4).tobytes()
 
-    def test_tables_fill_in_one_pass_per_run_of_misses(self, monkeypatch):
-        monkeypatch.setattr(splines, "_TABLES", {})
+    def test_tables_fill_in_one_pass_per_call(self, monkeypatch):
         calls = counting_ders(monkeypatch)
         s = build_space(uniform_partition(3), 3)
         cells = [Cell(3, 1, 6), Cell(3, 6, 1), Cell(3, 1, 5)]
@@ -311,54 +293,12 @@ class TestReferenceTables:
         # one array pass over both axes' distinct rows: the x rows of
         # spans 1 and 6, the y rows of spans 6, 1 and 5
         assert calls == [(5, 36)]
-        assert len(splines._TABLES) == 5
-        tab = splines._TABLES[(3, 3, 1, rules[0].points[:, 0].tobytes())]
-        assert tab.shape == (5, 4, 36)
-        assert tab.flags.c_contiguous and not tab.flags.writeable
-        # all hits: the key holds no derivative order
+        # each call fills its own tables, up to its highest order
         list(s.basis_stacks(cells, X, Y, [(0, 0), (1, 3)]))
-        assert calls == [(5, 36)]
-
-    def test_persisting_cell_fills_no_table_after_refine(self, monkeypatch):
-        calls = counting_ders(monkeypatch)
-        p = refine(graded_7cell(), [Cell(2, 1, 1)])
-        cell = Cell(2, 0, 1)
-        rule = gauss_cell(cell, 5)
-        xs, ys = rule.points[:, 0], rule.points[:, 1]
-        orders = [(0, 0), (2, 0), (0, 2)]
-        before = build_space(p, 3)
-        before.basis_on_cell(cell, xs, ys, orders)
-        tab = splines._TABLES[(3, cell.level, cell.i, xs.tobytes())]
-        fine = refine(p, [Cell(1, 1, 1)])
-        assert cell in fine
-        calls.clear()
-        after = build_space(fine, 3)
-        after.basis_on_cell(cell, xs, ys, orders)
-        assert calls == []
-        assert splines._TABLES[(3, cell.level, cell.i, xs.tobytes())] is tab
-
-    def test_caches_hold_a_whole_run(self, monkeypatch):
-        """Every table of a sin2 r=2 run to 5k dofs (1,714 of them; the
-        conforming record reads no boundary trace) is filled once, within
-        the bound."""
-        from afem.driver import AfemConfig, Problem, run
-        from afem.oracles import manufactured_sin2
-
-        monkeypatch.setattr(splines, "_TABLES", {})
-        calls = counting_ders(monkeypatch)
-        run(AfemConfig(degree=2, theta=0.5, max_dofs=5000),
-            Problem.from_manufactured(manufactured_sin2()))
-        assert len(splines._TABLES) == 1714 <= TABLE_CACHE_SIZE
-        assert sum(rows for rows, _ in calls) == 1714
-
-    def test_oldest_table_is_evicted_first(self, monkeypatch):
-        monkeypatch.setattr(splines, "_TABLES", {})
-        monkeypatch.setattr(splines, "TABLE_CACHE_SIZE", 3)
-        s = build_space(uniform_partition(0), 2)
-        xs = gauss_points_1d(0.0, 0.25, 3)[0]
-        for span in range(4):
-            univariate(s, 2, span, xs + span / 4)
-        assert [key[2] for key in splines._TABLES] == [1, 2, 3]
+        assert calls == [(5, 36), (5, 36)]
+        T, at = s._tables(np.full(3, 3), np.array([1, 6, 1]), X, 2)
+        assert T.shape == (3, 2, 4, 36) and T.flags.c_contiguous
+        assert at[0] == at[2] != at[1]
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_basis_on_cell_equals_tensor_grid_product(self, degree):
@@ -617,20 +557,16 @@ class TestFastEvaluationPath:
             for o in ALL_ORDERS:
                 assert batch[o].tobytes() == (c @ tabs[o]).tobytes()
 
-    def test_memoised_tables_and_extraction_are_read_only(self):
+    def test_extraction_and_positions_are_read_only(self):
         s = build_space(graded_7cell(), 3)
         cell = Cell(2, 1, 1)
         rule = gauss_cell(cell, 5)
-        xs = rule.points[:, 0]
-        s.basis_on_cell(cell, xs, rule.points[:, 1], [(0, 0)])
-        tab = splines._TABLES[(3, cell.level, cell.i, xs.tobytes())]
-        assert tab.shape == (5, 4, 25) and not tab.flags.writeable
         _, C = s.cell_extraction(cell)
         assert not C.flags.writeable
-        (_, index, _), = s.basis_stacks([cell], [xs], [rule.points[:, 1]],
-                                        [(0, 0)])
-        with pytest.raises(ValueError):
-            tab[0, 0, 0] = 1.0
+        (_, index, _), = s.basis_stacks([cell], [rule.points[:, 0]],
+                                        [rule.points[:, 1]], [(0, 0)])
+        for a in s._extractions:
+            assert not a.flags.writeable
         with pytest.raises(ValueError):
             C[0, 0] = 1.0
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from afem.driver import (AfemConfig, IterationState, Problem,
                          discrete_reliability_probe, nitsche_energy_sq,
                          pythagoras_check, run)
 from afem.estimator import dorfler_mark, estimate_all
-from afem.mesh import (Cell, Edge, EdgeArrays, edge_arrays, edges, refine,
+from afem.mesh import (Cell, EdgeArrays, edge_arrays, edges, refine,
                        uniform_partition)
 from afem.oracles import manufactured_sin2, random_spline
 from afem.quadrature import gauss_cell, gauss_edge
@@ -635,8 +635,7 @@ def count_rules(monkeypatch):
     original = quadrature._rules
 
     def counting(requests, n):
-        edge = isinstance(requests, EdgeArrays) or isinstance(requests[0],
-                                                              Edge)
+        edge = isinstance(requests, EdgeArrays)
         counts["edge" if edge else "cell"] += len(requests)
         return original(requests, n)
 

@@ -21,6 +21,15 @@ which B took less time.  After the timed rounds it prints each tree's
 repeats exactly, so a memory change shows without the noise of
 fresh-process RSS.  Fresh-process pairs (``tools/ab_pairs.py``) include
 start-up and cold caches, and on a shared machine swing more.
+
+In-process rounds are faithful only because no ``afem`` state outlives a
+run: each ``driver.run`` fills its own B-spline tables and samples its
+own data, so every round after the warm-up sees what a fresh process
+sees, apart from the interpreter's and numpy's own warm state.  A tree
+that kept data across runs would be timed warm here and cold in the
+benchmark.  That happened with a process-wide B-spline table cache,
+warm from round to round: dropping it read +4.8/+10.4/+3.7% here on the
+three workloads, against +0.6/+3.7/-2.6% in fresh-process pairs.
 """
 
 from __future__ import annotations
