@@ -362,8 +362,8 @@ def assemble(s: HierarchicalSpace, f, params: FormParams,
     if params.mode == "nitsche":
         _assemble_boundary(s, params, out, bdry)
 
-    A = _symmetric_csr(*out.entries(), dim)
-    return SystemMatrix(A, tuple(keep)), LoadVector(b, tuple(keep))
+    return (SystemMatrix(_symmetric_csr(out.matrix()), tuple(keep)),
+            LoadVector(b, tuple(keep)))
 
 
 def _assemble_volume(s: HierarchicalSpace, f, n: int, out: _Entries,
@@ -372,10 +372,10 @@ def _assemble_volume(s: HierarchicalSpace, f, n: int, out: _Entries,
     unless ``f`` is ``None``, the load into ``b``, per run of cells and
     group of :meth:`HierarchicalSpace.basis_stacks`.
 
-    Entries keep the per-cell COO layout and order: the Gram entries
-    are in cell order, and the load is added with ``np.add.at`` in cell
-    order, as a per-cell loop adds it.  The Laplacian stack is dropped
-    before the value stack of the load is formed.
+    The Gram entries go to their CSR slots, in cell order within each
+    row, and the load is added with ``np.add.at`` in cell order, as a
+    per-cell loop adds it.  The Laplacian stack is dropped before the
+    value stack of the load is formed.
     """
     loads = None if f is None else _Entries(
         s, out.imap, np.arange(len(s.partition)), pairs=False)
@@ -390,18 +390,18 @@ def _assemble_volume(s: HierarchicalSpace, f, n: int, out: _Entries,
         np.add.at(b, *loads.entries())
 
 
-def _symmetric_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                   dim: int) -> csr_matrix:
-    """Sum COO triplets into CSR and mirror the upper triangle, so the
-    matrix is exactly symmetric whatever the summation order.
+def _symmetric_csr(A: csr_matrix) -> csr_matrix:
+    """Mirror the upper triangle of a summed CSR matrix ``A`` (sorted
+    rows, no duplicates, as ``sum_duplicates`` leaves it), so the matrix
+    is exactly symmetric whatever the summation order.
 
-    Summed rows come out sorted, so a row of the mirror is its strictly
-    lower entries, then its upper ones.  The strictly lower entries of
-    row ``i`` are the upper triangle's column ``i`` in row order, which a
-    stable counting pass (``tocsr`` of the swapped triplets, none
-    duplicate) places.  The mirror only moves data; like the sparse sum
-    ``triu(A) + triu(A, 1).T`` it drops exact zeros."""
-    A = coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    A row of the mirror is its strictly lower entries, then its upper
+    ones.  The strictly lower entries of row ``i`` are the upper
+    triangle's column ``i`` in row order, which a stable counting pass
+    (``tocsr`` of the swapped triplets, none duplicate) places.  The
+    mirror only moves data; like the sparse sum ``triu(A) + triu(A,
+    1).T`` it drops exact zeros."""
+    dim = A.shape[0]
     r = np.repeat(np.arange(dim, dtype=A.indptr.dtype), np.diff(A.indptr))
     keep = (A.indices >= r) & (A.data != 0.0)
     r, c, v = r[keep], A.indices[keep], A.data[keep]
@@ -603,7 +603,7 @@ def triple_norm_matrix(s: HierarchicalSpace, params: FormParams) -> csr_matrix:
         [np.arange(len(s.partition)), bdry.plus]))
     _assemble_volume(s, None, params.quad_n, out, None)
     _assemble_boundary(s, params, out, bdry, nitsche=False)
-    return _symmetric_csr(*out.entries(), s.dim)
+    return _symmetric_csr(out.matrix())
 
 
 def inconsistency_load(lap_u, grad_lap_u, s: HierarchicalSpace,

@@ -178,27 +178,38 @@ def run(cfg: AfemConfig, prob: Problem,
     records: list[ConvergenceRecord] = []
     rng = np.random.default_rng(0)  # the inconsistency probes
     for it in range(cfg.max_iters):
-        space = build_space(p, cfg.degree, cfg.truncated)
-        A, b = assemble(space, prob.f, params)
-        x = solve(A, b)
-        coeffs = np.zeros(space.dim)
-        coeffs[list(A.positions)] = x
-        U = SplineFunction(space, coeffs)
-        ind = estimate_all(U, prob.f, params.resolved(cfg.degree).quad_n)
-        if not np.isfinite(ind.total_sq):
-            raise ValueError(f"estimator total eta^2 is not finite "
-                             f"({ind.total_sq!r}); check the problem data")
-        marked = dorfler_mark(ind, cfg.theta)
-        records.append(_make_record(it, cfg, prob, params, A, U, ind,
-                                    marked, rng))
-        if on_iteration is not None:
-            on_iteration(IterationState(p, space, U, ind, marked, A, b,
-                                        params))
-        if ind.total_sq == 0.0 or A.dimension >= cfg.max_dofs \
-                or not marked.cells:
+        record, marked, last = _iterate(it, p, cfg, prob, params, rng,
+                                        on_iteration)
+        records.append(record)
+        if last:
             break
-        p = refine(p, marked.cells)
+        p = refine(p, marked)
     return records
+
+
+def _iterate(it, p, cfg, prob, params, rng, on_iteration):
+    """Solve, estimate and mark on ``p``: the record, the marked cells
+    and whether the loop ends here.  The iterate's space, system,
+    solution and indicators are this frame's locals, so none of them
+    outlives the call into the next iteration's build, assembly and
+    solve."""
+    space = build_space(p, cfg.degree, cfg.truncated)
+    A, b = assemble(space, prob.f, params)
+    x = solve(A, b)
+    coeffs = np.zeros(space.dim)
+    coeffs[list(A.positions)] = x
+    U = SplineFunction(space, coeffs)
+    ind = estimate_all(U, prob.f, params.resolved(cfg.degree).quad_n)
+    if not np.isfinite(ind.total_sq):
+        raise ValueError(f"estimator total eta^2 is not finite "
+                         f"({ind.total_sq!r}); check the problem data")
+    marked = dorfler_mark(ind, cfg.theta)
+    record = _make_record(it, cfg, prob, params, A, U, ind, marked, rng)
+    if on_iteration is not None:
+        on_iteration(IterationState(p, space, U, ind, marked, A, b, params))
+    last = (ind.total_sq == 0.0 or A.dimension >= cfg.max_dofs
+            or not marked.cells)
+    return record, marked.cells, last
 
 
 def _make_record(it, cfg, prob, params, A, U, ind, marked, rng):

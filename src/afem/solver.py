@@ -8,7 +8,7 @@ with its index, the usual symptom of too small Nitsche stabilization.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csc_matrix, issparse
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 __all__ = ["RESIDUAL_TOL", "NotSPDError", "solve"]
@@ -49,9 +49,7 @@ def solve(A, b) -> np.ndarray:
     """
     mat = getattr(A, "matrix", A)
     b = np.asarray(getattr(b, "values", b), dtype=float)
-    if not issparse(mat):
-        mat = csc_matrix(mat)
-    mat = mat.tocsc()
+    mat = csc_matrix(mat)
     if mat.shape[0] != mat.shape[1] or mat.shape[0] != len(b):
         raise ValueError("incompatible system dimensions")
     if not np.all(np.isfinite(mat.data)):

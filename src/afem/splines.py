@@ -50,7 +50,7 @@ from numbers import Integral, Real
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .mesh import Cell, Partition
 from .quadrature import _on_points, _requests
@@ -556,13 +556,21 @@ class HierarchicalSpace:
 
 class _Entries:
     """The entries of one pass on the active positions of a space,
-    preallocated: int32 rows (and columns), float64 values.  Request
-    ``q``, the cell ``cells[q]`` of ``p.cells``, owns a slice of ``k``
-    loads, or with ``pairs`` of ``k**2`` Gram entries, in request order:
-    ``k`` of its rows are at positions that ``imap`` maps to ``>= 0``.
-    A block goes into its slice in C order, as a per-request ``np.ix_``
-    block gives it, so the entries are a per-request loop's, in its
-    order; the left-out ones go to one spare slot after the last."""
+    preallocated.  ``imap`` maps the kept positions one to one onto
+    ``range(dim)`` and the others to -1.  Request ``q``, the cell
+    ``cells[q]`` of ``p.cells``, has ``k`` live rows: those at kept
+    positions.  Left-out entries go to one spare slot after the last.
+
+    Loads (``pairs`` false): int32 rows and float64 values, ``k`` per
+    request in request order, as a per-request loop adds them.
+
+    Gram entries (``pairs``): int32 columns and float64 values in
+    row-bucketed CSR order, the unsummed CSR that a stable counting pass
+    (scipy's ``coo_tocsr``) makes of the per-request loop's triplets:
+    within a global row, the requests that touch it in ascending order,
+    each with its live columns in local order.  Each (request, live row)
+    pair takes its first slot from one stable argsort of the pairs by
+    global row, so a block writes only columns and values."""
 
     def __init__(self, s: HierarchicalSpace, imap: np.ndarray,
                  cells: np.ndarray, pairs: bool = True):
@@ -571,42 +579,62 @@ class _Entries:
                                            < e.rows[:, None])
         rank = np.cumsum(live, axis=1)
         count = rank[cells, -1:]
-        size = count ** (1 + pairs)
-        ends = np.cumsum(size)
-        n = int(ends[-1]) if len(ends) else 0
-        # per request its rows' rank among its live rows, and the slot of
-        # each row's first entry; a left-out row ranks past every slot,
-        # so its entries go to the spare one
-        rank = np.where(live, rank - 1, n + 1)[cells]
-        self.start = ends[:, None] - size + rank * (count if pairs else 1)
-        self.rank = rank if pairs else None
+        live, rank = live[cells], rank[cells] - 1
         self.imap = imap.astype(np.int32)
-        self.rows = np.empty(n + 1, dtype=np.int32)
-        self.cols = np.empty(n + 1, dtype=np.int32) if pairs else None
+        if pairs:
+            # the pairs in request order, then per global row
+            q, i = np.nonzero(live)
+            row = self.imap[e.positions[cells[q], i]]
+            order = np.argsort(row, kind="stable")
+            self.dim = int(np.count_nonzero(imap >= 0))
+            ends = np.zeros(len(q) + 1, dtype=np.int64)
+            np.cumsum(count[q[order], 0], out=ends[1:])
+            n = int(ends[-1])
+            self.indptr = ends[np.searchsorted(row[order],
+                                               np.arange(self.dim + 1))]
+            # a left-out row starts at the spare slot, and a left-out
+            # column ranks past every slot, so its entries go there too
+            self.start = np.full(live.shape, n, dtype=np.int64)
+            self.start[q[order], i[order]] = ends[:-1]
+            self.rank = np.where(live, rank, n + 1)
+            self.cols = np.empty(n + 1, dtype=np.int32)
+        else:
+            ends = np.cumsum(count)
+            n = int(ends[-1]) if len(ends) else 0
+            self.start = np.where(live, ends[:, None] - count + rank, n)
+            self.rows = np.empty(n + 1, dtype=np.int32)
         self.vals = np.empty(n + 1)
 
     def put(self, q: np.ndarray, index: np.ndarray, values: np.ndarray):
         """Loads ``(B, k)`` or blocks ``(B, k, k)`` of requests ``q`` at
         the positions ``(B, k)``."""
         at = self.imap[index]
-        B, k = at.shape
+        k = at.shape[1]
         dest = self.start[q, :k]
         if values.ndim == 3:  # the pair (i, j) at row i's slot plus j's rank
             dest = dest[:, :, None] + self.rank[q, None, :k]
-        np.minimum(dest, len(self.vals) - 1, out=dest)
-        if values.ndim == 3:
-            self.cols[dest] = at[:, None, :].repeat(k, axis=1)
-            at = at.repeat(k, axis=1).reshape(B, k, k)
-        self.rows[dest] = at
+            np.minimum(dest, len(self.vals) - 1, out=dest)
+            self.cols[dest] = at[:, None, :]
+        else:
+            self.rows[dest] = at
         self.vals[dest] = values
 
-    def entries(self) -> list[np.ndarray]:
-        """Rows, columns (with ``pairs``) and values, without the spare
-        slot.  This ends the writing and drops the per-request tables,
-        so that a conversion finds only the entries alive."""
-        del self.rank, self.start
-        return [a[:-1] for a in (self.rows, self.cols, self.vals)
-                if a is not None]
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The loads' rows and values, without the spare slot."""
+        return self.rows[:-1], self.vals[:-1]
+
+    def matrix(self, container=csr_matrix):
+        """The Gram entries as a ``container`` of shape ``(dim, dim)``,
+        duplicates summed by scipy's ``sum_duplicates`` (which sorts
+        each row).  This ends the writing: the writer drops its arrays
+        before the sum, so that only the matrix holds the entries.  With
+        ``csc_matrix`` the rows are read as columns: blocks put
+        transposed give the CSC of the untransposed ones."""
+        M = container((self.vals[:-1], self.cols[:-1], self.indptr),
+                      shape=(self.dim, self.dim))
+        del self.vals, self.cols, self.indptr, self.start, self.rank
+        M.sum_duplicates()
+        return M
 
 
 def _gram(V: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -879,13 +907,12 @@ def coarse_to_fine(fn: SplineFunction, fine: HierarchicalSpace) -> SplineFunctio
         F = fn.eval_stacked(owners[lo:lo + len(run)], X, Y, [(0, 0)])[(0, 0)]
         for items, index, stack in fine.basis_stacks(run, X, Y, [(0, 0)]):
             V = stack((0, 0))
-            out.put(lo + items, index, _gram(V, W[items]))
+            out.put(lo + items, index,
+                    _gram(V, W[items]).transpose(0, 2, 1))
             loads.put(lo + items, index,
                       (V @ (W[items] * F[items])[:, :, None])[:, :, 0])
     np.add.at(rhs, *loads.entries())
-    rows, cols, vals = out.entries()
-    M = coo_matrix((vals, (rows, cols)), shape=(fine.dim, fine.dim)).tocsc()
-    return SplineFunction(fine, solve(M, rhs))
+    return SplineFunction(fine, solve(out.matrix(csc_matrix), rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -520,6 +521,34 @@ def test_run_grows_no_module_state():
     assert out["iterations"] > 1
     assert "afem.cli._NAMES" in out["before"]  # the scan sees containers
     assert out["after"] == out["before"]
+
+
+@pytest.mark.parametrize("mode", ["conforming", "nitsche"])
+def test_one_iterate_alive(mode, monkeypatch):
+    """When an iteration assembles, nothing of the previous iterate is
+    referenced any more: its space, system, load, solution and
+    indicators are freed by reference counting alone (no
+    ``gc.collect()``), so they do not add to the next iteration's
+    peak."""
+    refs, checked = [], []
+    original = afem.driver.assemble
+
+    def assemble(space, f, params):
+        dead = [r() is None for r in refs]
+        checked.append(len(refs))
+        assert all(dead), dead
+        return original(space, f, params)
+
+    def keep_weakrefs(state):
+        refs[:] = [weakref.ref(v) for v in (
+            state.space, state.system, state.system.matrix, state.load,
+            state.solution, state.solution.coefficients, state.indicators)]
+
+    monkeypatch.setattr(afem.driver, "assemble", assemble)
+    records = run(AfemConfig(degree=2, mode=mode, max_dofs=300), SIN2,
+                  on_iteration=keep_weakrefs)
+    assert len(records) > 2
+    assert checked == [0] + [7] * (len(records) - 1)
 
 
 class TestDiscreteReliabilityProbe:

@@ -941,24 +941,23 @@ class TestCoarseToFine:
             resid = max(abs(fn(x, y) - out(x, y)) for x, y in pts)
             assert resid <= 1e-12
 
-    def test_gram_triplets_reach_coo_matrix_as_arrays(self, monkeypatch):
-        """The Gram blocks are written into preallocated arrays, 32-bit
-        rows and columns, and the transfer equals the former scatter into
-        Python lists of numpy scalars bit for bit."""
+    def test_gram_entries_reach_csc_matrix_as_arrays(self, monkeypatch):
+        """The Gram blocks are written into preallocated arrays in CSC
+        order, float64 values and 32-bit row indices, and the transfer
+        equals the former scatter into Python lists of numpy scalars bit
+        for bit."""
         p = uniform_partition(3)
         fn = random_spline(build_space(p, 3), np.random.default_rng(7))
         fine = build_space(refine(p, p.cells[::5]), 3)
-        real, kinds = splines.coo_matrix, []
+        real, kinds = splines.csc_matrix, []
 
         def spy(arg, shape):
-            vals, (rows, cols) = arg
-            kinds.extend((type(a), a.dtype) for a in (vals, rows, cols))
+            kinds.extend((type(a), a.dtype) for a in arg[:2])
             return real(arg, shape=shape)
 
-        monkeypatch.setattr(splines, "coo_matrix", spy)
+        monkeypatch.setattr(splines, "csc_matrix", spy)
         out = coarse_to_fine(fn, fine)
-        assert kinds == [(np.ndarray, np.float64)] + [(np.ndarray,
-                                                       np.int32)] * 2
+        assert kinds == [(np.ndarray, np.float64), (np.ndarray, np.int32)]
         assert np.array_equal(out.coefficients, _coarse_to_fine_lists(fn, fine))
 
     def test_non_nested_rejected(self):

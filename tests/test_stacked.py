@@ -5,12 +5,13 @@ import importlib.util
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scipy.sparse import coo_matrix, triu
+from scipy.sparse import coo_matrix, csc_matrix, triu
 
 from afem import quadrature, splines
 from afem.assembly import (FormParams, _legendre_modes,
@@ -314,8 +315,8 @@ def assemble_per_cell(s, f, params):
                           + ((pnvals * w) @ v.T + (v * w) @ pnvals.T)
                           + params.gamma1 * h ** -3 * (v * w) @ v.T
                           + params.gamma2 * h ** -1 * (vn * w) @ vn.T))
-    return _symmetric_csr(*map(np.concatenate, (rows, cols, vals)),
-                          len(keep)), b
+    return _symmetric_csr(summed_csr(*map(np.concatenate,
+                                          (rows, cols, vals)), len(keep))), b
 
 
 def energy_error_per_cell(lap_u, U, n):
@@ -368,7 +369,8 @@ def triple_norm_matrix_per_cell(s, params):
         h = e.length
         scatter(pos, params.gamma1 * h ** -3 * (v * w) @ v.T
                 + params.gamma2 * h ** -1 * (vn * w) @ vn.T)
-    return _symmetric_csr(*map(np.concatenate, (rows, cols, vals)), s.dim)
+    return _symmetric_csr(summed_csr(*map(np.concatenate,
+                                          (rows, cols, vals)), s.dim))
 
 
 def inconsistency_load_per_edge(lap_u, grad_lap_u, s, n):
@@ -518,9 +520,14 @@ def coarse_to_fine_per_cell(fn, fine):
     return solve(M, rhs)
 
 
-def symmetric_csr_by_sparse_sum(rows, cols, vals, dim):
+def summed_csr(rows, cols, vals, dim):
+    """COO triplets summed into CSR by scipy: the reference route of the
+    entries that ``splines._Entries`` writes in CSR order."""
+    return coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def symmetric_csr_by_sparse_sum(A):
     """The mirror as the sparse sum ``triu(A) + triu(A, 1).T``."""
-    A = coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     return (triu(A, k=0) + triu(A, k=1).T).tocsr()
 
 
@@ -532,10 +539,10 @@ class TestSymmetricCsr:
         seen = []
         original = assembly._symmetric_csr
 
-        def both(rows, cols, vals, dim):
-            got = original(rows, cols, vals, dim)
-            same_csr(got, symmetric_csr_by_sparse_sum(rows, cols, vals, dim))
-            seen.append(dim)
+        def both(A):
+            got = original(A)
+            same_csr(got, symmetric_csr_by_sparse_sum(A))
+            seen.append(A.shape[0])
             return got
 
         monkeypatch.setattr(assembly, "_symmetric_csr", both)
@@ -546,8 +553,9 @@ class TestSymmetricCsr:
         rows = np.array([0, 0, 1, 0, 1, 2, 2, 0])
         cols = np.array([0, 1, 1, 1, 0, 2, 0, 2])
         vals = np.array([2.0, 1.5, 3.0, -1.5, 7.0, 1.0, 0.0, -0.0])
-        got = _symmetric_csr(rows, cols, vals, 3)
-        same_csr(got, symmetric_csr_by_sparse_sum(rows, cols, vals, 3))
+        A = summed_csr(rows, cols, vals, 3)
+        got = _symmetric_csr(A)
+        same_csr(got, symmetric_csr_by_sparse_sum(A))
         assert got.nnz == 3 and (got != got.T).nnz == 0
 
     @given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
@@ -564,9 +572,90 @@ class TestSymmetricCsr:
         dim, triplets, itype = case
         rows, cols, vals = (np.array([t[k] for t in triplets], dtype=d)
                             for k, d in enumerate((itype, itype, float)))
-        got = _symmetric_csr(rows, cols, vals, dim)
-        same_csr(got, symmetric_csr_by_sparse_sum(rows, cols, vals, dim))
+        A = summed_csr(rows, cols, vals, dim)
+        got = _symmetric_csr(A)
+        same_csr(got, symmetric_csr_by_sparse_sum(A))
         assert got.indptr.dtype == got.indices.dtype == np.int32
+
+
+@st.composite
+def writer_cases(draw):
+    """A fake space's extraction rows and positions, an ``imap`` that
+    leaves positions out (-1), the requests (cells, with repeats) and a
+    Gram block and load per request."""
+    n = draw(st.integers(1, 7))
+    kmax = draw(st.integers(1, min(n, 4)))
+    ncells = draw(st.integers(1, 4))
+    rows = np.array(draw(st.lists(st.integers(0, kmax), min_size=ncells,
+                                  max_size=ncells)))
+    # distinct positions per cell, as an extraction's rows are
+    positions = np.array([draw(st.permutations(range(n)))[:kmax]
+                          for _ in range(ncells)])
+    positions[np.arange(kmax) >= rows[:, None]] = 0
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    imap = np.full(n, -1)
+    imap[keep] = draw(st.permutations(range(int(keep.sum()))))
+    cells = np.array(draw(st.lists(st.integers(0, ncells - 1), max_size=6)),
+                     dtype=np.intp)
+    # sums of these round differently in different orders
+    value = st.sampled_from([-1e16, -1.0, -0.0, 0.0, 0.1, 1.0 / 3, 1.0,
+                             1e16])
+    ks = rows[cells].tolist()
+    blocks = [np.reshape(draw(st.lists(value, min_size=k * k,
+                                       max_size=k * k)), (k, k)) for k in ks]
+    loads = [np.array(draw(st.lists(value, min_size=k, max_size=k)))
+             for k in ks]
+    return rows, positions, imap, cells, blocks, loads
+
+
+class TestEntries:
+    @given(writer_cases())
+    def test_csr_order_equals_the_summed_triplets_byte_for_byte(self, case):
+        """The writer's unsummed CSR is the per-request triplets placed
+        by a stable counting pass by row; summed, it is scipy's sum of
+        those triplets byte for byte, and its transposed blocks give
+        their CSC; its loads are the triplets' loads in order."""
+        rows, positions, imap, cells, blocks, loads = case
+        s = SimpleNamespace(_extractions=SimpleNamespace(
+            rows=rows, positions=positions))
+        dim = int(np.count_nonzero(imap >= 0))
+        gram = splines._Entries(s, imap, cells)
+        moved = splines._Entries(s, imap, cells)
+        load = splines._Entries(s, imap, cells, pairs=False)
+        for k, items in splines._groups(rows[cells]):
+            index = positions[cells[items], :k]
+            block = np.reshape([blocks[q] for q in items], (len(items), k, k))
+            gram.put(items, index, block)
+            moved.put(items, index, block.transpose(0, 2, 1))
+            load.put(items, index,
+                     np.reshape([loads[q] for q in items], (len(items), k)))
+        want = [], [], [], [], []
+        for q, c in enumerate(cells):
+            at = imap[positions[c, :rows[c]]]
+            live = at >= 0
+            sub = at[live]
+            want[0].append(np.repeat(sub, len(sub)))
+            want[1].append(np.tile(sub, len(sub)))
+            want[2].append(blocks[q][np.ix_(live, live)].ravel())
+            want[3].append(sub)
+            want[4].append(loads[q][live])
+        r, c, v, lr, lv = (np.concatenate(w + [[]]) for w in want)
+        r, c, lr = (a.astype(np.int32) for a in (r, c, lr))
+        # unsummed: each row's entries in request order, as a stable
+        # counting pass by row places the triplets
+        order = np.argsort(r, kind="stable")
+        assert gram.cols[:-1].tobytes() == c[order].tobytes()
+        assert gram.vals[:-1].tobytes() == v[order].tobytes()
+        assert np.array_equal(gram.indptr, np.searchsorted(
+            r[order], np.arange(dim + 1)))
+        triplets = (v, (r, c))
+        same_csr(gram.matrix(), coo_matrix(triplets, shape=(dim, dim))
+                 .tocsr())
+        same_csr(moved.matrix(csc_matrix),
+                 coo_matrix(triplets, shape=(dim, dim)).tocsc())
+        got_rows, got_loads = load.entries()
+        assert got_rows.tobytes() == lr.tobytes()
+        assert got_loads.tobytes() == lv.tobytes()
 
 
 class TestMemoryBound:
@@ -610,23 +699,25 @@ class TestMemoryBound:
         got = U.eval_stacked([cell] * B, X, Y, orders)
         assert all(np.array_equal(got[o], want[o]) for o in orders)
 
-    def test_assemble_holds_its_triplets_once(self, monkeypatch):
-        """Nitsche r=3 on ``uniform_partition(5)`` peaks below 2 x 16 B
-        per triplet (int32 row and column, float64 value) plus the CSR
-        result.  Runs of 64 cells keep the run's stacks small beside the
-        triplets, which then set the peak with their conversion."""
+    def test_assemble_holds_its_entries_once(self, monkeypatch):
+        """Nitsche r=3 on ``uniform_partition(5)`` peaks below 24 B per
+        Gram entry plus the CSR result: the entries are written once, in
+        CSR order (int32 column, float64 value, 12 B), and summed in
+        place, where COO triplets and their unsummed CSR copy took 28 B.
+        Runs of 64 cells keep the run's stacks small beside the entries,
+        which then set the peak."""
         monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 64 * 36)
         s = build_space(uniform_partition(5), 3)
         params = FormParams(mode="nitsche")
         rows = s._extractions.rows
         _, bdry = edge_arrays(s.partition)
-        triplets = int((rows ** 2).sum() + (rows[bdry.plus] ** 2).sum())
+        entries = int((rows ** 2).sum() + (rows[bdry.plus] ** 2).sum())
         want, _ = assemble(s, SIN2.f, params)
         peak = self.traced_peak(lambda: assemble(s, SIN2.f, params))
         A = want.matrix
-        assert triplets == 1024 * 256 + 128 * 256
-        assert peak < 2 * 16 * triplets + (A.data.nbytes + A.indices.nbytes
-                                           + A.indptr.nbytes)
+        assert entries == 1024 * 256 + 128 * 256
+        assert peak < 24 * entries + (A.data.nbytes + A.indices.nbytes
+                                     + A.indptr.nbytes)
 
 
 def count_rules(monkeypatch):

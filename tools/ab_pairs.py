@@ -10,9 +10,12 @@ commit), each tree with its own ``child.py`` and sources.  The side that
 goes first alternates from pair to pair, so a drift of the machine's
 speed hits both sides, and every workload, alike.  Per workload, for
 ``run_s``, ``setup_s`` and ``peak_rss_mb``, this prints each side's
-median and quartiles, the pairs in which this tree is lower, and the
-ratio of the medians (this tree over the other).  A failed repetition
-stops the script with its error.
+median and quartiles, the pairs in which this tree is lower, the ratio
+of the medians (this tree over the other) and a verdict: ``gain`` when
+this tree is lower in at least 9 of 10 pairs and its median is lower by
+more than the other tree's quartile distance, ``loss`` when the same
+holds with the trees swapped, and ``unresolved`` otherwise.  A failed
+repetition stops the script with its error.
 """
 
 from __future__ import annotations
@@ -47,6 +50,18 @@ def repetition(tree: Path, workload: str, seed: int) -> dict:
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def verdict(this: list[float], other: list[float]) -> str:
+    """``gain``, ``loss`` or ``unresolved`` for a lower-is-better metric:
+    one side is lower in at least 9/10 of the pairs, and the medians
+    differ by more than the other side's quartile distance."""
+    for word, low, high in (("gain", this, other), ("loss", other, this)):
+        won = sum(a < b for a, b in zip(low, high))
+        h1, hm, h3 = quartiles(high)
+        if 10 * won >= 9 * len(low) and hm - quartiles(low)[1] > h3 - h1:
+            return word
+    return "unresolved"
 
 
 def workload_names(spec: str) -> list[str]:
@@ -97,7 +112,8 @@ def main() -> None:
             (a1, am, a3), (b1, bm, b3) = quartiles(this), quartiles(that)
             print(f"  {metric}: this {am:.4f} [{a1:.4f}, {a3:.4f}], "
                   f"other {bm:.4f} [{b1:.4f}, {b3:.4f}], this lower in "
-                  f"{won}/{args.pairs}, ratio {am / bm:.3f}")
+                  f"{won}/{args.pairs}, ratio {am / bm:.3f}: "
+                  f"{verdict(this, that)}")
 
 
 if __name__ == "__main__":
